@@ -4,18 +4,25 @@ Keystroke loggers store a text field one snapshot per keystroke, including
 deletions and autocorrect replacements, so sensitive strings exist in the log
 as partial fragments long before they are complete enough to match any known
 PII format.  This module consumes those snapshots and produces sanitized
-entries in which no retained string leaks a fragment of detectable PII:
+entries in which no retained string leaks a fragment of detectable PII.
 
-* on every snapshot, in-progress tails that could still become PII are tagged
-  provisionally (via the detector suite's prefix awareness);
+With snapshot retention on, every snapshot is kept and annotated:
+
+* on every snapshot, the complete detector matches on its text are recorded;
 * stage 1 — whenever a token is completed at the end of the string, the real
   detection outcome for that token (a confirmed span, or nothing) is rolled
-  back through every earlier snapshot of the token, clearing provisional tags
-  the completed token disproved;
+  back through every earlier snapshot sharing the text before the token;
 * stage 2 — when the whole entry is complete, the full-string detections are
-  overlaid onto every retained snapshot; where an earlier provisional span
+  overlaid onto every retained snapshot; where a snapshot's own confirmed span
   only partially overlaps a final span, the labels merge into a compound tag
-  such as ``<date|phone>``.
+  such as ``<date|phone>``.  Snapshots whose content was edited away are
+  re-scanned with in-progress tails tagged provisionally (via the detector
+  suite's prefix awareness), since the final string cannot vouch for them.
+
+With retention off, an entry carries only its final text and its first and
+last timestamps, so ingestion runs no detector at all and a stream's buffer
+holds just its first and newest snapshot: memory per stream is bounded by the
+length of the text, not by the number of keystrokes.
 
 Entries from password or phone-number fields are dropped structurally: only a
 single ``<password>`` / ``<phone>`` placeholder survives.
@@ -91,28 +98,25 @@ class KeystrokeEvent:
 
 @dataclass
 class _Snapshot:
-    """One retained partial string with its provisional annotation.
+    """One retained partial string with its annotation.
 
-    ``confirmed`` spans are complete detector matches on this text;
-    ``hypotheses`` mark tails that could still have grown into a match at the
-    time the snapshot was taken.  The rollback stages confirm, extend, or
-    clear these before anything is rendered.
+    ``confirmed`` spans are complete detector matches on this text, extended
+    by stage-1 rollback with the detections of tokens completed later.  They
+    stay empty when snapshot retention is off.
     """
 
     timestamp: int
     text: str
     confirmed: list[RedactionSpan]
-    hypotheses: list[RedactionSpan]
 
 
 @dataclass
 class EntryBuffer:
     """Accumulates one in-progress entry for a stream.
 
-    ``history`` is append-only until finalization empties it; each snapshot's
-    annotation is provisional until the rollback stages confirm or clear it.
-    ``token_boundary`` is the offset where the last completed token ends in
-    the newest snapshot.
+    With snapshot retention on, ``history`` is append-only until
+    finalization empties it; with it off, it holds at most the first and the
+    newest snapshot.
     """
 
     user_id: str
@@ -121,7 +125,6 @@ class EntryBuffer:
     structural_tag: str | None = None
     structural_seen: bool = False
     last_timestamp: int | None = None
-    token_boundary: int = 0
 
     @property
     def has_content(self) -> bool:
@@ -131,7 +134,6 @@ class EntryBuffer:
         self.history.clear()
         self.structural_tag = None
         self.structural_seen = False
-        self.token_boundary = 0
 
 
 @dataclass(frozen=True)
@@ -272,11 +274,16 @@ class StreamRedactor:
         if event.current_text == prev_text:
             return completed  # cursor movement etc.; nothing new to record
 
+        if not self.keep_snapshots:
+            # Only the newest text and the first/last timestamps reach the
+            # entry: keep [first, newest] and skip all per-keystroke detection.
+            buf.history[1:] = [_Snapshot(event.timestamp, event.current_text, [])]
+            return completed
+
         snapshot = _Snapshot(
             timestamp=event.timestamp,
             text=event.current_text,
             confirmed=self.suite.detect(event.current_text),
-            hypotheses=self.suite.partial_at_end(event.current_text),
         )
         buf.history.append(snapshot)
 
@@ -307,28 +314,24 @@ class StreamRedactor:
     ) -> None:
         """Roll a completed token's detection outcome back through the buffer.
 
-        Every retained snapshot that shares the text up to the token start
-        receives the real detections, clipped to its own length, so any prefix
-        of a detected region it contains is covered by the same tag.  On
-        snapshots that are true typing prefixes of the current string the
-        completed token also *resolves* the provisional tail hypotheses: they
-        are cleared whether the detectors confirmed them or not (the "or lack
-        thereof" branch).  Snapshots holding diverging content (deleted or
-        autocorrected away) keep their hypotheses, since the completed token
-        proves nothing about text that is no longer part of it.
+        Runs only with snapshot retention on, on the event that completed the
+        token.  Every retained snapshot that shares the text up to the token
+        start receives the real detections, clipped to its own length, so any
+        prefix of a detected region it contains is covered by the same tag.
+        A token the detectors did not confirm adds nothing (the "or lack
+        thereof" branch): no snapshot carries a provisional tail tag, since
+        in-progress tails are tagged only at finalization and only on
+        snapshots whose content was edited away.
         """
         if not buf.history:
             return
-        start, end = token
+        start = token[0]
         cur = buf.history[-1].text
         for snap in buf.history:
             n = len(snap.text)
             if n <= start or snap.text[:start] != cur[:start]:
                 continue
             snap.confirmed = merge_spans(snap.confirmed + clip_spans(detections, n))
-            if snap.text == cur[:n]:
-                snap.hypotheses = []
-        buf.token_boundary = end
 
     # -- stage 2: entry finalization --------------------------------------
 
@@ -345,10 +348,10 @@ class StreamRedactor:
         the final string are adjudicated by it: final spans apply clipped, and
         where a snapshot's own confirmed span partially overlaps a final span
         the tags merge into a compound tag; everything the final string proves
-        clean is left readable.  Diverged snapshots keep their provisional
-        annotation and are conservatively re-scanned, because the final string
-        cannot vouch for content that was edited away (this can over-redact
-        deleted fragments; that is the safe direction).
+        clean is left readable.  Diverged snapshots keep their confirmed spans
+        and are conservatively re-scanned with in-progress tails tagged,
+        because the final string cannot vouch for content that was edited away
+        (this can over-redact deleted fragments; that is the safe direction).
         """
         if not buf.has_content:
             raise EmptyBufferError(f"stream ({buf.user_id}, {buf.app_id}): nothing to finalize")
@@ -386,7 +389,7 @@ class StreamRedactor:
                     spans = merge_spans(clipped + pieces)
                 else:
                     fresh = self.suite.provisional(snap.text)
-                    spans = merge_spans(snap.confirmed + snap.hypotheses + clipped + fresh)
+                    spans = merge_spans(snap.confirmed + clipped + fresh)
                 snapshots_out.append(render_redacted(snap.text, spans)[0])
 
         return SanitizedEntry(

@@ -12,12 +12,29 @@ import warnings
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy.special import ndtr, stdtr
 
 
 class DegenerateDataError(ValueError):
     """Raised when a statistic is undefined for the given data (e.g. zero
     variance with a nonzero mean difference)."""
+
+
+# Ranges below this have squared deviations that underflow to 0, so no
+# standardized statistic can be computed from them.
+_MIN_RANGE = float(np.sqrt(np.finfo(float).tiny))
+
+
+def _is_constant(v: np.ndarray, axis: int | None = None):
+    """The one degeneracy test of this module: ``v`` (or each row along
+    ``axis``) has no spread.
+
+    Decided on the range, never on a variance: equal values have a range of
+    exactly 0, while their squared deviations from a rounded mean sum to
+    ~1e-30 rather than 0.  Ranges too small to square (below ``_MIN_RANGE``)
+    count as no spread as well.
+    """
+    return np.ptp(v, axis=axis) < _MIN_RANGE
 
 
 def _paired_diffs(x: Sequence[float], y: Sequence[float]) -> np.ndarray:
@@ -33,29 +50,27 @@ def _paired_diffs(x: Sequence[float], y: Sequence[float]) -> np.ndarray:
 def cohens_d_paired(x: Sequence[float], y: Sequence[float]) -> float:
     """Standardized mean difference of paired values: mean(x-y) / sd(x-y).
 
-    Sample (n-1) standard deviation.  All-equal pairs give d = 0; zero sd with
-    a nonzero mean is degenerate.
+    Sample (n-1) standard deviation.  All-equal pairs give d = 0; constant
+    nonzero differences are degenerate.
     """
     d = _paired_diffs(x, y)
-    sd = d.std(ddof=1)
-    if sd == 0.0:
-        if np.all(d == d[0]) and d[0] == 0.0:
+    if _is_constant(d):
+        if not d.any():
             return 0.0
         raise DegenerateDataError("zero sd of differences with nonzero mean")
-    return float(d.mean() / sd)
+    return float(d.mean() / d.std(ddof=1))
 
 
 def paired_t_test(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     """Paired-sample t-test; returns (t, two-sided p) with n-1 df."""
     d = _paired_diffs(x, y)
     n = d.size
-    sd = d.std(ddof=1)
-    if sd == 0.0:
-        if d[0] == 0.0:
+    if _is_constant(d):
+        if not d.any():
             return 0.0, 1.0
         raise DegenerateDataError("zero sd of differences with nonzero mean")
-    t = d.mean() / (sd / np.sqrt(n))
-    p = 2.0 * scipy_stats.t.sf(abs(t), df=n - 1)
+    t = d.mean() / (d.std(ddof=1) / np.sqrt(n))
+    p = 2.0 * stdtr(n - 1, -abs(t))  # Student t CDF at -|t|, i.e. its survival at |t|
     return float(t), float(p)
 
 
@@ -65,13 +80,11 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 2:
         raise ValueError("need two equal-length vectors with n >= 2")
+    if _is_constant(x) or _is_constant(y):
+        raise DegenerateDataError("zero variance")
     xd = x - x.mean()
     yd = y - y.mean()
-    sxx = float(xd @ xd)
-    syy = float(yd @ yd)
-    if sxx == 0.0 or syy == 0.0:
-        raise DegenerateDataError("zero variance")
-    r = float(xd @ yd) / np.sqrt(sxx * syy)
+    r = float(xd @ yd) / np.sqrt(float(xd @ xd) * float(yd @ yd))
     return float(min(1.0, max(-1.0, r)))
 
 
@@ -116,7 +129,7 @@ def univariate_logistic_p(
         raise ValueError("both classes must be present")
     y01 = (y == classes.max()).astype(float)
 
-    if np.ptp(x) == 0.0:
+    if _is_constant(x):
         return 1.0  # constant feature carries no class information
 
     x1 = x[y01 == 1]
@@ -152,7 +165,7 @@ def univariate_logistic_p(
     if se == 0.0 or not np.isfinite(se):
         return 1.0
     z = beta[1] / se
-    return float(2.0 * scipy_stats.norm.sf(abs(z)))
+    return float(2.0 * ndtr(-abs(z)))  # normal CDF at -|z|, i.e. its survival at |z|
 
 
 class BootstrapResult(NamedTuple):
@@ -162,13 +175,13 @@ class BootstrapResult(NamedTuple):
 
 
 def _rowwise_pearson(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pearson r along axis 1 plus a validity mask (zero-variance rows fail)."""
+    """Pearson r along axis 1 plus a validity mask (constant rows fail)."""
+    valid = ~_is_constant(a, axis=1) & ~_is_constant(b, axis=1)
     a = a - a.mean(axis=1, keepdims=True)
     b = b - b.mean(axis=1, keepdims=True)
     saa = np.einsum("ij,ij->i", a, a)
     sbb = np.einsum("ij,ij->i", b, b)
     sab = np.einsum("ij,ij->i", a, b)
-    valid = (saa > 0) & (sbb > 0)
     r = np.full(a.shape[0], np.nan)
     r[valid] = sab[valid] / np.sqrt(saa[valid] * sbb[valid])
     return r, valid

@@ -3,12 +3,20 @@ finalization triggers, and the module-level safety properties."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scrublang.detectors import DetectorSuite, Gazetteer, entity_detector, load_catalogue
+from scrublang.detectors import (
+    DetectorSuite,
+    Gazetteer,
+    default_suite,
+    entity_detector,
+    load_catalogue,
+)
 from scrublang.redactor import (
     EmptyBufferError,
     KeystrokeEvent,
@@ -75,7 +83,19 @@ class TestIngest:
         for i, snap in enumerate(["T", "Ta", "Tai", "Ta", "Tal"]):
             entries += r.ingest_event(ev(snap, i * 100))
         assert entries == []
-        assert len(r._buffers[("u1", "sms")].history) == 5
+        (entry,) = r.finish()
+        assert entry.final_text == "Tal"
+        assert (entry.start_timestamp, entry.end_timestamp) == (0, 400)
+
+    def test_snapshots_off_buffer_is_bounded(self):
+        # a long entry keeps only its first and newest snapshot
+        r = StreamRedactor()
+        text = ("call 555-123-4567 or mail xq9w@zmail.net " * 20)[:500]
+        type_text(r, text, clear=False)
+        assert len(r._buffers[("u1", "sms")].history) <= 2
+        (entry,) = r.finish()
+        assert entry.final_text == redact_string(text).text
+        assert (entry.start_timestamp, entry.end_timestamp) == (100, 50_000)
 
     def test_password_field_is_structural(self):
         r = StreamRedactor(keep_snapshots=True)
@@ -150,8 +170,9 @@ class TestRollbackStage1:
         for i, n in enumerate(range(1, len("Taylor ") + 1)):
             r.ingest_event(ev("Taylor "[:n], i * 100))
         buf = r._buffers[("u1", "sms")]
-        assert all(not s.hypotheses for s in buf.history)
         assert all(not s.confirmed for s in buf.history)
+        (entry,) = r.finish()
+        assert entry.snapshots == tuple("Taylor "[:n] for n in range(1, len("Taylor ")))
 
     def test_later_completion_restores_entity_span(self):
         r = StreamRedactor(suite=self._suite_with_taylor(), keep_snapshots=True)
@@ -303,3 +324,39 @@ class TestProperties:
                 for fragment in leak_fragments(pii):
                     for text in retained:
                         assert fragment not in text, (pii, fragment, text)
+
+
+class TestGoldenOutput:
+    """Entries emitted for fixed-seed typing sessions are pinned by digest, so
+    any change to ingest or finalization that alters a single byte of output
+    (final text, spans, timestamps or redacted snapshots) fails here."""
+
+    N_SESSIONS = 200
+    DIGEST = {
+        True: "52c9f7c34bc6c4bcb927587ffbe4a96d406f1625bd19d96552eb80f35c7c6e72",
+        False: "8c7f4512487144dcf0708058221770ca9348349da3e0e70b3027fd886d8929a7",
+    }
+
+    @staticmethod
+    def _run(sessions, keep_snapshots: bool):
+        suite = default_suite()
+        return [
+            entry
+            for session in sessions
+            for entry in run_session(StreamRedactor(suite=suite, keep_snapshots=keep_snapshots), session)
+        ]
+
+    def test_digest_and_mode_agreement(self):
+        rng = np.random.default_rng(2024)
+        sessions = [random_session(rng, t0=1_000_000 + i) for i in range(self.N_SESSIONS)]
+        outputs = {keep: self._run(sessions, keep) for keep in (True, False)}
+        for keep, entries in outputs.items():
+            digest = hashlib.sha256("".join(e.to_json() + "\n" for e in entries).encode())
+            assert digest.hexdigest() == self.DIGEST[keep], f"keep_snapshots={keep}"
+        on, off = outputs[True], outputs[False]
+        assert len(on) == len(off) == self.N_SESSIONS
+        for a, b in zip(on, off):
+            assert (a.final_text, a.spans, a.start_timestamp, a.end_timestamp) == (
+                b.final_text, b.spans, b.start_timestamp, b.end_timestamp
+            )
+            assert b.snapshots == ()

@@ -10,16 +10,22 @@ candidate thresholds.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 from scipy.stats import chi2
 
+import scrublang
 from scrublang.stats import (
     DegenerateDataError,
+    _rowwise_pearson,
     bh_fdr,
     bootstrap_corr_diff,
     cohens_d_paired,
@@ -27,6 +33,10 @@ from scrublang.stats import (
     pearson_r,
     univariate_logistic_p,
 )
+
+# A constant vector whose mean does not round-trip: x - x.mean() is ~1e-15,
+# not 0, so a variance-based degeneracy test misses it.
+CONSTANT = [5.961, 5.961, 5.961]
 
 
 def t_two_sided_p_quadrature(t: float, df: int) -> float:
@@ -81,6 +91,10 @@ class TestCohensD:
         with pytest.raises(DegenerateDataError):
             cohens_d_paired([2, 3, 4], [1, 2, 3])
 
+    def test_constant_nonzero_diffs_with_rounded_mean_degenerate(self):
+        with pytest.raises(DegenerateDataError):
+            cohens_d_paired(CONSTANT, [0, 0, 0])
+
     @given(
         st.lists(
             st.tuples(
@@ -91,6 +105,7 @@ class TestCohensD:
         )
     )
     @settings(max_examples=100, deadline=None)
+    @example(pairs=[(5e-324, 0.0), (0.0, 0.0)])  # spread too small to square
     def test_swap_negates(self, pairs):
         x = [a for a, _ in pairs]
         y = [b for _, b in pairs]
@@ -105,6 +120,10 @@ class TestPairedT:
     def test_identical(self):
         t, p = paired_t_test([4, 4, 4], [4, 4, 4])
         assert t == 0.0 and p == 1.0
+
+    def test_constant_nonzero_diffs_degenerate(self):
+        with pytest.raises(DegenerateDataError):
+            paired_t_test(CONSTANT, [0, 0, 0])
 
     def test_hand_value_with_quadrature_oracle(self):
         t, p = paired_t_test([3, 5, 7], [1, 1, 1])
@@ -141,6 +160,12 @@ class TestPearson:
         with pytest.raises(DegenerateDataError):
             pearson_r([1, 1, 1], [1, 2, 3])
 
+    def test_constant_with_rounded_mean_degenerate(self):
+        with pytest.raises(DegenerateDataError):
+            pearson_r(CONSTANT, [0, 0, 1])
+        with pytest.raises(DegenerateDataError):
+            pearson_r([0, 0, 1], CONSTANT)
+
     @given(
         st.lists(
             st.tuples(
@@ -154,6 +179,7 @@ class TestPearson:
         st.floats(-3, 3).map(lambda v: round(v, 3)),
     )
     @settings(max_examples=100, deadline=None)
+    @example(pairs=[(5.961, 0), (5.961, 0), (5.961, 1)], scale=1.5, shift=0.0)
     def test_positive_affine_invariance(self, pairs, scale, shift):
         # values are rounded so the spread cannot vanish into float rounding
         x = np.array([a for a, _ in pairs])
@@ -257,6 +283,13 @@ class TestBootstrap:
         assert res.delta_r > 0.3
         assert res.p_value < 0.05
 
+    def test_constant_resample_rows_are_invalid(self):
+        a = np.array([CONSTANT, [1.0, 2.0, 3.0]])
+        b = np.array([[0.0, 0.0, 1.0], [1.0, 2.0, 4.0]])
+        r, valid = _rowwise_pearson(a, b)
+        assert valid.tolist() == [False, True]
+        assert r[1] == pytest.approx(pearson_r([1, 2, 3], [1, 2, 4]), abs=1e-12)
+
     def test_iteration_floor(self):
         with pytest.raises(ValueError):
             bootstrap_corr_diff([1, 2, 3], [1, 2, 3], [1, 2, 3], 10, seed=0)
@@ -272,3 +305,15 @@ class TestBootstrap:
         ]
         assert ps[0] >= ps[2]
         assert ps[1] >= ps[2]
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # the p-values come from scipy.special; scipy.stats costs ~0.7 s and ~45 MB
+    # to import and is only needed by this test module's oracles
+    src = str(Path(scrublang.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, scrublang.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
