@@ -5,7 +5,9 @@ pipeline.  ``pipeline`` chains everything deterministically: keystroke
 redaction -> corpus assembly (the same cleaning applied to both platforms) ->
 summary -> differential language analysis -> pretrained-lexicon estimates ->
 cross-domain model evaluation -> feature importance, plus a manifest of
-seeds, thresholds, and input digests.
+seeds, thresholds, and input digests.  Its diff, train, evaluate, and
+importance stages run the same stage functions as the subcommands of those
+names, so given the same settings they write byte-identical reports.
 
 Configuration files are flat ``key = value`` text (# comments allowed);
 relative paths resolve against the config file's directory.  ``--seed``,
@@ -32,7 +34,7 @@ from .analysis import (
     shared_users,
     summary_stats,
 )
-from .detectors import DetectorSuite, Gazetteer, default_suite
+from .detectors import DetectorSuite, Gazetteer, bundled_inputs, default_suite
 from .features import (
     DEFAULT_MIN_GROUP_FRACTION,
     DEFAULT_MIN_WORDS,
@@ -55,6 +57,7 @@ from .io import (
 from .modeling import (
     CELL_ORDER,
     EvalReport,
+    ImportanceRow,
     apply_lexicon,
     bootstrap_accuracy_diff,
     cross_domain_matrix,
@@ -77,6 +80,16 @@ BINARY_OUTCOMES = frozenset({"gender"})
 
 class PipelineError(RuntimeError):
     """A pipeline stage failed; partial outputs have been removed."""
+
+
+def _int_tuple(value: str) -> tuple[int, ...]:
+    """Comma-separated integers, e.g. n-gram orders ``1,2,3``."""
+    return tuple(int(v) for v in value.split(",") if v.strip())
+
+
+def _str_tuple(value: str) -> tuple[str, ...]:
+    """Comma-separated names, e.g. an app allow-list."""
+    return tuple(v.strip() for v in value.split(",") if v.strip())
 
 
 @dataclass
@@ -145,9 +158,9 @@ class RunConfig:
             elif key == "keep_snapshots":
                 setattr(cfg, key, value.lower() in ("1", "true", "yes", "on"))
             elif key == "model_orders":
-                setattr(cfg, key, tuple(int(v) for v in value.split(",") if v.strip()))
+                setattr(cfg, key, _int_tuple(value))
             elif key == "apps":
-                setattr(cfg, key, tuple(v.strip() for v in value.split(",") if v.strip()))
+                setattr(cfg, key, _str_tuple(value))
         cfg.validate()
         return cfg
 
@@ -164,6 +177,41 @@ class RunConfig:
         d["model_orders"] = list(self.model_orders)
         d["apps"] = list(self.apps)
         return d
+
+    def manifest_inputs(self) -> dict[str, str | Path]:
+        """Manifest key -> file for every input the run reads, including the
+        bundled detector data that stands in for an unset catalogue or
+        gazetteer (keyed by its package-relative name)."""
+        paths = [getattr(self, key) for key in self._PATH_KEYS]
+        return {**{p: p for p in paths if p}, **bundled_inputs(self.catalogue, self.gazetteer)}
+
+
+class OutputDir:
+    """A report directory that records each path before writing its file, so
+    a failed run can remove everything it began to write."""
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        self.path.mkdir(parents=True, exist_ok=True)
+        self.written: list[Path] = []
+
+    def claim(self, name: str) -> Path:
+        path = self.path / name
+        self.written.append(path)
+        return path
+
+    def json(self, obj, name: str) -> None:
+        write_json(obj, self.claim(name))
+
+    def csv(self, rows, fieldnames, name: str) -> None:
+        write_csv(rows, fieldnames, self.claim(name))
+
+    def table(self, records, record_type, stem: str) -> None:
+        """Dataclass records as ``stem.json`` plus a ``stem.csv`` mirror whose
+        columns are the record fields."""
+        rows = [r.to_dict() for r in records]
+        self.json(rows, f"{stem}.json")
+        self.csv(rows, [f.name for f in fields(record_type)], f"{stem}.csv")
 
 
 def _build_suite(args) -> DetectorSuite:
@@ -185,7 +233,8 @@ def run_redaction(
 
     Returns (entries, counters); events from non-allow-listed apps and events
     arriving out of order are skipped and counted, mirroring the ingestion
-    exclusion funnel.
+    exclusion funnel.  A line that is not a valid keystroke event aborts the
+    run with a ``ValueError`` naming ``file:line``.
     """
     redactor = StreamRedactor(
         suite=suite, timeout_ms=timeout_ms, keep_snapshots=keep_snapshots
@@ -193,10 +242,13 @@ def run_redaction(
     counters = {"events": 0, "apps_filtered": 0, "out_of_order": 0}
     entries = []
     with open(log_path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            event = KeystrokeEvent.from_json(line)
+            try:
+                event = KeystrokeEvent.from_json(line)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{log_path}:{lineno}: bad keystroke event: {exc}") from exc
             counters["events"] += 1
             if apps and event.app_id not in apps:
                 counters["apps_filtered"] += 1
@@ -207,6 +259,12 @@ def run_redaction(
                 counters["out_of_order"] += 1
     entries.extend(redactor.finish())
     return entries, counters
+
+
+def _write_entries(entries, path: str | Path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for e in entries:
+            fh.write(e.to_json() + "\n")
 
 
 def _load_clean_corpora(
@@ -229,10 +287,6 @@ def _sms_corpora_from_entries(entries) -> dict[tuple[str, str], UserCorpus]:
             corpus = corpora[key] = UserCorpus(user_id=e.user_id, platform="sms")
         corpus.documents.append(e.final_text)
     return corpora
-
-
-def _outcome_kinds(outcome_names) -> dict[str, str]:
-    return {n: ("binary" if n in BINARY_OUTCOMES else "continuous") for n in outcome_names}
 
 
 def _lexicon_estimates(
@@ -292,147 +346,25 @@ def _lexicon_estimates(
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# stages shared by the subcommands and ``pipeline``
 # ---------------------------------------------------------------------------
 
 
-def cmd_redact(args) -> int:
-    suite = _build_suite(args)
-    apps = tuple(a.strip() for a in args.apps.split(",") if a.strip()) if args.apps else ()
-    entries, counters = run_redaction(
-        args.infile,
-        suite,
-        timeout_ms=args.timeout_ms,
-        keep_snapshots=args.keep_snapshots,
-        apps=apps,
-    )
-    with open(args.outfile, "w", encoding="utf-8") as fh:
-        for e in entries:
-            fh.write(e.to_json() + "\n")
-    print(
-        f"redact: {counters['events']} events -> {len(entries)} entries "
-        f"({counters['apps_filtered']} filtered by app, "
-        f"{counters['out_of_order']} out of order)"
-    )
-    return 0
-
-
-def cmd_summary(args) -> int:
-    suite = _build_suite(args)
-    corpora = _load_clean_corpora(args.corpus, suite)
-    stats = summary_stats(corpora)
-    for plat, block in sorted(stats.items()):
-        w, p = block["words"], block["posts"]
-        print(
-            f"{plat}: n={block['n_users']} "
-            f"words med/mean/sd = {w['median']:.0f}/{w['mean']:.1f}/{w['sd']:.1f} "
-            f"posts med/mean/sd = {p['median']:.0f}/{p['mean']:.1f}/{p['sd']:.1f}"
-        )
-    if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_json(stats, out / "summary.json")
-        rows = [
-            {"platform": plat, "measure": measure, **block[measure]}
-            for plat, block in sorted(stats.items())
-            for measure in ("words", "posts")
-        ]
-        write_csv(
-            rows,
-            ["platform", "measure", "median", "mean", "sd", "sd_defined"],
-            out / "summary.csv",
-        )
-    return 0
-
-
-def cmd_features(args) -> int:
-    suite = _build_suite(args)
-    corpora = _load_clean_corpora(args.corpus, suite)
-    corpora, excluded = filter_min_words(corpora, args.min_words)
-    orders = tuple(int(v) for v in args.orders.split(","))
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ngrams = {
-        plat: user_feature_table(corpora, plat, orders)
-        for plat in sorted({p for (_, p) in corpora})
-    }
-    write_json(ngrams, out / "ngram_features.json")
-    if args.dictionary:
-        spec = DictionarySpec.from_file(args.dictionary)
-        cats = {
-            plat: {
-                u: corpora[(u, plat)].dictionary_features(spec)
-                for (u, p) in sorted(corpora)
-                if p == plat
-            }
-            for plat in sorted({p for (_, p) in corpora})
-        }
-        write_json(cats, out / "dictionary_features.json")
-    if excluded:
-        write_json({"min_words": excluded}, out / "exclusions.json")
-    print(f"features: wrote {out} (excluded {len(excluded)} users below {args.min_words} words)")
-    return 0
-
-
-def _diff_outputs(
-    out: Path,
-    ngram_rows: list[NgramDiff],
-    category_rows: list[CategoryDiff] | None,
-) -> None:
-    write_json([r.to_dict() for r in ngram_rows], out / "ngram_diff.json")
-    write_csv(
-        [r.to_dict() for r in ngram_rows],
-        [
-            "ngram",
-            "cohens_d",
-            "p_value",
-            "q_significant",
-            "freq_facebook",
-            "freq_sms",
-            "degenerate",
-            "p_fallback",
-        ],
-        out / "ngram_diff.csv",
-    )
-    clouds = cloud_data(ngram_rows)
-    write_json([c.to_dict() for c in clouds], out / "cloud.json")
-    if category_rows is not None:
-        write_json([r.to_dict() for r in category_rows], out / "category_diff.json")
-        write_csv(
-            [r.to_dict() for r in category_rows],
-            [
-                "category",
-                "t_statistic",
-                "p_value",
-                "q_significant",
-                "mean_facebook",
-                "mean_sms",
-                "degenerate",
-            ],
-            out / "category_diff.csv",
-        )
-
-
-def cmd_diff(args) -> int:
-    suite = _build_suite(args)
-    corpora = _load_clean_corpora(args.corpus, suite)
-    corpora, excluded = filter_min_words(corpora, args.min_words)
-    ngram_rows = diff_ngrams(
-        corpora, alpha=args.alpha, min_group_fraction=args.min_group_fraction
-    )
+def _diff(
+    corpora, out: OutputDir, alpha: float, min_group_fraction: float, dictionary: str | None
+) -> list[NgramDiff]:
+    """Differential n-gram (and, with a dictionary, category) analysis between
+    the platforms; writes the diff tables and the word-cloud data."""
+    ngram_rows = diff_ngrams(corpora, alpha=alpha, min_group_fraction=min_group_fraction)
     category_rows = None
-    if args.dictionary:
-        spec = DictionarySpec.from_file(args.dictionary)
-        category_rows = diff_categories(corpora, spec, alpha=args.alpha)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _diff_outputs(out, ngram_rows, category_rows)
-    n_sig = sum(r.q_significant for r in ngram_rows)
-    print(
-        f"diff: {len(ngram_rows)} n-grams tested, {n_sig} FDR-significant "
-        f"at alpha={args.alpha} ({len(excluded)} users excluded)"
-    )
-    return 0
+    if dictionary:
+        spec = DictionarySpec.from_file(dictionary)
+        category_rows = diff_categories(corpora, spec, alpha=alpha)
+    out.table(ngram_rows, NgramDiff, "ngram_diff")
+    out.json([c.to_dict() for c in cloud_data(ngram_rows)], "cloud.json")
+    if category_rows is not None:
+        out.table(category_rows, CategoryDiff, "category_diff")
+    return ngram_rows
 
 
 def _modeling_tables(corpora, orders, min_group_fraction):
@@ -445,242 +377,261 @@ def _modeling_tables(corpora, orders, min_group_fraction):
     return users, fb, sms, feature_names
 
 
-def cmd_train(args) -> int:
-    suite = _build_suite(args)
-    corpora = _load_clean_corpora(args.corpus, suite)
-    corpora, _ = filter_min_words(corpora, args.min_words)
-    outcomes = load_outcomes_csv(args.outcomes)
-    orders = tuple(int(v) for v in args.orders.split(","))
-    users, fb, sms, feature_names = _modeling_tables(corpora, orders, args.min_group_fraction)
-    vectors = fb if args.platform == "facebook" else sms
-    wanted = args.outcome or sorted({n for u in users for n in outcomes.get(u, {})})
+def _train(tables, outcomes, platform: str, alpha: float, wanted, dest) -> dict:
+    """Fit one ridge lexicon model per outcome on ``platform``'s n-grams and
+    save them to ``dest``; ``wanted`` of None means every outcome."""
+    users, fb, sms, feature_names = tables
+    vectors = fb if platform == "facebook" else sms
     models = {}
-    for name in wanted:
-        pairs = [
-            (u, outcomes[u][name])
-            for u in users
-            if outcomes.get(u, {}).get(name) is not None
-        ]
-        if len(pairs) < 3:
+    for name in wanted or sorted({n for u in users for n in outcomes.get(u, {})}):
+        labeled = [u for u in users if outcomes.get(u, {}).get(name) is not None]
+        if len(labeled) < 3:
             print(f"train: skipping {name}: fewer than 3 labeled users", file=sys.stderr)
             continue
-        X = np.array(
-            [[vectors[u].get(f, 0.0) for f in feature_names] for u, _ in pairs]
-        )
-        y = np.array([v for _, v in pairs], dtype=float)
-        models[name] = ridge_fit(
-            X, y, alpha=args.alpha, feature_names=feature_names, outcome=name
-        )
-    save_lexicon_csv(models, args.out)
-    print(f"train: wrote {len(models)} {args.platform} models to {args.out}")
-    return 0
+        X = np.array([[vectors[u].get(f, 0.0) for f in feature_names] for u in labeled])
+        y = np.array([outcomes[u][name] for u in labeled], dtype=float)
+        models[name] = ridge_fit(X, y, alpha=alpha, feature_names=feature_names, outcome=name)
+    save_lexicon_csv(models, dest)
+    return models
 
 
-def _eval_report_rows(report: EvalReport) -> list[dict]:
-    rows = []
+_EVAL_COLUMNS = (
+    "outcome", "cell", "metric", "value", "n",
+    "bootstrap_comparison", "bootstrap_delta", "bootstrap_p",
+)
+
+
+def _evaluate(
+    tables,
+    outcomes,
+    out: OutputDir,
+    alpha: float,
+    bootstrap_iterations: int,
+    seed: int,
+    cross_fit: str,
+    embeddings: tuple[str | None, str | None],
+    nmf: tuple[int, int],
+) -> EvalReport:
+    """Four-cell cross-platform evaluation on the n-gram tables.  When both
+    ``embeddings`` files (facebook, sms) are given, the same evaluation, always
+    with holdout cross fits, runs on both platforms' embeddings reduced in one
+    shared NMF basis with ``nmf`` = (k, iterations)."""
+    users, fb, sms, feature_names = tables
+    matrix_args = dict(
+        alpha=alpha,
+        binary_outcomes=BINARY_OUTCOMES,
+        bootstrap_iterations=bootstrap_iterations,
+        seed=seed,
+    )
+    report = cross_domain_matrix(
+        {u: fb[u] for u in users},
+        {u: sms[u] for u in users},
+        {u: outcomes.get(u, {}) for u in users},
+        feature_names=feature_names,
+        cross_fit=cross_fit,
+        **matrix_args,
+    )
+    out.json(report.to_dict(), "eval_report.json")
+    rows = []  # one _EVAL_COLUMNS row per (outcome, cell)
     for name, ev in sorted(report.outcomes.items()):
         for cell in CELL_ORDER:
             res = ev.cells[cell]
             comp = "in_domain" if cell in ("fb_fb", "sms_sms") else "cross_domain"
             boot = ev.bootstrap.get(comp, {})
-            rows.append(
-                {
-                    "outcome": name,
-                    "cell": cell,
-                    "metric": res.metric,
-                    "value": res.value,
-                    "n": res.n,
-                    "bootstrap_comparison": comp,
-                    "bootstrap_delta": boot.get("delta"),
-                    "bootstrap_p": boot.get("p_value"),
-                }
-            )
-    return rows
-
-
-def _embedding_eval(
-    emb_fb_path,
-    emb_sms_path,
-    users,
-    outcomes,
-    cfg_alpha,
-    nmf_k,
-    nmf_iterations,
-    bootstrap_iterations,
-    seed,
-) -> tuple[EvalReport, dict]:
-    """Reduce both platforms' embeddings in one shared NMF basis, then run the
-    same four-cell evaluation on the reduced features."""
-    fb_users, fb_mat = load_embeddings(emb_fb_path)
-    sms_users, sms_mat = load_embeddings(emb_sms_path)
+            row = (name, cell, res.metric, res.value, res.n, comp)
+            row += (boot.get("delta"), boot.get("p_value"))
+            rows.append(dict(zip(_EVAL_COLUMNS, row)))
+    out.csv(rows, _EVAL_COLUMNS, "eval_report.csv")
+    if not all(embeddings):
+        return report
+    nmf_k, nmf_iterations = nmf
+    (fb_users, fb_mat), (sms_users, sms_mat) = map(load_embeddings, embeddings)
     fb_index = {u: i for i, u in enumerate(fb_users)}
     sms_index = {u: i for i, u in enumerate(sms_users)}
     usable = [u for u in users if u in fb_index and u in sms_index]
     if len(usable) < 3:
         raise ValueError("fewer than 3 users have embeddings on both platforms")
-    fb_rows = fb_mat[[fb_index[u] for u in usable]]
-    sms_rows = sms_mat[[sms_index[u] for u in usable]]
-    stacked = np.vstack([fb_rows, sms_rows])
+    stacked = np.vstack(
+        [fb_mat[[fb_index[u] for u in usable]], sms_mat[[sms_index[u] for u in usable]]]
+    )
     k = min(nmf_k, min(stacked.shape))
     result = nmf_reduce(stacked, k=k, iterations=nmf_iterations, seed=seed)
-    W = result.W
     n = len(usable)
     names = [f"nmf{j}" for j in range(k)]
-    feats_fb = {u: dict(zip(names, W[i])) for i, u in enumerate(usable)}
-    feats_sms = {u: dict(zip(names, W[n + i])) for i, u in enumerate(usable)}
-    report = cross_domain_matrix(
-        feats_fb,
-        feats_sms,
+    emb_report = cross_domain_matrix(
+        {u: dict(zip(names, result.W[i])) for i, u in enumerate(usable)},
+        {u: dict(zip(names, result.W[n + i])) for i, u in enumerate(usable)},
         {u: outcomes.get(u, {}) for u in usable},
-        alpha=cfg_alpha,
-        binary_outcomes=BINARY_OUTCOMES,
         feature_names=names,
-        bootstrap_iterations=bootstrap_iterations,
-        seed=seed,
+        **matrix_args,
     )
-    info = {
-        "k": k,
-        "iterations": nmf_iterations,
-        "reconstruction_error": result.reconstruction_error,
-        "n_users": n,
-    }
-    return report, info
+    info = {"k": k, "iterations": nmf_iterations, "n_users": n}
+    info["reconstruction_error"] = result.reconstruction_error
+    out.json({"nmf": info, **emb_report.to_dict()}, "embedding_eval.json")
+    return report
+
+
+def _importance(corpora, users, models, out: OutputDir) -> dict[str, list]:
+    """Weight-times-frequency importance of each model's features, with mean
+    unigram frequencies over ``users`` on each platform; one table per model."""
+    freq = {}
+    for plat in ("facebook", "sms"):
+        vecs = [corpora[(u, plat)].ngram_features((1,)) for u in users]
+        terms = {t for v in vecs for t in v}
+        freq[plat] = {t: float(np.mean([v.get(t, 0.0) for v in vecs])) for t in terms}
+    ranked = {}
+    for name in sorted(models):
+        ranked[name] = feature_importance(models[name], freq["facebook"], freq["sms"])
+        out.table(ranked[name], ImportanceRow, f"importance_{name}")
+    return ranked
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+# ---------------------------------------------------------------------------
+
+
+def _corpora_from_args(args):
+    """The subcommand's cleaned ``--corpus`` after the ``--min-words``
+    exclusion; returns (corpora, excluded)."""
+    corpora = _load_clean_corpora(args.corpus, _build_suite(args))
+    return filter_min_words(corpora, args.min_words)
+
+
+def cmd_redact(args) -> int:
+    entries, counters = run_redaction(
+        args.infile, _build_suite(args), args.timeout_ms, args.keep_snapshots, args.apps
+    )
+    _write_entries(entries, args.outfile)
+    print(
+        f"redact: {counters['events']} events -> {len(entries)} entries "
+        f"({counters['apps_filtered']} filtered by app, "
+        f"{counters['out_of_order']} out of order)"
+    )
+    return 0
+
+
+def cmd_summary(args) -> int:
+    corpora = _load_clean_corpora(args.corpus, _build_suite(args))
+    stats = summary_stats(corpora)
+    for plat, block in sorted(stats.items()):
+        w, p = block["words"], block["posts"]
+        print(
+            f"{plat}: n={block['n_users']} "
+            f"words med/mean/sd = {w['median']:.0f}/{w['mean']:.1f}/{w['sd']:.1f} "
+            f"posts med/mean/sd = {p['median']:.0f}/{p['mean']:.1f}/{p['sd']:.1f}"
+        )
+    if args.out_dir:
+        out = OutputDir(args.out_dir)
+        out.json(stats, "summary.json")
+        rows = [
+            {"platform": plat, "measure": measure, **block[measure]}
+            for plat, block in sorted(stats.items())
+            for measure in ("words", "posts")
+        ]
+        out.csv(rows, ["platform", "measure", "median", "mean", "sd", "sd_defined"], "summary.csv")
+    return 0
+
+
+def cmd_features(args) -> int:
+    corpora, excluded = _corpora_from_args(args)
+    out = OutputDir(args.out_dir)
+    platforms = sorted({p for (_, p) in corpora})
+    out.json(
+        {plat: user_feature_table(corpora, plat, args.orders) for plat in platforms},
+        "ngram_features.json",
+    )
+    if args.dictionary:
+        spec = DictionarySpec.from_file(args.dictionary)
+        cats = {plat: {} for plat in platforms}
+        for u, plat in sorted(corpora):
+            cats[plat][u] = corpora[(u, plat)].dictionary_features(spec)
+        out.json(cats, "dictionary_features.json")
+    if excluded:
+        out.json({"min_words": excluded}, "exclusions.json")
+    n_excluded = len(excluded)
+    print(f"features: wrote {out.path} (excluded {n_excluded} users below {args.min_words} words)")
+    return 0
+
+
+def cmd_diff(args) -> int:
+    corpora, excluded = _corpora_from_args(args)
+    ngram_rows = _diff(
+        corpora, OutputDir(args.out_dir), args.alpha, args.min_group_fraction, args.dictionary
+    )
+    n_sig = sum(r.q_significant for r in ngram_rows)
+    print(
+        f"diff: {len(ngram_rows)} n-grams tested, {n_sig} FDR-significant "
+        f"at alpha={args.alpha} ({len(excluded)} users excluded)"
+    )
+    return 0
+
+
+def cmd_train(args) -> int:
+    corpora, _ = _corpora_from_args(args)
+    outcomes = load_outcomes_csv(args.outcomes)
+    tables = _modeling_tables(corpora, args.orders, args.min_group_fraction)
+    models = _train(tables, outcomes, args.platform, args.alpha, args.outcome, args.out)
+    print(f"train: wrote {len(models)} {args.platform} models to {args.out}")
+    return 0
 
 
 def cmd_evaluate(args) -> int:
-    suite = _build_suite(args)
-    corpora = _load_clean_corpora(args.corpus, suite)
-    corpora, _ = filter_min_words(corpora, args.min_words)
+    corpora, _ = _corpora_from_args(args)
     outcomes = load_outcomes_csv(args.outcomes)
-    orders = tuple(int(v) for v in args.orders.split(","))
-    users, fb, sms, feature_names = _modeling_tables(corpora, orders, args.min_group_fraction)
-    report = cross_domain_matrix(
-        {u: fb[u] for u in users},
-        {u: sms[u] for u in users},
-        {u: outcomes.get(u, {}) for u in users},
-        alpha=args.alpha,
-        binary_outcomes=BINARY_OUTCOMES,
-        feature_names=feature_names,
-        bootstrap_iterations=args.bootstrap_iterations,
-        seed=args.seed,
+    tables = _modeling_tables(corpora, args.orders, args.min_group_fraction)
+    out = OutputDir(args.out_dir)
+    report = _evaluate(
+        tables, outcomes, out, args.alpha, args.bootstrap_iterations, args.seed,
         cross_fit=args.cross_fit,
+        embeddings=(args.embeddings_fb, args.embeddings_sms),
+        nmf=(args.nmf_k, args.nmf_iterations),
     )
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(report.to_dict(), out / "eval_report.json")
-    write_csv(
-        _eval_report_rows(report),
-        [
-            "outcome",
-            "cell",
-            "metric",
-            "value",
-            "n",
-            "bootstrap_comparison",
-            "bootstrap_delta",
-            "bootstrap_p",
-        ],
-        out / "eval_report.csv",
-    )
-    if args.embeddings_fb and args.embeddings_sms:
-        emb_report, info = _embedding_eval(
-            args.embeddings_fb,
-            args.embeddings_sms,
-            users,
-            outcomes,
-            args.alpha,
-            args.nmf_k,
-            args.nmf_iterations,
-            args.bootstrap_iterations,
-            args.seed,
-        )
-        write_json({"nmf": info, **emb_report.to_dict()}, out / "embedding_eval.json")
-    print(f"evaluate: wrote {out} for {len(report.outcomes)} outcomes, n={len(users)} users")
+    n_users = len(tables[0])
+    print(f"evaluate: wrote {out.path} for {len(report.outcomes)} outcomes, n={n_users} users")
     return 0
 
 
 def cmd_importance(args) -> int:
-    suite = _build_suite(args)
-    corpora = _load_clean_corpora(args.corpus, suite)
-    corpora, _ = filter_min_words(corpora, args.min_words)
+    corpora, _ = _corpora_from_args(args)
     models = load_lexicon_csv(args.lexicon)
     if args.outcome not in models:
         raise SystemExit(f"importance: outcome {args.outcome!r} not in {args.lexicon}")
     users = shared_users(corpora)
     if not users:
         raise SystemExit("importance: no users present on both platforms")
-    freq = {}
-    for plat in ("facebook", "sms"):
-        vecs = [corpora[(u, plat)].ngram_features((1,)) for u in users]
-        terms = {t for v in vecs for t in v}
-        freq[plat] = {t: float(np.mean([v.get(t, 0.0) for v in vecs])) for t in terms}
-    rows = feature_importance(models[args.outcome], freq["facebook"], freq["sms"])
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_json([r.to_dict() for r in rows], out / f"importance_{args.outcome}.json")
-    write_csv(
-        [r.to_dict() for r in rows],
-        ["feature", "importance", "weight", "freq_diff", "quadrant"],
-        out / f"importance_{args.outcome}.csv",
-    )
-    print(f"importance: ranked {len(rows)} features for {args.outcome}")
+    model = {args.outcome: models[args.outcome]}
+    ranked = _importance(corpora, users, model, OutputDir(args.out_dir))
+    print(f"importance: ranked {len(ranked[args.outcome])} features for {args.outcome}")
     return 0
 
 
 def cmd_pipeline(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.alpha is not None:
-        cfg.fdr_alpha = args.alpha
-    if args.min_words is not None:
-        cfg.min_words = args.min_words
+    overrides = {"seed": args.seed, "fdr_alpha": args.alpha, "min_words": args.min_words}
+    for key, value in overrides.items():
+        if value is not None:
+            setattr(cfg, key, value)
     cfg.validate()
     if cfg.keystroke_log is None or cfg.facebook_corpus is None or cfg.outcomes is None:
         raise SystemExit("pipeline: config must set keystroke_log, facebook_corpus, outcomes")
 
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    def track_json(obj, path: Path) -> None:
-        write_json(obj, path)
-        written.append(path)
-
-    def track_csv(rows, fieldnames, path: Path) -> None:
-        write_csv(rows, fieldnames, path)
-        written.append(path)
-
-    gaz = Gazetteer.from_file(cfg.gazetteer) if cfg.gazetteer else None
-    suite = (
-        default_suite()
-        if gaz is None and cfg.catalogue is None
-        else DetectorSuite.default(catalogue_path=cfg.catalogue, gazetteer=gaz)
-    )
+    out = OutputDir(cfg.output_dir)
+    suite = _build_suite(cfg)
 
     stage = "redact"
     try:
         entries, counters = run_redaction(
-            cfg.keystroke_log,
-            suite,
-            timeout_ms=cfg.timeout_ms,
-            keep_snapshots=cfg.keep_snapshots,
-            apps=cfg.apps,
+            cfg.keystroke_log, suite, cfg.timeout_ms, cfg.keep_snapshots, cfg.apps
         )
-        entries_path = out / "entries.jsonl"
-        with open(entries_path, "w", encoding="utf-8") as fh:
-            for e in entries:
-                fh.write(e.to_json() + "\n")
-        written.append(entries_path)
+        _write_entries(entries, out.claim("entries.jsonl"))
         print(f"pipeline[{stage}]: {counters['events']} events -> {len(entries)} entries")
 
         stage = "corpora"
         corpora = _load_clean_corpora(cfg.facebook_corpus, suite)
         corpora.update(_sms_corpora_from_entries(entries))
         corpora, excluded = filter_min_words(corpora, cfg.min_words)
-        track_json(
-            {"min_words": excluded, "counters": counters}, out / "exclusions.json"
-        )
+        out.json({"min_words": excluded, "counters": counters}, "exclusions.json")
         users = shared_users(corpora)
         if len(users) < 2:
             raise InsufficientUsersError(
@@ -689,142 +640,45 @@ def cmd_pipeline(args) -> int:
         print(f"pipeline[{stage}]: {len(users)} users on both platforms")
 
         stage = "summary"
-        stats = summary_stats(corpora)
-        track_json(stats, out / "summary.json")
+        out.json(summary_stats(corpora), "summary.json")
 
         stage = "diff"
-        ngram_rows = diff_ngrams(
-            corpora, alpha=cfg.fdr_alpha, min_group_fraction=cfg.min_group_fraction
-        )
-        category_rows = None
-        if cfg.dictionary:
-            spec = DictionarySpec.from_file(cfg.dictionary)
-            category_rows = diff_categories(corpora, spec, alpha=cfg.fdr_alpha)
-        _diff_outputs(out, ngram_rows, category_rows)
-        written.extend(
-            out / name
-            for name in (
-                "ngram_diff.json",
-                "ngram_diff.csv",
-                "cloud.json",
-                "category_diff.json",
-                "category_diff.csv",
-            )
-            if (out / name).exists()
-        )
+        _diff(corpora, out, cfg.fdr_alpha, cfg.min_group_fraction, cfg.dictionary)
 
         stage = "estimates"
         outcomes = load_outcomes_csv(cfg.outcomes)
         pretrained = load_lexicon_csv(cfg.lexicon) if cfg.lexicon else {}
         if pretrained:
-            lex_report = _lexicon_estimates(
+            report = _lexicon_estimates(
                 pretrained, corpora, outcomes, cfg.bootstrap_iterations, cfg.seed
             )
-            track_json(lex_report, out / "lexicon_eval.json")
+            out.json(report, "lexicon_eval.json")
 
         stage = "train"
-        users_, fb, sms, feature_names = _modeling_tables(
-            corpora, cfg.model_orders, cfg.min_group_fraction
-        )
-        outcome_names = sorted({n for u in users_ for n in outcomes.get(u, {})})
-        trained = {}
-        for name in outcome_names:
-            pairs = [
-                (u, outcomes[u][name]) for u in users_ if outcomes.get(u, {}).get(name) is not None
-            ]
-            if len(pairs) < 3:
-                continue
-            X = np.array([[fb[u].get(f, 0.0) for f in feature_names] for u, _ in pairs])
-            y = np.array([v for _, v in pairs], dtype=float)
-            trained[name] = ridge_fit(
-                X, y, alpha=cfg.ridge_alpha, feature_names=feature_names, outcome=name
-            )
-        lex_out = out / "trained_lexicon_facebook.csv"
-        save_lexicon_csv(trained, lex_out)
-        written.append(lex_out)
+        tables = _modeling_tables(corpora, cfg.model_orders, cfg.min_group_fraction)
+        lexicon_out = out.claim("trained_lexicon_facebook.csv")
+        trained = _train(tables, outcomes, "facebook", cfg.ridge_alpha, None, lexicon_out)
 
         stage = "evaluate"
-        report = cross_domain_matrix(
-            {u: fb[u] for u in users_},
-            {u: sms[u] for u in users_},
-            {u: outcomes.get(u, {}) for u in users_},
-            alpha=cfg.ridge_alpha,
-            binary_outcomes=BINARY_OUTCOMES,
-            feature_names=feature_names,
-            bootstrap_iterations=cfg.bootstrap_iterations,
-            seed=cfg.seed,
+        _evaluate(
+            tables, outcomes, out, cfg.ridge_alpha, cfg.bootstrap_iterations, cfg.seed,
+            cross_fit="holdout",
+            embeddings=(cfg.embeddings_fb, cfg.embeddings_sms),
+            nmf=(cfg.nmf_k, cfg.nmf_iterations),
         )
-        track_json(report.to_dict(), out / "eval_report.json")
-        track_csv(
-            _eval_report_rows(report),
-            [
-                "outcome",
-                "cell",
-                "metric",
-                "value",
-                "n",
-                "bootstrap_comparison",
-                "bootstrap_delta",
-                "bootstrap_p",
-            ],
-            out / "eval_report.csv",
-        )
-        if cfg.embeddings_fb and cfg.embeddings_sms:
-            emb_report, info = _embedding_eval(
-                cfg.embeddings_fb,
-                cfg.embeddings_sms,
-                users_,
-                outcomes,
-                cfg.ridge_alpha,
-                cfg.nmf_k,
-                cfg.nmf_iterations,
-                cfg.bootstrap_iterations,
-                cfg.seed,
-            )
-            track_json({"nmf": info, **emb_report.to_dict()}, out / "embedding_eval.json")
 
         stage = "importance"
-        importance_models = pretrained or trained
-        freq = {}
-        for plat, vec_table in (("facebook", fb), ("sms", sms)):
-            uni = {
-                u: corpora[(u, plat)].ngram_features((1,)) for u in users_
-            }
-            terms = {t for v in uni.values() for t in v}
-            freq[plat] = {
-                t: float(np.mean([uni[u].get(t, 0.0) for u in users_])) for t in terms
-            }
-        for name in sorted(importance_models):
-            rows = feature_importance(importance_models[name], freq["facebook"], freq["sms"])
-            track_json([r.to_dict() for r in rows], out / f"importance_{name}.json")
-            track_csv(
-                [r.to_dict() for r in rows],
-                ["feature", "importance", "weight", "freq_diff", "quadrant"],
-                out / f"importance_{name}.csv",
-            )
+        _importance(corpora, users, pretrained or trained, out)
 
         stage = "manifest"
-        inputs = [
-            p
-            for p in (
-                cfg.keystroke_log,
-                cfg.facebook_corpus,
-                cfg.outcomes,
-                cfg.dictionary,
-                cfg.lexicon,
-                cfg.embeddings_fb,
-                cfg.embeddings_sms,
-                cfg.gazetteer,
-                cfg.catalogue,
-            )
-            if p
-        ]
-        write_manifest(out / "manifest.json", cfg.to_dict(), inputs, __version__)
-        print(f"pipeline: complete, reports in {out}")
+        write_manifest(
+            out.claim("manifest.json"), cfg.to_dict(), cfg.manifest_inputs(), __version__
+        )
+        print(f"pipeline: complete, reports in {out.path}")
         return 0
     except Exception as exc:
-        for path in written:
-            Path(path).unlink(missing_ok=True)
+        for path in out.written:
+            path.unlink(missing_ok=True)
         raise PipelineError(f"stage {stage!r} failed: {exc}") from exc
 
 
@@ -844,6 +698,13 @@ def _add_corpus_args(p: argparse.ArgumentParser) -> None:
     _add_suite_args(p)
 
 
+def _add_model_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--outcomes", required=True, help="outcomes CSV")
+    p.add_argument("--alpha", type=float, default=1.0, help="ridge penalty")
+    p.add_argument("--orders", type=_int_tuple, default="1,2,3", help="n-gram orders")
+    p.add_argument("--min-group-fraction", type=float, default=DEFAULT_MIN_GROUP_FRACTION)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scrublang",
@@ -857,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="outfile", required=True, help="sanitized entries JSONL")
     p.add_argument("--keep-snapshots", action="store_true")
     p.add_argument("--timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS)
-    p.add_argument("--apps", help="comma-separated app allow-list")
+    p.add_argument("--apps", type=_str_tuple, default="", help="comma-separated app allow-list")
     _add_suite_args(p)
     p.set_defaults(func=cmd_redact)
 
@@ -870,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="extract n-gram and dictionary features")
     _add_corpus_args(p)
     p.add_argument("--dictionary")
-    p.add_argument("--orders", default="1,2,3")
+    p.add_argument("--orders", type=_int_tuple, default="1,2,3", help="n-gram orders")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_features)
 
@@ -884,21 +745,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit ridge lexicon models on one platform")
     _add_corpus_args(p)
+    _add_model_args(p)
     p.add_argument("--platform", choices=["facebook", "sms"], default="facebook")
-    p.add_argument("--outcomes", required=True, help="outcomes CSV")
     p.add_argument("--outcome", action="append", help="outcome name (repeatable; default all)")
-    p.add_argument("--alpha", type=float, default=1.0, help="ridge penalty")
-    p.add_argument("--orders", default="1,2,3")
-    p.add_argument("--min-group-fraction", type=float, default=DEFAULT_MIN_GROUP_FRACTION)
     p.add_argument("--out", required=True, help="lexicon CSV to write")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="four-cell cross-platform model evaluation")
     _add_corpus_args(p)
-    p.add_argument("--outcomes", required=True)
-    p.add_argument("--alpha", type=float, default=1.0, help="ridge penalty")
-    p.add_argument("--orders", default="1,2,3")
-    p.add_argument("--min-group-fraction", type=float, default=DEFAULT_MIN_GROUP_FRACTION)
+    _add_model_args(p)
     p.add_argument("--bootstrap-iterations", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cross-fit", choices=["holdout", "full"], default="holdout")

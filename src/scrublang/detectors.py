@@ -115,15 +115,28 @@ def regex_detector(label: str, pattern: str, min_len: int = 1) -> Detector:
     )
 
 
+_BUNDLED_CATALOGUE = "data/regex_catalogue.tsv"
+_BUNDLED_GAZETTEER = "data/sample_gazetteer.tsv"
+
+
+def _bundled(name: str):
+    return importlib.resources.files("scrublang").joinpath(name)
+
+
+def bundled_inputs(catalogue_path=None, gazetteer_path=None) -> dict:
+    """The bundled data files that :meth:`DetectorSuite.default` reads in place
+    of an unset catalogue or gazetteer path, keyed ``scrublang/data/<file>``."""
+    paths = {_BUNDLED_CATALOGUE: catalogue_path, _BUNDLED_GAZETTEER: gazetteer_path}
+    return {f"scrublang/{name}": _bundled(name) for name, path in paths.items() if path is None}
+
+
 def load_catalogue(path: str | Path | None = None) -> list[Detector]:
     """Load regex detectors from a TSV catalogue (``label<TAB>pattern[<TAB>min_len]``).
 
     ``None`` loads the bundled default catalogue.
     """
     if path is None:
-        text = (
-            importlib.resources.files("scrublang").joinpath("data/regex_catalogue.tsv").read_text()
-        )
+        text = _bundled(_BUNDLED_CATALOGUE).read_text()
     else:
         text = Path(path).read_text(encoding="utf-8")
     detectors = []
@@ -184,9 +197,7 @@ class Gazetteer:
     @classmethod
     def bundled_sample(cls) -> "Gazetteer":
         gaz = cls()
-        text = (
-            importlib.resources.files("scrublang").joinpath("data/sample_gazetteer.tsv").read_text()
-        )
+        text = _bundled(_BUNDLED_GAZETTEER).read_text()
         for line in text.splitlines():
             if not line.strip() or line.lstrip().startswith("#"):
                 continue

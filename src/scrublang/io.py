@@ -150,12 +150,14 @@ def sha256_file(path: str | Path) -> str:
 def write_manifest(
     path: str | Path,
     config: Mapping,
-    input_paths: Iterable[str | Path],
+    inputs: Mapping[str, str | Path],
     package_version: str,
 ) -> None:
+    """Write the run manifest; ``inputs`` maps each input's manifest key to
+    the file whose SHA-256 digest is recorded under it."""
     manifest = {
         "package_version": package_version,
         "config": dict(sorted(config.items())),
-        "inputs": {str(p): sha256_file(p) for p in sorted(map(str, input_paths))},
+        "inputs": {key: sha256_file(inputs[key]) for key in sorted(inputs)},
     }
     write_json(manifest, path)

@@ -26,14 +26,6 @@ CELL_LABELS = {
     "sms_fb": "train sms / test facebook",
 }
 
-QUADRANT_LABELS = {
-    "A": "positive weight, more frequent on facebook",
-    "B": "positive weight, more frequent on sms",
-    "C": "negative weight, more frequent on facebook",
-    "D": "negative weight, more frequent on sms",
-}
-
-
 @dataclass(frozen=True)
 class LexiconModel:
     """Linear model over relative term/category frequencies."""
@@ -41,9 +33,6 @@ class LexiconModel:
     weights: dict[str, float]
     intercept: float = 0.0
     outcome: str = ""
-
-    def score(self, features: Mapping[str, float]) -> float:
-        return apply_lexicon(self, features)
 
 
 def apply_lexicon(model: LexiconModel, features: Mapping[str, float]) -> float:
@@ -149,6 +138,23 @@ def loocv_folds(n: int) -> Iterable[tuple[np.ndarray, int]]:
         yield idx[idx != i], i
 
 
+def _loocv_fold_predictions(
+    X: np.ndarray, y: np.ndarray, alpha: float, tests: Sequence[np.ndarray]
+) -> list[np.ndarray]:
+    """Leave-one-out predictions of fold-standardized ridge fits on ``X``.
+
+    Fold i fits on every row of ``X`` but row i and predicts row i of each
+    matrix in ``tests`` (row-aligned with ``X``), so matrices sharing a source
+    share each fold's fit.
+    """
+    preds = [np.empty(X.shape[0]) for _ in tests]
+    for train, i in loocv_folds(X.shape[0]):
+        w, b = ridge_solve(X[train], y[train], alpha, standardize=True)
+        for p, T in zip(preds, tests):
+            p[i] = T[i] @ w + b
+    return preds
+
+
 def _augmented_design(X: np.ndarray, standardize: str) -> np.ndarray:
     if standardize == "global":
         mu = X.mean(axis=0)
@@ -175,12 +181,9 @@ def loocv_predictions_naive(
     n = X.shape[0]
     if n < 3:
         raise ValueError("need n >= 3 for leave-one-out evaluation")
-    preds = np.empty(n)
     if standardize == "fold":
-        for train, i in loocv_folds(n):
-            w, b = ridge_solve(X[train], y[train], alpha, standardize=True)
-            preds[i] = X[i] @ w + b
-        return preds
+        return _loocv_fold_predictions(X, y, alpha, [X])[0]
+    preds = np.empty(n)
     D = _augmented_design(X, standardize)
     P = alpha * np.eye(D.shape[1])
     P[0, 0] = 0.0  # intercept unpenalized
@@ -353,8 +356,9 @@ def cross_domain_matrix(
     Every cell holds out the evaluated user: in-domain cells are classic
     LOOCV, and with ``cross_fit="holdout"`` (the default) cross-domain cells
     likewise train on the source platform minus the user being predicted, so
-    a user never influences their own estimate.  ``cross_fit="full"`` instead
-    trains cross-domain models once on the entire source platform.
+    a user never influences their own estimate; a source platform's in-domain
+    and cross-domain cells share each fold's fit.  ``cross_fit="full"``
+    instead trains cross-domain models once on the entire source platform.
 
     Bootstrap comparisons pair the Facebook-text-based estimates against the
     SMS-text-based ones, in-domain (fb_fb vs sms_sms) and cross-domain
@@ -401,20 +405,16 @@ def cross_domain_matrix(
         metric = "accuracy" if kind == "binary" else "pearson_r"
 
         preds: dict[str, np.ndarray] = {}
-        for cell in CELL_ORDER:
-            train_plat, test_plat = cell.split("_")
-            Xtr = X[train_plat][keep]
-            Xte = X[test_plat][keep]
-            n = len(keep)
-            cell_preds = np.empty(n)
-            if cross_fit == "full" and train_plat != test_plat:
-                w, b = ridge_solve(Xtr, y, alpha, standardize=True)
-                cell_preds = Xte @ w + b
+        for src, dst in (("fb", "sms"), ("sms", "fb")):
+            Xs, Xd = X[src][keep], X[dst][keep]
+            if cross_fit == "full":
+                preds[f"{src}_{src}"] = _loocv_fold_predictions(Xs, y, alpha, [Xs])[0]
+                w, b = ridge_solve(Xs, y, alpha, standardize=True)
+                preds[f"{src}_{dst}"] = Xd @ w + b
             else:
-                for train, i in loocv_folds(n):
-                    w, b = ridge_solve(Xtr[train], y[train], alpha, standardize=True)
-                    cell_preds[i] = Xte[i] @ w + b
-            preds[cell] = cell_preds
+                preds[f"{src}_{src}"], preds[f"{src}_{dst}"] = _loocv_fold_predictions(
+                    Xs, y, alpha, [Xs, Xd]
+                )
 
         ev = OutcomeEval(outcome=name, kind=kind)
         for cell in CELL_ORDER:

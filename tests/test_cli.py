@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import importlib.resources
 import json
 from pathlib import Path
 
 import pytest
 
+from scrublang import cli
 from scrublang.cli import PipelineError, RunConfig, main
 from scrublang.io import load_lexicon_csv, sha256_file
 from scrublang.synth import ALLOWED_APPS, make_fixture
@@ -33,6 +35,17 @@ def event(user, t, app, text, **flags):
         "is_phone_field": False,
         **flags,
     }
+
+
+def write_two_platform_corpus(facebook: Path, entries: Path, dest: Path) -> None:
+    """A corpus file of the facebook posts plus one sms document per entry."""
+    rows = facebook.read_text().splitlines()
+    for line in entries.read_text().splitlines():
+        e = json.loads(line)
+        rows.append(
+            json.dumps({"user_id": e["user_id"], "platform": "sms", "text": e["final_text"]})
+        )
+    dest.write_text("\n".join(rows) + "\n")
 
 
 class TestRedactCommand:
@@ -83,6 +96,21 @@ class TestRedactCommand:
         (entry,) = [json.loads(l) for l in out.read_text().splitlines()]
         assert entry["final_text"] == "ab"
 
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            json.dumps({"user_id": "u1", "timestamp": 100, "current_text": "ab"}),
+            "{not json",
+        ],
+        ids=["missing-key", "invalid-json"],
+    )
+    def test_malformed_line_names_file_and_line(self, tmp_path, capsys, bad_line):
+        log = tmp_path / "keys.jsonl"
+        log.write_text(json.dumps(event("u1", 0, "a", "a")) + "\n" + bad_line + "\n")
+        rc = main(["redact", "--in", str(log), "--out", str(tmp_path / "entries.jsonl")])
+        assert rc == 2
+        assert "keys.jsonl:2: bad keystroke event" in capsys.readouterr().err
+
 
 class TestSummaryCommand:
     def test_writes_reports(self, tmp_path):
@@ -116,17 +144,7 @@ class TestAnalysisCommands:
             ]
         )
         corpus = tmp_path / "corpus.jsonl"
-        rows = []
-        for line in (fixture_dir / "facebook.jsonl").read_text().splitlines():
-            rows.append(line)
-        for line in out_entries.read_text().splitlines():
-            e = json.loads(line)
-            rows.append(
-                json.dumps(
-                    {"user_id": e["user_id"], "platform": "sms", "text": e["final_text"]}
-                )
-            )
-        corpus.write_text("\n".join(rows) + "\n")
+        write_two_platform_corpus(fixture_dir / "facebook.jsonl", out_entries, corpus)
         common = ["--corpus", str(corpus), "--min-words", "100"]
 
         feat_dir = tmp_path / "feat"
@@ -331,3 +349,78 @@ class TestPipeline:
         manifest = json.loads((fixture / "out" / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 99
         assert manifest["config"]["min_words"] == 5
+
+    def test_manifest_digests_bundled_detector_data(self, tmp_path):
+        fixture = tmp_path / "fx4"
+        files = make_fixture(fixture, n_users=6, seed=5)
+        assert main(["pipeline", "--config", str(files["config"])]) == 0
+        inputs = json.loads((fixture / "out" / "manifest.json").read_text())["inputs"]
+        data = importlib.resources.files("scrublang") / "data"
+        for name in ("regex_catalogue.tsv", "sample_gazetteer.tsv"):
+            assert inputs[f"scrublang/data/{name}"] == sha256_file(data / name)
+
+    def test_diff_write_failure_removes_diff_reports(self, tmp_path, monkeypatch):
+        fixture = tmp_path / "fx5"
+        files = make_fixture(fixture, n_users=6, seed=1)
+        real_write_csv = cli.write_csv
+
+        def failing_write_csv(rows, fieldnames, path):
+            if Path(path).name == "category_diff.csv":
+                raise OSError("disk full")
+            real_write_csv(rows, fieldnames, path)
+
+        monkeypatch.setattr(cli, "write_csv", failing_write_csv)
+        assert main(["pipeline", "--config", str(files["config"])]) == 1
+        left = {p.name for p in (fixture / "out").iterdir()}
+        assert not left & {"ngram_diff.json", "ngram_diff.csv", "cloud.json", "category_diff.json"}
+
+    def test_reports_equal_subcommand_reports(self, tmp_path):
+        """pipeline and the stand-alone subcommands, given the config's
+        settings, write byte-identical reports."""
+        fixture = tmp_path / "fx"
+        files = make_fixture(fixture, n_users=10, seed=3)
+        assert main(["pipeline", "--config", str(files["config"])]) == 0
+        cfg = RunConfig.from_file(files["config"])
+        piped = Path(cfg.output_dir)
+        corpus = tmp_path / "corpus.jsonl"
+        write_two_platform_corpus(files["facebook_corpus"], piped / "entries.jsonl", corpus)
+        sub = tmp_path / "sub"
+        common = ["--corpus", str(corpus), "--min-words", str(cfg.min_words)]
+        model = [
+            "--alpha", str(cfg.ridge_alpha),
+            "--orders", ",".join(map(str, cfg.model_orders)),
+            "--min-group-fraction", str(cfg.min_group_fraction),
+            "--outcomes", cfg.outcomes,
+        ]
+        runs = [
+            [
+                "diff", *common,
+                "--dictionary", cfg.dictionary,
+                "--alpha", str(cfg.fdr_alpha),
+                "--min-group-fraction", str(cfg.min_group_fraction),
+                "--out-dir", str(sub),
+            ],
+            ["train", *common, *model, "--out", str(sub / "trained_lexicon_facebook.csv")],
+            [
+                "evaluate", *common, *model,
+                "--bootstrap-iterations", str(cfg.bootstrap_iterations),
+                "--seed", str(cfg.seed),
+                "--embeddings-fb", cfg.embeddings_fb,
+                "--embeddings-sms", cfg.embeddings_sms,
+                "--nmf-k", str(cfg.nmf_k),
+                "--nmf-iterations", str(cfg.nmf_iterations),
+                "--out-dir", str(sub),
+            ],
+            [
+                "importance", *common,
+                "--lexicon", cfg.lexicon,
+                "--outcome", "depression",
+                "--out-dir", str(sub),
+            ],
+        ]
+        for argv in runs:
+            assert main(argv) == 0, argv[0]
+        shared = sorted(p.name for p in sub.iterdir())
+        assert len(shared) == 11
+        for name in shared:
+            assert (sub / name).read_bytes() == (piped / name).read_bytes(), name

@@ -21,6 +21,7 @@ from scrublang.modeling import (
     ridge_solve,
     sign_accuracy,
 )
+from scrublang.stats import pearson_r
 
 
 class TestApplyLexicon:
@@ -211,6 +212,27 @@ class TestCrossDomain:
         outcomes = {u: {"score": float(i) if i >= 4 else None} for i, u in enumerate(users)}
         report = cross_domain_matrix(feats, feats, outcomes, bootstrap_iterations=1000)
         assert report.outcomes["score"].cells["fb_fb"].n == 6
+
+    def test_full_cross_fit_trains_on_whole_source(self):
+        rng = np.random.default_rng(13)
+        users = [f"u{i}" for i in range(12)]
+        fb = _mk_features(users, rng)
+        sms = _mk_features(users, rng)
+        y = rng.normal(size=12)
+        outcomes = {u: {"score": float(y[i])} for i, u in enumerate(users)}
+        kw = dict(bootstrap_iterations=1000, seed=3)
+        holdout = cross_domain_matrix(fb, sms, outcomes, **kw).outcomes["score"].cells
+        full = cross_domain_matrix(fb, sms, outcomes, cross_fit="full", **kw).outcomes["score"].cells
+        assert full["fb_fb"] == holdout["fb_fb"]
+        assert full["sms_sms"] == holdout["sms_sms"]
+        X = {
+            plat: np.array([[feats[u][f"f{j}"] for j in range(4)] for u in users])
+            for plat, feats in (("fb", fb), ("sms", sms))
+        }
+        for src, dst in (("fb", "sms"), ("sms", "fb")):
+            w, b = ridge_solve(X[src], y)
+            expected = pearson_r(X[dst] @ w + b, y)
+            assert full[f"{src}_{dst}"].value == pytest.approx(expected, abs=1e-12)
 
 
 class TestFeatureImportance:
