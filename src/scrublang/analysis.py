@@ -20,6 +20,7 @@ from .features import (
     DEFAULT_MIN_GROUP_FRACTION,
     DictionarySpec,
     UserCorpus,
+    feature_matrix,
     group_frequency_filter,
 )
 from .stats import (
@@ -109,14 +110,27 @@ def shared_users(corpora: Mapping[tuple[str, str], UserCorpus]) -> list[str]:
     return sorted(fb & sms)
 
 
-def _paired_vectors(
+def paired_ngram_tables(
     corpora: Mapping[tuple[str, str], UserCorpus],
-    users: list[str],
     orders: Iterable[int],
-) -> tuple[dict[str, dict[str, float]], dict[str, dict[str, float]]]:
+    min_group_fraction: float,
+) -> tuple[list[str], dict[str, dict[str, float]], dict[str, dict[str, float]], list[str]]:
+    """(shared users, facebook n-gram vectors, sms n-gram vectors, n-grams
+    used by at least ``min_group_fraction`` of the shared users on either
+    platform)."""
+    users = shared_users(corpora)
     fb = {u: corpora[(u, "facebook")].ngram_features(orders) for u in users}
     sms = {u: corpora[(u, "sms")].ngram_features(orders) for u in users}
-    return fb, sms
+    # a feature is "used by" a user if present on either platform
+    combined = {u: {**sms[u], **fb[u]} for u in users}
+    return users, fb, sms, group_frequency_filter(combined, min_group_fraction)
+
+
+def _require_pairs(users: list[str]) -> None:
+    if len(users) < 2:
+        raise InsufficientUsersError(
+            f"need >= 2 users present on both platforms, have {len(users)}"
+        )
 
 
 def diff_ngrams(
@@ -130,22 +144,16 @@ def diff_ngrams(
     N-grams must be used by at least ``min_group_fraction`` of the shared
     users (on either platform) to be tested.
     """
-    users = shared_users(corpora)
-    if len(users) < 2:
-        raise InsufficientUsersError(
-            f"need >= 2 users present on both platforms, have {len(users)}"
-        )
-    fb_vecs, sms_vecs = _paired_vectors(corpora, users, orders)
-    combined = {
-        u: {**sms_vecs[u], **fb_vecs[u]} for u in users
-    }  # feature "used by" a user if present on either platform
-    features = group_frequency_filter(combined, min_group_fraction)
+    users, fb, sms, features = paired_ngram_tables(corpora, orders, min_group_fraction)
+    _require_pairs(users)
+    X_fb = feature_matrix(fb, users, features)
+    X_sms = feature_matrix(sms, users, features)
+    del fb, sms  # only the matrices are needed from here on
 
     labels = np.r_[np.ones(len(users)), np.zeros(len(users))]
     rows: list[tuple[str, float, float, float, float, bool, str | None]] = []
-    for feat in features:
-        x = np.array([fb_vecs[u].get(feat, 0.0) for u in users])
-        y = np.array([sms_vecs[u].get(feat, 0.0) for u in users])
+    for j, feat in enumerate(features):
+        x, y = X_fb[:, j], X_sms[:, j]
         degenerate = False
         fallback: str | None = None
         try:
@@ -191,17 +199,18 @@ def diff_categories(
 ) -> list[CategoryDiff]:
     """Paired t-test per dictionary category (positive t = more Facebook)."""
     users = shared_users(corpora)
-    if len(users) < 2:
-        raise InsufficientUsersError(
-            f"need >= 2 users present on both platforms, have {len(users)}"
+    _require_pairs(users)
+    categories = sorted(spec.categories)
+    X_fb, X_sms = (
+        feature_matrix(
+            {u: corpora[(u, plat)].dictionary_features(spec) for u in users}, users, categories
         )
-    fb = {u: corpora[(u, "facebook")].dictionary_features(spec) for u in users}
-    sms = {u: corpora[(u, "sms")].dictionary_features(spec) for u in users}
+        for plat in ("facebook", "sms")
+    )
 
     rows = []
-    for cat in sorted(spec.categories):
-        x = np.array([fb[u][cat] for u in users])
-        y = np.array([sms[u][cat] for u in users])
+    for j, cat in enumerate(categories):
+        x, y = X_fb[:, j], X_sms[:, j]
         try:
             t, p = paired_t_test(x, y)
             degenerate = False

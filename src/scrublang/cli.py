@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from .analysis import (
     cloud_data,
     diff_categories,
     diff_ngrams,
+    paired_ngram_tables,
     shared_users,
     summary_stats,
 )
@@ -40,8 +41,9 @@ from .features import (
     DEFAULT_MIN_WORDS,
     DictionarySpec,
     UserCorpus,
+    feature_matrix,
     filter_min_words,
-    group_frequency_filter,
+    group_frequency_filter,  # unused here; bench/tracing.py patches cli.group_frequency_filter
     load_corpus_jsonl,
     user_feature_table,
 )
@@ -73,6 +75,7 @@ from .redactor import (
     StreamRedactor,
     redact_string,
 )
+from .spans import PLACEHOLDER_RE
 from .stats import DegenerateDataError, bootstrap_corr_diff, pearson_r
 
 BINARY_OUTCOMES = frozenset({"gender"})
@@ -272,10 +275,10 @@ def _load_clean_corpora(
 ) -> dict[tuple[str, str], UserCorpus]:
     """Load a corpus file and run every document through the cleaning pipeline
     (idempotent, so pre-redacted corpora pass through unchanged)."""
-    corpora = load_corpus_jsonl(corpus_path)
-    for corpus in corpora.values():
-        corpus.documents = [redact_string(doc, suite).text for doc in corpus.documents]
-    return corpora
+    return {
+        key: replace(corpus, documents=[redact_string(doc, suite).text for doc in corpus.documents])
+        for key, corpus in load_corpus_jsonl(corpus_path).items()
+    }
 
 
 def _sms_corpora_from_entries(entries) -> dict[tuple[str, str], UserCorpus]:
@@ -368,12 +371,9 @@ def _diff(
 
 
 def _modeling_tables(corpora, orders, min_group_fraction):
-    users = shared_users(corpora)
-    fb = {u: corpora[(u, "facebook")].ngram_features(orders) for u in users}
-    sms = {u: corpora[(u, "sms")].ngram_features(orders) for u in users}
-    combined = {u: {**sms[u], **fb[u]} for u in users}
-    feature_names = group_frequency_filter(combined, min_group_fraction)
-    feature_names = [f for f in feature_names if "<" not in f]  # placeholders: display only
+    users, fb, sms, feature_names = paired_ngram_tables(corpora, orders, min_group_fraction)
+    # n-grams holding a redaction placeholder are display only
+    feature_names = [f for f in feature_names if not PLACEHOLDER_RE.search(f)]
     return users, fb, sms, feature_names
 
 
@@ -388,7 +388,7 @@ def _train(tables, outcomes, platform: str, alpha: float, wanted, dest) -> dict:
         if len(labeled) < 3:
             print(f"train: skipping {name}: fewer than 3 labeled users", file=sys.stderr)
             continue
-        X = np.array([[vectors[u].get(f, 0.0) for f in feature_names] for u in labeled])
+        X = feature_matrix(vectors, labeled, feature_names)
         y = np.array([outcomes[u][name] for u in labeled], dtype=float)
         models[name] = ridge_fit(X, y, alpha=alpha, feature_names=feature_names, outcome=name)
     save_lexicon_csv(models, dest)
@@ -413,8 +413,8 @@ def _evaluate(
     nmf: tuple[int, int],
 ) -> EvalReport:
     """Four-cell cross-platform evaluation on the n-gram tables.  When both
-    ``embeddings`` files (facebook, sms) are given, the same evaluation, always
-    with holdout cross fits, runs on both platforms' embeddings reduced in one
+    ``embeddings`` files (facebook, sms) are given, the same evaluation, with
+    the same ``cross_fit``, runs on both platforms' embeddings reduced in one
     shared NMF basis with ``nmf`` = (k, iterations)."""
     users, fb, sms, feature_names = tables
     matrix_args = dict(
@@ -422,14 +422,10 @@ def _evaluate(
         binary_outcomes=BINARY_OUTCOMES,
         bootstrap_iterations=bootstrap_iterations,
         seed=seed,
+        cross_fit=cross_fit,
     )
     report = cross_domain_matrix(
-        {u: fb[u] for u in users},
-        {u: sms[u] for u in users},
-        {u: outcomes.get(u, {}) for u in users},
-        feature_names=feature_names,
-        cross_fit=cross_fit,
-        **matrix_args,
+        fb, sms, {u: outcomes.get(u, {}) for u in users}, feature_names=feature_names, **matrix_args
     )
     out.json(report.to_dict(), "eval_report.json")
     rows = []  # one _EVAL_COLUMNS row per (outcome, cell)
@@ -476,9 +472,11 @@ def _importance(corpora, users, models, out: OutputDir) -> dict[str, list]:
     unigram frequencies over ``users`` on each platform; one table per model."""
     freq = {}
     for plat in ("facebook", "sms"):
-        vecs = [corpora[(u, plat)].ngram_features((1,)) for u in users]
-        terms = {t for v in vecs for t in v}
-        freq[plat] = {t: float(np.mean([v.get(t, 0.0) for v in vecs])) for t in terms}
+        vecs = {u: corpora[(u, plat)].ngram_features((1,)) for u in users}
+        terms = sorted({t for v in vecs.values() for t in v})
+        M = feature_matrix(vecs, users, terms)
+        # each column's own mean: M.mean(axis=0) sums in another order
+        freq[plat] = {t: float(M[:, j].mean()) for j, t in enumerate(terms)}
     ranked = {}
     for name in sorted(models):
         ranked[name] = feature_importance(models[name], freq["facebook"], freq["sms"])

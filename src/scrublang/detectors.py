@@ -184,25 +184,22 @@ class Gazetteer:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Gazetteer":
+        return cls._parse(Path(path).read_text(encoding="utf-8"))
+
+    @classmethod
+    def bundled_sample(cls) -> "Gazetteer":
+        return cls._parse(_bundled(_BUNDLED_GAZETTEER).read_text(encoding="utf-8"))
+
+    @classmethod
+    def _parse(cls, text: str) -> "Gazetteer":
         gaz = cls()
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(text.splitlines(), 1):
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
                 raise CatalogueError(f"gazetteer line {lineno}: expected label<TAB>surface form")
             gaz.add(parts[0].strip(), parts[1])
-        return gaz
-
-    @classmethod
-    def bundled_sample(cls) -> "Gazetteer":
-        gaz = cls()
-        text = _bundled(_BUNDLED_GAZETTEER).read_text()
-        for line in text.splitlines():
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            label, surface = line.split("\t")
-            gaz.add(label.strip(), surface)
         return gaz
 
     # -- matching ------------------------------------------------------
@@ -338,21 +335,8 @@ class DetectorSuite:
         """
         return merge_spans(self.detect(text) + self.partial_at_end(text))
 
-    def possible_prefix(self, text: str) -> bool:
-        """True when the string could be a prefix of (or already contain at its
-        end) something a detector matches.
-
-        Never returns False for a true prefix of a matchable string; it may
-        return True for strings that will never complete (over-approximation
-        is the safe direction).
-        """
-        if not text:
-            return True
-        return any(s.end == len(text) for s in self.provisional(text))
-
 
 _default_suite: DetectorSuite | None = None
-_format_suite: DetectorSuite | None = None
 
 
 def default_suite() -> DetectorSuite:
@@ -361,13 +345,3 @@ def default_suite() -> DetectorSuite:
     if _default_suite is None:
         _default_suite = DetectorSuite.default()
     return _default_suite
-
-
-def match_common_formats(text: str) -> list[RedactionSpan]:
-    """Common-data-format matches only (bundled regex catalogue, no entity
-    recognition): phones, emails, URLs, IPs, street addresses, ZIPs, SSNs,
-    card numbers, dates, times, prices."""
-    global _format_suite
-    if _format_suite is None:
-        _format_suite = DetectorSuite(load_catalogue())
-    return _format_suite.detect(text)

@@ -8,7 +8,9 @@ byte-exact clone of any particular social-media tokenizer.
 
 N-gram frequencies are relative per order: each n-gram count is divided by
 the total number of n-grams of that order, so the values for one user and one
-order sum to 1.  N-grams never cross document boundaries.
+order sum to 1.  An n-gram's order is the one it was counted under, never
+inferred from the spaces in its id (placeholders such as "<work of art>"
+contain spaces).  N-grams never cross document boundaries.
 
 Dictionary extraction counts tokens matching category entries; an entry is a
 literal token or a prefix wildcard ("happ*", star only in terminal position).
@@ -18,14 +20,16 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-PLATFORM_FACEBOOK = "facebook"
-PLATFORM_SMS = "sms"
-PLATFORMS = (PLATFORM_FACEBOOK, PLATFORM_SMS)
+import numpy as np
+
+from .spans import PLACEHOLDER_RE
 
 DEFAULT_MIN_WORDS = 500
 DEFAULT_MIN_GROUP_FRACTION = 0.05
@@ -33,8 +37,8 @@ DEFAULT_MIN_GROUP_FRACTION = 0.05
 # token grammar, tried in order: placeholder, emoticon, word w/ contractions,
 # hashtag/mention, number, any other non-space char
 _TOKEN_RE = re.compile(
-    r"""
-    <[a-z][a-z0-9_ ]*(?:\|[a-z][a-z0-9_ ]*)*>   # redaction placeholder
+    PLACEHOLDER_RE.pattern  # redaction placeholder
+    + r"""
     | [<>]?[:;=8xX][\-o^']?[()\[\]dDpP/\\|*3{}] # emoticon, western style
     | <3                                        # heart
     | [#@][a-z0-9_]+                            # hashtag / mention
@@ -43,8 +47,6 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-
-_PLACEHOLDER_TOKEN_RE = re.compile(r"<[a-z][a-z0-9_ ]*(?:\|[a-z][a-z0-9_ ]*)*>\Z")
 
 
 class DictionaryError(ValueError):
@@ -58,7 +60,7 @@ def tokenize(text: str) -> list[str]:
 
 
 def is_placeholder_token(token: str) -> bool:
-    return _PLACEHOLDER_TOKEN_RE.match(token) is not None
+    return PLACEHOLDER_RE.fullmatch(token) is not None
 
 
 def _as_documents(tokens: Sequence) -> list[list[str]]:
@@ -89,11 +91,10 @@ def ngram_counts(
 
 def extract_ngrams(tokens: Sequence, orders: Iterable[int] = (1, 2, 3)) -> dict[str, float]:
     """Relative n-gram frequencies (count / total n-grams of that order)."""
-    counts, totals = ngram_counts(tokens, orders)
     out: dict[str, float] = {}
-    for gram, c in counts.items():
-        n = gram.count(" ") + 1
-        out[gram] = c / totals[n]
+    for n in orders:
+        counts, totals = ngram_counts(tokens, (n,))
+        out.update((gram, c / totals[n]) for gram, c in counts.items())
     return out
 
 
@@ -171,24 +172,34 @@ def extract_dictionary(tokens: Sequence, spec: DictionarySpec) -> dict[str, floa
 
 @dataclass
 class UserCorpus:
-    """Per-user, per-platform collection of sanitized documents."""
+    """Per-user, per-platform collection of sanitized documents.
+
+    The documents are tokenized once, on first use, and every feature reads
+    those tokens, so ``documents`` must not change after any feature (or
+    :meth:`token_documents`) has been read: build a new corpus instead, e.g.
+    with ``dataclasses.replace``.
+    """
 
     user_id: str
     platform: str
     documents: list[str] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+
+    @cached_property
+    def _tokens(self) -> list[list[str]]:
+        # interned, because a corpus keeps its tokens and most of them repeat
+        return [list(map(sys.intern, tokenize(doc))) for doc in self.documents]
 
     def token_documents(self) -> list[list[str]]:
-        return [tokenize(doc) for doc in self.documents]
+        return self._tokens
 
     def word_count(self) -> int:
-        return sum(len(toks) for toks in self.token_documents())
+        return sum(map(len, self._tokens))
 
     def ngram_features(self, orders: Iterable[int] = (1, 2, 3)) -> dict[str, float]:
-        return extract_ngrams(self.token_documents(), orders)
+        return extract_ngrams(self._tokens, orders)
 
     def dictionary_features(self, spec: DictionarySpec) -> dict[str, float]:
-        return extract_dictionary(self.token_documents(), spec)
+        return extract_dictionary(self._tokens, spec)
 
 
 def load_corpus_jsonl(path: str | Path) -> dict[tuple[str, str], UserCorpus]:
@@ -201,7 +212,7 @@ def load_corpus_jsonl(path: str | Path) -> dict[tuple[str, str], UserCorpus]:
             d = json.loads(line)
             key = (str(d["user_id"]), str(d["platform"]))
             text = str(d["text"])
-        except (json.JSONDecodeError, KeyError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}:{lineno}: bad corpus record: {exc}") from exc
         corpus = corpora.get(key)
         if corpus is None:
@@ -236,6 +247,20 @@ def user_feature_table(
         for (user, plat), corpus in sorted(corpora.items())
         if plat == platform
     }
+
+
+def feature_matrix(
+    vectors: Mapping[str, Mapping[str, float]], users: Sequence[str], features: Sequence[str]
+) -> np.ndarray:
+    """Users x features matrix of ``vectors``; absent features are 0."""
+    M = np.zeros((len(users), len(features)))
+    index = {f: j for j, f in enumerate(features)}
+    for i, u in enumerate(users):
+        for feat, freq in vectors[u].items():
+            j = index.get(feat)
+            if j is not None:
+                M[i, j] = freq
+    return M
 
 
 def group_frequency_filter(

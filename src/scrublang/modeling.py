@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .features import feature_matrix
 from .stats import DegenerateDataError, bootstrap_corr_diff, pearson_r
 
 CELL_ORDER = ("fb_fb", "fb_sms", "sms_sms", "sms_fb")
@@ -306,19 +307,6 @@ class EvalReport:
         }
 
 
-def _feature_matrix(
-    vectors: Mapping[str, Mapping[str, float]], users: Sequence[str], features: Sequence[str]
-) -> np.ndarray:
-    M = np.zeros((len(users), len(features)))
-    index = {f: j for j, f in enumerate(features)}
-    for i, u in enumerate(users):
-        for feat, freq in vectors[u].items():
-            j = index.get(feat)
-            if j is not None:
-                M[i, j] = freq
-    return M
-
-
 def bootstrap_accuracy_diff(
     preds_a: np.ndarray,
     preds_b: np.ndarray,
@@ -382,8 +370,8 @@ def cross_domain_matrix(
             names.update(vec)
         feature_names = sorted(names)
 
-    X_fb = _feature_matrix(features_fb, users, feature_names)
-    X_sms = _feature_matrix(features_sms, users, feature_names)
+    X_fb = feature_matrix(features_fb, users, feature_names)
+    X_sms = feature_matrix(features_sms, users, feature_names)
     X = {"fb": X_fb, "sms": X_sms}
 
     outcome_names = sorted({name for u in users for name in outcomes[u]})

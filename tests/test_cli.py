@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from scrublang import cli
+from scrublang import cli, features
 from scrublang.cli import PipelineError, RunConfig, main
 from scrublang.io import load_lexicon_csv, sha256_file
 from scrublang.synth import ALLOWED_APPS, make_fixture
@@ -46,6 +46,22 @@ def write_two_platform_corpus(facebook: Path, entries: Path, dest: Path) -> None
             json.dumps({"user_id": e["user_id"], "platform": "sms", "text": e["final_text"]})
         )
     dest.write_text("\n".join(rows) + "\n")
+
+
+def write_small_corpus(path: Path, extra: str = "") -> None:
+    """One document per user (u0..u5) and platform: five words taken in
+    rotation from a short list, then ``extra``."""
+    words = "fun weekend party trip ok yes sure fine".split()
+    rows = []
+    for i in range(6):
+        for j, platform in enumerate(("facebook", "sms")):
+            text = " ".join(words[(i + j + k) % len(words)] for k in range(5)) + extra
+            rows.append({"user_id": f"u{i}", "platform": platform, "text": text})
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+
+
+def write_ages(path: Path) -> None:
+    path.write_text("user_id,age\n" + "".join(f"u{i},{20 + 3 * i}\n" for i in range(6)))
 
 
 class TestRedactCommand:
@@ -227,6 +243,52 @@ class TestAnalysisCommands:
         assert rows and all("quadrant" in r for r in rows)
 
 
+    def test_diff_with_a_placeholder_holding_spaces(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        write_small_corpus(corpus)
+        with corpus.open("a") as fh:
+            row = {"user_id": "u0", "platform": "sms", "text": "i read the great gatsby today"}
+            fh.write(json.dumps(row) + "\n")
+        argv = ["diff", "--corpus", str(corpus), "--min-words", "1"]
+        assert main([*argv, "--out-dir", str(tmp_path / "diff")]) == 0
+        diffs = json.loads((tmp_path / "diff" / "ngram_diff.json").read_text())
+        assert "<work of art> today" in {r["ngram"] for r in diffs}
+
+    def test_malformed_corpus_line_names_file_and_line(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        good = {"user_id": "u1", "platform": "sms", "text": "hi"}
+        corpus.write_text(json.dumps(good) + "\n" + json.dumps(["u1", "sms", "hi"]) + "\n")
+        assert main(["summary", "--corpus", str(corpus)]) == 2
+        assert "corpus.jsonl:2: bad corpus record" in capsys.readouterr().err
+
+    def test_models_keep_emoticons_and_drop_placeholders(self, tmp_path):
+        corpus, outcomes, lexicon = (tmp_path / n for n in ("c.jsonl", "o.csv", "lex.csv"))
+        write_small_corpus(corpus, extra=" <3 <email>")
+        write_ages(outcomes)
+        argv = ["train", "--corpus", str(corpus), "--min-words", "1", "--orders", "1"]
+        assert main([*argv, "--outcomes", str(outcomes), "--out", str(lexicon)]) == 0
+        terms = set(load_lexicon_csv(lexicon)["age"].weights)
+        assert "<3" in terms and "<email>" not in terms
+
+    def test_cross_fit_full_applies_to_embeddings(self, tmp_path):
+        corpus, outcomes = tmp_path / "c.jsonl", tmp_path / "o.csv"
+        write_small_corpus(corpus)
+        write_ages(outcomes)
+        embeddings = []
+        for platform in ("fb", "sms"):
+            path = tmp_path / f"emb_{platform}.csv"
+            rows = [f"u{i},{i + 1},{(3 * i) % 5 + 1},{len(platform) + i % 2}" for i in range(6)]
+            path.write_text("user_id,e0,e1,e2\n" + "\n".join(rows) + "\n")
+            embeddings += [f"--embeddings-{platform}", str(path)]
+        out = tmp_path / "eval"
+        argv = ["evaluate", "--corpus", str(corpus), "--min-words", "1", "--orders", "1"]
+        argv += ["--outcomes", str(outcomes), "--bootstrap-iterations", "1000", "--nmf-k", "2"]
+        argv += ["--cross-fit", "full", *embeddings, "--out-dir", str(out)]
+        assert main(argv) == 0
+        for name in ("eval_report.json", "embedding_eval.json"):
+            assert json.loads((out / name).read_text())["cross_fit"] == "full", name
+
+
 class TestConfig:
     def test_parse_and_resolve(self, fixture_dir):
         cfg = RunConfig.from_file(fixture_dir / "pipeline.cfg")
@@ -285,6 +347,15 @@ class TestPipeline:
         assert {c["ngram"] for c in cloud} == {
             r["ngram"] for r in diffs if r["q_significant"] and r["cohens_d"] == r["cohens_d"]
         }
+
+    def test_each_document_tokenized_once(self, fixture_dir, monkeypatch):
+        calls = []
+        real = features.tokenize
+        monkeypatch.setattr(features, "tokenize", lambda text: calls.append(text) or real(text))
+        assert main(["pipeline", "--config", str(fixture_dir / "pipeline.cfg")]) == 0
+        posts = (fixture_dir / "facebook.jsonl").read_text().splitlines()
+        entries = (fixture_dir / "out" / "entries.jsonl").read_text().splitlines()
+        assert 0 < len(calls) <= len(posts) + len(entries)
 
     def test_manifest_digest_tracks_input_bytes(self, fixture_dir):
         out = fixture_dir / "out"

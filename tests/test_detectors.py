@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from scrublang import detectors
 from scrublang.detectors import (
     CatalogueError,
     Detector,
@@ -12,7 +13,6 @@ from scrublang.detectors import (
     Gazetteer,
     entity_detector,
     load_catalogue,
-    match_common_formats,
     regex_detector,
     default_suite,
 )
@@ -37,6 +37,17 @@ LABEL_SAMPLES = {
 @pytest.fixture(scope="module")
 def suite() -> DetectorSuite:
     return default_suite()
+
+
+def possible_prefix(suite: DetectorSuite, text: str) -> bool:
+    """True when ``text`` could be a prefix of (or already end in) something
+    the suite matches; never False for a true prefix of a matchable string."""
+    return not text or any(s.end == len(text) for s in suite.provisional(text))
+
+
+def match_common_formats(text: str) -> list[RedactionSpan]:
+    """Matches of the bundled regex catalogue alone, without entity recognition."""
+    return DetectorSuite(load_catalogue()).detect(text)
 
 
 class TestCommonFormats:
@@ -100,14 +111,14 @@ class TestPrefixAwareness:
     )
     def test_every_prefix_is_possible(self, suite, label, text):
         for k in range(1, len(text) + 1):
-            assert suite.possible_prefix(text[:k]), (label, text[:k])
+            assert possible_prefix(suite, text[:k]), (label, text[:k])
 
     def test_prefix_in_context(self, suite):
         spans = suite.partial_at_end("see you at 555-1")
         assert any(s.end == len("see you at 555-1") and "phone" in s.tags for s in spans)
 
     def test_gazetteer_prefix(self, suite):
-        assert suite.possible_prefix("reading Anna Kar")
+        assert possible_prefix(suite, "reading Anna Kar")
 
     def test_word_tail_is_a_possible_email_prefix(self, suite):
         # over-approximation is the safe direction: any trailing word could
@@ -185,6 +196,13 @@ class TestGazetteer:
         path.write_text("no-tab-here\n")
         with pytest.raises(CatalogueError):
             Gazetteer.from_file(path)
+
+    def test_bad_bundled_line_names_its_line(self, tmp_path, monkeypatch):
+        path = tmp_path / "gaz.tsv"
+        path.write_text("person\tAda Lovelace\nperson\tAda\tLovelace\n")
+        monkeypatch.setattr(detectors, "_bundled", lambda name: path)
+        with pytest.raises(CatalogueError, match="line 2"):
+            Gazetteer.bundled_sample()
 
     def test_entity_detector_multilabel(self):
         gaz = Gazetteer({"person": ["jane doe"], "org": ["acme corp"]})

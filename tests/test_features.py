@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scrublang import features
 from scrublang.features import (
     DictionaryError,
     DictionarySpec,
@@ -80,6 +81,15 @@ class TestNgrams:
             if len(tokens) >= order:
                 assert total == pytest.approx(1.0)
 
+    def test_placeholder_with_spaces_is_a_unigram(self):
+        assert extract_ngrams(["<work of art>", "a"], (1,)) == {"<work of art>": 0.5, "a": 0.5}
+        tokens = ["<work of art>", "a", "<work of art>", "b"]
+        vec = extract_ngrams(tokens, (1, 2, 3))
+        for order in (1, 2, 3):
+            by_order = extract_ngrams(tokens, (order,))
+            assert by_order.items() <= vec.items()
+            assert sum(by_order.values()) == pytest.approx(1.0)
+
     @given(st.lists(tokens_strategy, min_size=2, max_size=4))
     @settings(max_examples=50, deadline=None)
     def test_counts_stable_under_document_order(self, docs):
@@ -146,6 +156,15 @@ class TestCorpus:
         path.write_text('{"user_id": "u1"}\n')
         with pytest.raises(ValueError):
             load_corpus_jsonl(path)
+
+    def test_documents_tokenized_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(features, "tokenize", lambda text: calls.append(text) or text.split())
+        corpus = UserCorpus("u1", "sms", ["a b", "c"])
+        assert corpus.word_count() == 3
+        assert corpus.ngram_features((1,)) == {"a": 1 / 3, "b": 1 / 3, "c": 1 / 3}
+        corpus.dictionary_features(DictionarySpec({"x": ["a"]}))
+        assert calls == ["a b", "c"]
 
     def test_min_words_across_platforms(self):
         corpora = {
