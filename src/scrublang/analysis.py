@@ -23,6 +23,7 @@ from .features import (
     feature_matrix,
     group_frequency_filter,
 )
+from .spans import Record
 from .stats import (
     DegenerateDataError,
     bh_fdr,
@@ -37,7 +38,7 @@ class InsufficientUsersError(ValueError):
 
 
 @dataclass(frozen=True)
-class NgramDiff:
+class NgramDiff(Record):
     ngram: str
     cohens_d: float
     p_value: float
@@ -47,21 +48,9 @@ class NgramDiff:
     degenerate: bool = False
     p_fallback: str | None = None  # "paired_t" when the logistic fit was unusable
 
-    def to_dict(self) -> dict:
-        return {
-            "ngram": self.ngram,
-            "cohens_d": self.cohens_d,
-            "p_value": self.p_value,
-            "q_significant": self.q_significant,
-            "freq_facebook": self.freq_facebook,
-            "freq_sms": self.freq_sms,
-            "degenerate": self.degenerate,
-            "p_fallback": self.p_fallback,
-        }
-
 
 @dataclass(frozen=True)
-class CategoryDiff:
+class CategoryDiff(Record):
     category: str
     t_statistic: float
     p_value: float
@@ -70,20 +59,9 @@ class CategoryDiff:
     mean_sms: float
     degenerate: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "category": self.category,
-            "t_statistic": self.t_statistic,
-            "p_value": self.p_value,
-            "q_significant": self.q_significant,
-            "mean_facebook": self.mean_facebook,
-            "mean_sms": self.mean_sms,
-            "degenerate": self.degenerate,
-        }
-
 
 @dataclass(frozen=True)
-class CloudDatum:
+class CloudDatum(Record):
     """One word-cloud token: size scales with |d|, darkness with frequency."""
 
     ngram: str
@@ -92,16 +70,6 @@ class CloudDatum:
     side: str
     size: float
     darkness: float
-
-    def to_dict(self) -> dict:
-        return {
-            "ngram": self.ngram,
-            "cohens_d": self.cohens_d,
-            "frequency": self.frequency,
-            "side": self.side,
-            "size": self.size,
-            "darkness": self.darkness,
-        }
 
 
 def shared_users(corpora: Mapping[tuple[str, str], UserCorpus]) -> list[str]:

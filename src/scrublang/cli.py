@@ -58,12 +58,14 @@ from .io import (
 )
 from .modeling import (
     CELL_ORDER,
+    MIN_LABELED,
     EvalReport,
     ImportanceRow,
     apply_lexicon,
     bootstrap_accuracy_diff,
     cross_domain_matrix,
     feature_importance,
+    labeled_users,
     nmf_reduce,
     ridge_fit,
     sign_accuracy,
@@ -75,7 +77,7 @@ from .redactor import (
     StreamRedactor,
     redact_string,
 )
-from .spans import PLACEHOLDER_RE
+from .spans import PLACEHOLDER_RE, Record
 from .stats import DegenerateDataError, bootstrap_corr_diff, pearson_r
 
 BINARY_OUTCOMES = frozenset({"gender"})
@@ -95,18 +97,39 @@ def _str_tuple(value: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in value.split(",") if v.strip())
 
 
+def _bool(value: str) -> bool:
+    """A switch: true/false, yes/no, on/off or 1/0, in any letter case."""
+    spelling = value.lower()
+    if spelling not in ("true", "yes", "on", "1", "false", "no", "off", "0"):
+        raise ValueError(f"expected true/false, yes/no, on/off or 1/0, got {value!r}")
+    return spelling in ("true", "yes", "on", "1")
+
+
+# A RunConfig field's annotation says how a config file spells its value.
+# Paths resolve against the config file's directory; an empty path is unset.
+InputPath = str | None  # a file the run reads; its digest goes in the manifest
+OutputPath = str
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "bool": _bool,
+    "tuple[int, ...]": _int_tuple,
+    "tuple[str, ...]": _str_tuple,
+}
+
+
 @dataclass
-class RunConfig:
-    keystroke_log: str | None = None
-    facebook_corpus: str | None = None
-    outcomes: str | None = None
-    dictionary: str | None = None
-    lexicon: str | None = None
-    embeddings_fb: str | None = None
-    embeddings_sms: str | None = None
-    gazetteer: str | None = None
-    catalogue: str | None = None
-    output_dir: str = "out"
+class RunConfig(Record):
+    keystroke_log: InputPath = None
+    facebook_corpus: InputPath = None
+    outcomes: InputPath = None
+    dictionary: InputPath = None
+    lexicon: InputPath = None
+    embeddings_fb: InputPath = None
+    embeddings_sms: InputPath = None
+    gazetteer: InputPath = None
+    catalogue: InputPath = None
+    output_dir: OutputPath = "out"
     min_words: int = DEFAULT_MIN_WORDS
     min_group_fraction: float = DEFAULT_MIN_GROUP_FRACTION
     fdr_alpha: float = 0.05
@@ -120,73 +143,48 @@ class RunConfig:
     nmf_iterations: int = 200
     apps: tuple[str, ...] = ()
 
-    _PATH_KEYS = (
-        "keystroke_log",
-        "facebook_corpus",
-        "outcomes",
-        "dictionary",
-        "lexicon",
-        "embeddings_fb",
-        "embeddings_sms",
-        "gazetteer",
-        "catalogue",
-    )
-
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
+        """Parse ``key = value`` lines, each value by its field's annotation;
+        a malformed line raises ``ValueError`` naming ``path:line``."""
         path = Path(path)
-        base = path.parent
-        raw: dict[str, str] = {}
+        annotations = {f.name: f.type for f in fields(cls)}
+        values = {}
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not eq:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            raw[key.strip()] = value.strip()
+            if key not in annotations:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if annotations[key] in ("InputPath", "OutputPath"):
+                values[key] = str((path.parent / value).resolve()) if value else None
+                continue
+            try:
+                values[key] = _PARSERS[annotations[key]](value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad {key}: {exc}") from exc
+        return cls(**values)
 
-        cfg = cls()
-        known = {f.name for f in fields(cls)}
-        for key, value in raw.items():
-            if key not in known:
-                raise ValueError(f"{path}: unknown config key {key!r}")
-            if key in cls._PATH_KEYS or key == "output_dir":
-                resolved = str((base / value).resolve()) if value else None
-                setattr(cfg, key, resolved)
-            elif key in ("min_words", "seed", "bootstrap_iterations", "timeout_ms", "nmf_k", "nmf_iterations"):
-                setattr(cfg, key, int(value))
-            elif key in ("min_group_fraction", "fdr_alpha", "ridge_alpha"):
-                setattr(cfg, key, float(value))
-            elif key == "keep_snapshots":
-                setattr(cfg, key, value.lower() in ("1", "true", "yes", "on"))
-            elif key == "model_orders":
-                setattr(cfg, key, _int_tuple(value))
-            elif key == "apps":
-                setattr(cfg, key, _str_tuple(value))
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
-        for key in self._PATH_KEYS:
+    def __post_init__(self) -> None:
+        for key in _INPUT_KEYS:
             value = getattr(self, key)
             if value is not None and not Path(value).exists():
                 raise FileNotFoundError(f"config path {key} = {value} does not exist")
         if not (0.0 < self.fdr_alpha < 1.0):
             raise ValueError(f"fdr_alpha must lie in (0, 1), got {self.fdr_alpha}")
 
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["model_orders"] = list(self.model_orders)
-        d["apps"] = list(self.apps)
-        return d
-
     def manifest_inputs(self) -> dict[str, str | Path]:
         """Manifest key -> file for every input the run reads, including the
         bundled detector data that stands in for an unset catalogue or
         gazetteer (keyed by its package-relative name)."""
-        paths = [getattr(self, key) for key in self._PATH_KEYS]
+        paths = [getattr(self, key) for key in _INPUT_KEYS]
         return {**{p: p for p in paths if p}, **bundled_inputs(self.catalogue, self.gazetteer)}
+
+
+_INPUT_KEYS = tuple(f.name for f in fields(RunConfig) if f.type == "InputPath")
 
 
 class OutputDir:
@@ -292,33 +290,29 @@ def _sms_corpora_from_entries(entries) -> dict[tuple[str, str], UserCorpus]:
     return corpora
 
 
-def _lexicon_estimates(
-    models,
-    corpora,
-    outcomes,
-    bootstrap_iterations: int,
-    seed: int,
-) -> dict:
-    """Task-style evaluation of pretrained lexicon models on both platforms:
-    correlate (or score accuracy of) per-user estimates against self-reports,
-    with a bootstrap test on the facebook-vs-sms difference."""
-    users = shared_users(corpora)
-    vectors = {
+def _unigram_vectors(corpora, users) -> dict[str, dict[str, dict[str, float]]]:
+    """platform -> user -> unigram relative frequencies, for ``users``."""
+    return {
         plat: {u: corpora[(u, plat)].ngram_features((1,)) for u in users}
         for plat in ("facebook", "sms")
     }
+
+
+def _lexicon_estimates(models, unigrams, outcomes, bootstrap_iterations: int, seed: int) -> dict:
+    """Task-style evaluation of pretrained lexicon models on both platforms:
+    correlate (or score accuracy of) per-user estimates against self-reports,
+    with a bootstrap test on the facebook-vs-sms difference.  ``unigrams``
+    holds the users' vectors on each platform (see :func:`_unigram_vectors`)."""
+    users = list(unigrams["facebook"])
     report: dict = {"n_users": len(users), "models": {}}
     for name in sorted(models):
         model = models[name]
-        y_raw = [outcomes.get(u, {}).get(name) for u in users]
-        keep = [i for i, v in enumerate(y_raw) if v is not None and np.isfinite(v)]
-        if len(keep) < 3:
+        labeled = labeled_users(users, outcomes, name)
+        if labeled is None:
             continue
-        y = np.array([float(y_raw[i]) for i in keep])
+        keep, y = labeled
         est = {
-            plat: np.array(
-                [apply_lexicon(model, vectors[plat][users[i]]) for i in keep]
-            )
+            plat: np.array([apply_lexicon(model, unigrams[plat][users[i]]) for i in keep])
             for plat in ("facebook", "sms")
         }
         entry: dict = {}
@@ -384,12 +378,12 @@ def _train(tables, outcomes, platform: str, alpha: float, wanted, dest) -> dict:
     vectors = fb if platform == "facebook" else sms
     models = {}
     for name in wanted or sorted({n for u in users for n in outcomes.get(u, {})}):
-        labeled = [u for u in users if outcomes.get(u, {}).get(name) is not None]
-        if len(labeled) < 3:
-            print(f"train: skipping {name}: fewer than 3 labeled users", file=sys.stderr)
+        labeled = labeled_users(users, outcomes, name)
+        if labeled is None:
+            sys.stderr.write(f"train: skipping {name}: fewer than {MIN_LABELED} labeled users\n")
             continue
-        X = feature_matrix(vectors, labeled, feature_names)
-        y = np.array([outcomes[u][name] for u in labeled], dtype=float)
+        keep, y = labeled
+        X = feature_matrix(vectors, [users[i] for i in keep], feature_names)
         models[name] = ridge_fit(X, y, alpha=alpha, feature_names=feature_names, outcome=name)
     save_lexicon_csv(models, dest)
     return models
@@ -467,14 +461,14 @@ def _evaluate(
     return report
 
 
-def _importance(corpora, users, models, out: OutputDir) -> dict[str, list]:
-    """Weight-times-frequency importance of each model's features, with mean
-    unigram frequencies over ``users`` on each platform; one table per model."""
+def _importance(unigrams, models, out: OutputDir) -> dict[str, list]:
+    """Weight-times-frequency importance of each model's features, with the
+    users' mean unigram frequencies on each platform (``unigrams``, see
+    :func:`_unigram_vectors`); one table per model."""
     freq = {}
-    for plat in ("facebook", "sms"):
-        vecs = {u: corpora[(u, plat)].ngram_features((1,)) for u in users}
+    for plat, vecs in unigrams.items():
         terms = sorted({t for v in vecs.values() for t in v})
-        M = feature_matrix(vecs, users, terms)
+        M = feature_matrix(vecs, list(vecs), terms)
         # each column's own mean: M.mean(axis=0) sums in another order
         freq[plat] = {t: float(M[:, j].mean()) for j, t in enumerate(terms)}
     ranked = {}
@@ -599,26 +593,24 @@ def cmd_importance(args) -> int:
     if not users:
         raise SystemExit("importance: no users present on both platforms")
     model = {args.outcome: models[args.outcome]}
-    ranked = _importance(corpora, users, model, OutputDir(args.out_dir))
+    ranked = _importance(_unigram_vectors(corpora, users), model, OutputDir(args.out_dir))
     print(f"importance: ranked {len(ranked[args.outcome])} features for {args.outcome}")
     return 0
 
 
 def cmd_pipeline(args) -> int:
-    cfg = RunConfig.from_file(args.config)
-    overrides = {"seed": args.seed, "fdr_alpha": args.alpha, "min_words": args.min_words}
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    cfg.validate()
-    if cfg.keystroke_log is None or cfg.facebook_corpus is None or cfg.outcomes is None:
-        raise SystemExit("pipeline: config must set keystroke_log, facebook_corpus, outcomes")
-
-    out = OutputDir(cfg.output_dir)
-    suite = _build_suite(cfg)
-
-    stage = "redact"
+    stage, written = "config", []
     try:
+        cfg = RunConfig.from_file(args.config)
+        overrides = {"seed": args.seed, "fdr_alpha": args.alpha, "min_words": args.min_words}
+        cfg = replace(cfg, **{key: v for key, v in overrides.items() if v is not None})
+        if cfg.keystroke_log is None or cfg.facebook_corpus is None or cfg.outcomes is None:
+            raise SystemExit("pipeline: config must set keystroke_log, facebook_corpus, outcomes")
+        out = OutputDir(cfg.output_dir)
+        written = out.written
+
+        stage = "redact"
+        suite = _build_suite(cfg)
         entries, counters = run_redaction(
             cfg.keystroke_log, suite, cfg.timeout_ms, cfg.keep_snapshots, cfg.apps
         )
@@ -635,6 +627,7 @@ def cmd_pipeline(args) -> int:
             raise InsufficientUsersError(
                 f"need >= 2 users on both platforms after exclusions, have {len(users)}"
             )
+        unigrams = _unigram_vectors(corpora, users)
         print(f"pipeline[{stage}]: {len(users)} users on both platforms")
 
         stage = "summary"
@@ -648,7 +641,7 @@ def cmd_pipeline(args) -> int:
         pretrained = load_lexicon_csv(cfg.lexicon) if cfg.lexicon else {}
         if pretrained:
             report = _lexicon_estimates(
-                pretrained, corpora, outcomes, cfg.bootstrap_iterations, cfg.seed
+                pretrained, unigrams, outcomes, cfg.bootstrap_iterations, cfg.seed
             )
             out.json(report, "lexicon_eval.json")
 
@@ -666,7 +659,7 @@ def cmd_pipeline(args) -> int:
         )
 
         stage = "importance"
-        _importance(corpora, users, pretrained or trained, out)
+        _importance(unigrams, pretrained or trained, out)
 
         stage = "manifest"
         write_manifest(
@@ -675,7 +668,7 @@ def cmd_pipeline(args) -> int:
         print(f"pipeline: complete, reports in {out.path}")
         return 0
     except Exception as exc:
-        for path in out.written:
+        for path in written:
             path.unlink(missing_ok=True)
         raise PipelineError(f"stage {stage!r} failed: {exc}") from exc
 
@@ -692,15 +685,17 @@ def _add_suite_args(p: argparse.ArgumentParser) -> None:
 
 def _add_corpus_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True, help="JSONL corpus {user_id, platform, text}")
-    p.add_argument("--min-words", type=int, default=DEFAULT_MIN_WORDS)
+    p.add_argument("--min-words", type=int, default=RunConfig.min_words)
     _add_suite_args(p)
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--outcomes", required=True, help="outcomes CSV")
-    p.add_argument("--alpha", type=float, default=1.0, help="ridge penalty")
-    p.add_argument("--orders", type=_int_tuple, default="1,2,3", help="n-gram orders")
-    p.add_argument("--min-group-fraction", type=float, default=DEFAULT_MIN_GROUP_FRACTION)
+    p.add_argument("--alpha", type=float, default=RunConfig.ridge_alpha, help="ridge penalty")
+    p.add_argument(
+        "--orders", type=_int_tuple, default=RunConfig.model_orders, help="n-gram orders"
+    )
+    p.add_argument("--min-group-fraction", type=float, default=RunConfig.min_group_fraction)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -715,8 +710,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="keystroke JSONL log")
     p.add_argument("--out", dest="outfile", required=True, help="sanitized entries JSONL")
     p.add_argument("--keep-snapshots", action="store_true")
-    p.add_argument("--timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS)
-    p.add_argument("--apps", type=_str_tuple, default="", help="comma-separated app allow-list")
+    p.add_argument("--timeout-ms", type=int, default=RunConfig.timeout_ms)
+    p.add_argument(
+        "--apps", type=_str_tuple, default=RunConfig.apps, help="comma-separated app allow-list"
+    )
     _add_suite_args(p)
     p.set_defaults(func=cmd_redact)
 
@@ -729,15 +726,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="extract n-gram and dictionary features")
     _add_corpus_args(p)
     p.add_argument("--dictionary")
-    p.add_argument("--orders", type=_int_tuple, default="1,2,3", help="n-gram orders")
+    p.add_argument(
+        "--orders", type=_int_tuple, default=RunConfig.model_orders, help="n-gram orders"
+    )
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("diff", help="differential language analysis between platforms")
     _add_corpus_args(p)
     p.add_argument("--dictionary")
-    p.add_argument("--alpha", type=float, default=0.05, help="FDR level")
-    p.add_argument("--min-group-fraction", type=float, default=DEFAULT_MIN_GROUP_FRACTION)
+    p.add_argument("--alpha", type=float, default=RunConfig.fdr_alpha, help="FDR level")
+    p.add_argument("--min-group-fraction", type=float, default=RunConfig.min_group_fraction)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_diff)
 
@@ -752,13 +751,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="four-cell cross-platform model evaluation")
     _add_corpus_args(p)
     _add_model_args(p)
-    p.add_argument("--bootstrap-iterations", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--bootstrap-iterations", type=int, default=RunConfig.bootstrap_iterations)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.add_argument("--cross-fit", choices=["holdout", "full"], default="holdout")
     p.add_argument("--embeddings-fb")
     p.add_argument("--embeddings-sms")
-    p.add_argument("--nmf-k", type=int, default=128)
-    p.add_argument("--nmf-iterations", type=int, default=200)
+    p.add_argument("--nmf-k", type=int, default=RunConfig.nmf_k)
+    p.add_argument("--nmf-iterations", type=int, default=RunConfig.nmf_iterations)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_evaluate)
 

@@ -133,26 +133,22 @@ def bundled_inputs(catalogue_path=None, gazetteer_path=None) -> dict:
 def load_catalogue(path: str | Path | None = None) -> list[Detector]:
     """Load regex detectors from a TSV catalogue (``label<TAB>pattern[<TAB>min_len]``).
 
-    ``None`` loads the bundled default catalogue.
+    ``None`` loads the bundled default catalogue.  A malformed line raises
+    ``CatalogueError`` naming ``path:line``.
     """
-    if path is None:
-        text = _bundled(_BUNDLED_CATALOGUE).read_text()
-    else:
-        text = Path(path).read_text(encoding="utf-8")
+    source = _bundled(_BUNDLED_CATALOGUE) if path is None else Path(path)
     detectors = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.rstrip("\n")
+    for lineno, line in enumerate(source.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) not in (2, 3):
-            raise CatalogueError(f"catalogue line {lineno}: expected 2 or 3 tab-separated fields")
-        label, pattern = parts[0].strip(), parts[1]
-        min_len = int(parts[2]) if len(parts) == 3 else 1
+            raise CatalogueError(f"{source}:{lineno}: expected 2 or 3 tab-separated fields")
         try:
-            detectors.append(regex_detector(label, pattern, min_len))
-        except regex.error as exc:
-            raise CatalogueError(f"catalogue line {lineno}: bad pattern: {exc}") from exc
+            min_len = int(parts[2]) if len(parts) == 3 else 1
+            detectors.append(regex_detector(parts[0].strip(), parts[1], min_len))
+        except (ValueError, regex.error) as exc:
+            raise CatalogueError(f"{source}:{lineno}: bad catalogue entry: {exc}") from exc
     return detectors
 
 
@@ -184,22 +180,27 @@ class Gazetteer:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Gazetteer":
-        return cls._parse(Path(path).read_text(encoding="utf-8"))
+        """Parse ``label<TAB>surface form`` lines; a malformed line raises
+        ``CatalogueError`` naming ``path:line``."""
+        return cls._parse(Path(path))
 
     @classmethod
     def bundled_sample(cls) -> "Gazetteer":
-        return cls._parse(_bundled(_BUNDLED_GAZETTEER).read_text(encoding="utf-8"))
+        return cls._parse(_bundled(_BUNDLED_GAZETTEER))
 
     @classmethod
-    def _parse(cls, text: str) -> "Gazetteer":
+    def _parse(cls, source) -> "Gazetteer":
         gaz = cls()
-        for lineno, line in enumerate(text.splitlines(), 1):
+        for lineno, line in enumerate(source.read_text(encoding="utf-8").splitlines(), 1):
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise CatalogueError(f"gazetteer line {lineno}: expected label<TAB>surface form")
-            gaz.add(parts[0].strip(), parts[1])
+                raise CatalogueError(f"{source}:{lineno}: expected label<TAB>surface form")
+            try:
+                gaz.add(parts[0].strip(), parts[1])
+            except CatalogueError as exc:
+                raise CatalogueError(f"{source}:{lineno}: {exc}") from None
         return gaz
 
     # -- matching ------------------------------------------------------

@@ -98,6 +98,20 @@ def extract_ngrams(tokens: Sequence, orders: Iterable[int] = (1, 2, 3)) -> dict[
     return out
 
 
+def _dictionary_entry(entry: str) -> tuple[str, bool]:
+    """(text, is_prefix) of one dictionary entry: a literal word, or a prefix
+    followed by a terminal ``*``."""
+    entry = entry.strip().lower()
+    if not entry:
+        raise DictionaryError("empty entry")
+    star = entry.find("*")
+    if star == -1:
+        return entry, False
+    if star == len(entry) - 1 and star > 0:
+        return entry[:-1], True
+    raise DictionaryError(f"wildcard must be terminal in {entry!r}")
+
+
 @dataclass
 class DictionarySpec:
     """A named category lexicon with literal and prefix-wildcard entries."""
@@ -112,24 +126,21 @@ class DictionarySpec:
         for cat, entries in self.categories.items():
             lits, prefs = set(), []
             for entry in entries:
-                entry = entry.strip().lower()
-                if not entry:
-                    raise DictionaryError(f"category {cat!r}: empty entry")
-                star = entry.find("*")
-                if star == -1:
-                    lits.add(entry)
-                elif star == len(entry) - 1 and star > 0:
-                    prefs.append(entry[:-1])
+                try:
+                    text, is_prefix = _dictionary_entry(entry)
+                except DictionaryError as exc:
+                    raise DictionaryError(f"category {cat!r}: {exc}") from None
+                if is_prefix:
+                    prefs.append(text)
                 else:
-                    raise DictionaryError(
-                        f"category {cat!r}: wildcard must be terminal in {entry!r}"
-                    )
+                    lits.add(text)
             self._literals[cat] = frozenset(lits)
             self._prefixes[cat] = tuple(sorted(prefs))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DictionarySpec":
-        """Parse "[category]" header lines followed by one entry per line."""
+        """Parse "[category]" header lines followed by one entry per line; a
+        malformed line raises ``DictionaryError`` naming ``path:line``."""
         categories: dict[str, list[str]] = {}
         current: str | None = None
         for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -139,11 +150,15 @@ class DictionarySpec:
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1].strip()
                 if not current:
-                    raise DictionaryError(f"line {lineno}: empty category name")
+                    raise DictionaryError(f"{path}:{lineno}: empty category name")
                 categories.setdefault(current, [])
             elif current is None:
-                raise DictionaryError(f"line {lineno}: entry before any [category] header")
+                raise DictionaryError(f"{path}:{lineno}: entry before any [category] header")
             else:
+                try:
+                    _dictionary_entry(line)
+                except DictionaryError as exc:
+                    raise DictionaryError(f"{path}:{lineno}: category {current!r}: {exc}") from None
                 categories[current].append(line)
         return cls(categories)
 

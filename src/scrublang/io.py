@@ -37,8 +37,20 @@ GENDER_CODES = {
 }
 
 
+def _outcome_value(column: str, raw: str | None) -> float | None:
+    raw = (raw or "").strip()
+    if not raw:
+        return None
+    if column != "gender":
+        return float(raw)
+    if raw.lower() not in GENDER_CODES:
+        raise ValueError(f"unrecognized gender value {raw!r}")
+    return GENDER_CODES[raw.lower()]
+
+
 def load_outcomes_csv(path: str | Path) -> dict[str, dict[str, float | None]]:
-    """Outcome columns per user; missing cells map to None."""
+    """Outcome columns per user; missing cells map to None.  A malformed row
+    raises ``ValueError`` naming ``path:line``."""
     out: dict[str, dict[str, float | None]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -46,24 +58,18 @@ def load_outcomes_csv(path: str | Path) -> dict[str, dict[str, float | None]]:
             raise ValueError(f"{path}: outcomes CSV needs a user_id column")
         for row in reader:
             user = row.pop("user_id")
-            parsed: dict[str, float | None] = {}
-            for col, raw in row.items():
-                raw = (raw or "").strip()
-                if not raw:
-                    parsed[col] = None
-                elif col == "gender":
-                    code = GENDER_CODES.get(raw.lower())
-                    if code is None:
-                        raise ValueError(f"{path}: unrecognized gender value {raw!r}")
-                    parsed[col] = code
-                else:
-                    parsed[col] = float(raw)
-            out[user] = parsed
+            try:
+                if None in row:
+                    raise ValueError("more cells than header columns")
+                out[user] = {col: _outcome_value(col, raw) for col, raw in row.items()}
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: bad outcomes row: {exc}") from exc
     return out
 
 
 def load_lexicon_csv(path: str | Path) -> dict[str, LexiconModel]:
-    """One LexiconModel per category from a ``term,category,weight`` CSV."""
+    """One LexiconModel per category from a ``term,category,weight`` CSV.  A
+    row whose weight is not a number raises ``ValueError`` naming ``path:line``."""
     weights: dict[str, dict[str, float]] = {}
     intercepts: dict[str, float] = {}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -72,7 +78,11 @@ def load_lexicon_csv(path: str | Path) -> dict[str, LexiconModel]:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(f"{path}: lexicon CSV needs term,category,weight columns")
         for row in reader:
-            term, cat, w = row["term"], row["category"], float(row["weight"])
+            term, cat = row["term"], row["category"]
+            try:
+                w = float(row["weight"])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{reader.line_num}: bad lexicon weight: {exc}") from exc
             if term.lower() == "_intercept":
                 intercepts[cat] = w
             else:
@@ -95,17 +105,21 @@ def save_lexicon_csv(models: Mapping[str, LexiconModel], path: str | Path) -> No
 
 
 def load_embeddings(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """User ids and their embedding matrix, rows ordered as in the file."""
+    """User ids and their embedding matrix, rows ordered as in the file.  A
+    malformed row raises ``ValueError`` naming ``path:line``."""
     path = Path(path)
     users: list[str] = []
     rows: list[list[float]] = []
     if path.suffix in (".jsonl", ".ndjson"):
-        for line in path.read_text(encoding="utf-8").splitlines():
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
             if not line.strip():
                 continue
-            d = json.loads(line)
-            users.append(str(d["user_id"]))
-            rows.append([float(v) for v in d["embedding"]])
+            try:
+                d = json.loads(line)
+                users.append(str(d["user_id"]))
+                rows.append([float(v) for v in d["embedding"]])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad embedding record: {exc}") from exc
     else:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -115,8 +129,11 @@ def load_embeddings(path: str | Path) -> tuple[list[str], np.ndarray]:
             for row in reader:
                 if not row:
                     continue
+                try:
+                    rows.append([float(v) for v in row[1:]])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{reader.line_num}: bad embedding row: {exc}") from exc
                 users.append(row[0])
-                rows.append([float(v) for v in row[1:]])
     if not rows:
         raise ValueError(f"{path}: no embedding rows")
     widths = {len(r) for r in rows}

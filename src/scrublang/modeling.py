@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .features import feature_matrix
+from .spans import Record
 from .stats import DegenerateDataError, bootstrap_corr_diff, pearson_r
 
 CELL_ORDER = ("fb_fb", "fb_sms", "sms_sms", "sms_fb")
@@ -54,6 +55,22 @@ def apply_lexicon(model: LexiconModel, features: Mapping[str, float]) -> float:
             if w is not None:
                 total += w * freq
     return float(total)
+
+
+MIN_LABELED = 3
+
+
+def labeled_users(
+    users: Sequence[str], outcomes: Mapping[str, Mapping[str, float | None]], name: str
+) -> tuple[list[int], np.ndarray] | None:
+    """The users labeled for outcome ``name``: indices into ``users`` of those
+    whose value is present and finite, and those values.  None when fewer
+    than ``MIN_LABELED`` are labeled, too few to fit or evaluate."""
+    raw = [outcomes.get(u, {}).get(name) for u in users]
+    keep = [i for i, v in enumerate(raw) if v is not None and np.isfinite(v)]
+    if len(keep) < MIN_LABELED:
+        return None
+    return keep, np.array([float(raw[i]) for i in keep])
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
@@ -260,33 +277,22 @@ def loocv_evaluate(
 
 
 @dataclass(frozen=True)
-class CellResult:
+class CellResult(Record):
     metric: str
     value: float
     n: int
 
-    def to_dict(self) -> dict:
-        return {"metric": self.metric, "value": self.value, "n": self.n}
-
 
 @dataclass
-class OutcomeEval:
+class OutcomeEval(Record):
     outcome: str
     kind: str  # "continuous" or "binary"
     cells: dict[str, CellResult] = field(default_factory=dict)
     bootstrap: dict[str, dict] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "kind": self.kind,
-            "cells": {k: v.to_dict() for k, v in self.cells.items()},
-            "bootstrap": self.bootstrap,
-        }
-
 
 @dataclass
-class EvalReport:
+class EvalReport(Record):
     """Per-outcome, per-train/test-cell evaluation with bootstrap comparisons."""
 
     outcomes: dict[str, OutcomeEval]
@@ -295,16 +301,6 @@ class EvalReport:
     bootstrap_iterations: int
     cross_fit: str
     cell_labels: dict[str, str] = field(default_factory=lambda: dict(CELL_LABELS))
-
-    def to_dict(self) -> dict:
-        return {
-            "outcomes": {k: v.to_dict() for k, v in sorted(self.outcomes.items())},
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "bootstrap_iterations": self.bootstrap_iterations,
-            "cross_fit": self.cross_fit,
-            "cell_labels": self.cell_labels,
-        }
 
 
 def bootstrap_accuracy_diff(
@@ -384,11 +380,10 @@ def cross_domain_matrix(
     )
 
     for name in outcome_names:
-        raw = [outcomes[u].get(name) for u in users]
-        keep = [i for i, v in enumerate(raw) if v is not None and np.isfinite(v)]
-        if len(keep) < 3:
+        labeled = labeled_users(users, outcomes, name)
+        if labeled is None:
             continue
-        y = np.array([float(raw[i]) for i in keep])
+        keep, y = labeled
         kind = "binary" if name in binary_outcomes else "continuous"
         metric = "accuracy" if kind == "binary" else "pearson_r"
 
@@ -455,21 +450,12 @@ def cross_domain_matrix(
 
 
 @dataclass(frozen=True)
-class ImportanceRow:
+class ImportanceRow(Record):
     feature: str
     importance: float
     weight: float
     freq_diff: float
     quadrant: str | None
-
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature,
-            "importance": self.importance,
-            "weight": self.weight,
-            "freq_diff": self.freq_diff,
-            "quadrant": self.quadrant,
-        }
 
 
 def feature_importance(

@@ -37,7 +37,7 @@ import json
 from dataclasses import dataclass, field
 
 from .detectors import DetectorSuite, default_suite
-from .spans import RedactionSpan, clip_spans, merge_spans, render_redacted
+from .spans import Record, RedactionSpan, clip_spans, merge_spans, render_redacted
 
 DEFAULT_BOUNDARY_CHARS = " \t\n\r.,!?;:"
 DEFAULT_TIMEOUT_MS = 60_000
@@ -59,7 +59,7 @@ class EmptyBufferError(RedactionError):
 
 
 @dataclass(frozen=True)
-class KeystrokeEvent:
+class KeystrokeEvent(Record):
     """One logged snapshot of a text field (after one keystroke/edit).
 
     ``current_text`` is the full field contents, not a delta; successive
@@ -84,16 +84,6 @@ class KeystrokeEvent:
             is_password=bool(d.get("is_password", False)),
             is_phone_field=bool(d.get("is_phone_field", False)),
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "user_id": self.user_id,
-            "timestamp": self.timestamp,
-            "app_id": self.app_id,
-            "current_text": self.current_text,
-            "is_password": self.is_password,
-            "is_phone_field": self.is_phone_field,
-        }
 
 
 @dataclass
@@ -137,7 +127,7 @@ class EntryBuffer:
 
 
 @dataclass(frozen=True)
-class SanitizedEntry:
+class SanitizedEntry(Record):
     """A completed, redacted entry.
 
     ``snapshots`` (present only when snapshot retention is on) are the
@@ -153,17 +143,6 @@ class SanitizedEntry:
     final_text: str
     spans: tuple[RedactionSpan, ...]
     snapshots: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "user_id": self.user_id,
-            "app_id": self.app_id,
-            "start_timestamp": self.start_timestamp,
-            "end_timestamp": self.end_timestamp,
-            "final_text": self.final_text,
-            "spans": [s.to_dict() for s in self.spans],
-            "snapshots": list(self.snapshots),
-        }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), ensure_ascii=False, sort_keys=True)

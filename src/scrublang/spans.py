@@ -9,16 +9,50 @@ canonical form: non-overlapping, sorted by ``start``.
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 # Placeholder grammar: lowercase labels (spaces/underscores allowed) joined by
 # "|" inside one angle-bracket pair, e.g. "<phone>" or "<date|phone>".
 PLACEHOLDER_RE = re.compile(r"<[a-z][a-z0-9_ ]*(?:\|[a-z][a-z0-9_ ]*)*>")
 
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _plain(value):
+    if type(value) in _SCALARS:
+        return value
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
+
+
+class Record:
+    """Mixin for dataclass records whose fields are their serialized layout.
+
+    :meth:`to_dict` maps each field name to its value, writing nested records
+    as dicts, tuples as lists and dict values the same way.  Unlike
+    ``dataclasses.asdict`` it copies nothing else, which keeps it cheap on the
+    per-row and per-entry paths.
+    """
+
+    def to_dict(self) -> dict:
+        return {name: _plain(getattr(self, name)) for name in _field_names(type(self))}
+
+
 @dataclass(frozen=True)
-class RedactionSpan:
+class RedactionSpan(Record):
     """A tagged half-open character range ``[start, end)``.
 
     Attributes:
@@ -47,9 +81,6 @@ class RedactionSpan:
     def placeholder(self) -> str:
         """Render the span's tag placeholder, e.g. ``<date|phone>``."""
         return "<" + "|".join(self.tags) + ">"
-
-    def to_dict(self) -> dict:
-        return {"start": self.start, "end": self.end, "tags": list(self.tags)}
 
     @classmethod
     def from_dict(cls, d: dict) -> RedactionSpan:

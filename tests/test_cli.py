@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import importlib.resources
 import json
 from pathlib import Path
@@ -289,6 +291,196 @@ class TestAnalysisCommands:
             assert json.loads((out / name).read_text())["cross_fit"] == "full", name
 
 
+SUITE_OPTIONS = {
+    "gazetteer": (("--gazetteer",), None),
+    "catalogue": (("--catalogue",), None),
+}
+CORPUS_OPTIONS = {
+    "corpus": (("--corpus",), None),
+    "min_words": (("--min-words",), 500),
+    **SUITE_OPTIONS,
+}
+MODEL_OPTIONS = {
+    "outcomes": (("--outcomes",), None),
+    "alpha": (("--alpha",), 1.0),
+    "orders": (("--orders",), (1, 2, 3)),
+    "min_group_fraction": (("--min-group-fraction",), 0.05),
+}
+# every subcommand option: dest -> (option strings, parsed default)
+SUBCOMMAND_OPTIONS = {
+    "redact": {
+        "infile": (("--in",), None),
+        "outfile": (("--out",), None),
+        "keep_snapshots": (("--keep-snapshots",), False),
+        "timeout_ms": (("--timeout-ms",), 60000),
+        "apps": (("--apps",), ()),
+        **SUITE_OPTIONS,
+    },
+    "summary": {
+        "corpus": (("--corpus",), None),
+        "out_dir": (("--out-dir",), None),
+        **SUITE_OPTIONS,
+    },
+    "features": {
+        **CORPUS_OPTIONS,
+        "dictionary": (("--dictionary",), None),
+        "orders": (("--orders",), (1, 2, 3)),
+        "out_dir": (("--out-dir",), None),
+    },
+    "diff": {
+        **CORPUS_OPTIONS,
+        "dictionary": (("--dictionary",), None),
+        "alpha": (("--alpha",), 0.05),
+        "min_group_fraction": (("--min-group-fraction",), 0.05),
+        "out_dir": (("--out-dir",), None),
+    },
+    "train": {
+        **CORPUS_OPTIONS,
+        **MODEL_OPTIONS,
+        "platform": (("--platform",), "facebook"),
+        "outcome": (("--outcome",), None),
+        "out": (("--out",), None),
+    },
+    "evaluate": {
+        **CORPUS_OPTIONS,
+        **MODEL_OPTIONS,
+        "bootstrap_iterations": (("--bootstrap-iterations",), 10000),
+        "seed": (("--seed",), 0),
+        "cross_fit": (("--cross-fit",), "holdout"),
+        "embeddings_fb": (("--embeddings-fb",), None),
+        "embeddings_sms": (("--embeddings-sms",), None),
+        "nmf_k": (("--nmf-k",), 128),
+        "nmf_iterations": (("--nmf-iterations",), 200),
+        "out_dir": (("--out-dir",), None),
+    },
+    "importance": {
+        **CORPUS_OPTIONS,
+        "lexicon": (("--lexicon",), None),
+        "outcome": (("--outcome",), None),
+        "out_dir": (("--out-dir",), None),
+    },
+    "pipeline": {
+        "config": (("--config",), None),
+        "seed": (("--seed",), None),
+        "alpha": (("--alpha",), None),
+        "min_words": (("--min-words",), None),
+    },
+}
+CONFIG_DEFAULTS = {
+    "keystroke_log": None,
+    "facebook_corpus": None,
+    "outcomes": None,
+    "dictionary": None,
+    "lexicon": None,
+    "embeddings_fb": None,
+    "embeddings_sms": None,
+    "gazetteer": None,
+    "catalogue": None,
+    "output_dir": "out",
+    "min_words": 500,
+    "min_group_fraction": 0.05,
+    "fdr_alpha": 0.05,
+    "ridge_alpha": 1.0,
+    "seed": 0,
+    "bootstrap_iterations": 10000,
+    "timeout_ms": 60000,
+    "keep_snapshots": False,
+    "model_orders": (1, 2, 3),
+    "nmf_k": 128,
+    "nmf_iterations": 200,
+    "apps": (),
+}
+
+
+class TestKnobInventory:
+    """Every setting and option, with its default: a change that adds, drops
+    or alters one has to change this inventory too."""
+
+    def test_config_keys_and_defaults(self):
+        cfg = RunConfig()
+        assert {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)} == CONFIG_DEFAULTS
+
+    def test_subcommand_options_and_defaults(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        found = {}
+        for name, subparser in sub.choices.items():
+            found[name] = {}
+            for action in subparser._actions:
+                if isinstance(action, argparse._HelpAction):
+                    continue
+                default = action.default
+                if isinstance(default, str) and action.type is not None:
+                    default = action.type(default)  # argparse converts string defaults
+                found[name][action.dest] = (tuple(action.option_strings), default)
+        assert found == SUBCOMMAND_OPTIONS
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "name,content,argv,where,rc",
+        [
+            ("emb.jsonl", '{"user_id": "u0", "embedding": [1]}\n{"embedding": [1]}\n',
+             "evaluate {corpus} --outcomes {ages} --orders 1 --bootstrap-iterations 1000 "
+             "--embeddings-fb {bad} --embeddings-sms {bad} --out-dir {out}", "emb.jsonl:2:", 2),
+            ("o.csv", "user_id,age\nu0,20\nu1,abc\n",
+             "train {corpus} --outcomes {bad} --orders 1 --out {out}.csv", "o.csv:3:", 2),
+            ("lex.csv", "term,category,weight\nfun,age,abc\n",
+             "importance {corpus} --lexicon {bad} --outcome age --out-dir {out}", "lex.csv:2:", 2),
+            ("dict.txt", "yes\n[assent]\n",
+             "diff {corpus} --dictionary {bad} --out-dir {out}", "dict.txt:1:", 2),
+            ("dict.txt", "[assent]\no*k\n",
+             "diff {corpus} --dictionary {bad} --out-dir {out}", "dict.txt:2:", 2),
+            ("cat.tsv", "onlylabel\n",
+             "summary --corpus {corpus_file} --catalogue {bad}", "cat.tsv:1:", 2),
+            ("gaz.tsv", "person\tAda\nno-tab\n",
+             "summary --corpus {corpus_file} --gazetteer {bad}", "gaz.tsv:2:", 2),
+            ("run.cfg", "# settings\nseed = 1x\n", "pipeline --config {bad}", "run.cfg:2:", 1),
+            ("run.cfg", "keep_snapshots = ture\n", "pipeline --config {bad}", "run.cfg:1:", 1),
+            ("fx/outcomes.csv", "user_id,age\nuser00,abc\n",
+             "pipeline --config {fixture}/pipeline.cfg", "outcomes.csv:2:", 1),
+        ],
+        ids=[
+            "embeddings-jsonl", "outcomes", "lexicon", "dictionary-header",
+            "dictionary-wildcard", "catalogue", "gazetteer", "config-int",
+            "config-bool", "pipeline-outcomes",
+        ],
+    )
+    def test_error_names_file_and_line(self, tmp_path, capsys, name, content, argv, where, rc):
+        corpus, ages = tmp_path / "c.jsonl", tmp_path / "ages.csv"
+        write_small_corpus(corpus)
+        write_ages(ages)
+        make_fixture(tmp_path / "fx", n_users=6, seed=1)
+        (tmp_path / name).write_text(content)
+        argv = argv.format(
+            corpus=f"--corpus {corpus} --min-words 1",
+            corpus_file=corpus,
+            ages=ages,
+            bad=tmp_path / name,
+            out=tmp_path / "out",
+            fixture=tmp_path / "fx",
+        )
+        assert main(argv.split()) == rc
+        assert where in capsys.readouterr().err
+
+
+class TestLabeledUsers:
+    def test_non_finite_outcome_drops_the_user(self, tmp_path):
+        """A ``nan`` outcome cell counts as unlabeled, like a blank one."""
+        corpus = tmp_path / "c.jsonl"
+        write_small_corpus(corpus)
+        lexicons = []
+        for cell in ("", "nan"):
+            outcomes = tmp_path / f"o{cell}.csv"
+            write_ages(outcomes)
+            outcomes.write_text(outcomes.read_text().replace("u1,23", f"u1,{cell}"))
+            lexicons.append(tmp_path / f"lex{cell}.csv")
+            argv = ["train", "--corpus", str(corpus), "--min-words", "1", "--orders", "1"]
+            assert main([*argv, "--outcomes", str(outcomes), "--out", str(lexicons[-1])]) == 0
+        assert lexicons[0].read_bytes() == lexicons[1].read_bytes()
+        assert "age" in load_lexicon_csv(lexicons[1])
+
+
 class TestConfig:
     def test_parse_and_resolve(self, fixture_dir):
         cfg = RunConfig.from_file(fixture_dir / "pipeline.cfg")
@@ -308,6 +500,29 @@ class TestConfig:
         bad.write_text("keystroke_log = not_there.jsonl\n")
         with pytest.raises(FileNotFoundError):
             RunConfig.from_file(bad)
+
+    def test_every_key_parses_by_its_type(self, tmp_path):
+        """Each setting written as a config line reads back as its default."""
+        lines = []
+        for f in dataclasses.fields(RunConfig):
+            value = getattr(RunConfig(), f.name)
+            if isinstance(value, tuple):
+                value = ",".join(map(str, value))
+            lines.append(f"{f.name} = {'' if value is None else value}")
+        cfg_path = tmp_path / "all.cfg"
+        cfg_path.write_text("\n".join(lines) + "\n")
+        cfg = RunConfig.from_file(cfg_path)
+        assert cfg == dataclasses.replace(RunConfig(), output_dir=str(tmp_path / "out"))
+
+    @pytest.mark.parametrize(
+        "spelling,value",
+        [("true", True), ("Yes", True), ("ON", True), ("1", True),
+         ("false", False), ("no", False), ("Off", False), ("0", False)],
+    )
+    def test_boolean_spellings(self, tmp_path, spelling, value):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(f"keep_snapshots = {spelling}\n")
+        assert RunConfig.from_file(cfg_path).keep_snapshots is value
 
     def test_alpha_range_checked(self, tmp_path):
         bad = tmp_path / "c.cfg"
@@ -356,6 +571,21 @@ class TestPipeline:
         posts = (fixture_dir / "facebook.jsonl").read_text().splitlines()
         entries = (fixture_dir / "out" / "entries.jsonl").read_text().splitlines()
         assert 0 < len(calls) <= len(posts) + len(entries)
+
+    def test_estimates_and_importance_share_unigram_counts(self, fixture_dir, monkeypatch):
+        """With ``model_orders = 1`` a corpus's unigrams are counted twice: once
+        for the model tables, once for the lexicon estimates and importance."""
+        calls = []
+        real = features.UserCorpus.ngram_features
+
+        def counting(corpus, orders=(1, 2, 3)):
+            calls.append((corpus.user_id, corpus.platform, tuple(orders)))
+            return real(corpus, orders)
+
+        monkeypatch.setattr(features.UserCorpus, "ngram_features", counting)
+        assert main(["pipeline", "--config", str(fixture_dir / "pipeline.cfg")]) == 0
+        unigram_calls = [c for c in calls if c[2] == (1,)]
+        assert unigram_calls and max(map(unigram_calls.count, unigram_calls)) == 2
 
     def test_manifest_digest_tracks_input_bytes(self, fixture_dir):
         out = fixture_dir / "out"

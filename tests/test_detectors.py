@@ -201,7 +201,7 @@ class TestGazetteer:
         path = tmp_path / "gaz.tsv"
         path.write_text("person\tAda Lovelace\nperson\tAda\tLovelace\n")
         monkeypatch.setattr(detectors, "_bundled", lambda name: path)
-        with pytest.raises(CatalogueError, match="line 2"):
+        with pytest.raises(CatalogueError, match=r"gaz\.tsv:2: "):
             Gazetteer.bundled_sample()
 
     def test_entity_detector_multilabel(self):

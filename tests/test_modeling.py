@@ -12,6 +12,7 @@ from scrublang.modeling import (
     apply_lexicon,
     cross_domain_matrix,
     feature_importance,
+    labeled_users,
     loocv_evaluate,
     loocv_folds,
     loocv_predictions_hat,
@@ -153,6 +154,26 @@ def _mk_features(users, rng, signal=None):
             vec["f0"] = float(signal[i] + rng.normal(0, 0.05))
         out[u] = vec
     return out
+
+
+class TestLabeledUsers:
+    def test_present_and_finite_values_only(self):
+        users = ["a", "b", "c", "d", "e", "f"]
+        outcomes = {
+            "a": {"y": 1.0},
+            "b": {"y": None},
+            "c": {"y": float("nan")},
+            "d": {"y": 2.0},
+            "e": {"y": float("inf")},
+            "f": {"y": 3.0},
+        }
+        keep, y = labeled_users(users, outcomes, "y")
+        assert keep == [0, 3, 5]
+        assert y.tolist() == [1.0, 2.0, 3.0]
+
+    def test_fewer_than_three_is_none(self):
+        outcomes = {"a": {"y": 1.0}, "b": {"y": 2.0}, "c": {"y": float("nan")}}
+        assert labeled_users(["a", "b", "c", "z"], outcomes, "y") is None
 
 
 class TestCrossDomain:
