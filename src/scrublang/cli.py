@@ -58,17 +58,19 @@ from .io import (
 )
 from .modeling import (
     CELL_ORDER,
+    COMPARISONS,
     MIN_LABELED,
     EvalReport,
     ImportanceRow,
     apply_lexicon,
-    bootstrap_accuracy_diff,
+    bootstrap_accuracy_diff,  # unused here; bench/tracing.py patches cli.bootstrap_accuracy_diff
+    compare_estimates,
     cross_domain_matrix,
     feature_importance,
     labeled_users,
     nmf_reduce,
+    outcome_scoring,
     ridge_fit,
-    sign_accuracy,
 )
 from .redactor import (
     DEFAULT_TIMEOUT_MS,
@@ -78,9 +80,9 @@ from .redactor import (
     redact_string,
 )
 from .spans import PLACEHOLDER_RE, Record
+# cli calls neither bootstrap_corr_diff nor pearson_r; bench/tracing.py patches both here
 from .stats import DegenerateDataError, bootstrap_corr_diff, pearson_r
-
-BINARY_OUTCOMES = frozenset({"gender"})
+from .stats import check_bootstrap_iterations, score
 
 
 class PipelineError(RuntimeError):
@@ -88,8 +90,19 @@ class PipelineError(RuntimeError):
 
 
 def _int_tuple(value: str) -> tuple[int, ...]:
-    """Comma-separated integers, e.g. n-gram orders ``1,2,3``."""
-    return tuple(int(v) for v in value.split(",") if v.strip())
+    """Comma-separated positive integers, e.g. n-gram orders ``1,2,3``."""
+    orders = tuple(int(v) for v in value.split(",") if v.strip())
+    if any(n < 1 for n in orders):
+        raise argparse.ArgumentTypeError(f"n-gram orders must be >= 1, got {value!r}")
+    return orders
+
+
+def _iterations(value: str) -> int:
+    """A bootstrap resample count, at least the floor that the test needs."""
+    try:
+        return check_bootstrap_iterations(int(value))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _str_tuple(value: str) -> tuple[str, ...]:
@@ -164,7 +177,7 @@ class RunConfig(Record):
                 continue
             try:
                 values[key] = _PARSERS[annotations[key]](value)
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad {key}: {exc}") from exc
         return cls(**values)
 
@@ -175,6 +188,7 @@ class RunConfig(Record):
                 raise FileNotFoundError(f"config path {key} = {value} does not exist")
         if not (0.0 < self.fdr_alpha < 1.0):
             raise ValueError(f"fdr_alpha must lie in (0, 1), got {self.fdr_alpha}")
+        check_bootstrap_iterations(self.bootstrap_iterations)
 
     def manifest_inputs(self) -> dict[str, str | Path]:
         """Manifest key -> file for every input the run reads, including the
@@ -300,45 +314,28 @@ def _unigram_vectors(corpora, users) -> dict[str, dict[str, dict[str, float]]]:
 
 def _lexicon_estimates(models, unigrams, outcomes, bootstrap_iterations: int, seed: int) -> dict:
     """Task-style evaluation of pretrained lexicon models on both platforms:
-    correlate (or score accuracy of) per-user estimates against self-reports,
+    per-user estimates scored against self-reports by :func:`outcome_scoring`,
     with a bootstrap test on the facebook-vs-sms difference.  ``unigrams``
     holds the users' vectors on each platform (see :func:`_unigram_vectors`)."""
     users = list(unigrams["facebook"])
     report: dict = {"n_users": len(users), "models": {}}
-    for name in sorted(models):
-        model = models[name]
+    for name, model in sorted(models.items()):
         labeled = labeled_users(users, outcomes, name)
         if labeled is None:
             continue
         keep, y = labeled
-        est = {
-            plat: np.array([apply_lexicon(model, unigrams[plat][users[i]]) for i in keep])
-            for plat in ("facebook", "sms")
-        }
-        entry: dict = {}
-        if name in BINARY_OUTCOMES:
-            entry["metric"] = "accuracy"
-            entry["facebook"] = sign_accuracy(est["facebook"], y)
-            entry["sms"] = sign_accuracy(est["sms"], y)
-            entry["bootstrap"] = bootstrap_accuracy_diff(
-                est["facebook"], est["sms"], y, bootstrap_iterations, seed
+        metric = outcome_scoring(name)[1]
+        entry = report["models"][name] = {"metric": metric}
+        est = {}
+        try:
+            for plat, vectors in unigrams.items():
+                est[plat] = np.array([apply_lexicon(model, vectors[users[i]]) for i in keep])
+                entry[plat] = score(metric, est[plat], y)
+            entry["bootstrap"] = compare_estimates(
+                metric, est["facebook"], est["sms"], y, bootstrap_iterations, seed
             )
-        else:
-            entry["metric"] = "pearson_r"
-            try:
-                entry["facebook"] = pearson_r(est["facebook"], y)
-                entry["sms"] = pearson_r(est["sms"], y)
-                res = bootstrap_corr_diff(
-                    est["facebook"], est["sms"], y, bootstrap_iterations, seed=seed
-                )
-                entry["bootstrap"] = {
-                    "delta": res.delta_r,
-                    "p_value": res.p_value,
-                    "skipped": res.skipped,
-                }
-            except DegenerateDataError as exc:
-                entry["degenerate"] = str(exc)
-        report["models"][name] = entry
+        except DegenerateDataError as exc:
+            entry["degenerate"] = str(exc)
     return report
 
 
@@ -413,7 +410,6 @@ def _evaluate(
     users, fb, sms, feature_names = tables
     matrix_args = dict(
         alpha=alpha,
-        binary_outcomes=BINARY_OUTCOMES,
         bootstrap_iterations=bootstrap_iterations,
         seed=seed,
         cross_fit=cross_fit,
@@ -426,7 +422,7 @@ def _evaluate(
     for name, ev in sorted(report.outcomes.items()):
         for cell in CELL_ORDER:
             res = ev.cells[cell]
-            comp = "in_domain" if cell in ("fb_fb", "sms_sms") else "cross_domain"
+            comp = next(c for c, pair in COMPARISONS.items() if cell in pair)
             boot = ev.bootstrap.get(comp, {})
             row = (name, cell, res.metric, res.value, res.n, comp)
             row += (boot.get("delta"), boot.get("p_value"))
@@ -435,15 +431,11 @@ def _evaluate(
     if not all(embeddings):
         return report
     nmf_k, nmf_iterations = nmf
-    (fb_users, fb_mat), (sms_users, sms_mat) = map(load_embeddings, embeddings)
-    fb_index = {u: i for i, u in enumerate(fb_users)}
-    sms_index = {u: i for i, u in enumerate(sms_users)}
-    usable = [u for u in users if u in fb_index and u in sms_index]
+    fb_emb, sms_emb = map(load_embeddings, embeddings)
+    usable = [u for u in users if u in fb_emb and u in sms_emb]
     if len(usable) < 3:
         raise ValueError("fewer than 3 users have embeddings on both platforms")
-    stacked = np.vstack(
-        [fb_mat[[fb_index[u] for u in usable]], sms_mat[[sms_index[u] for u in usable]]]
-    )
+    stacked = np.vstack([fb_emb[u] for u in usable] + [sms_emb[u] for u in usable])
     k = min(nmf_k, min(stacked.shape))
     result = nmf_reduce(stacked, k=k, iterations=nmf_iterations, seed=seed)
     n = len(usable)
@@ -751,7 +743,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="four-cell cross-platform model evaluation")
     _add_corpus_args(p)
     _add_model_args(p)
-    p.add_argument("--bootstrap-iterations", type=int, default=RunConfig.bootstrap_iterations)
+    p.add_argument(
+        "--bootstrap-iterations", type=_iterations, default=RunConfig.bootstrap_iterations
+    )
     p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.add_argument("--cross-fit", choices=["holdout", "full"], default="holdout")
     p.add_argument("--embeddings-fb")

@@ -76,11 +76,13 @@ def ngram_counts(
 
     ``tokens`` is either one document (sequence of str) or a sequence of
     documents; n-grams never span document boundaries.  N-gram feature ids are
-    the tokens joined by single spaces.
+    the tokens joined by single spaces.  Every order must be at least 1.
     """
     docs = _as_documents(tokens)
     counts: Counter = Counter()
     totals: dict[int, int] = {n: 0 for n in orders}
+    if any(n < 1 for n in totals):
+        raise ValueError(f"n-gram orders must be >= 1, got {tuple(totals)}")
     for doc in docs:
         for n in totals:
             for i in range(len(doc) - n + 1):
@@ -190,9 +192,9 @@ class UserCorpus:
     """Per-user, per-platform collection of sanitized documents.
 
     The documents are tokenized once, on first use, and every feature reads
-    those tokens, so ``documents`` must not change after any feature (or
-    :meth:`token_documents`) has been read: build a new corpus instead, e.g.
-    with ``dataclasses.replace``.
+    those tokens, so ``documents`` must not change after any feature (or the
+    word count) has been read: build a new corpus instead, e.g. with
+    ``dataclasses.replace``.
     """
 
     user_id: str
@@ -203,9 +205,6 @@ class UserCorpus:
     def _tokens(self) -> list[list[str]]:
         # interned, because a corpus keeps its tokens and most of them repeat
         return [list(map(sys.intern, tokenize(doc))) for doc in self.documents]
-
-    def token_documents(self) -> list[list[str]]:
-        return self._tokens
 
     def word_count(self) -> int:
         return sum(map(len, self._tokens))

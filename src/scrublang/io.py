@@ -49,8 +49,8 @@ def _outcome_value(column: str, raw: str | None) -> float | None:
 
 
 def load_outcomes_csv(path: str | Path) -> dict[str, dict[str, float | None]]:
-    """Outcome columns per user; missing cells map to None.  A malformed row
-    raises ``ValueError`` naming ``path:line``."""
+    """Outcome columns per user; missing cells map to None.  A malformed row,
+    or a user's second row, raises ``ValueError`` naming ``path:line``."""
     out: dict[str, dict[str, float | None]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -58,6 +58,8 @@ def load_outcomes_csv(path: str | Path) -> dict[str, dict[str, float | None]]:
             raise ValueError(f"{path}: outcomes CSV needs a user_id column")
         for row in reader:
             user = row.pop("user_id")
+            if user in out:
+                raise ValueError(f"{path}:{reader.line_num}: repeated user_id {user!r}")
             try:
                 if None in row:
                     raise ValueError("more cells than header columns")
@@ -104,22 +106,23 @@ def save_lexicon_csv(models: Mapping[str, LexiconModel], path: str | Path) -> No
                 writer.writerow([term, cat, repr(model.weights[term])])
 
 
-def load_embeddings(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """User ids and their embedding matrix, rows ordered as in the file.  A
-    malformed row raises ``ValueError`` naming ``path:line``."""
+def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
+    """User id -> embedding vector, in file order.  A malformed row, or a
+    second row for the same user, raises ``ValueError`` naming ``path:line``."""
     path = Path(path)
-    users: list[str] = []
-    rows: list[list[float]] = []
+    rows: dict[str, list[float]] = {}
     if path.suffix in (".jsonl", ".ndjson"):
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
             if not line.strip():
                 continue
             try:
                 d = json.loads(line)
-                users.append(str(d["user_id"]))
-                rows.append([float(v) for v in d["embedding"]])
+                user, values = str(d["user_id"]), [float(v) for v in d["embedding"]]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad embedding record: {exc}") from exc
+            if user in rows:
+                raise ValueError(f"{path}:{lineno}: repeated user_id {user!r}")
+            rows[user] = values
     else:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -129,17 +132,18 @@ def load_embeddings(path: str | Path) -> tuple[list[str], np.ndarray]:
             for row in reader:
                 if not row:
                     continue
+                if row[0] in rows:
+                    raise ValueError(f"{path}:{reader.line_num}: repeated user_id {row[0]!r}")
                 try:
-                    rows.append([float(v) for v in row[1:]])
+                    rows[row[0]] = [float(v) for v in row[1:]]
                 except ValueError as exc:
                     raise ValueError(f"{path}:{reader.line_num}: bad embedding row: {exc}") from exc
-                users.append(row[0])
     if not rows:
         raise ValueError(f"{path}: no embedding rows")
-    widths = {len(r) for r in rows}
+    widths = {len(r) for r in rows.values()}
     if len(widths) != 1:
         raise ValueError(f"{path}: inconsistent embedding widths {sorted(widths)}")
-    return users, np.asarray(rows, dtype=float)
+    return {user: np.asarray(r, dtype=float) for user, r in rows.items()}
 
 
 def write_json(obj, path: str | Path) -> None:

@@ -5,8 +5,8 @@ importance, and NMF embedding reduction.
 All fits are deterministic.  Ridge standardization statistics are computed on
 the training fold only (the leakage-safe default); a whole-matrix mode exists
 because the exact leave-one-out hat-matrix shortcut requires a fixed design.
-Binary outcomes are modeled as +/-1 regression targets with sign-threshold
-accuracy, ties broken toward the majority class.
+Binary outcomes are modeled as +/-1 regression targets; every estimate is
+scored and compared across platforms by :func:`outcome_scoring`'s metric.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import numpy as np
 
 from .features import feature_matrix
 from .spans import Record
-from .stats import DegenerateDataError, bootstrap_corr_diff, pearson_r
+from .stats import DegenerateDataError, bootstrap_score_diff, score
+from .stats import sign_accuracy  # noqa: F401  (re-exported: callers import it from here)
 
 CELL_ORDER = ("fb_fb", "fb_sms", "sms_sms", "sms_fb")
 CELL_LABELS = {
@@ -27,6 +28,25 @@ CELL_LABELS = {
     "sms_sms": "train sms / test sms",
     "sms_fb": "train sms / test facebook",
 }
+# The cross-platform comparisons: the Facebook-side cell against the SMS-side one.
+COMPARISONS = {"in_domain": ("fb_fb", "sms_sms"), "cross_domain": ("sms_fb", "fb_sms")}
+BINARY_OUTCOMES = frozenset({"gender"})
+
+
+def outcome_scoring(name: str) -> tuple[str, str]:
+    """(kind, metric) of outcome ``name``: sign accuracy (ties to the majority)
+    for the +/-1-coded ``BINARY_OUTCOMES``, Pearson r for the rest."""
+    return ("binary", "accuracy") if name in BINARY_OUTCOMES else ("continuous", "pearson_r")
+
+
+def compare_estimates(
+    metric: str, est_fb: np.ndarray, est_sms: np.ndarray, y: np.ndarray, iterations: int, seed: int
+) -> dict:
+    """The bootstrap test of ``metric`` on the Facebook-side minus the SMS-side
+    estimates of ``y``, as a report entry (``DegenerateDataError`` if undefined)."""
+    res = bootstrap_score_diff(est_fb, est_sms, y, iterations, seed, metric)
+    return {"delta": res.delta_r, "p_value": res.p_value, "skipped": res.skipped}
+
 
 @dataclass(frozen=True)
 class LexiconModel:
@@ -237,15 +257,6 @@ def loocv_predictions_hat(
     return (fitted - h * y) / (1.0 - h)
 
 
-def sign_accuracy(predictions: np.ndarray, y: np.ndarray) -> float:
-    """Fraction of correct signs for +/-1 targets; prediction ties go to the
-    majority class of y."""
-    y = np.asarray(y, dtype=float)
-    majority = 1.0 if np.sum(y > 0) >= np.sum(y < 0) else -1.0
-    signs = np.where(predictions > 0, 1.0, np.where(predictions < 0, -1.0, majority))
-    return float(np.mean(signs == y))
-
-
 def loocv_evaluate(
     X: np.ndarray,
     y: np.ndarray,
@@ -266,11 +277,7 @@ def loocv_evaluate(
         preds = loocv_predictions_hat(X, y, alpha, standardize=standardize)
     else:
         preds = loocv_predictions_naive(X, y, alpha, standardize=standardize)
-    if metric == "pearson_r":
-        return pearson_r(preds, y)
-    if metric == "accuracy":
-        return sign_accuracy(preds, np.asarray(y, dtype=float))
-    raise ValueError(f"unknown metric {metric!r}")
+    return score(metric, preds, y)
 
 
 # -- four-cell cross-platform evaluation ---------------------------------
@@ -303,25 +310,9 @@ class EvalReport(Record):
     cell_labels: dict[str, str] = field(default_factory=lambda: dict(CELL_LABELS))
 
 
-def bootstrap_accuracy_diff(
-    preds_a: np.ndarray,
-    preds_b: np.ndarray,
-    y: np.ndarray,
-    iterations: int,
-    seed: int,
-) -> dict:
-    """Null-centered bootstrap on the sign-accuracy difference (binary outcomes)."""
-    n = y.size
-    obs = sign_accuracy(preds_a, y) - sign_accuracy(preds_b, y)
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(iterations, n))
-    majority = 1.0 if np.sum(y > 0) >= np.sum(y < 0) else -1.0
-    sa = np.where(preds_a[idx] > 0, 1.0, np.where(preds_a[idx] < 0, -1.0, majority))
-    sb = np.where(preds_b[idx] > 0, 1.0, np.where(preds_b[idx] < 0, -1.0, majority))
-    deltas = np.mean(sa == y[idx], axis=1) - np.mean(sb == y[idx], axis=1)
-    extreme = int(np.sum(np.abs(deltas - obs) >= abs(obs)))
-    p = min(1.0, (1 + extreme) / (iterations + 1))
-    return {"delta": float(obs), "p_value": float(p), "skipped": 0}
+def bootstrap_accuracy_diff(preds_a, preds_b, y, iterations: int, seed: int) -> dict:
+    """:func:`compare_estimates` on sign accuracy (binary outcomes)."""
+    return compare_estimates("accuracy", preds_a, preds_b, y, iterations, seed)
 
 
 def cross_domain_matrix(
@@ -329,7 +320,6 @@ def cross_domain_matrix(
     features_sms: Mapping[str, Mapping[str, float]],
     outcomes: Mapping[str, Mapping[str, float | None]],
     alpha: float = 1.0,
-    binary_outcomes: frozenset[str] = frozenset({"gender"}),
     feature_names: Sequence[str] | None = None,
     bootstrap_iterations: int = 10_000,
     seed: int = 0,
@@ -344,9 +334,9 @@ def cross_domain_matrix(
     and cross-domain cells share each fold's fit.  ``cross_fit="full"``
     instead trains cross-domain models once on the entire source platform.
 
-    Bootstrap comparisons pair the Facebook-text-based estimates against the
-    SMS-text-based ones, in-domain (fb_fb vs sms_sms) and cross-domain
-    (sms_fb vs fb_sms).
+    Cells are scored by :func:`outcome_scoring` (NaN where undefined), and
+    each of ``COMPARISONS`` is tested with :func:`compare_estimates` (delta
+    and p of None where undefined).
     """
     if cross_fit not in ("holdout", "full"):
         raise ValueError("cross_fit must be 'holdout' or 'full'")
@@ -361,10 +351,7 @@ def cross_domain_matrix(
         raise ValueError(f"users missing from outcomes: {unknown}")
 
     if feature_names is None:
-        names: set[str] = set()
-        for vec in list(features_fb.values()) + list(features_sms.values()):
-            names.update(vec)
-        feature_names = sorted(names)
+        feature_names = sorted(set().union(*features_fb.values(), *features_sms.values()))
 
     X_fb = feature_matrix(features_fb, users, feature_names)
     X_sms = feature_matrix(features_sms, users, feature_names)
@@ -384,8 +371,7 @@ def cross_domain_matrix(
         if labeled is None:
             continue
         keep, y = labeled
-        kind = "binary" if name in binary_outcomes else "continuous"
-        metric = "accuracy" if kind == "binary" else "pearson_r"
+        kind, metric = outcome_scoring(name)
 
         preds: dict[str, np.ndarray] = {}
         for src, dst in (("fb", "sms"), ("sms", "fb")):
@@ -401,47 +387,20 @@ def cross_domain_matrix(
 
         ev = OutcomeEval(outcome=name, kind=kind)
         for cell in CELL_ORDER:
-            if metric == "pearson_r":
-                try:
-                    value = pearson_r(preds[cell], y)
-                except DegenerateDataError:
-                    value = float("nan")
-            else:
-                value = sign_accuracy(preds[cell], y)
-            ev.cells[cell] = CellResult(metric=metric, value=value, n=len(keep))
-
-        for comp, (cell_a, cell_b) in {
-            "in_domain": ("fb_fb", "sms_sms"),
-            "cross_domain": ("sms_fb", "fb_sms"),
-        }.items():
             try:
-                if metric == "pearson_r":
-                    res = bootstrap_corr_diff(
-                        preds[cell_a], preds[cell_b], y, bootstrap_iterations, seed=seed
-                    )
-                    ev.bootstrap[comp] = {
-                        "facebook_side": cell_a,
-                        "sms_side": cell_b,
-                        "delta": res.delta_r,
-                        "p_value": res.p_value,
-                        "skipped": res.skipped,
-                    }
-                else:
-                    ev.bootstrap[comp] = {
-                        "facebook_side": cell_a,
-                        "sms_side": cell_b,
-                        **bootstrap_accuracy_diff(
-                            preds[cell_a], preds[cell_b], y, bootstrap_iterations, seed
-                        ),
-                    }
+                value = score(metric, preds[cell], y)
             except DegenerateDataError:
-                ev.bootstrap[comp] = {
-                    "facebook_side": cell_a,
-                    "sms_side": cell_b,
-                    "delta": None,
-                    "p_value": None,
-                    "skipped": bootstrap_iterations,
-                }
+                value = float("nan")
+            ev.cells[cell] = CellResult(metric=metric, value=value, n=len(keep))
+        for comp, (cell_a, cell_b) in COMPARISONS.items():
+            sides = {"facebook_side": cell_a, "sms_side": cell_b}
+            try:
+                result = compare_estimates(
+                    metric, preds[cell_a], preds[cell_b], y, bootstrap_iterations, seed
+                )
+            except DegenerateDataError:
+                result = {"delta": None, "p_value": None, "skipped": bootstrap_iterations}
+            ev.bootstrap[comp] = {**sides, **result}
         report.outcomes[name] = ev
     return report
 

@@ -82,10 +82,6 @@ class RedactionSpan(Record):
         """Render the span's tag placeholder, e.g. ``<date|phone>``."""
         return "<" + "|".join(self.tags) + ">"
 
-    @classmethod
-    def from_dict(cls, d: dict) -> RedactionSpan:
-        return cls(int(d["start"]), int(d["end"]), tuple(d["tags"]))
-
 
 def span(start: int, end: int, *tags: str) -> RedactionSpan:
     """Shorthand constructor used heavily in tests."""

@@ -1,5 +1,6 @@
 """Statistical kernel: paired effect sizes, significance tests, FDR control,
-and the bootstrap test for differences between correlations.
+and the one bootstrap test for a difference between two estimates' scores
+against the same truth (Pearson r, or sign accuracy for +/-1 outcomes).
 
 Sign convention for paired statistics: the first argument is the Facebook-side
 vector, so positive d / t means "higher on Facebook".  All p-values are
@@ -174,6 +175,35 @@ class BootstrapResult(NamedTuple):
     skipped: int
 
 
+MIN_BOOTSTRAP_ITERATIONS = 1000
+
+
+def check_bootstrap_iterations(iterations: int) -> int:
+    if iterations < MIN_BOOTSTRAP_ITERATIONS:
+        raise ValueError(f"iterations must be >= {MIN_BOOTSTRAP_ITERATIONS}, got {iterations}")
+    return iterations
+
+
+def _sign_hits(estimates: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Whether each estimate's sign is its +/-1 truth; a zero estimate (a tie)
+    takes the majority class of ``truth`` (+1 if the classes tie)."""
+    majority = 1.0 if np.sum(truth > 0) >= np.sum(truth < 0) else -1.0
+    return np.where(estimates > 0, 1.0, np.where(estimates < 0, -1.0, majority)) == truth
+
+
+def sign_accuracy(predictions: Sequence[float], y: Sequence[float]) -> float:
+    """Fraction of correct signs for +/-1 targets; ties go to y's majority class."""
+    y = np.asarray(y, dtype=float)
+    return float(np.mean(_sign_hits(np.asarray(predictions, dtype=float), y)))
+
+
+def score(metric: str, estimates: Sequence[float], truth: Sequence[float]) -> float:
+    """``metric`` of ``estimates`` against ``truth``: pearson_r or accuracy."""
+    if metric not in ("pearson_r", "accuracy"):
+        raise ValueError(f"unknown metric {metric!r}")
+    return (pearson_r if metric == "pearson_r" else sign_accuracy)(estimates, truth)
+
+
 def _rowwise_pearson(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pearson r along axis 1 plus a validity mask (constant rows fail)."""
     valid = ~_is_constant(a, axis=1) & ~_is_constant(b, axis=1)
@@ -187,38 +217,43 @@ def _rowwise_pearson(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return r, valid
 
 
-def bootstrap_corr_diff(
+def bootstrap_score_diff(
     estimates_a: Sequence[float],
     estimates_b: Sequence[float],
     truth: Sequence[float],
     iterations: int = 10_000,
     seed: int = 0,
+    metric: str = "pearson_r",
 ) -> BootstrapResult:
-    """Bootstrap test for r(a, truth) - r(b, truth) on the same users.
+    """Bootstrap test for score(a, truth) - score(b, truth) on the same users,
+    with :func:`score`'s ``metric``; ``delta_r`` holds that difference.
 
     Users are resampled with replacement.  The null distribution is the
     bootstrap distribution of the difference re-centered at zero, and the
     two-sided p is the fraction of it at least as extreme as the observed
-    difference (with the +1 small-sample correction) — the basic null-centered
-    bootstrap test.  Deterministic given ``seed``; resamples where either
-    correlation is undefined are skipped and counted.
+    difference (with the +1 small-sample correction) — the null-centered
+    bootstrap test (Hall & Wilson, Biometrics 1991).  Deterministic given
+    ``seed``; resamples where either score is undefined are skipped and
+    counted.  At least ``MIN_BOOTSTRAP_ITERATIONS`` resamples are required.
     """
     a = np.asarray(estimates_a, dtype=float)
     b = np.asarray(estimates_b, dtype=float)
     t = np.asarray(truth, dtype=float)
     if not (a.shape == b.shape == t.shape) or a.ndim != 1:
         raise ValueError("need three aligned 1-d vectors")
-    if iterations < 1000:
-        raise ValueError("iterations must be >= 1000")
+    check_bootstrap_iterations(iterations)
     n = a.size
-    observed = pearson_r(a, t) - pearson_r(b, t)
+    observed = score(metric, a, t) - score(metric, b, t)
 
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, n, size=(iterations, n))
-    ra, va = _rowwise_pearson(a[idx], t[idx])
-    rb, vb = _rowwise_pearson(b[idx], t[idx])
-    valid = va & vb
-    deltas = ra[valid] - rb[valid]
+    if metric == "accuracy":  # a resampled user keeps their hit: ties go to the sample's majority
+        sa, sb = (np.mean(_sign_hits(e, t)[idx], axis=1) for e in (a, b))
+        valid = np.ones(iterations, dtype=bool)
+    else:
+        (sa, va), (sb, vb) = (_rowwise_pearson(e[idx], t[idx]) for e in (a, b))
+        valid = va & vb
+    deltas = sa[valid] - sb[valid]
     skipped = int(iterations - valid.sum())
     m = deltas.size
     if m == 0:
@@ -227,3 +262,15 @@ def bootstrap_corr_diff(
     extreme = int(np.sum(np.abs(centered) >= abs(observed)))
     p = min(1.0, (1 + extreme) / (m + 1))
     return BootstrapResult(delta_r=float(observed), p_value=float(p), skipped=skipped)
+
+
+def bootstrap_corr_diff(
+    estimates_a: Sequence[float],
+    estimates_b: Sequence[float],
+    truth: Sequence[float],
+    iterations: int = 10_000,
+    seed: int = 0,
+) -> BootstrapResult:
+    """Bootstrap test for r(a, truth) - r(b, truth) on the same users:
+    :func:`bootstrap_score_diff` with the Pearson r."""
+    return bootstrap_score_diff(estimates_a, estimates_b, truth, iterations, seed)

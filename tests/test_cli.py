@@ -439,11 +439,28 @@ class TestInputErrors:
             ("run.cfg", "keep_snapshots = ture\n", "pipeline --config {bad}", "run.cfg:1:", 1),
             ("fx/outcomes.csv", "user_id,age\nuser00,abc\n",
              "pipeline --config {fixture}/pipeline.cfg", "outcomes.csv:2:", 1),
+            ("run.cfg", "model_orders = 1,0\n", "pipeline --config {bad}", "run.cfg:1:", 1),
+            ("o.csv", "user_id,age\nu0,20\nu1,23\nu0,30\n",
+             "train {corpus} --outcomes {bad} --orders 1 --out {out}.csv",
+             "o.csv:4: repeated user_id 'u0'", 2),
+            ("emb.csv", "user_id,d0\nu0,1\nu1,2\nu1,3\n",
+             "evaluate {corpus} --outcomes {ages} --orders 1 --bootstrap-iterations 1000 "
+             "--embeddings-fb {bad} --embeddings-sms {bad} --out-dir {out}",
+             "emb.csv:4: repeated user_id 'u1'", 2),
+            ("emb.jsonl",
+             '{"user_id": "u0", "embedding": [1]}\n{"user_id": "u0", "embedding": [2]}\n',
+             "evaluate {corpus} --outcomes {ages} --orders 1 --bootstrap-iterations 1000 "
+             "--embeddings-fb {bad} --embeddings-sms {bad} --out-dir {out}",
+             "emb.jsonl:2: repeated user_id 'u0'", 2),
+            ("fx/outcomes.csv", "user_id,age\nuser00,30\nuser00,31\n",
+             "pipeline --config {fixture}/pipeline.cfg", "outcomes.csv:3: repeated user_id", 1),
         ],
         ids=[
             "embeddings-jsonl", "outcomes", "lexicon", "dictionary-header",
             "dictionary-wildcard", "catalogue", "gazetteer", "config-int",
-            "config-bool", "pipeline-outcomes",
+            "config-bool", "pipeline-outcomes", "config-orders", "outcomes-repeated-user",
+            "embeddings-csv-repeated-user", "embeddings-jsonl-repeated-user",
+            "pipeline-outcomes-repeated-user",
         ],
     )
     def test_error_names_file_and_line(self, tmp_path, capsys, name, content, argv, where, rc):
@@ -462,6 +479,43 @@ class TestInputErrors:
         )
         assert main(argv.split()) == rc
         assert where in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """Values the analysis cannot use are refused before any work starts."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "features {corpus} --orders 0 --out-dir {out}",
+            "train {corpus} --outcomes {ages} --orders 1,-2 --out {out}.csv",
+            "evaluate {corpus} --outcomes {ages} --bootstrap-iterations 0 --out-dir {out}",
+            "evaluate {corpus} --outcomes {ages} --bootstrap-iterations 999 --out-dir {out}",
+        ],
+        ids=["features-orders-0", "train-negative-order", "evaluate-0-resamples",
+             "evaluate-999-resamples"],
+    )
+    def test_usage_error(self, tmp_path, capsys, argv):
+        corpus, ages = tmp_path / "c.jsonl", tmp_path / "ages.csv"
+        write_small_corpus(corpus)
+        write_ages(ages)
+        corpus_args = f"--corpus {corpus} --min-words 1"
+        argv = argv.format(corpus=corpus_args, ages=ages, out=tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_config_bootstrap_floor_fails_before_redaction(self, tmp_path, capsys):
+        files = make_fixture(tmp_path / "fx", n_users=6, seed=1)
+        cfg = files["config"]
+        text = cfg.read_text().replace("bootstrap_iterations = 2000", "bootstrap_iterations = 500")
+        cfg.write_text(text)
+        assert main(["pipeline", "--config", str(cfg)]) == 1
+        assert "stage 'config' failed: iterations must be >= 1000" in capsys.readouterr().err
+        assert not (tmp_path / "fx" / "out").exists()
+        with pytest.raises(ValueError, match="iterations must be >= 1000"):
+            RunConfig(bootstrap_iterations=999)
 
 
 class TestLabeledUsers:
@@ -586,6 +640,27 @@ class TestPipeline:
         assert main(["pipeline", "--config", str(fixture_dir / "pipeline.cfg")]) == 0
         unigram_calls = [c for c in calls if c[2] == (1,)]
         assert unigram_calls and max(map(unigram_calls.count, unigram_calls)) == 2
+
+    def test_lexicon_estimates_score_binary_and_degenerate_models(self, tmp_path):
+        """A gender model is scored by sign accuracy; a model none of whose
+        terms occurs gives constant estimates, reported as degenerate."""
+        files = make_fixture(tmp_path / "fx", n_users=10, seed=3)
+        with open(files["lexicon"], "a", encoding="utf-8") as fh:
+            fh.write("_intercept,gender,-0.004\nhappy,gender,0.3\nfamily,gender,0.4\n")
+            fh.write("ok,gender,-0.2\nyeah,gender,0.3\nzzqxvq,stress,1.0\n")
+        assert main(["pipeline", "--config", str(files["config"])]) == 0
+        report = json.loads((tmp_path / "fx" / "out" / "lexicon_eval.json").read_text())
+        n = report["n_users"]
+        gender = report["models"]["gender"]
+        assert set(gender) == {"metric", "facebook", "sms", "bootstrap"}
+        assert gender["metric"] == "accuracy"
+        for plat in ("facebook", "sms"):
+            assert 0 <= gender[plat] <= 1
+            assert gender[plat] * n == pytest.approx(round(gender[plat] * n))  # hits / n
+        assert gender["bootstrap"]["delta"] == gender["facebook"] - gender["sms"]
+        assert 0 < gender["bootstrap"]["p_value"] <= 1 and gender["bootstrap"]["skipped"] == 0
+        assert report["models"]["stress"] == {"metric": "pearson_r", "degenerate": "zero variance"}
+        assert report["models"]["depression"]["metric"] == "pearson_r"
 
     def test_manifest_digest_tracks_input_bytes(self, fixture_dir):
         out = fixture_dir / "out"

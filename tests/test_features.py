@@ -90,6 +90,13 @@ class TestNgrams:
             assert by_order.items() <= vec.items()
             assert sum(by_order.values()) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("orders", [(0,), (1, 0), (-1, 2)])
+    def test_orders_below_one_rejected(self, orders):
+        with pytest.raises(ValueError, match="orders must be >= 1"):
+            ngram_counts(["a", "b"], orders)
+        with pytest.raises(ValueError, match="orders must be >= 1"):
+            extract_ngrams(["a", "b"], orders)
+
     @given(st.lists(tokens_strategy, min_size=2, max_size=4))
     @settings(max_examples=50, deadline=None)
     def test_counts_stable_under_document_order(self, docs):

@@ -23,11 +23,13 @@ from scipy import integrate, optimize
 from scipy.stats import chi2
 
 import scrublang
+from scrublang.modeling import bootstrap_accuracy_diff
 from scrublang.stats import (
     DegenerateDataError,
     _rowwise_pearson,
     bh_fdr,
     bootstrap_corr_diff,
+    bootstrap_score_diff,
     cohens_d_paired,
     paired_t_test,
     pearson_r,
@@ -293,6 +295,55 @@ class TestBootstrap:
     def test_iteration_floor(self):
         with pytest.raises(ValueError):
             bootstrap_corr_diff([1, 2, 3], [1, 2, 3], [1, 2, 3], 10, seed=0)
+
+    def test_binary_iteration_floor(self):
+        """Sign accuracy has the same floor; zero resamples used to give p = 1."""
+        y = np.array([1.0, -1.0, 1.0, 1.0])
+        for iterations in (0, 999):
+            with pytest.raises(ValueError, match="iterations must be >= 1000"):
+                bootstrap_accuracy_diff(y, -y, y, iterations, 0)
+
+    def test_binary_matches_brute_force_oracle(self):
+        """The sign-accuracy bootstrap equals a loop over the same resamples in
+        which ties (zero estimates) go to the whole sample's majority class."""
+        rng = np.random.default_rng(9)
+        n, iterations, seed = 30, 1000, 4
+        y = np.where(rng.uniform(size=n) < 0.6, 1.0, -1.0)
+        a = np.round(y + rng.normal(0, 1.2, n))  # rounding leaves some zeros: ties
+        b = np.round(rng.normal(0, 1, n))
+        assert (a == 0).any() and (b == 0).any()
+        majority = 1.0 if (y > 0).sum() >= (y < 0).sum() else -1.0
+
+        def accuracy(est, truth):
+            hits = 0
+            for e, t in zip(est, truth):
+                sign = 1.0 if e > 0 else -1.0 if e < 0 else majority
+                hits += sign == t
+            return hits / len(truth)
+
+        observed = accuracy(a, y) - accuracy(b, y)
+        extreme = 0
+        for rows in np.random.default_rng(seed).integers(0, n, (iterations, n)):
+            delta = accuracy(a[rows], y[rows]) - accuracy(b[rows], y[rows])
+            extreme += abs(delta - observed) >= abs(observed)
+        res = bootstrap_score_diff(a, b, y, iterations, seed, metric="accuracy")
+        assert res.delta_r == observed != 0
+        assert res.p_value == min(1.0, (1 + extreme) / (iterations + 1))
+        assert res.skipped == 0
+        assert bootstrap_accuracy_diff(a, b, y, iterations, seed) == {
+            "delta": res.delta_r, "p_value": res.p_value, "skipped": 0
+        }
+
+    def test_binary_identical_estimates(self):
+        rng = np.random.default_rng(10)
+        y = np.where(rng.uniform(size=40) < 0.5, 1.0, -1.0)
+        a = np.round(y + rng.normal(0, 1, 40))
+        res = bootstrap_score_diff(a, a, y, 1000, seed=0, metric="accuracy")
+        assert res.delta_r == 0.0 and res.p_value == 1.0
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ValueError, match="unknown metric"):
+            bootstrap_score_diff([1, 2, 3], [1, 2, 3], [1, 2, 3], 1000, metric="auc")
 
     def test_p_shrinks_as_quality_gap_grows(self):
         rng = np.random.default_rng(8)
