@@ -9,9 +9,10 @@ seeds, thresholds, and input digests.  Its diff, train, evaluate, and
 importance stages run the same stage functions as the subcommands of those
 names, so given the same settings they write byte-identical reports.
 
-Configuration files are flat ``key = value`` text (# comments allowed);
-relative paths resolve against the config file's directory.  ``--seed``,
-``--alpha`` (FDR), and ``--min-words`` override the file.
+Every command carries its settings in one :class:`RunConfig`, set from its
+flags by :func:`run_config`; ``pipeline`` reads a flat ``key = value`` config
+file (# comments allowed; relative paths resolve against its directory) that
+its flags override.  A failed command removes the reports it began to write.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, fields, replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -182,12 +184,19 @@ class RunConfig(Record):
         return cls(**values)
 
     def __post_init__(self) -> None:
+        """Check every setting and input path, whether it came from a config
+        file or from flags, before any work starts."""
         for key in _INPUT_KEYS:
             value = getattr(self, key)
             if value is not None and not Path(value).exists():
-                raise FileNotFoundError(f"config path {key} = {value} does not exist")
+                raise FileNotFoundError(f"{key}: no such file {value}")
         if not (0.0 < self.fdr_alpha < 1.0):
             raise ValueError(f"fdr_alpha must lie in (0, 1), got {self.fdr_alpha}")
+        fraction = self.min_group_fraction
+        if not (0.0 <= fraction <= 1.0):
+            raise ValueError(f"min_group_fraction must lie in [0, 1], got {fraction}")
+        if self.timeout_ms < 1:
+            raise ValueError(f"timeout_ms must be >= 1, got {self.timeout_ms}")
         check_bootstrap_iterations(self.bootstrap_iterations)
 
     def manifest_inputs(self) -> dict[str, str | Path]:
@@ -199,16 +208,38 @@ class RunConfig(Record):
 
 
 _INPUT_KEYS = tuple(f.name for f in fields(RunConfig) if f.type == "InputPath")
+_KEYS = frozenset(f.name for f in fields(RunConfig))
+_ALPHA_FIELDS = {"diff": "fdr_alpha", "pipeline": "fdr_alpha", "train": "ridge_alpha",
+                 "evaluate": "ridge_alpha"}
+
+
+def run_config(args, command: str, base: RunConfig | None = None) -> RunConfig:
+    """``command``'s settings: ``base`` (the defaults if None) with each parsed
+    flag that names a RunConfig field set on it; a flag left unset (None)
+    keeps the base value.  ``--orders`` sets ``model_orders``, and ``--alpha``
+    the FDR level in diff and pipeline, the ridge penalty in train and evaluate."""
+    rename = {"orders": "model_orders", "alpha": _ALPHA_FIELDS.get(command)}
+    flags = {rename.get(k, k): v for k, v in vars(args).items() if v is not None}
+    return replace(base or RunConfig(), **{k: v for k, v in flags.items() if k in _KEYS})
 
 
 class OutputDir:
-    """A report directory that records each path before writing its file, so
-    a failed run can remove everything it began to write."""
+    """A report directory that records each path before writing its file.
+    Used as a context manager, it removes every recorded file when its block
+    raises, so a failed command leaves no partial reports."""
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
         self.written: list[Path] = []
+
+    def __enter__(self) -> "OutputDir":
+        self.path.mkdir(parents=True, exist_ok=True)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            for path in self.written:
+                path.unlink(missing_ok=True)
 
     def claim(self, name: str) -> Path:
         path = self.path / name
@@ -221,6 +252,10 @@ class OutputDir:
     def csv(self, rows, fieldnames, name: str) -> None:
         write_csv(rows, fieldnames, self.claim(name))
 
+    def jsonl(self, records, name: str) -> None:
+        with open(self.claim(name), "w", encoding="utf-8") as fh:
+            fh.writelines(r.to_json() + "\n" for r in records)
+
     def table(self, records, record_type, stem: str) -> None:
         """Dataclass records as ``stem.json`` plus a ``stem.csv`` mirror whose
         columns are the record fields."""
@@ -229,22 +264,16 @@ class OutputDir:
         self.csv(rows, [f.name for f in fields(record_type)], f"{stem}.csv")
 
 
-def _build_suite(args) -> DetectorSuite:
-    gaz = Gazetteer.from_file(args.gazetteer) if getattr(args, "gazetteer", None) else None
-    catalogue = getattr(args, "catalogue", None)
-    if gaz is None and catalogue is None:
+def _build_suite(cfg: RunConfig) -> DetectorSuite:
+    if cfg.gazetteer is None and cfg.catalogue is None:
         return default_suite()
-    return DetectorSuite.default(catalogue_path=catalogue, gazetteer=gaz)
+    gaz = Gazetteer.from_file(cfg.gazetteer) if cfg.gazetteer else None
+    return DetectorSuite.default(catalogue_path=cfg.catalogue, gazetteer=gaz)
 
 
-def run_redaction(
-    log_path: str | Path,
-    suite: DetectorSuite,
-    timeout_ms: int = DEFAULT_TIMEOUT_MS,
-    keep_snapshots: bool = False,
-    apps: tuple[str, ...] = (),
-):
-    """Stream a keystroke log through the redactor.
+def run_redaction(log_path: str | Path, suite: DetectorSuite, cfg: RunConfig):
+    """Stream a keystroke log through the redactor with ``cfg``'s timeout,
+    snapshot retention and app allow-list.
 
     Returns (entries, counters); events from non-allow-listed apps and events
     arriving out of order are skipped and counted, mirroring the ingestion
@@ -252,7 +281,7 @@ def run_redaction(
     run with a ``ValueError`` naming ``file:line``.
     """
     redactor = StreamRedactor(
-        suite=suite, timeout_ms=timeout_ms, keep_snapshots=keep_snapshots
+        suite=suite, timeout_ms=cfg.timeout_ms, keep_snapshots=cfg.keep_snapshots
     )
     counters = {"events": 0, "apps_filtered": 0, "out_of_order": 0}
     entries = []
@@ -265,7 +294,7 @@ def run_redaction(
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{log_path}:{lineno}: bad keystroke event: {exc}") from exc
             counters["events"] += 1
-            if apps and event.app_id not in apps:
+            if cfg.apps and event.app_id not in cfg.apps:
                 counters["apps_filtered"] += 1
                 continue
             try:
@@ -274,12 +303,6 @@ def run_redaction(
                 counters["out_of_order"] += 1
     entries.extend(redactor.finish())
     return entries, counters
-
-
-def _write_entries(entries, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in entries:
-            fh.write(e.to_json() + "\n")
 
 
 def _load_clean_corpora(
@@ -294,14 +317,11 @@ def _load_clean_corpora(
 
 
 def _sms_corpora_from_entries(entries) -> dict[tuple[str, str], UserCorpus]:
-    corpora: dict[tuple[str, str], UserCorpus] = {}
-    for e in sorted(entries, key=lambda e: (e.user_id, e.start_timestamp, e.app_id)):
-        key = (e.user_id, "sms")
-        corpus = corpora.get(key)
-        if corpus is None:
-            corpus = corpora[key] = UserCorpus(user_id=e.user_id, platform="sms")
-        corpus.documents.append(e.final_text)
-    return corpora
+    ordered = sorted(entries, key=lambda e: (e.user_id, e.start_timestamp, e.app_id))
+    return {
+        (user, "sms"): UserCorpus(user, "sms", [e.final_text for e in group])
+        for user, group in groupby(ordered, key=lambda e: e.user_id)
+    }
 
 
 def _unigram_vectors(corpora, users) -> dict[str, dict[str, dict[str, float]]]:
@@ -312,7 +332,7 @@ def _unigram_vectors(corpora, users) -> dict[str, dict[str, dict[str, float]]]:
     }
 
 
-def _lexicon_estimates(models, unigrams, outcomes, bootstrap_iterations: int, seed: int) -> dict:
+def _lexicon_estimates(models, unigrams, outcomes, cfg: RunConfig) -> dict:
     """Task-style evaluation of pretrained lexicon models on both platforms:
     per-user estimates scored against self-reports by :func:`outcome_scoring`,
     with a bootstrap test on the facebook-vs-sms difference.  ``unigrams``
@@ -332,7 +352,7 @@ def _lexicon_estimates(models, unigrams, outcomes, bootstrap_iterations: int, se
                 est[plat] = np.array([apply_lexicon(model, vectors[users[i]]) for i in keep])
                 entry[plat] = score(metric, est[plat], y)
             entry["bootstrap"] = compare_estimates(
-                metric, est["facebook"], est["sms"], y, bootstrap_iterations, seed
+                metric, est["facebook"], est["sms"], y, cfg.bootstrap_iterations, cfg.seed
             )
         except DegenerateDataError as exc:
             entry["degenerate"] = str(exc)
@@ -344,15 +364,14 @@ def _lexicon_estimates(models, unigrams, outcomes, bootstrap_iterations: int, se
 # ---------------------------------------------------------------------------
 
 
-def _diff(
-    corpora, out: OutputDir, alpha: float, min_group_fraction: float, dictionary: str | None
-) -> list[NgramDiff]:
+def _diff(corpora, out: OutputDir, cfg: RunConfig) -> list[NgramDiff]:
     """Differential n-gram (and, with a dictionary, category) analysis between
     the platforms; writes the diff tables and the word-cloud data."""
-    ngram_rows = diff_ngrams(corpora, alpha=alpha, min_group_fraction=min_group_fraction)
+    alpha = cfg.fdr_alpha
+    ngram_rows = diff_ngrams(corpora, alpha=alpha, min_group_fraction=cfg.min_group_fraction)
     category_rows = None
-    if dictionary:
-        spec = DictionarySpec.from_file(dictionary)
+    if cfg.dictionary:
+        spec = DictionarySpec.from_file(cfg.dictionary)
         category_rows = diff_categories(corpora, spec, alpha=alpha)
     out.table(ngram_rows, NgramDiff, "ngram_diff")
     out.json([c.to_dict() for c in cloud_data(ngram_rows)], "cloud.json")
@@ -361,14 +380,13 @@ def _diff(
     return ngram_rows
 
 
-def _modeling_tables(corpora, orders, min_group_fraction):
-    users, fb, sms, feature_names = paired_ngram_tables(corpora, orders, min_group_fraction)
+def _modeling_tables(corpora, cfg: RunConfig):
+    users, fb, sms, names = paired_ngram_tables(corpora, cfg.model_orders, cfg.min_group_fraction)
     # n-grams holding a redaction placeholder are display only
-    feature_names = [f for f in feature_names if not PLACEHOLDER_RE.search(f)]
-    return users, fb, sms, feature_names
+    return users, fb, sms, [f for f in names if not PLACEHOLDER_RE.search(f)]
 
 
-def _train(tables, outcomes, platform: str, alpha: float, wanted, dest) -> dict:
+def _train(tables, outcomes, cfg: RunConfig, platform: str, wanted, dest) -> dict:
     """Fit one ridge lexicon model per outcome on ``platform``'s n-grams and
     save them to ``dest``; ``wanted`` of None means every outcome."""
     users, fb, sms, feature_names = tables
@@ -381,7 +399,7 @@ def _train(tables, outcomes, platform: str, alpha: float, wanted, dest) -> dict:
             continue
         keep, y = labeled
         X = feature_matrix(vectors, [users[i] for i in keep], feature_names)
-        models[name] = ridge_fit(X, y, alpha=alpha, feature_names=feature_names, outcome=name)
+        models[name] = ridge_fit(X, y, cfg.ridge_alpha, feature_names=feature_names, outcome=name)
     save_lexicon_csv(models, dest)
     return models
 
@@ -392,28 +410,14 @@ _EVAL_COLUMNS = (
 )
 
 
-def _evaluate(
-    tables,
-    outcomes,
-    out: OutputDir,
-    alpha: float,
-    bootstrap_iterations: int,
-    seed: int,
-    cross_fit: str,
-    embeddings: tuple[str | None, str | None],
-    nmf: tuple[int, int],
-) -> EvalReport:
+def _evaluate(tables, outcomes, out: OutputDir, cfg: RunConfig, cross_fit: str) -> EvalReport:
     """Four-cell cross-platform evaluation on the n-gram tables.  When both
-    ``embeddings`` files (facebook, sms) are given, the same evaluation, with
-    the same ``cross_fit``, runs on both platforms' embeddings reduced in one
-    shared NMF basis with ``nmf`` = (k, iterations)."""
+    embeddings files (facebook, sms) are set, the same evaluation, with the
+    same ``cross_fit``, runs on both platforms' embeddings reduced in one
+    shared NMF basis of ``cfg.nmf_k`` components."""
     users, fb, sms, feature_names = tables
-    matrix_args = dict(
-        alpha=alpha,
-        bootstrap_iterations=bootstrap_iterations,
-        seed=seed,
-        cross_fit=cross_fit,
-    )
+    matrix_args = dict(alpha=cfg.ridge_alpha, bootstrap_iterations=cfg.bootstrap_iterations,
+                       seed=cfg.seed, cross_fit=cross_fit)
     report = cross_domain_matrix(
         fb, sms, {u: outcomes.get(u, {}) for u in users}, feature_names=feature_names, **matrix_args
     )
@@ -428,16 +432,15 @@ def _evaluate(
             row += (boot.get("delta"), boot.get("p_value"))
             rows.append(dict(zip(_EVAL_COLUMNS, row)))
     out.csv(rows, _EVAL_COLUMNS, "eval_report.csv")
-    if not all(embeddings):
+    if not (cfg.embeddings_fb and cfg.embeddings_sms):
         return report
-    nmf_k, nmf_iterations = nmf
-    fb_emb, sms_emb = map(load_embeddings, embeddings)
+    fb_emb, sms_emb = map(load_embeddings, (cfg.embeddings_fb, cfg.embeddings_sms))
     usable = [u for u in users if u in fb_emb and u in sms_emb]
     if len(usable) < 3:
         raise ValueError("fewer than 3 users have embeddings on both platforms")
     stacked = np.vstack([fb_emb[u] for u in usable] + [sms_emb[u] for u in usable])
-    k = min(nmf_k, min(stacked.shape))
-    result = nmf_reduce(stacked, k=k, iterations=nmf_iterations, seed=seed)
+    k = min(cfg.nmf_k, min(stacked.shape))
+    result = nmf_reduce(stacked, k=k, iterations=cfg.nmf_iterations, seed=cfg.seed)
     n = len(usable)
     names = [f"nmf{j}" for j in range(k)]
     emb_report = cross_domain_matrix(
@@ -447,7 +450,7 @@ def _evaluate(
         feature_names=names,
         **matrix_args,
     )
-    info = {"k": k, "iterations": nmf_iterations, "n_users": n}
+    info = {"k": k, "iterations": cfg.nmf_iterations, "n_users": n}
     info["reconstruction_error"] = result.reconstruction_error
     out.json({"nmf": info, **emb_report.to_dict()}, "embedding_eval.json")
     return report
@@ -456,10 +459,11 @@ def _evaluate(
 def _importance(unigrams, models, out: OutputDir) -> dict[str, list]:
     """Weight-times-frequency importance of each model's features, with the
     users' mean unigram frequencies on each platform (``unigrams``, see
-    :func:`_unigram_vectors`); one table per model."""
+    :func:`_unigram_vectors`); one table per model.  Only the models' terms
+    are averaged; a term no user wrote averages 0."""
+    terms = sorted({t for model in models.values() for t in model.weights})
     freq = {}
     for plat, vecs in unigrams.items():
-        terms = sorted({t for v in vecs.values() for t in v})
         M = feature_matrix(vecs, list(vecs), terms)
         # each column's own mean: M.mean(axis=0) sums in another order
         freq[plat] = {t: float(M[:, j].mean()) for j, t in enumerate(terms)}
@@ -475,18 +479,18 @@ def _importance(unigrams, models, out: OutputDir) -> dict[str, list]:
 # ---------------------------------------------------------------------------
 
 
-def _corpora_from_args(args):
-    """The subcommand's cleaned ``--corpus`` after the ``--min-words``
-    exclusion; returns (corpora, excluded)."""
-    corpora = _load_clean_corpora(args.corpus, _build_suite(args))
-    return filter_min_words(corpora, args.min_words)
+def _corpora_from_args(args, cfg: RunConfig):
+    """The cleaned ``--corpus`` after the ``min_words`` exclusion: (corpora, excluded)."""
+    corpora = _load_clean_corpora(args.corpus, _build_suite(cfg))
+    return filter_min_words(corpora, cfg.min_words)
 
 
 def cmd_redact(args) -> int:
-    entries, counters = run_redaction(
-        args.infile, _build_suite(args), args.timeout_ms, args.keep_snapshots, args.apps
-    )
-    _write_entries(entries, args.outfile)
+    cfg = run_config(args, "redact")
+    entries, counters = run_redaction(args.infile, _build_suite(cfg), cfg)
+    dest = Path(args.outfile)
+    with OutputDir(dest.parent) as out:
+        out.jsonl(entries, dest.name)
     print(
         f"redact: {counters['events']} events -> {len(entries)} entries "
         f"({counters['apps_filtered']} filtered by app, "
@@ -496,7 +500,7 @@ def cmd_redact(args) -> int:
 
 
 def cmd_summary(args) -> int:
-    corpora = _load_clean_corpora(args.corpus, _build_suite(args))
+    corpora = _load_clean_corpora(args.corpus, _build_suite(run_config(args, "summary")))
     stats = summary_stats(corpora)
     for plat, block in sorted(stats.items()):
         w, p = block["words"], block["posts"]
@@ -506,162 +510,150 @@ def cmd_summary(args) -> int:
             f"posts med/mean/sd = {p['median']:.0f}/{p['mean']:.1f}/{p['sd']:.1f}"
         )
     if args.out_dir:
-        out = OutputDir(args.out_dir)
-        out.json(stats, "summary.json")
         rows = [
             {"platform": plat, "measure": measure, **block[measure]}
             for plat, block in sorted(stats.items())
             for measure in ("words", "posts")
         ]
-        out.csv(rows, ["platform", "measure", "median", "mean", "sd", "sd_defined"], "summary.csv")
+        with OutputDir(args.out_dir) as out:
+            out.json(stats, "summary.json")
+            columns = ["platform", "measure", "median", "mean", "sd", "sd_defined"]
+            out.csv(rows, columns, "summary.csv")
     return 0
 
 
 def cmd_features(args) -> int:
-    corpora, excluded = _corpora_from_args(args)
-    out = OutputDir(args.out_dir)
+    cfg = run_config(args, "features")
+    corpora, excluded = _corpora_from_args(args, cfg)
     platforms = sorted({p for (_, p) in corpora})
-    out.json(
-        {plat: user_feature_table(corpora, plat, args.orders) for plat in platforms},
-        "ngram_features.json",
-    )
-    if args.dictionary:
-        spec = DictionarySpec.from_file(args.dictionary)
-        cats = {plat: {} for plat in platforms}
-        for u, plat in sorted(corpora):
-            cats[plat][u] = corpora[(u, plat)].dictionary_features(spec)
-        out.json(cats, "dictionary_features.json")
-    if excluded:
-        out.json({"min_words": excluded}, "exclusions.json")
+    with OutputDir(args.out_dir) as out:
+        out.json(
+            {plat: user_feature_table(corpora, plat, cfg.model_orders) for plat in platforms},
+            "ngram_features.json",
+        )
+        if cfg.dictionary:
+            spec = DictionarySpec.from_file(cfg.dictionary)
+            cats = {plat: {} for plat in platforms}
+            for u, plat in sorted(corpora):
+                cats[plat][u] = corpora[(u, plat)].dictionary_features(spec)
+            out.json(cats, "dictionary_features.json")
+        if excluded:
+            out.json({"min_words": excluded}, "exclusions.json")
     n_excluded = len(excluded)
-    print(f"features: wrote {out.path} (excluded {n_excluded} users below {args.min_words} words)")
+    print(f"features: wrote {out.path} (excluded {n_excluded} users below {cfg.min_words} words)")
     return 0
 
 
 def cmd_diff(args) -> int:
-    corpora, excluded = _corpora_from_args(args)
-    ngram_rows = _diff(
-        corpora, OutputDir(args.out_dir), args.alpha, args.min_group_fraction, args.dictionary
-    )
+    cfg = run_config(args, "diff")
+    corpora, excluded = _corpora_from_args(args, cfg)
+    with OutputDir(args.out_dir) as out:
+        ngram_rows = _diff(corpora, out, cfg)
     n_sig = sum(r.q_significant for r in ngram_rows)
     print(
         f"diff: {len(ngram_rows)} n-grams tested, {n_sig} FDR-significant "
-        f"at alpha={args.alpha} ({len(excluded)} users excluded)"
+        f"at alpha={cfg.fdr_alpha} ({len(excluded)} users excluded)"
     )
     return 0
 
 
 def cmd_train(args) -> int:
-    corpora, _ = _corpora_from_args(args)
-    outcomes = load_outcomes_csv(args.outcomes)
-    tables = _modeling_tables(corpora, args.orders, args.min_group_fraction)
-    models = _train(tables, outcomes, args.platform, args.alpha, args.outcome, args.out)
+    cfg = run_config(args, "train")
+    corpora, _ = _corpora_from_args(args, cfg)
+    outcomes = load_outcomes_csv(cfg.outcomes)
+    tables = _modeling_tables(corpora, cfg)
+    dest = Path(args.out)
+    with OutputDir(dest.parent) as out:
+        models = _train(tables, outcomes, cfg, args.platform, args.outcome, out.claim(dest.name))
     print(f"train: wrote {len(models)} {args.platform} models to {args.out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    corpora, _ = _corpora_from_args(args)
-    outcomes = load_outcomes_csv(args.outcomes)
-    tables = _modeling_tables(corpora, args.orders, args.min_group_fraction)
-    out = OutputDir(args.out_dir)
-    report = _evaluate(
-        tables, outcomes, out, args.alpha, args.bootstrap_iterations, args.seed,
-        cross_fit=args.cross_fit,
-        embeddings=(args.embeddings_fb, args.embeddings_sms),
-        nmf=(args.nmf_k, args.nmf_iterations),
-    )
+    cfg = run_config(args, "evaluate")
+    corpora, _ = _corpora_from_args(args, cfg)
+    outcomes = load_outcomes_csv(cfg.outcomes)
+    tables = _modeling_tables(corpora, cfg)
+    with OutputDir(args.out_dir) as out:
+        report = _evaluate(tables, outcomes, out, cfg, args.cross_fit)
     n_users = len(tables[0])
     print(f"evaluate: wrote {out.path} for {len(report.outcomes)} outcomes, n={n_users} users")
     return 0
 
 
 def cmd_importance(args) -> int:
-    corpora, _ = _corpora_from_args(args)
-    models = load_lexicon_csv(args.lexicon)
+    cfg = run_config(args, "importance")
+    corpora, _ = _corpora_from_args(args, cfg)
+    models = load_lexicon_csv(cfg.lexicon)
     if args.outcome not in models:
-        raise SystemExit(f"importance: outcome {args.outcome!r} not in {args.lexicon}")
+        raise SystemExit(f"importance: outcome {args.outcome!r} not in {cfg.lexicon}")
     users = shared_users(corpora)
     if not users:
         raise SystemExit("importance: no users present on both platforms")
     model = {args.outcome: models[args.outcome]}
-    ranked = _importance(_unigram_vectors(corpora, users), model, OutputDir(args.out_dir))
+    with OutputDir(args.out_dir) as out:
+        ranked = _importance(_unigram_vectors(corpora, users), model, out)
     print(f"importance: ranked {len(ranked[args.outcome])} features for {args.outcome}")
     return 0
 
 
 def cmd_pipeline(args) -> int:
-    stage, written = "config", []
+    stage = "config"
     try:
-        cfg = RunConfig.from_file(args.config)
-        overrides = {"seed": args.seed, "fdr_alpha": args.alpha, "min_words": args.min_words}
-        cfg = replace(cfg, **{key: v for key, v in overrides.items() if v is not None})
+        cfg = run_config(args, "pipeline", RunConfig.from_file(args.config))
         if cfg.keystroke_log is None or cfg.facebook_corpus is None or cfg.outcomes is None:
             raise SystemExit("pipeline: config must set keystroke_log, facebook_corpus, outcomes")
-        out = OutputDir(cfg.output_dir)
-        written = out.written
+        with OutputDir(cfg.output_dir) as out:
+            stage = "redact"
+            suite = _build_suite(cfg)
+            entries, counters = run_redaction(cfg.keystroke_log, suite, cfg)
+            out.jsonl(entries, "entries.jsonl")
+            print(f"pipeline[{stage}]: {counters['events']} events -> {len(entries)} entries")
 
-        stage = "redact"
-        suite = _build_suite(cfg)
-        entries, counters = run_redaction(
-            cfg.keystroke_log, suite, cfg.timeout_ms, cfg.keep_snapshots, cfg.apps
-        )
-        _write_entries(entries, out.claim("entries.jsonl"))
-        print(f"pipeline[{stage}]: {counters['events']} events -> {len(entries)} entries")
+            stage = "corpora"
+            corpora = _load_clean_corpora(cfg.facebook_corpus, suite)
+            corpora.update(_sms_corpora_from_entries(entries))
+            corpora, excluded = filter_min_words(corpora, cfg.min_words)
+            out.json({"min_words": excluded, "counters": counters}, "exclusions.json")
+            users = shared_users(corpora)
+            if len(users) < 2:
+                raise InsufficientUsersError(
+                    f"need >= 2 users on both platforms after exclusions, have {len(users)}"
+                )
+            unigrams = _unigram_vectors(corpora, users)
+            print(f"pipeline[{stage}]: {len(users)} users on both platforms")
 
-        stage = "corpora"
-        corpora = _load_clean_corpora(cfg.facebook_corpus, suite)
-        corpora.update(_sms_corpora_from_entries(entries))
-        corpora, excluded = filter_min_words(corpora, cfg.min_words)
-        out.json({"min_words": excluded, "counters": counters}, "exclusions.json")
-        users = shared_users(corpora)
-        if len(users) < 2:
-            raise InsufficientUsersError(
-                f"need >= 2 users on both platforms after exclusions, have {len(users)}"
+            stage = "summary"
+            out.json(summary_stats(corpora), "summary.json")
+
+            stage = "diff"
+            _diff(corpora, out, cfg)
+
+            stage = "estimates"
+            outcomes = load_outcomes_csv(cfg.outcomes)
+            pretrained = load_lexicon_csv(cfg.lexicon) if cfg.lexicon else {}
+            if pretrained:
+                report = _lexicon_estimates(pretrained, unigrams, outcomes, cfg)
+                out.json(report, "lexicon_eval.json")
+
+            stage = "train"
+            tables = _modeling_tables(corpora, cfg)
+            lexicon_out = out.claim("trained_lexicon_facebook.csv")
+            trained = _train(tables, outcomes, cfg, "facebook", None, lexicon_out)
+
+            stage = "evaluate"
+            _evaluate(tables, outcomes, out, cfg, "holdout")
+
+            stage = "importance"
+            _importance(unigrams, pretrained or trained, out)
+
+            stage = "manifest"
+            write_manifest(
+                out.claim("manifest.json"), cfg.to_dict(), cfg.manifest_inputs(), __version__
             )
-        unigrams = _unigram_vectors(corpora, users)
-        print(f"pipeline[{stage}]: {len(users)} users on both platforms")
-
-        stage = "summary"
-        out.json(summary_stats(corpora), "summary.json")
-
-        stage = "diff"
-        _diff(corpora, out, cfg.fdr_alpha, cfg.min_group_fraction, cfg.dictionary)
-
-        stage = "estimates"
-        outcomes = load_outcomes_csv(cfg.outcomes)
-        pretrained = load_lexicon_csv(cfg.lexicon) if cfg.lexicon else {}
-        if pretrained:
-            report = _lexicon_estimates(
-                pretrained, unigrams, outcomes, cfg.bootstrap_iterations, cfg.seed
-            )
-            out.json(report, "lexicon_eval.json")
-
-        stage = "train"
-        tables = _modeling_tables(corpora, cfg.model_orders, cfg.min_group_fraction)
-        lexicon_out = out.claim("trained_lexicon_facebook.csv")
-        trained = _train(tables, outcomes, "facebook", cfg.ridge_alpha, None, lexicon_out)
-
-        stage = "evaluate"
-        _evaluate(
-            tables, outcomes, out, cfg.ridge_alpha, cfg.bootstrap_iterations, cfg.seed,
-            cross_fit="holdout",
-            embeddings=(cfg.embeddings_fb, cfg.embeddings_sms),
-            nmf=(cfg.nmf_k, cfg.nmf_iterations),
-        )
-
-        stage = "importance"
-        _importance(unigrams, pretrained or trained, out)
-
-        stage = "manifest"
-        write_manifest(
-            out.claim("manifest.json"), cfg.to_dict(), cfg.manifest_inputs(), __version__
-        )
         print(f"pipeline: complete, reports in {out.path}")
         return 0
     except Exception as exc:
-        for path in written:
-            path.unlink(missing_ok=True)
         raise PipelineError(f"stage {stage!r} failed: {exc}") from exc
 
 
@@ -681,12 +673,13 @@ def _add_corpus_args(p: argparse.ArgumentParser) -> None:
     _add_suite_args(p)
 
 
+_ORDERS = dict(type=_int_tuple, default=RunConfig.model_orders, help="n-gram orders")
+
+
 def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--outcomes", required=True, help="outcomes CSV")
     p.add_argument("--alpha", type=float, default=RunConfig.ridge_alpha, help="ridge penalty")
-    p.add_argument(
-        "--orders", type=_int_tuple, default=RunConfig.model_orders, help="n-gram orders"
-    )
+    p.add_argument("--orders", **_ORDERS)
     p.add_argument("--min-group-fraction", type=float, default=RunConfig.min_group_fraction)
 
 
@@ -718,9 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="extract n-gram and dictionary features")
     _add_corpus_args(p)
     p.add_argument("--dictionary")
-    p.add_argument(
-        "--orders", type=_int_tuple, default=RunConfig.model_orders, help="n-gram orders"
-    )
+    p.add_argument("--orders", **_ORDERS)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_features)
 
@@ -776,12 +767,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PipelineError as exc:
+    except (PipelineError, FileNotFoundError, ValueError, InsufficientUsersError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, ValueError, InsufficientUsersError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, PipelineError) else 2
 
 
 if __name__ == "__main__":

@@ -224,8 +224,9 @@ def load_corpus_jsonl(path: str | Path) -> dict[tuple[str, str], UserCorpus]:
             continue
         try:
             d = json.loads(line)
-            key = (str(d["user_id"]), str(d["platform"]))
-            text = str(d["text"])
+            key, text = (d["user_id"], d["platform"]), d["text"]
+            if not all(type(v) is str for v in (*key, text)):
+                raise TypeError("user_id, platform and text must be JSON strings")
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}:{lineno}: bad corpus record: {exc}") from exc
         corpus = corpora.get(key)

@@ -34,13 +34,17 @@ fed from different threads, a single stream must not.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .detectors import DetectorSuite, default_suite
 from .spans import Record, RedactionSpan, clip_spans, merge_spans, render_redacted
 
 DEFAULT_BOUNDARY_CHARS = " \t\n\r.,!?;:"
 DEFAULT_TIMEOUT_MS = 60_000
+
+# each KeystrokeEvent field's JSON type, in field order (a boolean is no integer here)
+_EVENT_TYPES = (str, int, str, str, bool, bool)
+_JSON_NAMES = {str: "string", int: "integer", bool: "boolean"}
 
 STRUCTURAL_PASSWORD = "password"
 STRUCTURAL_PHONE = "phone"
@@ -75,15 +79,19 @@ class KeystrokeEvent(Record):
 
     @classmethod
     def from_json(cls, line: str) -> "KeystrokeEvent":
+        """Parse one log line; a value whose JSON type is not its field's
+        (see ``_EVENT_TYPES``) raises ``TypeError`` instead of being coerced."""
         d = json.loads(line)
-        return cls(
-            user_id=str(d["user_id"]),
-            timestamp=int(d["timestamp"]),
-            app_id=str(d["app_id"]),
-            current_text=str(d["current_text"]),
-            is_password=bool(d.get("is_password", False)),
-            is_phone_field=bool(d.get("is_phone_field", False)),
+        values = (
+            d["user_id"], d["timestamp"], d["app_id"], d["current_text"],
+            d.get("is_password", False), d.get("is_phone_field", False),
         )
+        if tuple(map(type, values)) != _EVENT_TYPES:
+            for f, value, want in zip(fields(cls), values, _EVENT_TYPES):
+                if type(value) is not want:
+                    got = json.dumps(value)
+                    raise TypeError(f"{f.name} must be a JSON {_JSON_NAMES[want]}, got {got}")
+        return cls(*values)
 
 
 @dataclass
@@ -106,7 +114,8 @@ class EntryBuffer:
 
     With snapshot retention on, ``history`` is append-only until
     finalization empties it; with it off, it holds at most the first and the
-    newest snapshot.
+    newest snapshot.  Ingestion never retains an empty text, so a buffer has
+    content exactly when it holds a snapshot or has seen a structural field.
     """
 
     user_id: str
@@ -118,7 +127,7 @@ class EntryBuffer:
 
     @property
     def has_content(self) -> bool:
-        return self.structural_seen or any(s.text for s in self.history)
+        return self.structural_seen or bool(self.history)
 
     def reset(self) -> None:
         self.history.clear()

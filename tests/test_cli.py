@@ -119,8 +119,15 @@ class TestRedactCommand:
         [
             json.dumps({"user_id": "u1", "timestamp": 100, "current_text": "ab"}),
             "{not json",
+            json.dumps(event("u1", 100, "a", None)),
+            json.dumps(event("u1", 100, "a", "ab", is_password="false")),
+            json.dumps(event("u1", 100, "a", "ab", is_phone_field=0)),
+            json.dumps(event("u1", 12.9, "a", "ab")),
+            json.dumps(event("u1", True, "a", "ab")),
+            json.dumps(event(7, 100, "a", "ab")),
         ],
-        ids=["missing-key", "invalid-json"],
+        ids=["missing-key", "invalid-json", "null-text", "string-flag", "integer-flag",
+             "float-timestamp", "boolean-timestamp", "integer-user"],
     )
     def test_malformed_line_names_file_and_line(self, tmp_path, capsys, bad_line):
         log = tmp_path / "keys.jsonl"
@@ -256,10 +263,21 @@ class TestAnalysisCommands:
         diffs = json.loads((tmp_path / "diff" / "ngram_diff.json").read_text())
         assert "<work of art> today" in {r["ngram"] for r in diffs}
 
-    def test_malformed_corpus_line_names_file_and_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["u1", "sms", "hi"],
+            {"user_id": "u1", "platform": "sms", "text": None},
+            {"user_id": "u1", "platform": "sms", "text": 42},
+            {"user_id": 1, "platform": "sms", "text": "hi"},
+            {"user_id": "u1", "platform": False, "text": "hi"},
+        ],
+        ids=["not-an-object", "null-text", "number-text", "number-user", "boolean-platform"],
+    )
+    def test_malformed_corpus_line_names_file_and_line(self, tmp_path, capsys, bad):
         corpus = tmp_path / "corpus.jsonl"
         good = {"user_id": "u1", "platform": "sms", "text": "hi"}
-        corpus.write_text(json.dumps(good) + "\n" + json.dumps(["u1", "sms", "hi"]) + "\n")
+        corpus.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
         assert main(["summary", "--corpus", str(corpus)]) == 2
         assert "corpus.jsonl:2: bad corpus record" in capsys.readouterr().err
 
@@ -506,6 +524,42 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv,setting",
+        [
+            ("redact --in {log} --out {out}/entries.jsonl --timeout-ms -5", "timeout_ms"),
+            ("redact --in {log} --out {out}/entries.jsonl --timeout-ms 0", "timeout_ms"),
+            ("diff {corpus} --min-group-fraction 7 --out-dir {out}", "min_group_fraction"),
+            ("diff {corpus} --min-group-fraction -0.1 --out-dir {out}", "min_group_fraction"),
+            ("diff {corpus} --alpha 1.5 --out-dir {out}", "fdr_alpha"),
+            ("evaluate {corpus} --outcomes {ages} --min-group-fraction 1.5 --out-dir {out}",
+             "min_group_fraction"),
+            ("evaluate {corpus} --outcomes {out}/ages.csv --out-dir {out}", "outcomes"),
+        ],
+        ids=["redact-negative-timeout", "redact-zero-timeout", "diff-fraction-above-1",
+             "diff-negative-fraction", "diff-alpha-1.5", "evaluate-fraction-above-1",
+             "evaluate-missing-outcomes"],
+    )
+    def test_setting_checked_before_any_work(self, tmp_path, capsys, argv, setting):
+        """A flag sets the same RunConfig field as the config key, and is
+        checked the same way before any work starts: exit 2, an error that
+        names the setting, and no output directory."""
+        corpus, ages, log = tmp_path / "c.jsonl", tmp_path / "ages.csv", tmp_path / "keys.jsonl"
+        write_small_corpus(corpus)
+        write_ages(ages)
+        write_events(log, [event("u1", 0, "a", "hi"), event("u1", 100, "a", "")])
+        corpus_args = f"--corpus {corpus} --min-words 1"
+        argv = argv.format(corpus=corpus_args, ages=ages, log=log, out=tmp_path / "out")
+        assert main(argv.split()) == 2
+        assert f"error: {setting}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_pipeline_alpha_flag_checked(self, tmp_path, capsys):
+        files = make_fixture(tmp_path / "fx", n_users=6, seed=1)
+        assert main(["pipeline", "--config", str(files["config"]), "--alpha", "1.5"]) == 1
+        assert "stage 'config' failed: fdr_alpha must lie in (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "fx" / "out").exists()
+
     def test_config_bootstrap_floor_fails_before_redaction(self, tmp_path, capsys):
         files = make_fixture(tmp_path / "fx", n_users=6, seed=1)
         cfg = files["config"]
@@ -516,6 +570,41 @@ class TestUsageErrors:
         assert not (tmp_path / "fx" / "out").exists()
         with pytest.raises(ValueError, match="iterations must be >= 1000"):
             RunConfig(bootstrap_iterations=999)
+
+
+class TestFailedCommandCleanup:
+    """A subcommand that fails after it began writing removes what it wrote."""
+
+    def test_features_bad_dictionary_leaves_no_reports(self, tmp_path, capsys):
+        corpus, bad = tmp_path / "c.jsonl", tmp_path / "dict.txt"
+        write_small_corpus(corpus)
+        bad.write_text("fun\n[leisure]\nparty\n")  # an entry before any header
+        out = tmp_path / "out"
+        argv = ["features", "--corpus", str(corpus), "--min-words", "1"]
+        assert main([*argv, "--dictionary", str(bad), "--out-dir", str(out)]) == 2
+        assert "dict.txt:1:" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_evaluate_bad_embeddings_leave_no_reports(self, tmp_path, capsys):
+        corpus, ages, bad = tmp_path / "c.jsonl", tmp_path / "ages.csv", tmp_path / "emb.jsonl"
+        write_small_corpus(corpus)
+        write_ages(ages)
+        bad.write_text('{"user_id": "u0", "embedding": [1]}\n{"embedding": [1]}\n')
+        out = tmp_path / "out"
+        argv = ["evaluate", "--corpus", str(corpus), "--min-words", "1", "--orders", "1",
+                "--outcomes", str(ages), "--bootstrap-iterations", "1000",
+                "--embeddings-fb", str(bad), "--embeddings-sms", str(bad), "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert "emb.jsonl:2:" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_output_dir_keeps_files_it_did_not_write(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("mine")
+        with pytest.raises(OSError):
+            with cli.OutputDir(tmp_path) as out:
+                out.json({"a": 1}, "a.json")
+                raise OSError("disk full")
+        assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
 
 
 class TestLabeledUsers:
@@ -536,6 +625,25 @@ class TestLabeledUsers:
 
 
 class TestConfig:
+    def test_flags_set_the_fields_of_their_names(self):
+        """--orders sets model_orders; --alpha sets fdr_alpha in diff and
+        pipeline, ridge_alpha in train and evaluate; other flags set the field
+        of their own name, and an unset pipeline override keeps the file's."""
+        parser = cli.build_parser()
+        corpus = ["--corpus", "c.jsonl", "--min-words", "7"]
+        diff = parser.parse_args(["diff", *corpus, "--alpha", "0.1", "--out-dir", "o"])
+        cfg = cli.run_config(diff, "diff")
+        assert (cfg.fdr_alpha, cfg.ridge_alpha, cfg.min_words) == (0.1, 1.0, 7)
+        train = parser.parse_args(["train", *corpus, "--outcomes", __file__, "--alpha", "3",
+                                   "--orders", "1,2", "--out", "l.csv"])
+        cfg = cli.run_config(train, "train")
+        assert (cfg.fdr_alpha, cfg.ridge_alpha, cfg.model_orders) == (0.05, 3.0, (1, 2))
+        assert cfg.outcomes == __file__
+        base = RunConfig(seed=5, min_words=9)
+        pipe = parser.parse_args(["pipeline", "--config", "x.cfg", "--alpha", "0.2"])
+        cfg = cli.run_config(pipe, "pipeline", base)
+        assert (cfg.seed, cfg.min_words, cfg.fdr_alpha) == (5, 9, 0.2)
+
     def test_parse_and_resolve(self, fixture_dir):
         cfg = RunConfig.from_file(fixture_dir / "pipeline.cfg")
         assert Path(cfg.keystroke_log).is_absolute()
@@ -577,6 +685,21 @@ class TestConfig:
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(f"keep_snapshots = {spelling}\n")
         assert RunConfig.from_file(cfg_path).keep_snapshots is value
+
+    @pytest.mark.parametrize(
+        "line,setting",
+        [("timeout_ms = 0", "timeout_ms"), ("min_group_fraction = 1.01", "min_group_fraction"),
+         ("min_group_fraction = nan", "min_group_fraction")],
+    )
+    def test_range_checked(self, tmp_path, line, setting):
+        bad = tmp_path / "c.cfg"
+        bad.write_text(line + "\n")
+        with pytest.raises(ValueError, match=setting):
+            RunConfig.from_file(bad)
+
+    def test_missing_path_names_the_setting(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="^dictionary: "):
+            RunConfig(dictionary=str(tmp_path / "nope.txt"))
 
     def test_alpha_range_checked(self, tmp_path):
         bad = tmp_path / "c.cfg"
