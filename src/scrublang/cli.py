@@ -81,7 +81,7 @@ from .redactor import (
     StreamRedactor,
     redact_string,
 )
-from .spans import PLACEHOLDER_RE, Record
+from .spans import PLACEHOLDER_RE, Record, numbered_lines
 # cli calls neither bootstrap_corr_diff nor pearson_r; bench/tracing.py patches both here
 from .stats import DegenerateDataError, bootstrap_corr_diff, pearson_r
 from .stats import check_bootstrap_iterations, score
@@ -163,22 +163,18 @@ class RunConfig(Record):
         """Parse ``key = value`` lines, each value by its field's annotation;
         a malformed line raises ``ValueError`` naming ``path:line``."""
         path = Path(path)
-        annotations = {f.name: f.type for f in fields(cls)}
         values = {}
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in numbered_lines(path, comments=True):
             key, eq, value = (part.strip() for part in line.partition("="))
             if not eq:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            if key not in annotations:
+            if key not in _TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if annotations[key] in ("InputPath", "OutputPath"):
+            if _TYPES[key] in ("InputPath", "OutputPath"):
                 values[key] = str((path.parent / value).resolve()) if value else None
                 continue
             try:
-                values[key] = _PARSERS[annotations[key]](value)
+                values[key] = _PARSERS[_TYPES[key]](value)
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad {key}: {exc}") from exc
         return cls(**values)
@@ -190,13 +186,16 @@ class RunConfig(Record):
             value = getattr(self, key)
             if value is not None and not Path(value).exists():
                 raise FileNotFoundError(f"{key}: no such file {value}")
-        if not (0.0 < self.fdr_alpha < 1.0):
-            raise ValueError(f"fdr_alpha must lie in (0, 1), got {self.fdr_alpha}")
-        fraction = self.min_group_fraction
-        if not (0.0 <= fraction <= 1.0):
-            raise ValueError(f"min_group_fraction must lie in [0, 1], got {fraction}")
-        if self.timeout_ms < 1:
-            raise ValueError(f"timeout_ms must be >= 1, got {self.timeout_ms}")
+        limits = {  # setting -> (in range, the rule); NaN is never in range
+            "fdr_alpha": (0.0 < self.fdr_alpha < 1.0, "lie in (0, 1)"),
+            "min_group_fraction": (0.0 <= self.min_group_fraction <= 1.0, "lie in [0, 1]"),
+            "timeout_ms": (self.timeout_ms >= 1, "be >= 1"),
+            "ridge_alpha": (self.ridge_alpha > 0.0, "be > 0"),
+            "nmf_k": (self.nmf_k >= 1, "be >= 1"),
+        }
+        for key, (ok, rule) in limits.items():
+            if not ok:
+                raise ValueError(f"{key} must {rule}, got {getattr(self, key)}")
         check_bootstrap_iterations(self.bootstrap_iterations)
 
     def manifest_inputs(self) -> dict[str, str | Path]:
@@ -207,20 +206,43 @@ class RunConfig(Record):
         return {**{p: p for p in paths if p}, **bundled_inputs(self.catalogue, self.gazetteer)}
 
 
-_INPUT_KEYS = tuple(f.name for f in fields(RunConfig) if f.type == "InputPath")
-_KEYS = frozenset(f.name for f in fields(RunConfig))
-_ALPHA_FIELDS = {"diff": "fdr_alpha", "pipeline": "fdr_alpha", "train": "ridge_alpha",
-                 "evaluate": "ridge_alpha"}
+_TYPES = {f.name: f.type for f in fields(RunConfig)}  # field -> annotation
+_INPUT_KEYS = tuple(key for key, kind in _TYPES.items() if kind == "InputPath")
+_SUITE = ("gazetteer", "catalogue")
+_CORPUS = ("min_words", *_SUITE)
+_MODEL = ("outcomes", "ridge_alpha", "model_orders", "min_group_fraction")
+_SETTINGS = {  # the RunConfig fields each subcommand takes as flags
+    "redact": ("keep_snapshots", "timeout_ms", "apps", *_SUITE),
+    "summary": _SUITE,
+    "features": (*_CORPUS, "dictionary", "model_orders"),
+    "diff": (*_CORPUS, "dictionary", "fdr_alpha", "min_group_fraction"),
+    "train": (*_CORPUS, *_MODEL),
+    "evaluate": (*_CORPUS, *_MODEL, "bootstrap_iterations", "seed", "embeddings_fb",
+                 "embeddings_sms", "nmf_k", "nmf_iterations"),
+    "importance": (*_CORPUS, "lexicon"),
+    "pipeline": ("seed", "fdr_alpha", "min_words"),
+}
+_FLAG_NAMES = {"model_orders": "orders", "fdr_alpha": "alpha", "ridge_alpha": "alpha"}
+_FLAG_ARGS = {  # help texts and exceptions, by field or by (command, field)
+    "gazetteer": dict(help="gazetteer TSV (label<TAB>surface form)"),
+    "catalogue": dict(help="regex catalogue TSV override"),
+    "outcomes": dict(required=True, help="outcomes CSV"),
+    "lexicon": dict(required=True, help="lexicon weight CSV"),
+    "fdr_alpha": dict(help="FDR level"),
+    "ridge_alpha": dict(help="ridge penalty"),
+    "model_orders": dict(help="n-gram orders"),
+    "apps": dict(help="comma-separated app allow-list"),
+    "bootstrap_iterations": dict(type=_iterations),  # below the floor: a usage error
+    ("pipeline", "fdr_alpha"): dict(help="override FDR alpha"),
+}
 
 
 def run_config(args, command: str, base: RunConfig | None = None) -> RunConfig:
-    """``command``'s settings: ``base`` (the defaults if None) with each parsed
-    flag that names a RunConfig field set on it; a flag left unset (None)
-    keeps the base value.  ``--orders`` sets ``model_orders``, and ``--alpha``
-    the FDR level in diff and pipeline, the ridge penalty in train and evaluate."""
-    rename = {"orders": "model_orders", "alpha": _ALPHA_FIELDS.get(command)}
-    flags = {rename.get(k, k): v for k, v in vars(args).items() if v is not None}
-    return replace(base or RunConfig(), **{k: v for k, v in flags.items() if k in _KEYS})
+    """``command``'s settings: ``base`` (the defaults if None) with each of
+    ``command``'s settings flags (``_SETTINGS``) set on its field; a flag left
+    unset (None) keeps the base value."""
+    flags = {name: getattr(args, _FLAG_NAMES.get(name, name)) for name in _SETTINGS[command]}
+    return replace(base or RunConfig(), **{k: v for k, v in flags.items() if v is not None})
 
 
 class OutputDir:
@@ -285,22 +307,19 @@ def run_redaction(log_path: str | Path, suite: DetectorSuite, cfg: RunConfig):
     )
     counters = {"events": 0, "apps_filtered": 0, "out_of_order": 0}
     entries = []
-    with open(log_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                event = KeystrokeEvent.from_json(line)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{log_path}:{lineno}: bad keystroke event: {exc}") from exc
-            counters["events"] += 1
-            if cfg.apps and event.app_id not in cfg.apps:
-                counters["apps_filtered"] += 1
-                continue
-            try:
-                entries.extend(redactor.ingest_event(event))
-            except OutOfOrderError:
-                counters["out_of_order"] += 1
+    for lineno, line in numbered_lines(log_path):
+        try:
+            event = KeystrokeEvent.from_json(line)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{log_path}:{lineno}: bad keystroke event: {exc}") from exc
+        counters["events"] += 1
+        if cfg.apps and event.app_id not in cfg.apps:
+            counters["apps_filtered"] += 1
+            continue
+        try:
+            entries.extend(redactor.ingest_event(event))
+        except OutOfOrderError:
+            counters["out_of_order"] += 1
     entries.extend(redactor.finish())
     return entries, counters
 
@@ -662,27 +681,6 @@ def cmd_pipeline(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_suite_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gazetteer", help="gazetteer TSV (label<TAB>surface form)")
-    p.add_argument("--catalogue", help="regex catalogue TSV override")
-
-
-def _add_corpus_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--corpus", required=True, help="JSONL corpus {user_id, platform, text}")
-    p.add_argument("--min-words", type=int, default=RunConfig.min_words)
-    _add_suite_args(p)
-
-
-_ORDERS = dict(type=_int_tuple, default=RunConfig.model_orders, help="n-gram orders")
-
-
-def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--outcomes", required=True, help="outcomes CSV")
-    p.add_argument("--alpha", type=float, default=RunConfig.ridge_alpha, help="ridge penalty")
-    p.add_argument("--orders", **_ORDERS)
-    p.add_argument("--min-group-fraction", type=float, default=RunConfig.min_group_fraction)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scrublang",
@@ -690,76 +688,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    corpus = dict(required=True, help="JSONL corpus {user_id, platform, text}")
 
     p = sub.add_parser("redact", help="sanitize a keystroke log into entries")
     p.add_argument("--in", dest="infile", required=True, help="keystroke JSONL log")
     p.add_argument("--out", dest="outfile", required=True, help="sanitized entries JSONL")
-    p.add_argument("--keep-snapshots", action="store_true")
-    p.add_argument("--timeout-ms", type=int, default=RunConfig.timeout_ms)
-    p.add_argument(
-        "--apps", type=_str_tuple, default=RunConfig.apps, help="comma-separated app allow-list"
-    )
-    _add_suite_args(p)
     p.set_defaults(func=cmd_redact)
 
     p = sub.add_parser("summary", help="per-platform word/post statistics")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out-dir")
-    _add_suite_args(p)
     p.set_defaults(func=cmd_summary)
 
     p = sub.add_parser("features", help="extract n-gram and dictionary features")
-    _add_corpus_args(p)
-    p.add_argument("--dictionary")
-    p.add_argument("--orders", **_ORDERS)
+    p.add_argument("--corpus", **corpus)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("diff", help="differential language analysis between platforms")
-    _add_corpus_args(p)
-    p.add_argument("--dictionary")
-    p.add_argument("--alpha", type=float, default=RunConfig.fdr_alpha, help="FDR level")
-    p.add_argument("--min-group-fraction", type=float, default=RunConfig.min_group_fraction)
+    p.add_argument("--corpus", **corpus)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_diff)
 
     p = sub.add_parser("train", help="fit ridge lexicon models on one platform")
-    _add_corpus_args(p)
-    _add_model_args(p)
+    p.add_argument("--corpus", **corpus)
     p.add_argument("--platform", choices=["facebook", "sms"], default="facebook")
     p.add_argument("--outcome", action="append", help="outcome name (repeatable; default all)")
     p.add_argument("--out", required=True, help="lexicon CSV to write")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="four-cell cross-platform model evaluation")
-    _add_corpus_args(p)
-    _add_model_args(p)
-    p.add_argument(
-        "--bootstrap-iterations", type=_iterations, default=RunConfig.bootstrap_iterations
-    )
-    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--corpus", **corpus)
     p.add_argument("--cross-fit", choices=["holdout", "full"], default="holdout")
-    p.add_argument("--embeddings-fb")
-    p.add_argument("--embeddings-sms")
-    p.add_argument("--nmf-k", type=int, default=RunConfig.nmf_k)
-    p.add_argument("--nmf-iterations", type=int, default=RunConfig.nmf_iterations)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("importance", help="weight-times-frequency feature importance")
-    _add_corpus_args(p)
-    p.add_argument("--lexicon", required=True, help="lexicon weight CSV")
+    p.add_argument("--corpus", **corpus)
     p.add_argument("--outcome", required=True)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_importance)
 
     p = sub.add_parser("pipeline", help="full deterministic run from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--alpha", type=float, help="override FDR alpha")
-    p.add_argument("--min-words", type=int)
     p.set_defaults(func=cmd_pipeline)
 
+    # Settings flags: --<field> with dashes (or its _FLAG_NAMES name), parsed as
+    # the config file parses the field (a bool is a switch), with the field's
+    # default; pipeline's default to None, which keeps its config file's value.
+    for command, p in sub.choices.items():
+        for name in _SETTINGS[command]:
+            kind = _TYPES[name]
+            kwargs = dict(action="store_true") if kind == "bool" else dict(type=_PARSERS.get(kind))
+            kwargs["default"] = None if command == "pipeline" else getattr(RunConfig, name)
+            kwargs.update(_FLAG_ARGS.get(name, {}), **_FLAG_ARGS.get((command, name), {}))
+            p.add_argument("--" + _FLAG_NAMES.get(name, name).replace("_", "-"), **kwargs)
     return parser
 
 

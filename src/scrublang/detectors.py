@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Protocol
 
 import regex
 
-from .spans import RedactionSpan, merge_spans, placeholder_regions
+from .spans import RedactionSpan, merge_spans, numbered_lines, placeholder_regions
 
 PRIORITY_STRUCTURAL = 0
 PRIORITY_REGEX = 10
@@ -138,9 +138,7 @@ def load_catalogue(path: str | Path | None = None) -> list[Detector]:
     """
     source = _bundled(_BUNDLED_CATALOGUE) if path is None else Path(path)
     detectors = []
-    for lineno, line in enumerate(source.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in numbered_lines(source, comments=True):
         parts = line.split("\t")
         if len(parts) not in (2, 3):
             raise CatalogueError(f"{source}:{lineno}: expected 2 or 3 tab-separated fields")
@@ -179,29 +177,23 @@ class Gazetteer:
         self.entries.setdefault(label, set()).add(surface)
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "Gazetteer":
-        """Parse ``label<TAB>surface form`` lines; a malformed line raises
-        ``CatalogueError`` naming ``path:line``."""
-        return cls._parse(Path(path))
-
-    @classmethod
-    def bundled_sample(cls) -> "Gazetteer":
-        return cls._parse(_bundled(_BUNDLED_GAZETTEER))
-
-    @classmethod
-    def _parse(cls, source) -> "Gazetteer":
+    def from_file(cls, path) -> "Gazetteer":
+        """Parse ``label<TAB>surface form`` lines from a path or a bundled
+        resource; a malformed line raises ``CatalogueError`` naming ``path:line``."""
         gaz = cls()
-        for lineno, line in enumerate(source.read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
+        for lineno, line in numbered_lines(path, comments=True):
             parts = line.split("\t")
             if len(parts) != 2:
-                raise CatalogueError(f"{source}:{lineno}: expected label<TAB>surface form")
+                raise CatalogueError(f"{path}:{lineno}: expected label<TAB>surface form")
             try:
                 gaz.add(parts[0].strip(), parts[1])
             except CatalogueError as exc:
-                raise CatalogueError(f"{source}:{lineno}: {exc}") from None
+                raise CatalogueError(f"{path}:{lineno}: {exc}") from None
         return gaz
+
+    @classmethod
+    def bundled_sample(cls) -> "Gazetteer":
+        return cls.from_file(_bundled(_BUNDLED_GAZETTEER))
 
     # -- matching ------------------------------------------------------
 

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .spans import PLACEHOLDER_RE
+from .spans import PLACEHOLDER_RE, numbered_lines
 
 DEFAULT_MIN_WORDS = 500
 DEFAULT_MIN_GROUP_FRACTION = 0.05
@@ -145,10 +145,8 @@ class DictionarySpec:
         malformed line raises ``DictionaryError`` naming ``path:line``."""
         categories: dict[str, list[str]] = {}
         current: str | None = None
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in numbered_lines(path, comments=True):
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1].strip()
                 if not current:
@@ -219,9 +217,7 @@ class UserCorpus:
 def load_corpus_jsonl(path: str | Path) -> dict[tuple[str, str], UserCorpus]:
     """Load ``{user_id, platform, text}`` JSON lines into per-(user, platform) corpora."""
     corpora: dict[tuple[str, str], UserCorpus] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in numbered_lines(path):
         try:
             d = json.loads(line)
             key, text = (d["user_id"], d["platform"]), d["text"]

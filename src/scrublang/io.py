@@ -8,7 +8,7 @@ Formats supported:
 * lexicon weight CSV — header ``term,category,weight``; the term
   ``_intercept`` sets the model intercept for its category;
 * embeddings — CSV (``user_id`` then one column per dimension) or JSON lines
-  (``{"user_id": ..., "embedding": [...]}``);
+  (``{"user_id": "...", "embedding": [...]}``);
 * reports — JSON written with sorted keys (byte-reproducible) plus CSV mirrors
   of tabular data;
 * run manifests — seeds, thresholds, and a SHA-256 digest per input file.
@@ -25,6 +25,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .modeling import LexiconModel
+from .spans import numbered_lines
 
 GENDER_CODES = {
     "f": 1.0,
@@ -70,10 +71,10 @@ def load_outcomes_csv(path: str | Path) -> dict[str, dict[str, float | None]]:
 
 
 def load_lexicon_csv(path: str | Path) -> dict[str, LexiconModel]:
-    """One LexiconModel per category from a ``term,category,weight`` CSV.  A
-    row whose weight is not a number raises ``ValueError`` naming ``path:line``."""
-    weights: dict[str, dict[str, float]] = {}
-    intercepts: dict[str, float] = {}
+    """One LexiconModel per category from a ``term,category,weight`` CSV.  A row
+    with a non-numeric weight or more cells than the header, or a repeated
+    (term, category) pair, raises ``ValueError`` naming ``path:line``."""
+    weights: dict[str, dict[str, float]] = {}  # category -> term -> weight, intercept too
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         required = {"term", "category", "weight"}
@@ -81,17 +82,21 @@ def load_lexicon_csv(path: str | Path) -> dict[str, LexiconModel]:
             raise ValueError(f"{path}: lexicon CSV needs term,category,weight columns")
         for row in reader:
             term, cat = row["term"], row["category"]
+            where = f"{path}:{reader.line_num}"
+            if None in row:
+                raise ValueError(f"{where}: bad lexicon row: more cells than header columns")
             try:
                 w = float(row["weight"])
             except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{reader.line_num}: bad lexicon weight: {exc}") from exc
-            if term.lower() == "_intercept":
-                intercepts[cat] = w
-            else:
-                weights.setdefault(cat, {})[term] = w
+                raise ValueError(f"{where}: bad lexicon weight: {exc}") from exc
+            term = "_intercept" if term.lower() == "_intercept" else term
+            terms = weights.setdefault(cat, {})
+            if term in terms:
+                raise ValueError(f"{where}: repeated term {term!r} in category {cat!r}")
+            terms[term] = w
     return {
-        cat: LexiconModel(weights=weights.get(cat, {}), intercept=intercepts.get(cat, 0.0), outcome=cat)
-        for cat in sorted(set(weights) | set(intercepts))
+        cat: LexiconModel(intercept=terms.pop("_intercept", 0.0), weights=terms, outcome=cat)
+        for cat, terms in sorted(weights.items())
     }
 
 
@@ -107,18 +112,22 @@ def save_lexicon_csv(models: Mapping[str, LexiconModel], path: str | Path) -> No
 
 
 def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
-    """User id -> embedding vector, in file order.  A malformed row, or a
-    second row for the same user, raises ``ValueError`` naming ``path:line``."""
+    """User id -> embedding vector, in file order.  A malformed row (a JSON
+    line needs a string ``user_id`` and an array of numbers, not booleans), or
+    a second row for the same user, raises ``ValueError`` naming ``path:line``."""
     path = Path(path)
     rows: dict[str, list[float]] = {}
     if path.suffix in (".jsonl", ".ndjson"):
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip():
-                continue
+        for lineno, line in numbered_lines(path):
             try:
                 d = json.loads(line)
-                user, values = str(d["user_id"]), [float(v) for v in d["embedding"]]
-            except (KeyError, TypeError, ValueError) as exc:
+                user, values = d["user_id"], d["embedding"]
+                if type(user) is not str or type(values) is not list:
+                    raise TypeError("user_id must be a JSON string and embedding a JSON array")
+                if not all(type(v) in (int, float) for v in values):
+                    raise TypeError("embedding values must be JSON numbers")
+                values = [float(v) for v in values]
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad embedding record: {exc}") from exc
             if user in rows:
                 raise ValueError(f"{path}:{lineno}: repeated user_id {user!r}")
@@ -126,7 +135,9 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
     else:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty embeddings file")
             if not header or header[0] != "user_id":
                 raise ValueError(f"{path}: embeddings CSV must start with a user_id column")
             for row in reader:

@@ -15,9 +15,9 @@ With snapshot retention on, every snapshot is kept and annotated:
 * stage 2 — when the whole entry is complete, the full-string detections are
   overlaid onto every retained snapshot; where a snapshot's own confirmed span
   only partially overlaps a final span, the labels merge into a compound tag
-  such as ``<date|phone>``.  Snapshots whose content was edited away are
-  re-scanned with in-progress tails tagged provisionally (via the detector
-  suite's prefix awareness), since the final string cannot vouch for them.
+  such as ``<date|phone>``.  Snapshots whose content was edited away get
+  their in-progress tails tagged provisionally too (via the detector suite's
+  prefix awareness), since the final string cannot vouch for them.
 
 With retention off, an entry carries only its final text and its first and
 last timestamps, so ingestion runs no detector at all and a stream's buffer
@@ -337,7 +337,7 @@ class StreamRedactor:
         where a snapshot's own confirmed span partially overlaps a final span
         the tags merge into a compound tag; everything the final string proves
         clean is left readable.  Diverged snapshots keep their confirmed spans
-        and are conservatively re-scanned with in-progress tails tagged,
+        (every complete match on their text) plus their in-progress tails,
         because the final string cannot vouch for content that was edited away
         (this can over-redact deleted fragments; that is the safe direction).
         """
@@ -376,8 +376,8 @@ class StreamRedactor:
                     ]
                     spans = merge_spans(clipped + pieces)
                 else:
-                    fresh = self.suite.provisional(snap.text)
-                    spans = merge_spans(snap.confirmed + clipped + fresh)
+                    tails = self.suite.partial_at_end(snap.text)
+                    spans = merge_spans(snap.confirmed + clipped + tails)
                 snapshots_out.append(render_redacted(snap.text, spans)[0])
 
         return SanitizedEntry(

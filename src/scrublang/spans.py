@@ -12,6 +12,8 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, fields
+from pathlib import Path
+from typing import Iterator
 
 # Placeholder grammar: lowercase labels (spaces/underscores allowed) joined by
 # "|" inside one angle-bracket pair, e.g. "<phone>" or "<date|phone>".
@@ -49,6 +51,21 @@ class Record:
 
     def to_dict(self) -> dict:
         return {name: _plain(getattr(self, name)) for name in _field_names(type(self))}
+
+
+def numbered_lines(source, comments: bool = False) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` for each non-blank line of the UTF-8 text file
+    ``source`` (a path or a bundled resource), read lazily and without its
+    ending.  A line ends at ``\\n``, ``\\r`` or ``\\r\\n`` only, so a JSON
+    string may hold U+2028, U+2029 or U+0085; a leading byte-order mark is
+    dropped.  With ``comments``, lines whose first non-blank character is
+    ``#`` are skipped too."""
+    source = Path(source) if isinstance(source, str) else source
+    with source.open(encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, 1):
+            text = line.strip()
+            if text and not (comments and text.startswith("#")):
+                yield lineno, line.rstrip("\n")
 
 
 @dataclass(frozen=True)

@@ -40,14 +40,14 @@ def event(user, t, app, text, **flags):
 
 
 def write_two_platform_corpus(facebook: Path, entries: Path, dest: Path) -> None:
-    """A corpus file of the facebook posts plus one sms document per entry."""
-    rows = facebook.read_text().splitlines()
-    for line in entries.read_text().splitlines():
+    """A corpus file of the facebook posts plus one sms document per entry,
+    whose text is written raw, as ``redact`` writes it: only \\n ends a line."""
+    rows = facebook.read_text(encoding="utf-8").rstrip("\n").split("\n")
+    for line in entries.read_text(encoding="utf-8").rstrip("\n").split("\n"):
         e = json.loads(line)
-        rows.append(
-            json.dumps({"user_id": e["user_id"], "platform": "sms", "text": e["final_text"]})
-        )
-    dest.write_text("\n".join(rows) + "\n")
+        row = {"user_id": e["user_id"], "platform": "sms", "text": e["final_text"]}
+        rows.append(json.dumps(row, ensure_ascii=False))
+    dest.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
 def write_small_corpus(path: Path, extra: str = "") -> None:
@@ -263,6 +263,24 @@ class TestAnalysisCommands:
         diffs = json.loads((tmp_path / "diff" / "ngram_diff.json").read_text())
         assert "<work of art> today" in {r["ngram"] for r in diffs}
 
+    def test_messages_may_hold_line_separators(self, tmp_path):
+        """redact writes a message's U+2028 raw, and the posts plus those
+        entries still load as one corpus."""
+        names = ("k.jsonl", "e.jsonl", "p.jsonl", "c.jsonl")
+        log, entries, posts, corpus = (tmp_path / n for n in names)
+        write_small_corpus(posts)
+        facebook = [line for line in posts.read_text().splitlines() if '"facebook"' in line]
+        posts.write_text("\n".join(facebook) + "\n")
+        words = "fun weekend party trip ok yes sure fine".split()
+        messages = [" ".join(words[i : i + 3]) + "\u2028" + words[i + 4] for i in range(4)]
+        events = [event(f"u{i}", 0, "sms", messages[i % 4]) for i in range(6)]
+        write_events(log, events + [event(f"u{i}", 100, "sms", "") for i in range(6)])
+        assert main(["redact", "--in", str(log), "--out", str(entries)]) == 0
+        assert "\u2028" in entries.read_text(encoding="utf-8")
+        write_two_platform_corpus(posts, entries, corpus)
+        argv = ["diff", "--corpus", str(corpus), "--min-words", "1"]
+        assert main([*argv, "--out-dir", str(tmp_path / "diff")]) == 0
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -472,13 +490,45 @@ class TestInputErrors:
              "emb.jsonl:2: repeated user_id 'u0'", 2),
             ("fx/outcomes.csv", "user_id,age\nuser00,30\nuser00,31\n",
              "pipeline --config {fixture}/pipeline.cfg", "outcomes.csv:3: repeated user_id", 1),
+            ("lex.csv", "term,category,weight\nfun,age,1.0\nfun,age,2.0\n",
+             "importance {corpus} --lexicon {bad} --outcome age --out-dir {out}",
+             "lex.csv:3: repeated term 'fun' in category 'age'", 2),
+            ("lex.csv", "term,category,weight\nfun,age,1.0,9\n",
+             "importance {corpus} --lexicon {bad} --outcome age --out-dir {out}",
+             "lex.csv:2: bad lexicon row: more cells than header columns", 2),
+            ("emb.csv", "",
+             "evaluate {corpus} --outcomes {ages} --orders 1 --bootstrap-iterations 1000 "
+             "--embeddings-fb {bad} --embeddings-sms {bad} --out-dir {out}",
+             "emb.csv: empty embeddings file", 2),
+            ("emb.jsonl", '{"user_id": 7, "embedding": [1.0]}\n',
+             "evaluate {corpus} --outcomes {ages} --orders 1 --bootstrap-iterations 1000 "
+             "--embeddings-fb {bad} --embeddings-sms {bad} --out-dir {out}",
+             "emb.jsonl:1: bad embedding record", 2),
+            ("emb.jsonl", '{"user_id": "u0", "embedding": [true, 2.5]}\n',
+             "evaluate {corpus} --outcomes {ages} --orders 1 --bootstrap-iterations 1000 "
+             "--embeddings-fb {bad} --embeddings-sms {bad} --out-dir {out}",
+             "emb.jsonl:1: bad embedding record", 2),
+            ("emb.jsonl", '{"user_id": "u0", "embedding": ["2.5"]}\n',
+             "evaluate {corpus} --outcomes {ages} --orders 1 --bootstrap-iterations 1000 "
+             "--embeddings-fb {bad} --embeddings-sms {bad} --out-dir {out}",
+             "emb.jsonl:1: bad embedding record", 2),
+            ("emb.jsonl", '{"user_id": "u0", "embedding": [1%s]}\n' % ("0" * 400),
+             "evaluate {corpus} --outcomes {ages} --orders 1 --bootstrap-iterations 1000 "
+             "--embeddings-fb {bad} --embeddings-sms {bad} --out-dir {out}",
+             "emb.jsonl:1: bad embedding record", 2),
+            ("dict.txt", "[assent]\nye\u0085s\no*k\n",
+             "diff {corpus} --dictionary {bad} --out-dir {out}", "dict.txt:3:", 2),
         ],
         ids=[
             "embeddings-jsonl", "outcomes", "lexicon", "dictionary-header",
             "dictionary-wildcard", "catalogue", "gazetteer", "config-int",
             "config-bool", "pipeline-outcomes", "config-orders", "outcomes-repeated-user",
             "embeddings-csv-repeated-user", "embeddings-jsonl-repeated-user",
-            "pipeline-outcomes-repeated-user",
+            "pipeline-outcomes-repeated-user", "lexicon-repeated-term", "lexicon-extra-cell",
+            "embeddings-csv-empty", "embeddings-jsonl-number-user",
+            "embeddings-jsonl-boolean-value", "embeddings-jsonl-string-value",
+            "embeddings-jsonl-integer-beyond-float",
+            "dictionary-line-after-u0085",
         ],
     )
     def test_error_names_file_and_line(self, tmp_path, capsys, name, content, argv, where, rc):
@@ -486,7 +536,7 @@ class TestInputErrors:
         write_small_corpus(corpus)
         write_ages(ages)
         make_fixture(tmp_path / "fx", n_users=6, seed=1)
-        (tmp_path / name).write_text(content)
+        (tmp_path / name).write_text(content, encoding="utf-8")
         argv = argv.format(
             corpus=f"--corpus {corpus} --min-words 1",
             corpus_file=corpus,
@@ -535,10 +585,14 @@ class TestUsageErrors:
             ("evaluate {corpus} --outcomes {ages} --min-group-fraction 1.5 --out-dir {out}",
              "min_group_fraction"),
             ("evaluate {corpus} --outcomes {out}/ages.csv --out-dir {out}", "outcomes"),
+            ("train {corpus} --outcomes {ages} --alpha -1 --out {out}/lex.csv", "ridge_alpha"),
+            # ages.csv doubles as a one-dimensional embeddings file
+            ("evaluate {corpus} --outcomes {ages} --orders 1 --bootstrap-iterations 1000 "
+             "--embeddings-fb {ages} --embeddings-sms {ages} --nmf-k 0 --out-dir {out}", "nmf_k"),
         ],
         ids=["redact-negative-timeout", "redact-zero-timeout", "diff-fraction-above-1",
              "diff-negative-fraction", "diff-alpha-1.5", "evaluate-fraction-above-1",
-             "evaluate-missing-outcomes"],
+             "evaluate-missing-outcomes", "train-negative-ridge-alpha", "evaluate-nmf-k-0"],
     )
     def test_setting_checked_before_any_work(self, tmp_path, capsys, argv, setting):
         """A flag sets the same RunConfig field as the config key, and is
@@ -689,7 +743,8 @@ class TestConfig:
     @pytest.mark.parametrize(
         "line,setting",
         [("timeout_ms = 0", "timeout_ms"), ("min_group_fraction = 1.01", "min_group_fraction"),
-         ("min_group_fraction = nan", "min_group_fraction")],
+         ("min_group_fraction = nan", "min_group_fraction"), ("ridge_alpha = 0", "ridge_alpha"),
+         ("nmf_k = 0", "nmf_k")],
     )
     def test_range_checked(self, tmp_path, line, setting):
         bad = tmp_path / "c.cfg"

@@ -191,6 +191,18 @@ class TestGazetteer:
         gaz = Gazetteer.from_file(path)
         assert gaz.entries == {"person": {"ada lovelace"}, "work of art": {"the iliad"}}
 
+    def test_surface_form_may_hold_a_line_separator(self, tmp_path):
+        # only \n and \r end a line; U+2028 is whitespace inside a form
+        path = tmp_path / "gaz.tsv"
+        path.write_text("person\tAda\u2028Lovelace\nperson\tGrace Hopper\n", encoding="utf-8")
+        gaz = Gazetteer.from_file(path)
+        assert gaz.entries == {"person": {"ada lovelace", "grace hopper"}}
+
+    def test_byte_order_mark_is_not_part_of_the_label(self, tmp_path):
+        path = tmp_path / "gaz.tsv"
+        path.write_bytes("\ufeffperson\tAda Lovelace\n".encode("utf-8"))
+        assert Gazetteer.from_file(path).entries == {"person": {"ada lovelace"}}
+
     def test_bad_file(self, tmp_path):
         path = tmp_path / "gaz.tsv"
         path.write_text("no-tab-here\n")

@@ -158,6 +158,14 @@ class TestCorpus:
         assert corpora[("u1", "facebook")].documents == ["fun weekend", "more fun"]
         assert corpora[("u1", "sms")].documents == ["ok yes"]
 
+    def test_text_may_hold_unicode_line_separators(self, tmp_path):
+        # JSON allows U+2028, U+2029 and U+0085 raw in a string; only \n ends a record
+        path = tmp_path / "corpus.jsonl"
+        text = "one\u2028two\u2029three\u0085four"
+        row = {"user_id": "u1", "platform": "sms", "text": text}
+        path.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert load_corpus_jsonl(path)[("u1", "sms")].documents == [text]
+
     def test_bad_record(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"user_id": "u1"}\n')

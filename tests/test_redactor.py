@@ -245,6 +245,29 @@ class TestFinalize:
         entries = r.finish()
         assert [e.final_text for e in entries] == ["alpha", "beta"]
 
+    def test_edited_away_snapshot_is_not_detected_again(self):
+        """A snapshot's confirmed spans already hold its complete matches, so
+        finalization runs ``detect`` on the final text only and adds just the
+        in-progress tails of a snapshot whose content was edited away."""
+
+        class CountingSuite(DetectorSuite):
+            detect_calls = 0
+
+            def detect(self, text):
+                self.detect_calls += 1
+                return super().detect(text)
+
+        suite = CountingSuite(default_suite().detectors)
+        r = StreamRedactor(suite=suite, keep_snapshots=True)
+        r.ingest_event(ev("call 555-12", 0))
+        r.ingest_event(ev("ok", 100))
+        suite.detect_calls = 0
+        entry = r.finalize_entry(r._buffers[("u1", "sms")])
+        assert suite.detect_calls == 1
+        assert entry.final_text == "ok"
+        (snapshot,) = entry.snapshots
+        assert snapshot.startswith("call <") and "555" not in snapshot
+
 
 class TestRedactString:
     def test_email(self):
