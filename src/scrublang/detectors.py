@@ -16,21 +16,29 @@ the middle of something that could still become a match (``"call 555-1"``),
 the suite reports a provisional span reaching the end of the string.  This is
 what lets the stream redactor tag half-typed PII before it is complete.
 
-Overlapping matches are resolved by priority, then match length, then leftmost
-position; regions already covered by a ``<tag>`` placeholder are never
+Detectors only propose matches, which may overlap; :meth:`DetectorSuite.detect`
+alone chooses among them by priority, then match length, then leftmost
+position.  Regions already covered by a ``<tag>`` placeholder are never
 re-examined.
 """
 
 from __future__ import annotations
 
 import importlib.resources
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, Protocol, Sequence
 
 import regex
 
-from .spans import RedactionSpan, merge_spans, numbered_lines, placeholder_regions
+from .spans import (
+    RedactionSpan,
+    merge_spans,
+    numbered_lines,
+    placeholder_regions,
+    straight_apostrophes,
+)
 
 PRIORITY_STRUCTURAL = 0
 PRIORITY_REGEX = 10
@@ -150,6 +158,9 @@ def load_catalogue(path: str | Path | None = None) -> list[Detector]:
     return detectors
 
 
+_WORD_RUN = regex.compile(r"[\w'][\w'.-]*")
+
+
 class Gazetteer:
     """Label -> case-folded surface forms, with longest-match lookup.
 
@@ -171,7 +182,7 @@ class Gazetteer:
                 self.add(label, form)
 
     def add(self, label: str, surface: str) -> None:
-        surface = " ".join(surface.casefold().split())
+        surface = " ".join(straight_apostrophes(surface).casefold().split())
         if not surface:
             raise CatalogueError(f"empty gazetteer surface form for label {label!r}")
         self.entries.setdefault(label, set()).add(surface)
@@ -197,27 +208,41 @@ class Gazetteer:
 
     # -- matching ------------------------------------------------------
 
-    def _word_runs(self, text: str) -> list[tuple[int, int]]:
-        return [m.span() for m in regex.finditer(r"[\w'][\w'.-]*", text)]
+    def _word_starts(self, text: str) -> list[int]:
+        # a quoted name ('John Smith') starts after its leading apostrophes
+        starts = []
+        for m in _WORD_RUN.finditer(text):
+            starts.append(m.start())
+            inner = m.end() - len(m.group().lstrip("'"))
+            if m.start() < inner < m.end():
+                starts.append(inner)
+        return starts
 
     def _capitalized_ok(self, label: str, text: str, start: int) -> bool:
         if label not in self.require_capitalized:
             return True
         # every word of the occurrence must start uppercase
-        occ_words = regex.finditer(r"[\w'][\w'.-]*", text[start:])
+        occ_words = _WORD_RUN.finditer(text, start)
         return all(w.group()[0].isupper() for w in occ_words)
 
     def find_entities(self, text: str) -> list[RedactionSpan]:
-        folded = text.casefold()
-        words = self._word_runs(text)
+        """At each word start, the longest entry found there; among entries
+        of that length, the label that sorts first.  The spans may overlap:
+        :meth:`DetectorSuite.detect` chooses among them."""
+        text = straight_apostrophes(text)
+        folded, fold_at, text_at = _fold(text)
         spans: list[RedactionSpan] = []
-        for i, (start, _) in enumerate(words):
+        for start in self._word_starts(text):
             best: tuple[int, str] | None = None
+            fstart = fold_at[start]
             for label, forms in sorted(self.entries.items()):
                 for form in forms:
-                    end = start + len(form)
-                    if folded[start:end] != form:
+                    fend = fstart + len(form)
+                    if folded[fstart:fend] != form:
                         continue
+                    end = text_at[fend]
+                    if end < 0:
+                        continue  # ends inside one character's fold
                     if end < len(text) and (text[end].isalnum() or text[end] == "_"):
                         continue  # must end at a word boundary
                     if not self._capitalized_ok(label, text[:end], start):
@@ -226,36 +251,45 @@ class Gazetteer:
                         best = (end, label)
             if best is not None:
                 spans.append(RedactionSpan(start, best[0], (best[1],)))
-        # longest-match may produce nested/overlapping hits from successive
-        # word starts; keep the earliest-longest ones
-        resolved: list[RedactionSpan] = []
-        for s in sorted(spans, key=lambda s: (-(s.end - s.start), s.start)):
-            if not any(s.overlaps(r) for r in resolved):
-                resolved.append(s)
-        return sorted(resolved, key=lambda s: s.start)
+        return spans
 
     def find_partial_entities(self, text: str) -> list[RedactionSpan]:
-        """Spans where the tail of ``text`` is a proper prefix of some entry."""
-        folded = text.casefold()
-        spans = []
-        for label, forms in sorted(self.entries.items()):
-            best_start: int | None = None
+        """For each entry, the longest tail of ``text`` that is a proper
+        prefix of it."""
+        text = straight_apostrophes(text)
+        folded, _, text_at = _fold(text)
+        spans: list[RedactionSpan] = []
+        for label, forms in self.entries.items():
             for form in forms:
-                max_l = min(len(form) - 1, len(text))
-                for l in range(max_l, 0, -1):
-                    start = len(text) - l
-                    if folded[start:] != form[:l]:
+                for l in range(min(len(form) - 1, len(folded)), 0, -1):
+                    if folded[-l:] != form[:l]:
                         continue
+                    start = text_at[len(folded) - l]
+                    if start < 0:
+                        continue  # begins inside one character's fold
                     if start > 0 and (text[start - 1].isalnum() or text[start - 1] == "_"):
                         continue  # must begin at a word boundary
                     if not self._capitalized_ok(label, text, start):
                         continue
-                    if best_start is None or start < best_start:
-                        best_start = start
+                    spans.append(RedactionSpan(start, len(text), (label,)))
                     break
-            if best_start is not None and best_start < len(text):
-                spans.append(RedactionSpan(best_start, len(text), (label,)))
         return spans
+
+
+def _fold(text: str) -> tuple[str, Sequence[int], Sequence[int]]:
+    """``text.casefold()``, the folded offset of each offset of ``text``, and
+    the offset in ``text`` of each folded offset (-1 inside one character's
+    fold).  The maps are lists only when folding lengthens a character
+    (ß -> ss); no character folds to nothing."""
+    folded = text.casefold()
+    if len(folded) == len(text):
+        same = range(len(text) + 1)
+        return folded, same, same
+    fold_at = list(itertools.accumulate((len(c.casefold()) for c in text), initial=0))
+    text_at = [-1] * (len(folded) + 1)
+    for i, f in enumerate(fold_at):
+        text_at[f] = i
+    return folded, fold_at, text_at
 
 
 def entity_detector(recognizer: EntityRecognizer, name: str = "entity") -> Detector:
@@ -288,7 +322,8 @@ class DetectorSuite:
         return cls(dets)
 
     def detect(self, text: str) -> list[RedactionSpan]:
-        """All complete matches, resolved to a non-overlapping sorted list.
+        """All complete matches, resolved to a non-overlapping sorted list;
+        the one place where a candidate is dropped for overlapping another.
 
         Resolution order: detector priority, then longest match, then leftmost,
         then tag name (so permuting same-priority detectors cannot change the

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .spans import PLACEHOLDER_RE, numbered_lines
+from .spans import PLACEHOLDER_RE, numbered_lines, straight_apostrophes
 
 DEFAULT_MIN_WORDS = 500
 DEFAULT_MIN_GROUP_FRACTION = 0.05
@@ -55,8 +55,7 @@ class DictionaryError(ValueError):
 
 def tokenize(text: str) -> list[str]:
     """Lowercased tokens; see module docstring for what stays intact."""
-    lowered = text.lower().replace("’", "'")
-    return _TOKEN_RE.findall(lowered)
+    return _TOKEN_RE.findall(straight_apostrophes(text.lower()))
 
 
 def is_placeholder_token(token: str) -> bool:

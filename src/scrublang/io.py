@@ -53,7 +53,7 @@ def load_outcomes_csv(path: str | Path) -> dict[str, dict[str, float | None]]:
     """Outcome columns per user; missing cells map to None.  A malformed row,
     or a user's second row, raises ``ValueError`` naming ``path:line``."""
     out: dict[str, dict[str, float | None]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "user_id" not in reader.fieldnames:
             raise ValueError(f"{path}: outcomes CSV needs a user_id column")
@@ -75,7 +75,7 @@ def load_lexicon_csv(path: str | Path) -> dict[str, LexiconModel]:
     with a non-numeric weight or more cells than the header, or a repeated
     (term, category) pair, raises ``ValueError`` naming ``path:line``."""
     weights: dict[str, dict[str, float]] = {}  # category -> term -> weight, intercept too
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         required = {"term", "category", "weight"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
@@ -133,7 +133,7 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
                 raise ValueError(f"{path}:{lineno}: repeated user_id {user!r}")
             rows[user] = values
     else:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:

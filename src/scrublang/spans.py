@@ -53,6 +53,12 @@ class Record:
         return {name: _plain(getattr(self, name)) for name in _field_names(type(self))}
 
 
+def straight_apostrophes(text: str) -> str:
+    """``text`` with the typographic apostrophe ’ (U+2019) read as '.  One
+    character stands for one, so offsets into ``text`` still hold."""
+    return text.replace("’", "'")
+
+
 def numbered_lines(source, comments: bool = False) -> Iterator[tuple[int, str]]:
     """``(line number, line)`` for each non-blank line of the UTF-8 text file
     ``source`` (a path or a bundled resource), read lazily and without its

@@ -82,6 +82,14 @@ class TestDiffNgrams:
         with pytest.raises(InsufficientUsersError):
             diff_ngrams(corpora)
 
+    def test_constant_nonzero_difference_is_degenerate(self):
+        # every user: "fun" is 1/2 of the posts' words and 1/4 of the messages'
+        corpora = paired_corpora(6, lambda i: ["fun day"], lambda i: ["fun day day day"])
+        rows = {r.ngram: r for r in diff_ngrams(corpora, min_group_fraction=0.5, orders=(1,))}
+        fun = rows["fun"]
+        assert fun.degenerate and fun.p_value == 1.0 and not fun.q_significant
+        assert fun.p_fallback is None
+
     def test_shared_users_requires_both_platforms(self):
         corpora = {
             ("a", "facebook"): corpus("a", "facebook", ["x"]),
@@ -108,6 +116,13 @@ class TestDiffCategories:
         assert rows["leisure"].t_statistic > 0
         assert rows["assent"].t_statistic < 0
         assert rows["leisure"].q_significant and rows["assent"].q_significant
+
+    def test_constant_nonzero_difference_is_degenerate(self):
+        spec = DictionarySpec({"leisure": ["fun"]})
+        corpora = paired_corpora(6, lambda i: ["fun day"], lambda i: ["fun day day day"])
+        (row,) = diff_categories(corpora, spec)
+        assert row.degenerate and row.p_value == 1.0 and not row.q_significant
+        assert np.isnan(row.t_statistic)
 
     def test_equal_usage_degenerate_category(self):
         spec = DictionarySpec({"both": ["word"]})

@@ -153,6 +153,20 @@ class TestSummaryCommand:
 
 
 class TestAnalysisCommands:
+    def test_features_writes_dictionary_frequencies(self, tmp_path):
+        corpus, spec, out = tmp_path / "c.jsonl", tmp_path / "dict.txt", tmp_path / "feat"
+        write_small_corpus(corpus)
+        spec.write_text("[leisure]\nfun\nparty\n[assent]\nok\nyes\n")
+        argv = ["features", "--corpus", str(corpus), "--min-words", "1",
+                "--dictionary", str(spec), "--out-dir", str(out)]
+        assert main(argv) == 0
+        cats = json.loads((out / "dictionary_features.json").read_text())
+        assert {plat: sorted(users) for plat, users in cats.items()} == {
+            plat: [f"u{i}" for i in range(6)] for plat in ("facebook", "sms")
+        }
+        # u0's post is "fun weekend party trip ok"
+        assert cats["facebook"]["u0"] == {"leisure": 0.4, "assent": 0.2}
+
     def test_features_diff_train_evaluate_importance(self, fixture_dir, tmp_path):
         """Exercise all analysis subcommands on a prepared two-platform corpus."""
         # assemble a corpus file from the fixture: posts plus redacted sms

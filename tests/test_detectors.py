@@ -3,10 +3,17 @@ and the prefix-awareness guarantee the stream redactor depends on."""
 
 from __future__ import annotations
 
+import functools
+import re
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scrublang import detectors
 from scrublang.detectors import (
+    PRIORITY_ENTITY,
+    PRIORITY_REGEX,
     CatalogueError,
     Detector,
     DetectorSuite,
@@ -16,6 +23,7 @@ from scrublang.detectors import (
     regex_detector,
     default_suite,
 )
+from scrublang.redactor import redact_string
 from scrublang.spans import RedactionSpan, merge_spans, render_redacted, span
 
 # one complete matchable string per label, used for prefix-awareness checks
@@ -153,6 +161,11 @@ class TestOverlapResolution:
     def test_placeholders_not_reexamined(self, suite):
         assert suite.detect("mail <email> and <date|phone> ok") == []
 
+    def test_candidate_inside_a_placeholder_is_skipped(self):
+        gaz = Gazetteer({"org": ["work"]})
+        out = redact_string("<work of art> at work", DetectorSuite.default(gazetteer=gaz))
+        assert out.text == "<work of art> at <org>"
+
     def test_result_sorted_nonoverlapping(self, suite):
         spans = suite.detect("a 5/6 b 123-45-6789 c $9.99 d 10.0.0.1")
         for s1, s2 in zip(spans, spans[1:]):
@@ -221,6 +234,164 @@ class TestGazetteer:
         det = entity_detector(gaz)
         spans = det.matcher("Jane Doe joined acme corp")
         assert {s.tags[0] for s in spans} == {"person", "org"}
+
+
+# person names that overlap each other and a date, one with an apostrophe
+LEAK_NAMES = {"person": ["june lee", "lee ho", "john smith", "Conan O'Brien"]}
+
+
+@functools.cache
+def leak_suite() -> DetectorSuite:
+    return DetectorSuite.default(gazetteer=Gazetteer(LEAK_NAMES))
+
+
+class TestSuiteChooses:
+    """The gazetteer proposes its longest entry at each word start, and only
+    the suite chooses among overlapping proposals."""
+
+    def test_gazetteer_proposes_overlapping_names(self):
+        gaz = Gazetteer(LEAK_NAMES)
+        assert gaz.find_entities("June Lee Ho") == [span(0, 8, "person"), span(5, 11, "person")]
+
+    def test_name_that_loses_only_to_a_rejected_name_is_kept(self):
+        out = redact_string("see you 12 June Lee Ho", leak_suite())
+        assert out.text == "see you <date> <person>"
+        assert redact_string("see you Lee Ho", leak_suite()).text == "see you <person>"
+
+    def test_every_entry_proposes_its_tail(self):
+        gaz = Gazetteer(LEAK_NAMES)
+        tails = [span(4, 10, "person"), span(9, 10, "person")]
+        assert set(gaz.find_partial_entities("see June L")) == set(tails)
+        assert DetectorSuite([entity_detector(gaz)]).partial_at_end("see June L") == tails[:1]
+
+
+class TestTypographicApostrophe:
+    def test_text_apostrophe_matches_a_straight_entry(self):
+        out = redact_string("met Conan O\u2019Brien today", leak_suite())
+        assert out.text == "met <person> today"
+        gaz = Gazetteer(LEAK_NAMES)
+        assert gaz.find_partial_entities("met Conan O\u2019Bri") == [span(4, 15, "person")]
+
+    @pytest.mark.parametrize("quote", ["\u2019", "'"])
+    def test_name_after_a_leading_apostrophe(self, quote):
+        out = redact_string(f"he said {quote}John Smith{quote}", leak_suite())
+        assert out.text == f"he said {quote}<person>{quote}"
+
+    @pytest.mark.parametrize("typed", ["O\u2019Brien", "O'Brien"])
+    def test_entry_apostrophe_from_a_file(self, tmp_path, typed):
+        path = tmp_path / "gaz.tsv"
+        path.write_text("person\tConan O\u2019Brien\n", encoding="utf-8")
+        gaz = Gazetteer.from_file(path)
+        suite = DetectorSuite.default(gazetteer=gaz)
+        assert redact_string(f"met Conan {typed} today", suite).text == "met <person> today"
+        assert gaz.find_partial_entities(f"met Conan {typed[:5]}") == [span(4, 15, "person")]
+
+
+class TestLengtheningCaseFold:
+    @pytest.mark.parametrize("word", ["Straße", "STRAẞE", "ﬁne", "İzmir"])
+    def test_offsets_after_a_lengthening_character(self, word):
+        text = f"{word} John Smith"
+        assert redact_string(text, leak_suite()).text == f"{word} <person>"
+        tail = len(word) + 1
+        assert Gazetteer(LEAK_NAMES).find_partial_entities(text[:-2]) == [
+            span(tail, len(text) - 2, "person")
+        ]
+
+    def test_entry_that_spans_the_lengthened_character(self):
+        gaz = Gazetteer({"org": ["weiss"]})
+        assert gaz.find_entities("Herr Weiß") == [span(5, 9, "org")]
+        assert gaz.find_entities("Herr Weiß sagt") == [span(5, 9, "org")]
+        assert gaz.find_partial_entities("Herr Wei") == [span(5, 8, "org")]
+
+    def test_entry_may_not_end_inside_one_character_fold(self):
+        gaz = Gazetteer({"org": ["weis"]})
+        assert gaz.find_entities("Herr Weiß") == []
+        assert Gazetteer({"org": ["weisse"]}).find_partial_entities("Herr Weiß") == [
+            span(5, 9, "org")
+        ]
+
+
+_WORD = re.compile(r"[\w'][\w'.-]*")
+
+
+def longest_at_word_starts(entries: dict[str, list[str]], text: str) -> list[tuple]:
+    """Independent scan: at each word start, the longest entry that matches
+    case-folded text slices, ends at a word boundary and, for a person, has
+    every word capitalized; ties go to the label that sorts first."""
+    text = text.replace("\u2019", "'")
+    forms = sorted(
+        (label, " ".join(form.replace("\u2019", "'").casefold().split()))
+        for label, fs in entries.items()
+        for form in fs
+    )
+    found = []
+    # a word starts where a run of word characters does and, in a run that
+    # opens with apostrophes, at its first letter or digit
+    starts = {m.start() for m in _WORD.finditer(text)}
+    starts |= {m.start(1) for m in re.finditer(r"(?<![\w'.-])'+(\w)", text)}
+    for start in sorted(starts):
+        best = None
+        for end in range(start + 1, len(text) + 1):
+            if end < len(text) and (text[end].isalnum() or text[end] == "_"):
+                continue
+            piece = text[start:end]
+            for label, form in forms:
+                if piece.casefold() != form:
+                    continue
+                if label == "person" and not all(w[0].isupper() for w in _WORD.findall(piece)):
+                    continue
+                if best is None or end > best[0]:
+                    best = (end, label)
+        if best is not None:
+            found.append((PRIORITY_ENTITY, start, best[0], best[1]))
+    return found
+
+
+@functools.cache
+def catalogue() -> list[Detector]:
+    return load_catalogue()
+
+
+_WORDS = [
+    "June", "june", "Lee", "Ho", "May", "O'Brien", "O\u2019Brien", "\u2019John", "'Lee",
+    "Straße", "12", "9:30",
+]
+
+
+@st.composite
+def entries_and_text(draw) -> tuple[dict[str, list[str]], str]:
+    """A text, and entries cut from runs of its words so that they overlap
+    each other and the dates and times around them."""
+    words = draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=10))
+    entries: dict[str, list[str]] = {}
+    for _ in range(draw(st.integers(0, 4))):
+        start = draw(st.integers(0, len(words) - 1))
+        end = start + draw(st.integers(1, 3))
+        label = draw(st.sampled_from(["org", "person"]))
+        entries.setdefault(label, []).append(" ".join(words[start:end]))
+    return entries, " ".join(words)
+
+
+class TestChoiceProperty:
+    @given(entries_and_text())
+    @settings(max_examples=200, deadline=None)
+    @example(({"person": ["june lee", "lee ho"]}, "see you 12 June Lee Ho"))
+    @example(({"person": ["john smith"]}, "he said \u2019John Smith\u2019"))
+    def test_every_candidate_is_kept_or_loses_to_an_earlier_kept_span(self, case):
+        entries, text = case
+        candidates = set(longest_at_word_starts(entries, text)) | {
+            (PRIORITY_REGEX, s.start, s.end, s.tags[0])
+            for det in catalogue()
+            for s in det.matcher(text)
+        }
+        order = {c: (c[0], -(c[2] - c[1]), c[1], c[3]) for c in candidates}
+        detected = DetectorSuite([*catalogue(), entity_detector(Gazetteer(entries))]).detect(text)
+        kept = [c for c in candidates if span(c[1], c[2], c[3]) in detected]
+        assert len(kept) == len(detected)
+        for c in candidates - set(kept):
+            assert any(
+                k[1] < c[2] and c[1] < k[2] and order[k] < order[c] for k in kept
+            ), f"{c} dropped without an earlier overlapping kept span"
 
 
 class TestSpanAlgebra:

@@ -226,6 +226,18 @@ class TestCrossDomain:
         report = cross_domain_matrix(feats, feats, outcomes, bootstrap_iterations=1000)
         assert report.outcomes["gender"].cells["fb_fb"].metric == "accuracy"
 
+    def test_constant_outcome_gives_nan_cells_and_no_bootstrap(self):
+        rng = np.random.default_rng(14)
+        users = [f"u{i}" for i in range(8)]
+        feats = _mk_features(users, rng)
+        outcomes = {u: {"score": 4.0} for u in users}
+        report = cross_domain_matrix(feats, feats, outcomes, bootstrap_iterations=1000)
+        ev = report.outcomes["score"]
+        assert all(np.isnan(ev.cells[c].value) for c in CELL_ORDER)
+        for result in ev.bootstrap.values():
+            assert result["delta"] is None and result["p_value"] is None
+            assert result["skipped"] == 1000
+
     def test_missing_outcome_values_drop_users(self):
         rng = np.random.default_rng(12)
         users = [f"u{i}" for i in range(10)]

@@ -26,6 +26,7 @@ from scrublang.redactor import (
     redact_string,
 )
 from session_sim import leak_fragments, random_session, run_session
+from test_detectors import leak_suite
 
 
 def ev(text: str, t: int, user: str = "u1", app: str = "sms", **flags) -> KeystrokeEvent:
@@ -267,6 +268,17 @@ class TestFinalize:
         assert entry.final_text == "ok"
         (snapshot,) = entry.snapshots
         assert snapshot.startswith("call <") and "555" not in snapshot
+
+
+class TestOverlappingNames:
+    """A typed name whose only conflict is a longer name that a date beats is
+    still redacted."""
+
+    @pytest.mark.parametrize("keep_snapshots", [False, True])
+    def test_typed(self, keep_snapshots):
+        r = StreamRedactor(suite=leak_suite(), keep_snapshots=keep_snapshots)
+        (entry,) = type_text(r, "see you 12 June Lee Ho")
+        assert entry.final_text == "see you <date> <person>"
 
 
 class TestRedactString:
