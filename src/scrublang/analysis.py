@@ -4,8 +4,8 @@ paired tests, FDR flags, word-cloud data, and corpus summary statistics.
 Users must appear on both platforms to enter the paired comparisons.  The
 per-n-gram p comes from a univariate logistic regression of the platform
 indicator on the n-gram frequency; features that separate the platforms
-perfectly (or keep the logistic fit from converging) fall back to the paired
-t-test p and are flagged as such.
+(their values overlap at one point at most) or keep the logistic fit from
+converging fall back to the paired t-test p and are flagged as such.
 """
 
 from __future__ import annotations
@@ -78,20 +78,24 @@ def shared_users(corpora: Mapping[tuple[str, str], UserCorpus]) -> list[str]:
     return sorted(fb & sms)
 
 
-def paired_ngram_tables(
-    corpora: Mapping[tuple[str, str], UserCorpus],
-    orders: Iterable[int],
-    min_group_fraction: float,
-) -> tuple[list[str], dict[str, dict[str, float]], dict[str, dict[str, float]], list[str]]:
-    """(shared users, facebook n-gram vectors, sms n-gram vectors, n-grams
-    used by at least ``min_group_fraction`` of the shared users on either
-    platform)."""
+def paired_vectors(
+    corpora: Mapping[tuple[str, str], UserCorpus], orders: Iterable[int]
+) -> tuple[list[str], dict[str, dict[str, float]], dict[str, dict[str, float]]]:
+    """(shared users, their facebook n-gram vectors, their sms n-gram vectors)."""
     users = shared_users(corpora)
     fb = {u: corpora[(u, "facebook")].ngram_features(orders) for u in users}
     sms = {u: corpora[(u, "sms")].ngram_features(orders) for u in users}
-    # a feature is "used by" a user if present on either platform
-    combined = {u: {**sms[u], **fb[u]} for u in users}
-    return users, fb, sms, group_frequency_filter(combined, min_group_fraction)
+    return users, fb, sms
+
+
+def paired_features(
+    fb: Mapping[str, Mapping[str, float]],
+    sms: Mapping[str, Mapping[str, float]],
+    min_group_fraction: float,
+) -> list[str]:
+    """The n-grams used by at least ``min_group_fraction`` of the users of
+    :func:`paired_vectors`; a user uses an n-gram present on either platform."""
+    return group_frequency_filter({u: {**sms[u], **fb[u]} for u in fb}, min_group_fraction)
 
 
 def _require_pairs(users: list[str]) -> None:
@@ -112,8 +116,9 @@ def diff_ngrams(
     N-grams must be used by at least ``min_group_fraction`` of the shared
     users (on either platform) to be tested.
     """
-    users, fb, sms, features = paired_ngram_tables(corpora, orders, min_group_fraction)
+    users, fb, sms = paired_vectors(corpora, orders)
     _require_pairs(users)
+    features = paired_features(fb, sms, min_group_fraction)
     X_fb = feature_matrix(fb, users, features)
     X_sms = feature_matrix(sms, users, features)
     del fb, sms  # only the matrices are needed from here on

@@ -1,13 +1,16 @@
 """Command-line entry points.
 
-Subcommands: redact, summary, features, diff, train, evaluate, importance,
-pipeline.  ``pipeline`` chains everything deterministically: keystroke
-redaction -> corpus assembly (the same cleaning applied to both platforms) ->
-summary -> differential language analysis -> pretrained-lexicon estimates ->
-cross-domain model evaluation -> feature importance, plus a manifest of
-seeds, thresholds, and input digests.  Its diff, train, evaluate, and
-importance stages run the same stage functions as the subcommands of those
-names, so given the same settings they write byte-identical reports.
+The study is one chain of stages, named in ``PIPELINE`` in order: redact the
+keystroke log -> assemble both platforms' corpora (the same cleaning for both,
+then the ``min_words`` exclusion) -> summary -> differential language analysis
+(diff) -> pretrained-lexicon estimates -> train -> cross-domain evaluation ->
+feature importance -> a manifest of seeds, thresholds and input digests.
+``STAGES`` maps each name, and ``features``, to a method of :class:`Run`, which
+builds each input two or more stages read on first use and only once.
+:func:`run_command` runs the stage named like the subcommand (redact, summary,
+features, diff, train, evaluate, importance), printing ``<command>: ...``, or
+every ``pipeline`` stage in order, printing ``pipeline[<stage>]: ...`` after
+each; given the same settings both write byte-identical reports.
 
 Every command carries its settings in one :class:`RunConfig`, set from its
 flags by :func:`run_config`; ``pipeline`` reads a flat ``key = value`` config
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from itertools import groupby
 from pathlib import Path
 
@@ -33,7 +37,8 @@ from .analysis import (
     cloud_data,
     diff_categories,
     diff_ngrams,
-    paired_ngram_tables,
+    paired_features,
+    paired_vectors,
     shared_users,
     summary_stats,
 )
@@ -62,7 +67,6 @@ from .modeling import (
     CELL_ORDER,
     COMPARISONS,
     MIN_LABELED,
-    EvalReport,
     ImportanceRow,
     apply_lexicon,
     bootstrap_accuracy_diff,  # unused here; bench/tracing.py patches cli.bootstrap_accuracy_diff
@@ -84,7 +88,7 @@ from .redactor import (
 from .spans import PLACEHOLDER_RE, Record, numbered_lines
 # cli calls neither bootstrap_corr_diff nor pearson_r; bench/tracing.py patches both here
 from .stats import DegenerateDataError, bootstrap_corr_diff, pearson_r
-from .stats import check_bootstrap_iterations, score
+from .stats import MIN_BOOTSTRAP_ITERATIONS, score
 
 
 class PipelineError(RuntimeError):
@@ -97,14 +101,6 @@ def _int_tuple(value: str) -> tuple[int, ...]:
     if any(n < 1 for n in orders):
         raise argparse.ArgumentTypeError(f"n-gram orders must be >= 1, got {value!r}")
     return orders
-
-
-def _iterations(value: str) -> int:
-    """A bootstrap resample count, at least the floor that the test needs."""
-    try:
-        return check_bootstrap_iterations(int(value))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _str_tuple(value: str) -> tuple[str, ...]:
@@ -177,6 +173,8 @@ class RunConfig(Record):
                 values[key] = _PARSERS[_TYPES[key]](value)
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad {key}: {exc}") from exc
+            if problem := _out_of_range(key, values[key]):
+                raise ValueError(f"{path}:{lineno}: {problem}")
         return cls(**values)
 
     def __post_init__(self) -> None:
@@ -186,17 +184,9 @@ class RunConfig(Record):
             value = getattr(self, key)
             if value is not None and not Path(value).exists():
                 raise FileNotFoundError(f"{key}: no such file {value}")
-        limits = {  # setting -> (in range, the rule); NaN is never in range
-            "fdr_alpha": (0.0 < self.fdr_alpha < 1.0, "lie in (0, 1)"),
-            "min_group_fraction": (0.0 <= self.min_group_fraction <= 1.0, "lie in [0, 1]"),
-            "timeout_ms": (self.timeout_ms >= 1, "be >= 1"),
-            "ridge_alpha": (self.ridge_alpha > 0.0, "be > 0"),
-            "nmf_k": (self.nmf_k >= 1, "be >= 1"),
-        }
-        for key, (ok, rule) in limits.items():
-            if not ok:
-                raise ValueError(f"{key} must {rule}, got {getattr(self, key)}")
-        check_bootstrap_iterations(self.bootstrap_iterations)
+        for key in _LIMITS:
+            if problem := _out_of_range(key, getattr(self, key)):
+                raise ValueError(problem)
 
     def manifest_inputs(self) -> dict[str, str | Path]:
         """Manifest key -> file for every input the run reads, including the
@@ -204,6 +194,24 @@ class RunConfig(Record):
         gazetteer (keyed by its package-relative name)."""
         paths = [getattr(self, key) for key in _INPUT_KEYS]
         return {**{p: p for p in paths if p}, **bundled_inputs(self.catalogue, self.gazetteer)}
+
+
+_LIMITS = {  # setting -> (in range, the rule); NaN is never in range
+    "fdr_alpha": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    "min_group_fraction": (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
+    "timeout_ms": (lambda v: v >= 1, "be >= 1"),
+    "ridge_alpha": (lambda v: v > 0.0, "be > 0"),
+    "nmf_k": (lambda v: v >= 1, "be >= 1"),
+    "bootstrap_iterations": (
+        lambda v: v >= MIN_BOOTSTRAP_ITERATIONS, f"be >= {MIN_BOOTSTRAP_ITERATIONS}"
+    ),
+}
+
+
+def _out_of_range(key: str, value) -> str | None:
+    """Why ``value`` is out of range for setting ``key``; None if it is not."""
+    in_range, rule = _LIMITS.get(key, (None, ""))
+    return None if in_range is None or in_range(value) else f"{key} must {rule}, got {value}"
 
 
 _TYPES = {f.name: f.type for f in fields(RunConfig)}  # field -> annotation
@@ -232,7 +240,6 @@ _FLAG_ARGS = {  # help texts and exceptions, by field or by (command, field)
     "ridge_alpha": dict(help="ridge penalty"),
     "model_orders": dict(help="n-gram orders"),
     "apps": dict(help="comma-separated app allow-list"),
-    "bootstrap_iterations": dict(type=_iterations),  # below the floor: a usage error
     ("pipeline", "fdr_alpha"): dict(help="override FDR alpha"),
 }
 
@@ -286,266 +293,156 @@ class OutputDir:
         self.csv(rows, [f.name for f in fields(record_type)], f"{stem}.csv")
 
 
-def _build_suite(cfg: RunConfig) -> DetectorSuite:
-    if cfg.gazetteer is None and cfg.catalogue is None:
-        return default_suite()
-    gaz = Gazetteer.from_file(cfg.gazetteer) if cfg.gazetteer else None
-    return DetectorSuite.default(catalogue_path=cfg.catalogue, gazetteer=gaz)
+class Run:
+    """One command's settings, arguments and report directory; its stages,
+    each of which writes its reports and returns its progress line; and the
+    inputs that two or more stages read, each built on first use and only once."""
 
+    out: OutputDir  # opened by run_command
 
-def run_redaction(log_path: str | Path, suite: DetectorSuite, cfg: RunConfig):
-    """Stream a keystroke log through the redactor with ``cfg``'s timeout,
-    snapshot retention and app allow-list.
+    def __init__(self, args) -> None:
+        self.args, self.pipeline = args, args.command == "pipeline"
+        base = RunConfig.from_file(args.config) if self.pipeline else None
+        self.cfg = cfg = run_config(args, args.command, base)
+        if self.pipeline and None in (cfg.keystroke_log, cfg.facebook_corpus, cfg.outcomes):
+            raise ValueError("config must set keystroke_log, facebook_corpus, outcomes")
+        out_file = vars(args).get("outfile") or vars(args).get("out")  # redact's, train's
+        self.out_file = Path(out_file) if out_file else None
+        if self.pipeline:
+            self.out_dir = cfg.output_dir
+        else:  # summary without --out-dir writes nothing
+            self.out_dir = self.out_file.parent if self.out_file else args.out_dir or "."
+        self.trained: dict = {}  # the train stage's models
+        self._vectors: dict = {}
 
-    Returns (entries, counters); events from non-allow-listed apps and events
-    arriving out of order are skipped and counted, mirroring the ingestion
-    exclusion funnel.  A line that is not a valid keystroke event aborts the
-    run with a ``ValueError`` naming ``file:line``.
-    """
-    redactor = StreamRedactor(
-        suite=suite, timeout_ms=cfg.timeout_ms, keep_snapshots=cfg.keep_snapshots
-    )
-    counters = {"events": 0, "apps_filtered": 0, "out_of_order": 0}
-    entries = []
-    for lineno, line in numbered_lines(log_path):
-        try:
-            event = KeystrokeEvent.from_json(line)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{log_path}:{lineno}: bad keystroke event: {exc}") from exc
-        counters["events"] += 1
-        if cfg.apps and event.app_id not in cfg.apps:
-            counters["apps_filtered"] += 1
-            continue
-        try:
-            entries.extend(redactor.ingest_event(event))
-        except OutOfOrderError:
-            counters["out_of_order"] += 1
-    entries.extend(redactor.finish())
-    return entries, counters
+    @cached_property
+    def suite(self) -> DetectorSuite:
+        cfg = self.cfg
+        if cfg.gazetteer is None and cfg.catalogue is None:
+            return default_suite()
+        gaz = Gazetteer.from_file(cfg.gazetteer) if cfg.gazetteer else None
+        return DetectorSuite.default(catalogue_path=cfg.catalogue, gazetteer=gaz)
 
-
-def _load_clean_corpora(
-    corpus_path: str | Path, suite: DetectorSuite
-) -> dict[tuple[str, str], UserCorpus]:
-    """Load a corpus file and run every document through the cleaning pipeline
-    (idempotent, so pre-redacted corpora pass through unchanged)."""
-    return {
-        key: replace(corpus, documents=[redact_string(doc, suite).text for doc in corpus.documents])
-        for key, corpus in load_corpus_jsonl(corpus_path).items()
-    }
-
-
-def _sms_corpora_from_entries(entries) -> dict[tuple[str, str], UserCorpus]:
-    ordered = sorted(entries, key=lambda e: (e.user_id, e.start_timestamp, e.app_id))
-    return {
-        (user, "sms"): UserCorpus(user, "sms", [e.final_text for e in group])
-        for user, group in groupby(ordered, key=lambda e: e.user_id)
-    }
-
-
-def _unigram_vectors(corpora, users) -> dict[str, dict[str, dict[str, float]]]:
-    """platform -> user -> unigram relative frequencies, for ``users``."""
-    return {
-        plat: {u: corpora[(u, plat)].ngram_features((1,)) for u in users}
-        for plat in ("facebook", "sms")
-    }
-
-
-def _lexicon_estimates(models, unigrams, outcomes, cfg: RunConfig) -> dict:
-    """Task-style evaluation of pretrained lexicon models on both platforms:
-    per-user estimates scored against self-reports by :func:`outcome_scoring`,
-    with a bootstrap test on the facebook-vs-sms difference.  ``unigrams``
-    holds the users' vectors on each platform (see :func:`_unigram_vectors`)."""
-    users = list(unigrams["facebook"])
-    report: dict = {"n_users": len(users), "models": {}}
-    for name, model in sorted(models.items()):
-        labeled = labeled_users(users, outcomes, name)
-        if labeled is None:
-            continue
-        keep, y = labeled
-        metric = outcome_scoring(name)[1]
-        entry = report["models"][name] = {"metric": metric}
-        est = {}
-        try:
-            for plat, vectors in unigrams.items():
-                est[plat] = np.array([apply_lexicon(model, vectors[users[i]]) for i in keep])
-                entry[plat] = score(metric, est[plat], y)
-            entry["bootstrap"] = compare_estimates(
-                metric, est["facebook"], est["sms"], y, cfg.bootstrap_iterations, cfg.seed
-            )
-        except DegenerateDataError as exc:
-            entry["degenerate"] = str(exc)
-    return report
-
-
-# ---------------------------------------------------------------------------
-# stages shared by the subcommands and ``pipeline``
-# ---------------------------------------------------------------------------
-
-
-def _diff(corpora, out: OutputDir, cfg: RunConfig) -> list[NgramDiff]:
-    """Differential n-gram (and, with a dictionary, category) analysis between
-    the platforms; writes the diff tables and the word-cloud data."""
-    alpha = cfg.fdr_alpha
-    ngram_rows = diff_ngrams(corpora, alpha=alpha, min_group_fraction=cfg.min_group_fraction)
-    category_rows = None
-    if cfg.dictionary:
-        spec = DictionarySpec.from_file(cfg.dictionary)
-        category_rows = diff_categories(corpora, spec, alpha=alpha)
-    out.table(ngram_rows, NgramDiff, "ngram_diff")
-    out.json([c.to_dict() for c in cloud_data(ngram_rows)], "cloud.json")
-    if category_rows is not None:
-        out.table(category_rows, CategoryDiff, "category_diff")
-    return ngram_rows
-
-
-def _modeling_tables(corpora, cfg: RunConfig):
-    users, fb, sms, names = paired_ngram_tables(corpora, cfg.model_orders, cfg.min_group_fraction)
-    # n-grams holding a redaction placeholder are display only
-    return users, fb, sms, [f for f in names if not PLACEHOLDER_RE.search(f)]
-
-
-def _train(tables, outcomes, cfg: RunConfig, platform: str, wanted, dest) -> dict:
-    """Fit one ridge lexicon model per outcome on ``platform``'s n-grams and
-    save them to ``dest``; ``wanted`` of None means every outcome."""
-    users, fb, sms, feature_names = tables
-    vectors = fb if platform == "facebook" else sms
-    models = {}
-    for name in wanted or sorted({n for u in users for n in outcomes.get(u, {})}):
-        labeled = labeled_users(users, outcomes, name)
-        if labeled is None:
-            sys.stderr.write(f"train: skipping {name}: fewer than {MIN_LABELED} labeled users\n")
-            continue
-        keep, y = labeled
-        X = feature_matrix(vectors, [users[i] for i in keep], feature_names)
-        models[name] = ridge_fit(X, y, cfg.ridge_alpha, feature_names=feature_names, outcome=name)
-    save_lexicon_csv(models, dest)
-    return models
-
-
-_EVAL_COLUMNS = (
-    "outcome", "cell", "metric", "value", "n",
-    "bootstrap_comparison", "bootstrap_delta", "bootstrap_p",
-)
-
-
-def _evaluate(tables, outcomes, out: OutputDir, cfg: RunConfig, cross_fit: str) -> EvalReport:
-    """Four-cell cross-platform evaluation on the n-gram tables.  When both
-    embeddings files (facebook, sms) are set, the same evaluation, with the
-    same ``cross_fit``, runs on both platforms' embeddings reduced in one
-    shared NMF basis of ``cfg.nmf_k`` components."""
-    users, fb, sms, feature_names = tables
-    matrix_args = dict(alpha=cfg.ridge_alpha, bootstrap_iterations=cfg.bootstrap_iterations,
-                       seed=cfg.seed, cross_fit=cross_fit)
-    report = cross_domain_matrix(
-        fb, sms, {u: outcomes.get(u, {}) for u in users}, feature_names=feature_names, **matrix_args
-    )
-    out.json(report.to_dict(), "eval_report.json")
-    rows = []  # one _EVAL_COLUMNS row per (outcome, cell)
-    for name, ev in sorted(report.outcomes.items()):
-        for cell in CELL_ORDER:
-            res = ev.cells[cell]
-            comp = next(c for c, pair in COMPARISONS.items() if cell in pair)
-            boot = ev.bootstrap.get(comp, {})
-            row = (name, cell, res.metric, res.value, res.n, comp)
-            row += (boot.get("delta"), boot.get("p_value"))
-            rows.append(dict(zip(_EVAL_COLUMNS, row)))
-    out.csv(rows, _EVAL_COLUMNS, "eval_report.csv")
-    if not (cfg.embeddings_fb and cfg.embeddings_sms):
-        return report
-    fb_emb, sms_emb = map(load_embeddings, (cfg.embeddings_fb, cfg.embeddings_sms))
-    usable = [u for u in users if u in fb_emb and u in sms_emb]
-    if len(usable) < 3:
-        raise ValueError("fewer than 3 users have embeddings on both platforms")
-    stacked = np.vstack([fb_emb[u] for u in usable] + [sms_emb[u] for u in usable])
-    k = min(cfg.nmf_k, min(stacked.shape))
-    result = nmf_reduce(stacked, k=k, iterations=cfg.nmf_iterations, seed=cfg.seed)
-    n = len(usable)
-    names = [f"nmf{j}" for j in range(k)]
-    emb_report = cross_domain_matrix(
-        {u: dict(zip(names, result.W[i])) for i, u in enumerate(usable)},
-        {u: dict(zip(names, result.W[n + i])) for i, u in enumerate(usable)},
-        {u: outcomes.get(u, {}) for u in usable},
-        feature_names=names,
-        **matrix_args,
-    )
-    info = {"k": k, "iterations": cfg.nmf_iterations, "n_users": n}
-    info["reconstruction_error"] = result.reconstruction_error
-    out.json({"nmf": info, **emb_report.to_dict()}, "embedding_eval.json")
-    return report
-
-
-def _importance(unigrams, models, out: OutputDir) -> dict[str, list]:
-    """Weight-times-frequency importance of each model's features, with the
-    users' mean unigram frequencies on each platform (``unigrams``, see
-    :func:`_unigram_vectors`); one table per model.  Only the models' terms
-    are averaged; a term no user wrote averages 0."""
-    terms = sorted({t for model in models.values() for t in model.weights})
-    freq = {}
-    for plat, vecs in unigrams.items():
-        M = feature_matrix(vecs, list(vecs), terms)
-        # each column's own mean: M.mean(axis=0) sums in another order
-        freq[plat] = {t: float(M[:, j].mean()) for j, t in enumerate(terms)}
-    ranked = {}
-    for name in sorted(models):
-        ranked[name] = feature_importance(models[name], freq["facebook"], freq["sms"])
-        out.table(ranked[name], ImportanceRow, f"importance_{name}")
-    return ranked
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-
-def _corpora_from_args(args, cfg: RunConfig):
-    """The cleaned ``--corpus`` after the ``min_words`` exclusion: (corpora, excluded)."""
-    corpora = _load_clean_corpora(args.corpus, _build_suite(cfg))
-    return filter_min_words(corpora, cfg.min_words)
-
-
-def cmd_redact(args) -> int:
-    cfg = run_config(args, "redact")
-    entries, counters = run_redaction(args.infile, _build_suite(cfg), cfg)
-    dest = Path(args.outfile)
-    with OutputDir(dest.parent) as out:
-        out.jsonl(entries, dest.name)
-    print(
-        f"redact: {counters['events']} events -> {len(entries)} entries "
-        f"({counters['apps_filtered']} filtered by app, "
-        f"{counters['out_of_order']} out of order)"
-    )
-    return 0
-
-
-def cmd_summary(args) -> int:
-    corpora = _load_clean_corpora(args.corpus, _build_suite(run_config(args, "summary")))
-    stats = summary_stats(corpora)
-    for plat, block in sorted(stats.items()):
-        w, p = block["words"], block["posts"]
-        print(
-            f"{plat}: n={block['n_users']} "
-            f"words med/mean/sd = {w['median']:.0f}/{w['mean']:.1f}/{w['sd']:.1f} "
-            f"posts med/mean/sd = {p['median']:.0f}/{p['mean']:.1f}/{p['sd']:.1f}"
+    @cached_property
+    def redaction(self) -> tuple[list, dict[str, int]]:
+        """(entries, counters) of the keystroke log streamed through the
+        redactor.  Events from apps off the allow-list and events out of
+        order are skipped and counted; a line that is not a valid keystroke
+        event raises ``ValueError`` naming ``file:line``."""
+        cfg = self.cfg
+        log = cfg.keystroke_log if self.pipeline else self.args.infile
+        redactor = StreamRedactor(
+            suite=self.suite, timeout_ms=cfg.timeout_ms, keep_snapshots=cfg.keep_snapshots
         )
-    if args.out_dir:
-        rows = [
-            {"platform": plat, "measure": measure, **block[measure]}
-            for plat, block in sorted(stats.items())
-            for measure in ("words", "posts")
-        ]
-        with OutputDir(args.out_dir) as out:
-            out.json(stats, "summary.json")
+        counters = {"events": 0, "apps_filtered": 0, "out_of_order": 0}
+        entries = []
+        for lineno, line in numbered_lines(log):
+            try:
+                event = KeystrokeEvent.from_json(line)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{log}:{lineno}: bad keystroke event: {exc}") from exc
+            counters["events"] += 1
+            if cfg.apps and event.app_id not in cfg.apps:
+                counters["apps_filtered"] += 1
+                continue
+            try:
+                entries.extend(redactor.ingest_event(event))
+            except OutOfOrderError:
+                counters["out_of_order"] += 1
+        entries.extend(redactor.finish())
+        return entries, counters
+
+    def cleaned(self) -> dict[tuple[str, str], UserCorpus]:
+        """Every (user, platform) corpus before the ``min_words`` exclusion,
+        each document run through the cleaning pipeline (idempotent, so
+        pre-redacted corpora pass through unchanged)."""
+        path = self.cfg.facebook_corpus if self.pipeline else self.args.corpus
+        corpora = {
+            key: replace(c, documents=[redact_string(d, self.suite).text for d in c.documents])
+            for key, c in load_corpus_jsonl(path).items()
+        }
+        if self.pipeline:  # one sms corpus per user, of its messages in typing order
+            entries = self.redaction[0]
+            entries = sorted(entries, key=lambda e: (e.user_id, e.start_timestamp, e.app_id))
+            for user, group in groupby(entries, key=lambda e: e.user_id):
+                corpora[(user, "sms")] = UserCorpus(user, "sms", [e.final_text for e in group])
+        return corpora
+
+    @cached_property
+    def filtered(self) -> tuple[dict[tuple[str, str], UserCorpus], dict[str, int]]:
+        """(corpora, excluded user -> word count) after the ``min_words`` exclusion."""
+        return filter_min_words(self.cleaned(), self.cfg.min_words)
+
+    @cached_property
+    def outcomes(self) -> dict[str, dict[str, float]]:
+        return load_outcomes_csv(self.cfg.outcomes)
+
+    @cached_property
+    def lexicon(self) -> dict:
+        """The pretrained lexicon models; none when no lexicon is set."""
+        return load_lexicon_csv(self.cfg.lexicon) if self.cfg.lexicon else {}
+
+    def vectors(self, orders: tuple[int, ...]) -> dict[str, dict[str, dict[str, float]]]:
+        """platform -> shared user -> frequencies of the n-grams of ``orders``, counted once."""
+        if orders not in self._vectors:
+            _, fb, sms = paired_vectors(self.filtered[0], orders)
+            self._vectors[orders] = {"facebook": fb, "sms": sms}
+        return self._vectors[orders]
+
+    @cached_property
+    def model_tables(self):
+        """(shared users, facebook vectors, sms vectors, features) of the model
+        orders; the features pass :func:`paired_features` and hold no
+        redaction placeholder (those n-grams are display only)."""
+        fb, sms = self.vectors(self.cfg.model_orders).values()
+        names = paired_features(fb, sms, self.cfg.min_group_fraction)
+        return list(fb), fb, sms, [f for f in names if not PLACEHOLDER_RE.search(f)]
+
+    def redact(self) -> str:
+        entries, counters = self.redaction
+        self.out.jsonl(entries, self.out_file.name if self.out_file else "entries.jsonl")
+        return (
+            "{events} events -> {n} entries ({apps_filtered} filtered by app, "
+            "{out_of_order} out of order)"
+        ).format(n=len(entries), **counters)
+
+    def corpora(self) -> str:
+        corpora, excluded = self.filtered
+        self.out.json({"min_words": excluded, "counters": self.redaction[1]}, "exclusions.json")
+        users = shared_users(corpora)
+        if len(users) < 2:
+            raise InsufficientUsersError(
+                f"need >= 2 users on both platforms after exclusions, have {len(users)}"
+            )
+        return f"{len(users)} users on both platforms"
+
+    def summary(self) -> str:
+        """Per-platform word and post statistics, one progress line each.  The
+        pipeline writes those of the corpora left after the ``min_words``
+        exclusion; the subcommand, those of its whole cleaned corpus, and only
+        with ``--out-dir``, where it also writes a CSV mirror."""
+        stats = summary_stats(self.filtered[0] if self.pipeline else self.cleaned())
+        if self.pipeline or self.args.out_dir:
+            self.out.json(stats, "summary.json")
+        if not self.pipeline and self.args.out_dir:
+            rows = [
+                {"platform": plat, "measure": measure, **block[measure]}
+                for plat, block in sorted(stats.items())
+                for measure in ("words", "posts")
+            ]
             columns = ["platform", "measure", "median", "mean", "sd", "sd_defined"]
-            out.csv(rows, columns, "summary.csv")
-    return 0
+            self.out.csv(rows, columns, "summary.csv")
+        spread = "{median:.0f}/{mean:.1f}/{sd:.1f}".format_map
+        return "\n".join(
+            f"{plat}: n={block['n_users']} words med/mean/sd = {spread(block['words'])} "
+            f"posts med/mean/sd = {spread(block['posts'])}"
+            for plat, block in sorted(stats.items())
+        )
 
-
-def cmd_features(args) -> int:
-    cfg = run_config(args, "features")
-    corpora, excluded = _corpora_from_args(args, cfg)
-    platforms = sorted({p for (_, p) in corpora})
-    with OutputDir(args.out_dir) as out:
+    def features(self) -> str:
+        cfg, out = self.cfg, self.out
+        corpora, excluded = self.filtered
+        platforms = sorted({p for (_, p) in corpora})
         out.json(
             {plat: user_feature_table(corpora, plat, cfg.model_orders) for plat in platforms},
             "ngram_features.json",
@@ -558,122 +455,192 @@ def cmd_features(args) -> int:
             out.json(cats, "dictionary_features.json")
         if excluded:
             out.json({"min_words": excluded}, "exclusions.json")
-    n_excluded = len(excluded)
-    print(f"features: wrote {out.path} (excluded {n_excluded} users below {cfg.min_words} words)")
-    return 0
+        return f"wrote {out.path} (excluded {len(excluded)} users below {cfg.min_words} words)"
+
+    def diff(self) -> str:
+        """Differential n-gram (and, with a dictionary, category) analysis
+        between the platforms: the diff tables and the word-cloud data."""
+        cfg, out = self.cfg, self.out
+        corpora, excluded = self.filtered
+        alpha = cfg.fdr_alpha
+        ngram_rows = diff_ngrams(corpora, alpha=alpha, min_group_fraction=cfg.min_group_fraction)
+        category_rows = None
+        if cfg.dictionary:
+            spec = DictionarySpec.from_file(cfg.dictionary)
+            category_rows = diff_categories(corpora, spec, alpha=alpha)
+        out.table(ngram_rows, NgramDiff, "ngram_diff")
+        out.json([c.to_dict() for c in cloud_data(ngram_rows)], "cloud.json")
+        if category_rows is not None:
+            out.table(category_rows, CategoryDiff, "category_diff")
+        n_sig = sum(r.q_significant for r in ngram_rows)
+        return (
+            f"{len(ngram_rows)} n-grams tested, {n_sig} FDR-significant "
+            f"at alpha={alpha} ({len(excluded)} users excluded)"
+        )
+
+    def estimates(self) -> str:
+        """Task-style evaluation of the pretrained lexicon models on both
+        platforms: per-user estimates scored against self-reports by
+        :func:`outcome_scoring`, with a bootstrap test on the facebook-vs-sms
+        difference."""
+        outcomes, cfg = self.outcomes, self.cfg
+        if not self.lexicon:
+            return "no pretrained lexicon set"
+        unigrams = self.vectors((1,))
+        users = list(unigrams["facebook"])
+        report: dict = {"n_users": len(users), "models": {}}
+        for name, model in sorted(self.lexicon.items()):
+            labeled = labeled_users(users, outcomes, name)
+            if labeled is None:
+                continue
+            keep, y = labeled
+            metric = outcome_scoring(name)[1]
+            entry = report["models"][name] = {"metric": metric}
+            est = {}
+            try:
+                for plat, vectors in unigrams.items():
+                    est[plat] = np.array([apply_lexicon(model, vectors[users[i]]) for i in keep])
+                    entry[plat] = score(metric, est[plat], y)
+                entry["bootstrap"] = compare_estimates(
+                    metric, est["facebook"], est["sms"], y, cfg.bootstrap_iterations, cfg.seed
+                )
+            except DegenerateDataError as exc:
+                entry["degenerate"] = str(exc)
+        self.out.json(report, "lexicon_eval.json")
+        return f"scored {len(report['models'])} pretrained models on {len(users)} users"
+
+    def train(self) -> str:
+        """One ridge lexicon model per outcome on one platform's n-grams: in
+        the pipeline every outcome on facebook, in the subcommand the
+        ``--outcome`` ones (default every one) on ``--platform``."""
+        cfg, platform = self.cfg, "facebook" if self.pipeline else self.args.platform
+        users, fb, sms, feature_names = self.model_tables
+        outcomes, vectors = self.outcomes, fb if platform == "facebook" else sms
+        models = self.trained
+        wanted = None if self.pipeline else self.args.outcome
+        for name in wanted or sorted({n for u in users for n in outcomes.get(u, {})}):
+            labeled = labeled_users(users, outcomes, name)
+            if labeled is None:
+                skip = f"train: skipping {name}: fewer than {MIN_LABELED} labeled users\n"
+                sys.stderr.write(skip)
+                continue
+            keep, y = labeled
+            X = feature_matrix(vectors, [users[i] for i in keep], feature_names)
+            models[name] = ridge_fit(
+                X, y, cfg.ridge_alpha, feature_names=feature_names, outcome=name
+            )
+        file_name = self.out_file.name if self.out_file else f"trained_lexicon_{platform}.csv"
+        dest = self.out.claim(file_name)
+        save_lexicon_csv(models, dest)
+        return f"wrote {len(models)} {platform} models to {dest}"
+
+    def evaluate(self) -> str:
+        """Four-cell cross-platform evaluation on the n-gram tables, with holdout
+        cross fits in the pipeline.  When both embeddings files are set, the same
+        evaluation runs on both platforms' embeddings reduced in one shared NMF
+        basis of ``nmf_k`` components."""
+        cfg, out, outcomes = self.cfg, self.out, self.outcomes
+        users, fb, sms, feature_names = self.model_tables
+        cross_fit = "holdout" if self.pipeline else self.args.cross_fit
+        matrix_args = dict(alpha=cfg.ridge_alpha, bootstrap_iterations=cfg.bootstrap_iterations,
+                           seed=cfg.seed, cross_fit=cross_fit)
+        labels = {u: outcomes.get(u, {}) for u in users}
+        report = cross_domain_matrix(fb, sms, labels, feature_names=feature_names, **matrix_args)
+        out.json(report.to_dict(), "eval_report.json")
+        columns = ("outcome", "cell", "metric", "value", "n", "bootstrap_comparison",
+                   "bootstrap_delta", "bootstrap_p")
+        rows = []  # one row per (outcome, cell)
+        for name, ev in sorted(report.outcomes.items()):
+            for cell in CELL_ORDER:
+                res = ev.cells[cell]
+                comp = next(c for c, pair in COMPARISONS.items() if cell in pair)
+                boot = ev.bootstrap.get(comp, {})
+                row = (name, cell, res.metric, res.value, res.n, comp)
+                row += (boot.get("delta"), boot.get("p_value"))
+                rows.append(dict(zip(columns, row)))
+        out.csv(rows, columns, "eval_report.csv")
+        progress = f"wrote {out.path} for {len(report.outcomes)} outcomes, n={len(users)} users"
+        if not (cfg.embeddings_fb and cfg.embeddings_sms):
+            return progress
+        fb_emb, sms_emb = map(load_embeddings, (cfg.embeddings_fb, cfg.embeddings_sms))
+        usable = [u for u in users if u in fb_emb and u in sms_emb]
+        if len(usable) < 3:
+            raise ValueError("fewer than 3 users have embeddings on both platforms")
+        stacked = np.vstack([fb_emb[u] for u in usable] + [sms_emb[u] for u in usable])
+        k = min(cfg.nmf_k, min(stacked.shape))
+        result = nmf_reduce(stacked, k=k, iterations=cfg.nmf_iterations, seed=cfg.seed)
+        n = len(usable)
+        names = [f"nmf{j}" for j in range(k)]
+        emb_report = cross_domain_matrix(
+            {u: dict(zip(names, result.W[i])) for i, u in enumerate(usable)},
+            {u: dict(zip(names, result.W[n + i])) for i, u in enumerate(usable)},
+            {u: outcomes.get(u, {}) for u in usable},
+            feature_names=names,
+            **matrix_args,
+        )
+        info = {"k": k, "iterations": cfg.nmf_iterations, "n_users": n}
+        info["reconstruction_error"] = result.reconstruction_error
+        out.json({"nmf": info, **emb_report.to_dict()}, "embedding_eval.json")
+        return progress
+
+    def importance(self) -> str:
+        """Weight-times-frequency importance of each model's features, with
+        the users' mean unigram frequencies on each platform; one table per
+        model.  Only the models' terms are averaged; a term no user wrote
+        averages 0.  The pipeline ranks the pretrained models when a lexicon
+        is set, else the trained ones; the subcommand, its ``--outcome``'s."""
+        models = self.lexicon or self.trained
+        if not self.pipeline:
+            outcome = self.args.outcome
+            if outcome not in models:
+                raise ValueError(f"importance: outcome {outcome!r} not in {self.cfg.lexicon}")
+            if not shared_users(self.filtered[0]):
+                raise InsufficientUsersError("importance: no users present on both platforms")
+            models = {outcome: models[outcome]}
+        terms = sorted({t for model in models.values() for t in model.weights})
+        freq = {}
+        for plat, vecs in self.vectors((1,)).items():
+            M = feature_matrix(vecs, list(vecs), terms)
+            # each column's own mean: M.mean(axis=0) sums in another order
+            freq[plat] = {t: float(M[:, j].mean()) for j, t in enumerate(terms)}
+        progress = []
+        for name in sorted(models):
+            ranked = feature_importance(models[name], freq["facebook"], freq["sms"])
+            self.out.table(ranked, ImportanceRow, f"importance_{name}")
+            progress.append(f"ranked {len(ranked)} features for {name}")
+        return ", ".join(progress)
+
+    def manifest(self) -> str:
+        path = self.out.claim("manifest.json")
+        write_manifest(path, self.cfg.to_dict(), self.cfg.manifest_inputs(), __version__)
+        return f"wrote {path}"
 
 
-def cmd_diff(args) -> int:
-    cfg = run_config(args, "diff")
-    corpora, excluded = _corpora_from_args(args, cfg)
-    with OutputDir(args.out_dir) as out:
-        ngram_rows = _diff(corpora, out, cfg)
-    n_sig = sum(r.q_significant for r in ngram_rows)
-    print(
-        f"diff: {len(ngram_rows)} n-grams tested, {n_sig} FDR-significant "
-        f"at alpha={cfg.fdr_alpha} ({len(excluded)} users excluded)"
-    )
-    return 0
+PIPELINE = ("redact", "corpora", "summary", "diff", "estimates", "train", "evaluate",
+            "importance", "manifest")  # the pipeline's stages in order; not features
+STAGES = {name: getattr(Run, name) for name in (*PIPELINE, "features")}  # name -> stage
 
 
-def cmd_train(args) -> int:
-    cfg = run_config(args, "train")
-    corpora, _ = _corpora_from_args(args, cfg)
-    outcomes = load_outcomes_csv(cfg.outcomes)
-    tables = _modeling_tables(corpora, cfg)
-    dest = Path(args.out)
-    with OutputDir(dest.parent) as out:
-        models = _train(tables, outcomes, cfg, args.platform, args.outcome, out.claim(dest.name))
-    print(f"train: wrote {len(models)} {args.platform} models to {args.out}")
-    return 0
-
-
-def cmd_evaluate(args) -> int:
-    cfg = run_config(args, "evaluate")
-    corpora, _ = _corpora_from_args(args, cfg)
-    outcomes = load_outcomes_csv(cfg.outcomes)
-    tables = _modeling_tables(corpora, cfg)
-    with OutputDir(args.out_dir) as out:
-        report = _evaluate(tables, outcomes, out, cfg, args.cross_fit)
-    n_users = len(tables[0])
-    print(f"evaluate: wrote {out.path} for {len(report.outcomes)} outcomes, n={n_users} users")
-    return 0
-
-
-def cmd_importance(args) -> int:
-    cfg = run_config(args, "importance")
-    corpora, _ = _corpora_from_args(args, cfg)
-    models = load_lexicon_csv(cfg.lexicon)
-    if args.outcome not in models:
-        raise SystemExit(f"importance: outcome {args.outcome!r} not in {cfg.lexicon}")
-    users = shared_users(corpora)
-    if not users:
-        raise SystemExit("importance: no users present on both platforms")
-    model = {args.outcome: models[args.outcome]}
-    with OutputDir(args.out_dir) as out:
-        ranked = _importance(_unigram_vectors(corpora, users), model, out)
-    print(f"importance: ranked {len(ranked[args.outcome])} features for {args.outcome}")
-    return 0
-
-
-def cmd_pipeline(args) -> int:
+def run_command(args) -> int:
+    """Run ``args.command``: build its :class:`Run`, open its one report
+    directory, and run the subcommand's stage, or every pipeline stage in
+    order, printing each stage's progress line.  A pipeline failure is raised
+    as :class:`PipelineError` naming the stage (``config`` before the first)."""
+    pipeline = args.command == "pipeline"
     stage = "config"
     try:
-        cfg = run_config(args, "pipeline", RunConfig.from_file(args.config))
-        if cfg.keystroke_log is None or cfg.facebook_corpus is None or cfg.outcomes is None:
-            raise SystemExit("pipeline: config must set keystroke_log, facebook_corpus, outcomes")
-        with OutputDir(cfg.output_dir) as out:
-            stage = "redact"
-            suite = _build_suite(cfg)
-            entries, counters = run_redaction(cfg.keystroke_log, suite, cfg)
-            out.jsonl(entries, "entries.jsonl")
-            print(f"pipeline[{stage}]: {counters['events']} events -> {len(entries)} entries")
-
-            stage = "corpora"
-            corpora = _load_clean_corpora(cfg.facebook_corpus, suite)
-            corpora.update(_sms_corpora_from_entries(entries))
-            corpora, excluded = filter_min_words(corpora, cfg.min_words)
-            out.json({"min_words": excluded, "counters": counters}, "exclusions.json")
-            users = shared_users(corpora)
-            if len(users) < 2:
-                raise InsufficientUsersError(
-                    f"need >= 2 users on both platforms after exclusions, have {len(users)}"
-                )
-            unigrams = _unigram_vectors(corpora, users)
-            print(f"pipeline[{stage}]: {len(users)} users on both platforms")
-
-            stage = "summary"
-            out.json(summary_stats(corpora), "summary.json")
-
-            stage = "diff"
-            _diff(corpora, out, cfg)
-
-            stage = "estimates"
-            outcomes = load_outcomes_csv(cfg.outcomes)
-            pretrained = load_lexicon_csv(cfg.lexicon) if cfg.lexicon else {}
-            if pretrained:
-                report = _lexicon_estimates(pretrained, unigrams, outcomes, cfg)
-                out.json(report, "lexicon_eval.json")
-
-            stage = "train"
-            tables = _modeling_tables(corpora, cfg)
-            lexicon_out = out.claim("trained_lexicon_facebook.csv")
-            trained = _train(tables, outcomes, cfg, "facebook", None, lexicon_out)
-
-            stage = "evaluate"
-            _evaluate(tables, outcomes, out, cfg, "holdout")
-
-            stage = "importance"
-            _importance(unigrams, pretrained or trained, out)
-
-            stage = "manifest"
-            write_manifest(
-                out.claim("manifest.json"), cfg.to_dict(), cfg.manifest_inputs(), __version__
-            )
-        print(f"pipeline: complete, reports in {out.path}")
-        return 0
+        run = Run(args)
+        with OutputDir(run.out_dir) as run.out:
+            for stage in PIPELINE if pipeline else (args.command,):
+                for line in STAGES[stage](run).splitlines():
+                    print(f"pipeline[{stage}]: {line}" if pipeline else f"{stage}: {line}")
     except Exception as exc:
-        raise PipelineError(f"stage {stage!r} failed: {exc}") from exc
+        if pipeline:
+            raise PipelineError(f"stage {stage!r} failed: {exc}") from exc
+        raise
+    if pipeline:
+        print(f"pipeline: complete, reports in {run.out.path}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -693,45 +660,37 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("redact", help="sanitize a keystroke log into entries")
     p.add_argument("--in", dest="infile", required=True, help="keystroke JSONL log")
     p.add_argument("--out", dest="outfile", required=True, help="sanitized entries JSONL")
-    p.set_defaults(func=cmd_redact)
 
     p = sub.add_parser("summary", help="per-platform word/post statistics")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out-dir")
-    p.set_defaults(func=cmd_summary)
 
     p = sub.add_parser("features", help="extract n-gram and dictionary features")
     p.add_argument("--corpus", **corpus)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("diff", help="differential language analysis between platforms")
     p.add_argument("--corpus", **corpus)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_diff)
 
     p = sub.add_parser("train", help="fit ridge lexicon models on one platform")
     p.add_argument("--corpus", **corpus)
     p.add_argument("--platform", choices=["facebook", "sms"], default="facebook")
     p.add_argument("--outcome", action="append", help="outcome name (repeatable; default all)")
     p.add_argument("--out", required=True, help="lexicon CSV to write")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="four-cell cross-platform model evaluation")
     p.add_argument("--corpus", **corpus)
     p.add_argument("--cross-fit", choices=["holdout", "full"], default="holdout")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("importance", help="weight-times-frequency feature importance")
     p.add_argument("--corpus", **corpus)
     p.add_argument("--outcome", required=True)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_importance)
 
     p = sub.add_parser("pipeline", help="full deterministic run from a config file")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_pipeline)
 
     # Settings flags: --<field> with dashes (or its _FLAG_NAMES name), parsed as
     # the config file parses the field (a bool is a switch), with the field's
@@ -749,8 +708,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (PipelineError, FileNotFoundError, ValueError, InsufficientUsersError) as exc:
+        return run_command(args)
+    except (PipelineError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, PipelineError) else 2
 

@@ -182,7 +182,7 @@ class Gazetteer:
                 self.add(label, form)
 
     def add(self, label: str, surface: str) -> None:
-        surface = " ".join(straight_apostrophes(surface).casefold().split())
+        surface = " ".join(_casefold(straight_apostrophes(surface)).split())
         if not surface:
             raise CatalogueError(f"empty gazetteer surface form for label {label!r}")
         self.entries.setdefault(label, set()).add(surface)
@@ -276,16 +276,23 @@ class Gazetteer:
         return spans
 
 
+def _casefold(text: str) -> str:
+    """``text.casefold()`` with İ (U+0130) read as I, not as i plus a combining
+    dot, so a name listed in ASCII matches its Turkish spelling.  One
+    character stands for one, and İ in the text stays uppercase."""
+    return text.replace("İ", "I").casefold()
+
+
 def _fold(text: str) -> tuple[str, Sequence[int], Sequence[int]]:
-    """``text.casefold()``, the folded offset of each offset of ``text``, and
+    """``_casefold(text)``, the folded offset of each offset of ``text``, and
     the offset in ``text`` of each folded offset (-1 inside one character's
     fold).  The maps are lists only when folding lengthens a character
     (ß -> ss); no character folds to nothing."""
-    folded = text.casefold()
+    folded = _casefold(text)
     if len(folded) == len(text):
         same = range(len(text) + 1)
         return folded, same, same
-    fold_at = list(itertools.accumulate((len(c.casefold()) for c in text), initial=0))
+    fold_at = list(itertools.accumulate((len(_casefold(c)) for c in text), initial=0))
     text_at = [-1] * (len(folded) + 1)
     for i, f in enumerate(fold_at):
         text_at[f] = i

@@ -117,9 +117,10 @@ def univariate_logistic_p(
     """Two-sided Wald p for the slope of intercept + one-feature logistic fit.
 
     Fit by iteratively reweighted least squares (Newton), no regularization.
-    Perfectly separated data has no MLE: the fit is flagged with a warning and
-    the Wald p is reported at its limit (1.0, the Hauck-Donner limit).
-    Failure to converge otherwise is an error.
+    Separated data, where the classes' values overlap at most at one point
+    (complete or quasi-complete separation), has no MLE: the fit is not tried,
+    a warning flags it and the Wald p is reported at its limit (1.0, the
+    Hauck-Donner limit).  Failure to converge otherwise is an error.
     """
     x = np.asarray(values, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -135,10 +136,8 @@ def univariate_logistic_p(
 
     x1 = x[y01 == 1]
     x0 = x[y01 == 0]
-    if x1.min() > x0.max() or x0.min() > x1.max():
-        warnings.warn(
-            "perfect separation: Wald p reported at its limit", RuntimeWarning, stacklevel=2
-        )
+    if x1.min() >= x0.max() or x0.min() >= x1.max():
+        warnings.warn("separation: Wald p reported at its limit", RuntimeWarning, stacklevel=2)
         return 1.0
 
     X = np.column_stack([np.ones_like(x), x])

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import warnings
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from scrublang.analysis import (
     InsufficientUsersError,
@@ -14,6 +21,7 @@ from scrublang.analysis import (
     summary_stats,
 )
 from scrublang.features import DictionarySpec, UserCorpus
+from scrublang.stats import DegenerateDataError, univariate_logistic_p
 
 
 def corpus(user, platform, docs):
@@ -159,3 +167,98 @@ class TestSummary:
         assert set(stats) == {"facebook", "sms"}
         assert stats["facebook"]["words"]["mean"] == 4.0
         assert stats["sms"]["words"]["mean"] == 1.0
+
+
+def logistic_p_fitting_quasi_separation(values, labels, tol=1e-8, max_iter=100):
+    """Reference: the Wald p as computed before quasi-complete separation was
+    tested for, when only complete separation skipped the Newton fit."""
+    x = np.asarray(values, dtype=float)
+    y01 = (np.asarray(labels) == max(labels)).astype(float)
+    if np.ptp(x) < np.sqrt(np.finfo(float).tiny):
+        return 1.0
+    x1, x0 = x[y01 == 1], x[y01 == 0]
+    if x1.min() > x0.max() or x0.min() > x1.max():
+        warnings.warn("perfect separation", RuntimeWarning)
+        return 1.0
+    X = np.column_stack([np.ones_like(x), x])
+    beta = np.zeros(2)
+    for _ in range(max_iter):
+        mu = 1.0 / (1.0 + np.exp(-(X @ beta)))
+        try:
+            step = np.linalg.solve(X.T @ (X * (mu * (1 - mu))[:, None]), X.T @ (y01 - mu))
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateDataError(str(exc)) from exc
+        beta = beta + step
+        if np.max(np.abs(step)) < tol:
+            break
+    else:
+        raise RuntimeError("IRLS did not converge")
+    mu = 1.0 / (1.0 + np.exp(-(X @ beta)))
+    se = np.sqrt(np.linalg.inv(X.T @ (X * (mu * (1 - mu))[:, None]))[1, 1])
+    if se == 0.0 or not np.isfinite(se):
+        return 1.0
+    return float(2.0 * ndtr(-abs(beta[1] / se)))
+
+
+@st.composite
+def sparse_corpora(draw) -> dict:
+    """2-8 users with one message per platform, drawn from vocabularies that
+    share two words, so that many unigrams are (quasi-completely) separated."""
+    vocab = {"facebook": ["fun", "weekend", "ok", "yes"], "sms": ["ok", "yes", "lol", "omw"]}
+    corpora = {}
+    for i in range(draw(st.integers(2, 8))):
+        for plat, words in vocab.items():
+            text = " ".join(draw(st.lists(st.sampled_from(words), min_size=1, max_size=8)))
+            corpora[(f"u{i}", plat)] = corpus(f"u{i}", plat, [text])
+    return corpora
+
+
+def quasi_separated_corpora() -> dict:
+    """Six users write ``fun`` on facebook and ``ok`` in sms, a seventh ``ok``
+    on both: the reference's Newton iteration on ``ok`` stops on a
+    numerically singular information matrix instead of failing."""
+    return paired_corpora(7, lambda i: ["ok" if i == 6 else "fun"], lambda i: ["ok"])
+
+
+class TestSeparation:
+    @given(sparse_corpora())
+    @settings(max_examples=150, deadline=None)
+    @example(paired_corpora(4, lambda i: ["fun ok" if i % 2 else "ok"], lambda i: ["ok yes"]))
+    @example(quasi_separated_corpora())
+    def test_separated_features_take_the_fallback_without_a_fit(self, corpora):
+        """Where the platforms' values overlap at most at one point there is
+        no MLE: the fit is not tried and the row takes the paired-t fallback.
+        Where the reference's fit failed, which is what it does on nearly
+        every such feature, each row is the reference's.  Where its Newton
+        iteration stopped instead, it stopped at the Wald p's limit of 1."""
+        users = shared_users(corpora)
+        labels = np.r_[np.ones(len(users)), np.zeros(len(users))]
+        rows = diff_ngrams(corpora, min_group_fraction=0.0, orders=(1,))
+        stopped = set()
+        for row in rows:
+            x, y = (
+                np.array([corpora[(u, plat)].ngram_features((1,)).get(row.ngram, 0.0) for u in users])
+                for plat in ("facebook", "sms")
+            )
+            constant = x.min() == x.max() == y.min() == y.max()
+            if row.degenerate or constant or not (x.min() >= y.max() or y.min() >= x.max()):
+                continue
+            assert row.p_fallback == "paired_t"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(RuntimeWarning, match="separation"):
+                    univariate_logistic_p(np.r_[x, y], labels)
+                try:
+                    p = logistic_p_fitting_quasi_separation(np.r_[x, y], labels)
+                except (RuntimeWarning, RuntimeError, DegenerateDataError):
+                    continue
+            assert p > 0.999
+            stopped.add(row.ngram)
+        with mock.patch("scrublang.analysis.univariate_logistic_p",
+                        logistic_p_fitting_quasi_separation):
+            reference = diff_ngrams(corpora, min_group_fraction=0.0, orders=(1,))
+        # a changed p may move other rows' FDR flags
+        shown = (lambda r: repr(replace(r, q_significant=None))) if stopped else repr
+        assert [shown(r) for r in rows if r.ngram not in stopped] == [
+            shown(r) for r in reference if r.ngram not in stopped
+        ]

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from scrublang import cli, features
-from scrublang.cli import PipelineError, RunConfig, main
+from scrublang.cli import RunConfig, main
 from scrublang.io import load_lexicon_csv, sha256_file
 from scrublang.synth import ALLOWED_APPS, make_fixture
 
@@ -571,11 +571,8 @@ class TestUsageErrors:
         [
             "features {corpus} --orders 0 --out-dir {out}",
             "train {corpus} --outcomes {ages} --orders 1,-2 --out {out}.csv",
-            "evaluate {corpus} --outcomes {ages} --bootstrap-iterations 0 --out-dir {out}",
-            "evaluate {corpus} --outcomes {ages} --bootstrap-iterations 999 --out-dir {out}",
         ],
-        ids=["features-orders-0", "train-negative-order", "evaluate-0-resamples",
-             "evaluate-999-resamples"],
+        ids=["features-orders-0", "train-negative-order"],
     )
     def test_usage_error(self, tmp_path, capsys, argv):
         corpus, ages = tmp_path / "c.jsonl", tmp_path / "ages.csv"
@@ -603,10 +600,15 @@ class TestUsageErrors:
             # ages.csv doubles as a one-dimensional embeddings file
             ("evaluate {corpus} --outcomes {ages} --orders 1 --bootstrap-iterations 1000 "
              "--embeddings-fb {ages} --embeddings-sms {ages} --nmf-k 0 --out-dir {out}", "nmf_k"),
+            ("evaluate {corpus} --outcomes {ages} --bootstrap-iterations 0 --out-dir {out}",
+             "bootstrap_iterations"),
+            ("evaluate {corpus} --outcomes {ages} --bootstrap-iterations 999 --out-dir {out}",
+             "bootstrap_iterations"),
         ],
         ids=["redact-negative-timeout", "redact-zero-timeout", "diff-fraction-above-1",
              "diff-negative-fraction", "diff-alpha-1.5", "evaluate-fraction-above-1",
-             "evaluate-missing-outcomes", "train-negative-ridge-alpha", "evaluate-nmf-k-0"],
+             "evaluate-missing-outcomes", "train-negative-ridge-alpha", "evaluate-nmf-k-0",
+             "evaluate-0-resamples", "evaluate-999-resamples"],
     )
     def test_setting_checked_before_any_work(self, tmp_path, capsys, argv, setting):
         """A flag sets the same RunConfig field as the config key, and is
@@ -634,10 +636,44 @@ class TestUsageErrors:
         text = cfg.read_text().replace("bootstrap_iterations = 2000", "bootstrap_iterations = 500")
         cfg.write_text(text)
         assert main(["pipeline", "--config", str(cfg)]) == 1
-        assert "stage 'config' failed: iterations must be >= 1000" in capsys.readouterr().err
+        lineno = text.splitlines().index("bootstrap_iterations = 500") + 1
+        where = f"stage 'config' failed: {cfg}:{lineno}: bootstrap_iterations must be >= 1000"
+        assert where in capsys.readouterr().err
         assert not (tmp_path / "fx" / "out").exists()
         with pytest.raises(ValueError, match="iterations must be >= 1000"):
             RunConfig(bootstrap_iterations=999)
+
+
+class TestErrorPath:
+    """Every bad input is an ``error:`` line on stderr with exit code 2, or 1
+    from ``pipeline``, and leaves no report."""
+
+    @pytest.mark.parametrize(
+        "argv,rc,message",
+        [
+            ("importance --corpus {corpus} --min-words 1 --lexicon {lex} --outcome stress "
+             "--out-dir {out}", 2, "error: importance: outcome 'stress' not in "),
+            ("importance --corpus {posts} --min-words 1 --lexicon {lex} --outcome age "
+             "--out-dir {out}", 2, "error: importance: no users present on both platforms"),
+            ("pipeline --config {cfg}", 1,
+             "error: stage 'config' failed: config must set keystroke_log, facebook_corpus, "
+             "outcomes"),
+        ],
+        ids=["importance-unknown-outcome", "importance-no-shared-users", "pipeline-no-inputs"],
+    )
+    def test_bad_input(self, tmp_path, capsys, argv, rc, message):
+        corpus, posts = tmp_path / "c.jsonl", tmp_path / "posts.jsonl"
+        lex, cfg = tmp_path / "lex.csv", tmp_path / "run.cfg"
+        write_small_corpus(corpus)
+        facebook = [line for line in corpus.read_text().splitlines() if '"facebook"' in line]
+        posts.write_text("\n".join(facebook) + "\n")
+        lex.write_text("term,category,weight\n_intercept,age,20\nfun,age,1.0\n")
+        cfg.write_text(f"seed = 1\noutput_dir = {tmp_path / 'out'}\n")
+        argv = argv.format(corpus=corpus, posts=posts, lex=lex, cfg=cfg, out=tmp_path / "out")
+        assert main(argv.split()) == rc
+        assert message in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert not out.exists() or list(out.iterdir()) == []
 
 
 class TestFailedCommandCleanup:
@@ -819,8 +855,9 @@ class TestPipeline:
         assert 0 < len(calls) <= len(posts) + len(entries)
 
     def test_estimates_and_importance_share_unigram_counts(self, fixture_dir, monkeypatch):
-        """With ``model_orders = 1`` a corpus's unigrams are counted twice: once
-        for the model tables, once for the lexicon estimates and importance."""
+        """With ``model_orders = 1`` the model tables, the lexicon estimates
+        and importance read one count of each corpus's unigrams: every
+        (user, platform, orders) is counted once."""
         calls = []
         real = features.UserCorpus.ngram_features
 
@@ -831,7 +868,7 @@ class TestPipeline:
         monkeypatch.setattr(features.UserCorpus, "ngram_features", counting)
         assert main(["pipeline", "--config", str(fixture_dir / "pipeline.cfg")]) == 0
         unigram_calls = [c for c in calls if c[2] == (1,)]
-        assert unigram_calls and max(map(unigram_calls.count, unigram_calls)) == 2
+        assert unigram_calls and max(map(calls.count, calls)) == 1
 
     def test_lexicon_estimates_score_binary_and_degenerate_models(self, tmp_path):
         """A gender model is scored by sign accuracy; a model none of whose
@@ -886,18 +923,30 @@ class TestPipeline:
         assert "eval_report.json" not in leftovers
         assert "entries.jsonl" not in leftovers
 
-    def test_pipeline_error_names_stage(self, tmp_path):
+    @pytest.mark.parametrize("stage", cli.PIPELINE)
+    def test_failed_stage_named_and_its_run_leaves_no_reports(
+        self, tmp_path, capsys, monkeypatch, stage
+    ):
+        """Each stage fails after writing its own reports: the error names
+        it, the exit code is 1, and no report of the run is left."""
+        files = make_fixture(tmp_path / "fx", n_users=6, seed=1)
+        real = cli.STAGES[stage]
+
+        def failing(run):
+            real(run)
+            raise OSError("disk full")
+
+        monkeypatch.setitem(cli.STAGES, stage, failing)
+        assert main(["pipeline", "--config", str(files["config"])]) == 1
+        assert f"error: stage {stage!r} failed: disk full" in capsys.readouterr().err
+        assert list((tmp_path / "fx" / "out").iterdir()) == []
+
+    def test_pipeline_error_names_stage(self, tmp_path, capsys):
         fixture = tmp_path / "fx2"
         files = make_fixture(fixture, n_users=6, seed=2)
         files["outcomes"].write_text("user_id,age\nuser00,bad\n")
-        from scrublang.cli import cmd_pipeline
-        import argparse
-
-        args = argparse.Namespace(
-            config=str(files["config"]), seed=None, alpha=None, min_words=None
-        )
-        with pytest.raises(PipelineError, match="stage 'estimates'"):
-            cmd_pipeline(args)
+        assert main(["pipeline", "--config", str(files["config"])]) == 1
+        assert "error: stage 'estimates' failed: " in capsys.readouterr().err
 
     def test_overrides(self, tmp_path):
         fixture = tmp_path / "fx3"

@@ -303,6 +303,17 @@ class TestLengtheningCaseFold:
         assert gaz.find_entities("Herr Weiß sagt") == [span(5, 9, "org")]
         assert gaz.find_partial_entities("Herr Wei") == [span(5, 8, "org")]
 
+    def test_dotted_capital_i_reads_as_i(self):
+        """İ folds to i plus a combining dot; the gazetteer reads it as I, so
+        a name listed in ASCII matches its Turkish spelling, and İ still
+        counts as a capital for a person's name."""
+        gaz = Gazetteer({"person": ["ilkay demir"]})
+        assert gaz.find_entities("met İlkay Demir") == [span(4, 15, "person")]
+        assert gaz.find_partial_entities("met İlk") == [span(4, 7, "person")]
+        assert Gazetteer({"person": ["İlkay Demir"]}).find_entities("met Ilkay Demir") == [
+            span(4, 15, "person")
+        ]
+
     def test_entry_may_not_end_inside_one_character_fold(self):
         gaz = Gazetteer({"org": ["weis"]})
         assert gaz.find_entities("Herr Weiß") == []
