@@ -25,7 +25,8 @@ re-examined.
 from __future__ import annotations
 
 import importlib.resources
-import itertools
+import re
+import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence
@@ -37,7 +38,6 @@ from .spans import (
     merge_spans,
     numbered_lines,
     placeholder_regions,
-    straight_apostrophes,
 )
 
 PRIORITY_STRUCTURAL = 0
@@ -158,31 +158,58 @@ def load_catalogue(path: str | Path | None = None) -> list[Detector]:
     return detectors
 
 
-_WORD_RUN = regex.compile(r"[\w'][\w'.-]*")
+# a word for the capitalization rule; ’ joins a word as ' does
+_WORD_RUN = regex.compile(r"[\w'’][\w'’.-]*")
+# where an occurrence may start: a non-blank character that no word character
+# precedes (stdlib ``re``: ``\w`` is exactly ``isalnum()`` or ``_``)
+_START = re.compile(r"(?<!\w)\S")
+_CLUSTER = regex.compile(r"\X")
+_ODD_SPACE = re.compile(r"[^\S ]| {2}")  # whitespace that normalization rewrites
+
+
+def _normalize(text: str) -> tuple[str, Sequence[int], Sequence[int]]:
+    """What the gazetteer compares, built one grapheme cluster at a time: NFKC,
+    ’ read as ', İ read as I (so a name listed in ASCII matches its Turkish
+    spelling), ``casefold``, and each whitespace run read as one space.  Also
+    the normalized offset of each offset of ``text`` and the offset in
+    ``text`` of each normalized offset, -1 inside a cluster or a run."""
+    if text.isascii() and not _ODD_SPACE.search(text):
+        same = range(len(text) + 1)
+        return text.lower(), same, same
+    norm_at = [-1] * (len(text) + 1)
+    text_at: list[int] = []
+    pieces: list[str] = []
+    for m in _CLUSTER.finditer(text):
+        piece = unicodedata.normalize("NFKC", m.group()).replace("’", "'").replace("İ", "I")
+        if piece.isspace() and pieces and pieces[-1] == " ":
+            continue  # a whitespace run goes on
+        piece = " " if piece.isspace() else piece.casefold()  # never empty
+        norm_at[m.start()] = len(text_at)
+        text_at += [m.start()] + [-1] * (len(piece) - 1)
+        pieces.append(piece)
+    norm_at[-1] = len(text_at)
+    text_at.append(len(text))
+    return "".join(pieces), norm_at, text_at
 
 
 class Gazetteer:
-    """Label -> case-folded surface forms, with longest-match lookup.
+    """Label -> surface forms as ``_normalize`` reads them, with longest-match
+    lookup.
 
-    Surface forms may span several words.  Labels listed in
-    ``require_capitalized`` (person names by default) only match when every
-    word of the occurrence is capitalized in the original text, which keeps
-    common nouns from being swallowed just because they appear in a name list.
+    Surface forms may span several words.  A ``person`` entry only matches
+    when every word of the occurrence is capitalized in the original text,
+    which keeps common nouns from being swallowed just because they appear in
+    a name list.
     """
 
-    def __init__(
-        self,
-        entries: dict[str, Iterable[str]] | None = None,
-        require_capitalized: frozenset[str] = frozenset({"person"}),
-    ) -> None:
+    def __init__(self, entries: dict[str, Iterable[str]] | None = None) -> None:
         self.entries: dict[str, set[str]] = {}
-        self.require_capitalized = require_capitalized
         for label, forms in (entries or {}).items():
             for form in forms:
                 self.add(label, form)
 
     def add(self, label: str, surface: str) -> None:
-        surface = " ".join(_casefold(straight_apostrophes(surface)).split())
+        surface = _normalize(surface)[0].strip()
         if not surface:
             raise CatalogueError(f"empty gazetteer surface form for label {label!r}")
         self.entries.setdefault(label, set()).add(surface)
@@ -208,43 +235,42 @@ class Gazetteer:
 
     # -- matching ------------------------------------------------------
 
-    def _word_starts(self, text: str) -> list[int]:
-        # a quoted name ('John Smith') starts after its leading apostrophes
+    def _starts(self, text: str) -> tuple[str, Sequence[int], list[tuple[int, int]]]:
+        """``_normalize(text)``'s form and map back to ``text``, and the
+        ``(offset, normalized offset)`` of each ``_START`` that begins a
+        cluster whose normalized form begins some entry."""
+        norm, norm_at, text_at = _normalize(text)
+        initials = {form[0] for forms in self.entries.values() for form in forms}
         starts = []
-        for m in _WORD_RUN.finditer(text):
-            starts.append(m.start())
-            inner = m.end() - len(m.group().lstrip("'"))
-            if m.start() < inner < m.end():
-                starts.append(inner)
-        return starts
+        for m in _START.finditer(text):
+            at = norm_at[m.start()]
+            if at >= 0 and norm[at] in initials:
+                starts.append((m.start(), at))
+        return norm, text_at, starts
 
     def _capitalized_ok(self, label: str, text: str, start: int) -> bool:
-        if label not in self.require_capitalized:
+        if label != "person":
             return True
         # every word of the occurrence must start uppercase
         occ_words = _WORD_RUN.finditer(text, start)
         return all(w.group()[0].isupper() for w in occ_words)
 
     def find_entities(self, text: str) -> list[RedactionSpan]:
-        """At each word start, the longest entry found there; among entries
-        of that length, the label that sorts first.  The spans may overlap:
-        :meth:`DetectorSuite.detect` chooses among them."""
-        text = straight_apostrophes(text)
-        folded, fold_at, text_at = _fold(text)
+        """At each start, the longest entry found there that no word
+        character follows; among entries of that length, the label that sorts
+        first.  The spans may overlap: :meth:`DetectorSuite.detect` chooses
+        among them."""
+        norm, text_at, starts = self._starts(text)
         spans: list[RedactionSpan] = []
-        for start in self._word_starts(text):
+        for start, at in starts:
             best: tuple[int, str] | None = None
-            fstart = fold_at[start]
             for label, forms in sorted(self.entries.items()):
                 for form in forms:
-                    fend = fstart + len(form)
-                    if folded[fstart:fend] != form:
+                    if not norm.startswith(form, at):
                         continue
-                    end = text_at[fend]
-                    if end < 0:
-                        continue  # ends inside one character's fold
-                    if end < len(text) and (text[end].isalnum() or text[end] == "_"):
-                        continue  # must end at a word boundary
+                    end = text_at[at + len(form)]
+                    if end < 0 or end < len(text) and (text[end].isalnum() or text[end] == "_"):
+                        continue  # ends inside a cluster, or a word character follows
                     if not self._capitalized_ok(label, text[:end], start):
                         continue
                     if best is None or end > best[0]:
@@ -254,49 +280,22 @@ class Gazetteer:
         return spans
 
     def find_partial_entities(self, text: str) -> list[RedactionSpan]:
-        """For each entry, the longest tail of ``text`` that is a proper
-        prefix of it."""
-        text = straight_apostrophes(text)
-        folded, _, text_at = _fold(text)
+        """For each entry, the longest tail of ``text`` from a start whose
+        normalized form is a proper prefix of it."""
+        norm, _, starts = self._starts(text)
         spans: list[RedactionSpan] = []
-        for label, forms in self.entries.items():
-            for form in forms:
-                for l in range(min(len(form) - 1, len(folded)), 0, -1):
-                    if folded[-l:] != form[:l]:
+        proposed: set[tuple[str, str]] = set()
+        for start, at in starts:
+            rest = norm[at:]
+            for label, forms in self.entries.items():
+                for form in forms:
+                    if len(rest) >= len(form) or not form.startswith(rest):
                         continue
-                    start = text_at[len(folded) - l]
-                    if start < 0:
-                        continue  # begins inside one character's fold
-                    if start > 0 and (text[start - 1].isalnum() or text[start - 1] == "_"):
-                        continue  # must begin at a word boundary
-                    if not self._capitalized_ok(label, text, start):
+                    if (label, form) in proposed or not self._capitalized_ok(label, text, start):
                         continue
+                    proposed.add((label, form))
                     spans.append(RedactionSpan(start, len(text), (label,)))
-                    break
         return spans
-
-
-def _casefold(text: str) -> str:
-    """``text.casefold()`` with İ (U+0130) read as I, not as i plus a combining
-    dot, so a name listed in ASCII matches its Turkish spelling.  One
-    character stands for one, and İ in the text stays uppercase."""
-    return text.replace("İ", "I").casefold()
-
-
-def _fold(text: str) -> tuple[str, Sequence[int], Sequence[int]]:
-    """``_casefold(text)``, the folded offset of each offset of ``text``, and
-    the offset in ``text`` of each folded offset (-1 inside one character's
-    fold).  The maps are lists only when folding lengthens a character
-    (ß -> ss); no character folds to nothing."""
-    folded = _casefold(text)
-    if len(folded) == len(text):
-        same = range(len(text) + 1)
-        return folded, same, same
-    fold_at = list(itertools.accumulate((len(_casefold(c)) for c in text), initial=0))
-    text_at = [-1] * (len(folded) + 1)
-    for i, f in enumerate(fold_at):
-        text_at[f] = i
-    return folded, fold_at, text_at
 
 
 def entity_detector(recognizer: EntityRecognizer, name: str = "entity") -> Detector:

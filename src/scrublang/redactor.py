@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, fields
 from .detectors import DetectorSuite, default_suite
 from .spans import Record, RedactionSpan, clip_spans, merge_spans, render_redacted
 
-DEFAULT_BOUNDARY_CHARS = " \t\n\r.,!?;:"
+BOUNDARY_CHARS = " \t\n\r.,!?;:"
 DEFAULT_TIMEOUT_MS = 60_000
 
 # each KeystrokeEvent field's JSON type, in field order (a boolean is no integer here)
@@ -166,27 +166,25 @@ class RedactionResult:
     spans: tuple[RedactionSpan, ...]
 
 
-def detect_token_completion(
-    previous_text: str, current_text: str, boundary_chars: str = DEFAULT_BOUNDARY_CHARS
-) -> tuple[int, int] | None:
+def detect_token_completion(previous_text: str, current_text: str) -> tuple[int, int] | None:
     """Range of the token newly completed at the end of ``current_text``.
 
     A token completes when the edit leaves the string ending in one or more
-    boundary characters directly after non-boundary characters, and that
+    of ``BOUNDARY_CHARS`` directly after non-boundary characters, and that
     token/boundary pair was not already present in ``previous_text``.
     Replacement edits (autocorrect) count as delete-then-append.  Returns the
     half-open character range of the completed token, or ``None``.
     """
-    if not current_text or current_text[-1] not in boundary_chars:
+    if not current_text or current_text[-1] not in BOUNDARY_CHARS:
         return None
     # last non-boundary character
     p = len(current_text) - 1
-    while p >= 0 and current_text[p] in boundary_chars:
+    while p >= 0 and current_text[p] in BOUNDARY_CHARS:
         p -= 1
     if p < 0:
         return None
     start = p
-    while start > 0 and current_text[start - 1] not in boundary_chars:
+    while start > 0 and current_text[start - 1] not in BOUNDARY_CHARS:
         start -= 1
     # newly completed iff the edit touched the token or its boundary
     lcp = 0
@@ -205,7 +203,6 @@ class StreamRedactor:
         suite: Detector suite; defaults to the bundled catalogue + gazetteer.
         timeout_ms: Inactivity gap that finalizes the open entry.
         keep_snapshots: Retain redacted partial snapshots on emitted entries.
-        boundary_chars: Token boundary set.
     """
 
     def __init__(
@@ -213,12 +210,10 @@ class StreamRedactor:
         suite: DetectorSuite | None = None,
         timeout_ms: int = DEFAULT_TIMEOUT_MS,
         keep_snapshots: bool = False,
-        boundary_chars: str = DEFAULT_BOUNDARY_CHARS,
     ) -> None:
         self.suite = suite if suite is not None else default_suite()
         self.timeout_ms = timeout_ms
         self.keep_snapshots = keep_snapshots
-        self.boundary_chars = boundary_chars
         self._buffers: dict[tuple[str, str], EntryBuffer] = {}
 
     # -- event ingestion -------------------------------------------------
@@ -275,7 +270,7 @@ class StreamRedactor:
         )
         buf.history.append(snapshot)
 
-        token = detect_token_completion(prev_text, event.current_text, self.boundary_chars)
+        token = detect_token_completion(prev_text, event.current_text)
         if token is not None:
             detections = [
                 s for s in snapshot.confirmed if s.start < token[1] and s.end > token[0]
@@ -360,7 +355,9 @@ class StreamRedactor:
             )
 
         raw = buf.history[-1].text
-        detections = self.suite.detect(raw)
+        # with retention on, the newest snapshot's confirmed spans are exactly
+        # detect(raw): its own rollback merges each of them into itself
+        detections = buf.history[-1].confirmed if self.keep_snapshots else self.suite.detect(raw)
         final_text, final_spans = render_redacted(raw, detections)
 
         snapshots_out: list[str] = []

@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import functools
 import re
+from dataclasses import astuple
 
 import pytest
+import regex
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +24,7 @@ from scrublang.detectors import (
     load_catalogue,
     regex_detector,
     default_suite,
+    _normalize,
 )
 from scrublang.redactor import redact_string
 from scrublang.spans import RedactionSpan, merge_spans, render_redacted, span
@@ -322,39 +325,105 @@ class TestLengtheningCaseFold:
         ]
 
 
-_WORD = re.compile(r"[\w'][\w'.-]*")
+# a name with a composed accent next to one in ASCII
+RULE_NAMES = {"person": ["john smith", "jos\u00e9 lopez"]}
 
 
-def longest_at_word_starts(entries: dict[str, list[str]], text: str) -> list[tuple]:
-    """Independent scan: at each word start, the longest entry that matches
-    case-folded text slices, ends at a word boundary and, for a person, has
-    every word capitalized; ties go to the label that sorts first."""
-    text = text.replace("\u2019", "'")
-    forms = sorted(
-        (label, " ".join(form.replace("\u2019", "'").casefold().split()))
-        for label, fs in entries.items()
-        for form in fs
+class TestOneMatchingRule:
+    """Entries and text are read through one normalization, and both lookups
+    start where no word character precedes."""
+
+    @pytest.mark.parametrize(
+        "text,redacted",
+        [
+            ("met re.John Smith", "met re.<person>"),
+            ("hi-John Smith", "hi-<person>"),
+            ("met John  Smith", "met <person>"),
+            ("met John\u00a0Smith", "met <person>"),
+            ("met Jose\u0301 Lopez", "met <person>"),
+            ("met \uff2a\uff2f\uff28\uff2e Smith", "met <person>"),
+        ],
+        ids=["after-dot", "after-hyphen", "double-space", "no-break-space",
+             "decomposed-accent", "fullwidth"],
     )
+    def test_name_is_redacted(self, text, redacted):
+        suite = DetectorSuite.default(gazetteer=Gazetteer(RULE_NAMES))
+        assert redact_string(text, suite).text == redacted
+
+    def test_a_proposed_tail_can_complete(self):
+        gaz = Gazetteer(RULE_NAMES)
+        assert gaz.find_partial_entities("x.Joh") == [span(2, 5, "person")]
+        assert gaz.find_entities("x.John Smith") == [span(2, 12, "person")]
+
+    def test_entry_reads_as_the_text_does(self):
+        gaz = Gazetteer({"person": ["\uff2a\uff2f\uff28\uff2e\u00a0 Smith", "Jose\u0301 Lopez"]})
+        assert gaz.entries == {"person": {"john smith", "jos\u00e9 lopez"}}
+
+    def test_decomposed_accent_reads_as_composed(self):
+        gaz = Gazetteer({"org": ["jose"]})
+        assert gaz.find_entities("Jose\u0301 Lopez") == gaz.find_entities("Jos\u00e9 Lopez") == []
+        assert Gazetteer(RULE_NAMES).find_partial_entities("met Jose\u0301 Lo") == [
+            span(4, 12, "person")
+        ]
+
+
+_WORD = re.compile(r"[\w'][\w'.-]*")
+_START = re.compile(r"(?<!\w)\S")
+
+
+def cluster_starts(text: str) -> list[int]:
+    """Offsets where an occurrence may start: a non-blank character that no
+    word character precedes, at the start of a grapheme cluster."""
+    clusters = {m.start() for m in regex.finditer(r"\X", text)}
+    return [m.start() for m in _START.finditer(text) if m.start() in clusters]
+
+
+def capitalized(piece: str) -> bool:
+    return all(w[0].isupper() for w in _WORD.findall(piece.replace("\u2019", "'")))
+
+
+def normalized_forms(entries: dict[str, list[str]]) -> list[tuple[str, str]]:
+    return sorted({(label, _normalize(form)[0].strip()) for label, fs in entries.items() for form in fs})
+
+
+def longest_at_starts(entries: dict[str, list[str]], text: str) -> list[tuple]:
+    """Independent scan: at each start, the longest entry that matches the
+    normalized text slice, ends after a whole cluster that no word character
+    follows and, for a person, has every word capitalized; ties go to the
+    label that sorts first."""
+    forms = normalized_forms(entries)
+    ends = sorted(m.end() for m in regex.finditer(r"\X", text))
     found = []
-    # a word starts where a run of word characters does and, in a run that
-    # opens with apostrophes, at its first letter or digit
-    starts = {m.start() for m in _WORD.finditer(text)}
-    starts |= {m.start(1) for m in re.finditer(r"(?<![\w'.-])'+(\w)", text)}
-    for start in sorted(starts):
+    for start in cluster_starts(text):
         best = None
-        for end in range(start + 1, len(text) + 1):
-            if end < len(text) and (text[end].isalnum() or text[end] == "_"):
+        for end in ends:
+            if end <= start or end < len(text) and (text[end].isalnum() or text[end] == "_"):
                 continue
             piece = text[start:end]
             for label, form in forms:
-                if piece.casefold() != form:
+                if _normalize(piece)[0] != form:
                     continue
-                if label == "person" and not all(w[0].isupper() for w in _WORD.findall(piece)):
+                if label == "person" and not capitalized(piece):
                     continue
                 if best is None or end > best[0]:
                     best = (end, label)
         if best is not None:
             found.append((PRIORITY_ENTITY, start, best[0], best[1]))
+    return found
+
+
+def longest_tails(entries: dict[str, list[str]], text: str) -> list[RedactionSpan]:
+    """Independent scan: for each entry, the longest tail of ``text`` from a
+    start whose normalized form is a proper prefix of the entry and, for a
+    person, has every word capitalized."""
+    found = []
+    for label, form in normalized_forms(entries):
+        for start in cluster_starts(text):
+            tail = _normalize(text[start:])[0]
+            if len(tail) < len(form) and form.startswith(tail):
+                if label != "person" or capitalized(text[start:]):
+                    found.append(span(start, len(text), label))
+                    break
     return found
 
 
@@ -365,7 +434,8 @@ def catalogue() -> list[Detector]:
 
 _WORDS = [
     "June", "june", "Lee", "Ho", "May", "O'Brien", "O\u2019Brien", "\u2019John", "'Lee",
-    "Straße", "12", "9:30",
+    "Straße", "12", "9:30", "re.June", "x-Lee", "June\u00a0Lee", "Lee  Ho", "Jose\u0301",
+    "\uff2a\uff55\uff4e\uff45",
 ]
 
 
@@ -390,7 +460,7 @@ class TestChoiceProperty:
     @example(({"person": ["john smith"]}, "he said \u2019John Smith\u2019"))
     def test_every_candidate_is_kept_or_loses_to_an_earlier_kept_span(self, case):
         entries, text = case
-        candidates = set(longest_at_word_starts(entries, text)) | {
+        candidates = set(longest_at_starts(entries, text)) | {
             (PRIORITY_REGEX, s.start, s.end, s.tags[0])
             for det in catalogue()
             for s in det.matcher(text)
@@ -403,6 +473,18 @@ class TestChoiceProperty:
             assert any(
                 k[1] < c[2] and c[1] < k[2] and order[k] < order[c] for k in kept
             ), f"{c} dropped without an earlier overlapping kept span"
+
+
+class TestPartialProperty:
+    @given(entries_and_text(), st.integers(1, 200))
+    @settings(max_examples=200, deadline=None)
+    @example(({"person": ["john smith"]}, "x.John Smith"), 4)
+    @example(({"person": ["June Lee", "Lee Ho"]}, "see June\u00a0Lee Ho"), 10)
+    def test_each_entry_proposes_its_longest_tail(self, case, cut):
+        entries, text = case
+        text = text[: min(cut, len(text))]
+        found = Gazetteer(entries).find_partial_entities(text)
+        assert sorted(found, key=astuple) == sorted(longest_tails(entries, text), key=astuple)
 
 
 class TestSpanAlgebra:

@@ -248,8 +248,9 @@ class TestFinalize:
 
     def test_edited_away_snapshot_is_not_detected_again(self):
         """A snapshot's confirmed spans already hold its complete matches, so
-        finalization runs ``detect`` on the final text only and adds just the
-        in-progress tails of a snapshot whose content was edited away."""
+        finalization runs no ``detect`` at all (the newest snapshot's spans
+        are the final text's) and adds just the in-progress tails of a
+        snapshot whose content was edited away."""
 
         class CountingSuite(DetectorSuite):
             detect_calls = 0
@@ -264,7 +265,7 @@ class TestFinalize:
         r.ingest_event(ev("ok", 100))
         suite.detect_calls = 0
         entry = r.finalize_entry(r._buffers[("u1", "sms")])
-        assert suite.detect_calls == 1
+        assert suite.detect_calls == 0
         assert entry.final_text == "ok"
         (snapshot,) = entry.snapshots
         assert snapshot.startswith("call <") and "555" not in snapshot
