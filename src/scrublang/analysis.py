@@ -1,18 +1,20 @@
 """Cross-platform language comparison: per-n-gram effect sizes, per-category
 paired tests, FDR flags, word-cloud data, and corpus summary statistics.
 
-Users must appear on both platforms to enter the paired comparisons.  The
-per-n-gram p comes from a univariate logistic regression of the platform
-indicator on the n-gram frequency; features that separate the platforms
-(their values overlap at one point at most) or keep the logistic fit from
-converging fall back to the paired t-test p and are flagged as such.
+Users must appear on both platforms to enter the paired comparisons.  Every
+n-gram is tested at once: the paired statistics come from one column-wise
+pass, and the per-n-gram p from one batched univariate logistic regression
+of the platform indicator on the n-gram frequency (IRLS, each n-gram
+converging or failing on its own).  Features that separate the platforms
+(their values overlap at one point at most) or whose fit fails (a singular
+information matrix, a non-finite value, no convergence) fall back to the
+paired t-test p and are flagged as such.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,13 +26,7 @@ from .features import (
     group_frequency_filter,
 )
 from .spans import Record
-from .stats import (
-    DegenerateDataError,
-    bh_fdr,
-    cohens_d_paired,
-    paired_t_test,
-    univariate_logistic_p,
-)
+from .stats import Fit, bh_fdr, logistic_slope_p, paired_stats
 
 
 class InsufficientUsersError(ValueError):
@@ -122,46 +118,46 @@ def diff_ngrams(
     X_fb = feature_matrix(fb, users, features)
     X_sms = feature_matrix(sms, users, features)
     del fb, sms  # only the matrices are needed from here on
+    return ngram_diffs(features, X_fb, X_sms, alpha)
 
-    labels = np.r_[np.ones(len(users)), np.zeros(len(users))]
-    rows: list[tuple[str, float, float, float, float, bool, str | None]] = []
-    for j, feat in enumerate(features):
-        x, y = X_fb[:, j], X_sms[:, j]
-        degenerate = False
-        fallback: str | None = None
-        try:
-            d = cohens_d_paired(x, y)
-        except DegenerateDataError:
-            d, degenerate = float("nan"), True
-        if degenerate:
-            p = 1.0
-        else:
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", RuntimeWarning)
-                    p = univariate_logistic_p(np.r_[x, y], labels)
-            except (RuntimeWarning, RuntimeError, DegenerateDataError):
-                # separated or non-converging feature: use the paired test
-                try:
-                    _, p = paired_t_test(x, y)
-                    fallback = "paired_t"
-                except DegenerateDataError:
-                    p, degenerate = 1.0, True
-        rows.append((feat, d, p, float(x.mean()), float(y.mean()), degenerate, fallback))
 
-    flags = bh_fdr([r[2] for r in rows], alpha) if rows else []
+def ngram_diffs(
+    features: Sequence[str], X_fb: np.ndarray, X_sms: np.ndarray, alpha: float = 0.05
+) -> list[NgramDiff]:
+    """:func:`diff_ngrams`' rows for the paired ``users x features``
+    frequency matrices, every feature at once.
+
+    The p of a feature is its logistic fit's, unless that fit had no result
+    (separated, singular, non-finite or not converged): then it is the paired
+    t-test's, flagged ``p_fallback``.  A degenerate feature gets p = 1.
+    """
+    paired = paired_stats(X_fb, X_sms)
+    fits = logistic_slope_p(X_fb, X_sms)
+    fitted = (fits.outcome == Fit.CONVERGED) | (fits.outcome == Fit.CONSTANT)
+    fallback = ~paired.degenerate & ~fitted
+    p = np.where(paired.degenerate, 1.0, np.where(fitted, fits.p, paired.p))
+    flags = bh_fdr(p, alpha)
     return [
         NgramDiff(
             ngram=feat,
             cohens_d=d,
-            p_value=p,
+            p_value=pv,
             q_significant=flag and not degenerate,
             freq_facebook=fx,
             freq_sms=fy,
             degenerate=degenerate,
-            p_fallback=fallback,
+            p_fallback="paired_t" if fell_back else None,
         )
-        for (feat, d, p, fx, fy, degenerate, fallback), flag in zip(rows, flags)
+        for feat, d, pv, fx, fy, degenerate, fell_back, flag in zip(
+            features,
+            paired.d.tolist(),
+            p.tolist(),
+            paired.mean_x.tolist(),
+            paired.mean_y.tolist(),
+            paired.degenerate.tolist(),
+            fallback.tolist(),
+            flags,
+        )
     ]
 
 
@@ -180,18 +176,8 @@ def diff_categories(
         )
         for plat in ("facebook", "sms")
     )
-
-    rows = []
-    for j, cat in enumerate(categories):
-        x, y = X_fb[:, j], X_sms[:, j]
-        try:
-            t, p = paired_t_test(x, y)
-            degenerate = False
-        except DegenerateDataError:
-            t, p, degenerate = float("nan"), 1.0, True
-        rows.append((cat, t, p, float(x.mean()), float(y.mean()), degenerate))
-
-    flags = bh_fdr([r[2] for r in rows], alpha) if rows else []
+    paired = paired_stats(X_fb, X_sms)
+    flags = bh_fdr(paired.p, alpha)
     return [
         CategoryDiff(
             category=cat,
@@ -202,7 +188,15 @@ def diff_categories(
             mean_sms=my,
             degenerate=degenerate,
         )
-        for (cat, t, p, mx, my, degenerate), flag in zip(rows, flags)
+        for cat, t, p, mx, my, degenerate, flag in zip(
+            categories,
+            paired.t.tolist(),
+            paired.p.tolist(),
+            paired.mean_x.tolist(),
+            paired.mean_y.tolist(),
+            paired.degenerate.tolist(),
+            flags,
+        )
     ]
 
 

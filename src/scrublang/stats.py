@@ -2,6 +2,9 @@
 and the one bootstrap test for a difference between two estimates' scores
 against the same truth (Pearson r, or sign accuracy for +/-1 outcomes).
 
+The paired statistics and the logistic slope test work on matrices, one
+column per feature; the scalar paired functions are their one-column case.
+
 Sign convention for paired statistics: the first argument is the Facebook-side
 vector, so positive d / t means "higher on Facebook".  All p-values are
 two-sided.
@@ -9,7 +12,7 @@ two-sided.
 
 from __future__ import annotations
 
-import warnings
+from enum import IntEnum
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -38,41 +41,72 @@ def _is_constant(v: np.ndarray, axis: int | None = None):
     return np.ptp(v, axis=axis) < _MIN_RANGE
 
 
-def _paired_diffs(x: Sequence[float], y: Sequence[float]) -> np.ndarray:
+class PairedStats(NamedTuple):
+    """:func:`paired_stats` of each column."""
+
+    d: np.ndarray  # Cohen's d; NaN where degenerate
+    t: np.ndarray  # paired t; NaN where degenerate
+    p: np.ndarray  # two-sided t-test p with n-1 df; 1 where the differences are constant
+    degenerate: np.ndarray  # constant nonzero differences
+    mean_x: np.ndarray
+    mean_y: np.ndarray
+
+
+def paired_stats(x: np.ndarray, y: np.ndarray) -> PairedStats:
+    """Paired statistics of each column of the ``pairs x columns`` matrices
+    ``x`` and ``y``: Cohen's d, mean(x-y) / sd(x-y) with the sample (n-1)
+    sd, the paired t-test, and both means.
+
+    All-equal pairs give d = t = 0 and p = 1; constant nonzero differences
+    are degenerate.  Each column is reduced as one contiguous row, so every
+    value is bit-identical to that of the column taken on its own.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 2:
+        raise ValueError("paired matrices must be 2-d and the same shape")
+    n = x.shape[0]
+    if n < 2:
+        raise ValueError("need at least 2 pairs")
+    diffs = np.ascontiguousarray((x - y).T)
+    constant = _is_constant(diffs, axis=1)
+    zero = constant & ~diffs.any(axis=1)
+    degenerate = constant & ~zero
+    mean = diffs.mean(axis=1)
+    sd = diffs.std(axis=1, ddof=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = mean / sd
+        t = mean / (sd / np.sqrt(n))
+    d[zero] = t[zero] = 0.0
+    d[degenerate] = t[degenerate] = np.nan
+    p = 2.0 * stdtr(n - 1, -np.abs(t))  # Student t CDF at -|t|, i.e. its survival at |t|
+    p[constant] = 1.0
+    mean_x, mean_y = (np.ascontiguousarray(v.T).mean(axis=1) for v in (x, y))
+    return PairedStats(d, t, p, degenerate, mean_x, mean_y)
+
+
+def _paired_columns(x: Sequence[float], y: Sequence[float]) -> PairedStats:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("paired vectors must be 1-d and the same length")
-    if x.size < 2:
-        raise ValueError("need at least 2 pairs")
-    return x - y
+    stats = paired_stats(x[:, None], y[:, None])
+    if stats.degenerate[0]:
+        raise DegenerateDataError("zero sd of differences with nonzero mean")
+    return stats
 
 
 def cohens_d_paired(x: Sequence[float], y: Sequence[float]) -> float:
-    """Standardized mean difference of paired values: mean(x-y) / sd(x-y).
-
-    Sample (n-1) standard deviation.  All-equal pairs give d = 0; constant
-    nonzero differences are degenerate.
-    """
-    d = _paired_diffs(x, y)
-    if _is_constant(d):
-        if not d.any():
-            return 0.0
-        raise DegenerateDataError("zero sd of differences with nonzero mean")
-    return float(d.mean() / d.std(ddof=1))
+    """Standardized mean difference of paired values: :func:`paired_stats`'
+    d of one column.  Constant nonzero differences raise."""
+    return float(_paired_columns(x, y).d[0])
 
 
 def paired_t_test(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
-    """Paired-sample t-test; returns (t, two-sided p) with n-1 df."""
-    d = _paired_diffs(x, y)
-    n = d.size
-    if _is_constant(d):
-        if not d.any():
-            return 0.0, 1.0
-        raise DegenerateDataError("zero sd of differences with nonzero mean")
-    t = d.mean() / (d.std(ddof=1) / np.sqrt(n))
-    p = 2.0 * stdtr(n - 1, -abs(t))  # Student t CDF at -|t|, i.e. its survival at |t|
-    return float(t), float(p)
+    """Paired-sample t-test of one column; returns (t, two-sided p) with n-1
+    df.  Constant nonzero differences raise."""
+    stats = _paired_columns(x, y)
+    return float(stats.t[0]), float(stats.p[0])
 
 
 def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
@@ -108,64 +142,116 @@ def bh_fdr(p_values: Sequence[float], alpha: float = 0.05) -> list[bool]:
     return [bool(v) for v in p <= threshold]
 
 
-def univariate_logistic_p(
-    values: Sequence[float],
-    labels: Sequence[int],
-    tol: float = 1e-8,
-    max_iter: int = 100,
-) -> float:
-    """Two-sided Wald p for the slope of intercept + one-feature logistic fit.
+class Fit(IntEnum):
+    """How the logistic fit of one column ended."""
 
-    Fit by iteratively reweighted least squares (Newton), no regularization.
+    CONVERGED = 0
+    CONSTANT = 1  # no spread: no class information, p = 1
+    SEPARATED = 2  # no MLE exists: p at its limit of 1
+    SINGULAR = 3  # an information matrix with a zero determinant
+    NON_FINITE = 4  # exp overflowed, or the slope's variance is negative
+    NOT_CONVERGED = 5
+
+
+class LogisticFits(NamedTuple):
+    p: np.ndarray  # Wald p of the slope: 1 if constant or separated, NaN if no fit
+    outcome: np.ndarray  # a Fit per column
+
+
+# Values per (columns x observations) work array of the fit.  Freeing a block
+# above glibc's 128 KiB mmap threshold raises that threshold, and a later
+# stage's peak RSS then read 4 MB higher (analysis-wide, 256 columns of 200
+# observations); blocks below it are reused.
+_FIT_BLOCK = 15_000
+
+
+def logistic_slope_p(
+    x1: np.ndarray, x0: np.ndarray, tol: float = 1e-8, max_iter: int = 100
+) -> LogisticFits:
+    """Two-sided Wald p for the slope of an intercept + one-feature logistic
+    fit of each column, with class 1 for the rows of ``x1`` and class 0 for
+    those of ``x0``.
+
+    Fit by iteratively reweighted least squares (Newton, closed-form 2x2
+    steps), no regularization, until no coefficient moves by ``tol``, a
+    block of columns at a time.  Each column ends on its own :class:`Fit`,
+    which no other column affects.
     Separated data, where the classes' values overlap at most at one point
-    (complete or quasi-complete separation), has no MLE: the fit is not tried,
-    a warning flags it and the Wald p is reported at its limit (1.0, the
-    Hauck-Donner limit).  Failure to converge otherwise is an error.
+    (complete or quasi-complete separation), has no MLE: the fit is not
+    tried and the Wald p is reported at its limit (1.0, the Hauck-Donner
+    limit).
     """
-    x = np.asarray(values, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("values and labels must be 1-d and the same length")
-    classes = np.unique(y)
-    if classes.size != 2:
+    x1 = np.asarray(x1, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    if x1.ndim != 2 or x0.ndim != 2 or x1.shape[1] != x0.shape[1]:
+        raise ValueError("class matrices must be 2-d with the same columns")
+    if not (len(x1) and len(x0)):
         raise ValueError("both classes must be present")
-    y01 = (y == classes.max()).astype(float)
+    y = np.r_[np.ones(len(x1)), np.zeros(len(x0))]
+    m = x1.shape[1]
+    p = np.full(m, np.nan)
+    outcome = np.full(m, Fit.NOT_CONVERGED, dtype=np.int8)
+    width = max(1, _FIT_BLOCK // len(y))
+    for lo in range(0, m, width):
+        cols = slice(lo, lo + width)
+        v = np.concatenate([x1[:, cols], x0[:, cols]]).T.copy()  # one row per column
+        p[cols], outcome[cols] = _fit_rows(v, y, len(x1), tol, max_iter)
+    return LogisticFits(p, outcome)
 
-    if _is_constant(x):
-        return 1.0  # constant feature carries no class information
 
-    x1 = x[y01 == 1]
-    x0 = x[y01 == 0]
-    if x1.min() >= x0.max() or x0.min() >= x1.max():
-        warnings.warn("separation: Wald p reported at its limit", RuntimeWarning, stacklevel=2)
-        return 1.0
-
-    X = np.column_stack([np.ones_like(x), x])
-    beta = np.zeros(2)
-    for _ in range(max_iter):
-        eta = X @ beta
-        mu = 1.0 / (1.0 + np.exp(-eta))
+def _information(v: np.ndarray, y: np.ndarray, b0: np.ndarray, b1: np.ndarray):
+    """Per row of ``v`` at (b0, b1): the information matrix (h00, h01, h11)
+    and its determinant, the score (g0, g1), and whether all are finite."""
+    with np.errstate(all="ignore"):
+        e = np.exp(-(b0[:, None] + b1[:, None] * v))
+        mu = 1.0 / (1.0 + e)
         w = mu * (1.0 - mu)
-        hess = X.T @ (X * w[:, None])
-        grad = X.T @ (y01 - mu)
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateDataError(f"singular information matrix: {exc}") from exc
-        beta = beta + step
-        if np.max(np.abs(step)) < tol:
-            break
-    else:
-        raise RuntimeError(f"IRLS did not converge in {max_iter} iterations")
+        wv = w * v
+        r = y - mu
+        h00, h01, h11 = w.sum(axis=1), wv.sum(axis=1), (wv * v).sum(axis=1)
+        terms = np.array([h00, h01, h11, h00 * h11 - h01 * h01, r.sum(axis=1), (r * v).sum(axis=1)])
+    return terms, np.isfinite(e).all(axis=1) & np.isfinite(terms).all(axis=0)
 
-    mu = 1.0 / (1.0 + np.exp(-(X @ beta)))
-    w = mu * (1.0 - mu)
-    cov = np.linalg.inv(X.T @ (X * w[:, None]))
-    se = np.sqrt(cov[1, 1])
-    if se == 0.0 or not np.isfinite(se):
-        return 1.0
-    z = beta[1] / se
-    return float(2.0 * ndtr(-abs(z)))  # normal CDF at -|z|, i.e. its survival at |z|
+
+def _fit_rows(v: np.ndarray, y: np.ndarray, n1: int, tol: float, max_iter: int):
+    """:func:`logistic_slope_p` of each row of ``v``, whose first ``n1``
+    values are class 1's."""
+    k = len(v)
+    p = np.full(k, np.nan)
+    outcome = np.full(k, Fit.NOT_CONVERGED, dtype=np.int8)
+    constant = _is_constant(v, axis=1)
+    v1, v0 = v[:, :n1], v[:, n1:]
+    separated = ~constant & ((v1.min(axis=1) >= v0.max(axis=1)) | (v0.min(axis=1) >= v1.max(axis=1)))
+    outcome[constant], outcome[separated] = Fit.CONSTANT, Fit.SEPARATED
+    p[constant | separated] = 1.0
+
+    beta = np.zeros((2, k))
+    active = np.flatnonzero(~(constant | separated))
+    for _ in range(max_iter):
+        if not active.size:
+            break
+        (h00, h01, h11, det, g0, g1), finite = _information(v[active], y, *beta[:, active])
+        with np.errstate(all="ignore"):
+            step = np.array([h11 * g0 - h01 * g1, h00 * g1 - h01 * g0]) / det
+        singular = finite & (det == 0.0)
+        moved = finite & ~singular
+        beta[:, active[moved]] += step[:, moved]
+        done = moved & (np.abs(step).max(axis=0) < tol)
+        outcome[active[~finite]] = Fit.NON_FINITE
+        outcome[active[singular]] = Fit.SINGULAR
+        outcome[active[done]] = Fit.CONVERGED
+        active = active[moved & ~done]
+
+    fitted = np.flatnonzero(outcome == Fit.CONVERGED)
+    (h00, _, _, det, _, _), finite = _information(v[fitted], y, *beta[:, fitted])
+    with np.errstate(all="ignore"):
+        var = h00 / det  # the slope's entry of the inverse information matrix
+        se = np.sqrt(var)
+        wald = np.where((se == 0.0) | ~np.isfinite(se), 1.0, 2.0 * ndtr(-np.abs(beta[1, fitted] / se)))
+    failed = ~finite | (var < 0.0)
+    outcome[fitted[failed]] = Fit.NON_FINITE
+    p[fitted] = np.where(failed, np.nan, wald)
+    return p, outcome
 
 
 class BootstrapResult(NamedTuple):

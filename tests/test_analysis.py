@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,16 +11,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from logistic_oracle import (
+    FAILED_FITS,
+    diff_ngrams_per_feature,
+    ngram_diffs_per_feature,
+    univariate_logistic_p,
+)
 from scrublang.analysis import (
     InsufficientUsersError,
     cloud_data,
     diff_categories,
     diff_ngrams,
+    ngram_diffs,
     shared_users,
     summary_stats,
 )
 from scrublang.features import DictionarySpec, UserCorpus
-from scrublang.stats import DegenerateDataError, univariate_logistic_p
+from scrublang.stats import DegenerateDataError
 
 
 def corpus(user, platform, docs):
@@ -254,11 +260,67 @@ class TestSeparation:
                     continue
             assert p > 0.999
             stopped.add(row.ngram)
-        with mock.patch("scrublang.analysis.univariate_logistic_p",
-                        logistic_p_fitting_quasi_separation):
-            reference = diff_ngrams(corpora, min_group_fraction=0.0, orders=(1,))
+        reference = diff_ngrams_per_feature(
+            corpora, min_group_fraction=0.0, orders=(1,), logistic_p=logistic_p_fitting_quasi_separation
+        )
         # a changed p may move other rows' FDR flags
-        shown = (lambda r: repr(replace(r, q_significant=None))) if stopped else repr
-        assert [shown(r) for r in rows if r.ngram not in stopped] == [
-            shown(r) for r in reference if r.ngram not in stopped
-        ]
+        kept = (lambda rows: [replace(r, q_significant=None) for r in rows]) if stopped else list
+        assert_rows_match(
+            kept(r for r in rows if r.ngram not in stopped),
+            kept(r for r in reference if r.ngram not in stopped),
+        )
+
+
+def assert_rows_match(rows, reference):
+    """The batched rows are the per-feature loop's: every field exactly,
+    except a fitted logistic p, which may differ in the last bits."""
+    assert len(rows) == len(reference)
+    for got, want in zip(rows, reference):
+        if got.p_fallback is None and not got.degenerate:
+            assert got.p_value == pytest.approx(want.p_value, rel=1e-10, abs=0)
+            got = replace(got, p_value=want.p_value)
+        assert repr(got) == repr(want)
+
+
+SMALL = (0.0, 0.0, 0.1, 0.25, 0.5, 1.0)  # frequencies that tie, so often separate
+LARGE = (0.0, 2.0, 1e6)  # magnitudes at which the scalar fit's exp overflows
+
+
+@st.composite
+def paired_matrices(draw) -> tuple[np.ndarray, np.ndarray]:
+    """Paired users x features matrices whose columns are small frequencies
+    (fitted, constant or separated), small frequencies that overlap at one
+    value at most (separated or quasi-separated), constant nonzero
+    differences (degenerate), or large magnitudes."""
+    n = draw(st.integers(2, 8))
+    columns = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["small", "split", "shifted", "large"]))
+        pools = {"large": (LARGE, LARGE), "split": (SMALL[:4], SMALL[3:])}.get(kind, (SMALL, SMALL))
+        x, y = (draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)) for pool in pools)
+        if kind == "shifted":
+            shift = draw(st.sampled_from((0.25, 1.0)))
+            y = [v - shift for v in x]
+        columns.append((x, y))
+    return tuple(np.array([c[side] for c in columns], dtype=float).T for side in (0, 1))
+
+
+class TestBatchedStatistics:
+    @given(paired_matrices(), st.sampled_from((0.05, 0.5)))
+    @settings(max_examples=120, deadline=None)
+    @example(tuple(np.array([c[side] for c in FAILED_FITS]).T for side in (0, 1)), 0.05)
+    def test_rows_equal_the_per_feature_loop(self, matrices, alpha):
+        X_fb, X_sms = matrices
+        features = [f"f{j}" for j in range(X_fb.shape[1])]
+        assert_rows_match(
+            ngram_diffs(features, X_fb, X_sms, alpha),
+            ngram_diffs_per_feature(features, X_fb, X_sms, alpha),
+        )
+
+    @given(sparse_corpora())
+    @settings(max_examples=30, deadline=None)
+    def test_diff_ngrams_equals_the_per_feature_loop(self, corpora):
+        assert_rows_match(
+            diff_ngrams(corpora, min_group_fraction=0.0, orders=(1, 2)),
+            diff_ngrams_per_feature(corpora, min_group_fraction=0.0, orders=(1, 2)),
+        )

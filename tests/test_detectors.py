@@ -4,7 +4,8 @@ and the prefix-awareness guarantee the stream redactor depends on."""
 from __future__ import annotations
 
 import functools
-import re
+import sys
+import unicodedata
 from dataclasses import astuple
 
 import pytest
@@ -342,13 +343,30 @@ class TestOneMatchingRule:
             ("met John\u00a0Smith", "met <person>"),
             ("met Jose\u0301 Lopez", "met <person>"),
             ("met \uff2a\uff2f\uff28\uff2e Smith", "met <person>"),
+            ("met x\u00b2John Smith", "met x\u00b2<person>"),
+            ("\u00bdJohn Smith", "\u00bd<person>"),
+            ("a\u2460John Smith", "a\u2460<person>"),
+            ("met John Smith\u00b2 ok", "met <person>\u00b2 ok"),
         ],
         ids=["after-dot", "after-hyphen", "double-space", "no-break-space",
-             "decomposed-accent", "fullwidth"],
+             "decomposed-accent", "fullwidth", "after-superscript", "after-fraction",
+             "after-circled-digit", "before-superscript"],
     )
     def test_name_is_redacted(self, text, redacted):
         suite = DetectorSuite.default(gazetteer=Gazetteer(RULE_NAMES))
         assert redact_string(text, suite).text == redacted
+
+    @pytest.mark.parametrize("text", ["x2John Smith", "met John Smith2", "met John Smith_"])
+    def test_name_glued_to_a_word_character_is_not_an_occurrence(self, text):
+        suite = DetectorSuite.default(gazetteer=Gazetteer(RULE_NAMES))
+        assert redact_string(text, suite).text == text
+
+    def test_word_characters_are_alphanumerics_but_other_numbers(self):
+        """``_WORD_CHAR``'s ranges of category No agree with this Python's
+        ``unicodedata`` on every code point."""
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        matched = [m.start() for m in detectors._WORD_CHAR.finditer(every)]
+        assert matched == [i for i, c in enumerate(every) if is_word_char(c)]
 
     def test_a_proposed_tail_can_complete(self):
         gaz = Gazetteer(RULE_NAMES)
@@ -367,19 +385,31 @@ class TestOneMatchingRule:
         ]
 
 
-_WORD = re.compile(r"[\w'][\w'.-]*")
-_START = re.compile(r"(?<!\w)\S")
+def is_word_char(c: str) -> bool:
+    """A word character of the boundary rules: ``_``, or alphanumeric and
+    no other number (², ½, ①)."""
+    return c == "_" or c.isalnum() and unicodedata.category(c) != "No"
 
 
 def cluster_starts(text: str) -> list[int]:
     """Offsets where an occurrence may start: a non-blank character that no
     word character precedes, at the start of a grapheme cluster."""
-    clusters = {m.start() for m in regex.finditer(r"\X", text)}
-    return [m.start() for m in _START.finditer(text) if m.start() in clusters]
+    clusters = [m.start() for m in regex.finditer(r"\X", text)]
+    return [i for i in clusters if not text[i].isspace() and not (i and is_word_char(text[i - 1]))]
 
 
 def capitalized(piece: str) -> bool:
-    return all(w[0].isupper() for w in _WORD.findall(piece.replace("\u2019", "'")))
+    """Every word starts uppercase: a word starts at a word character or an
+    apostrophe and goes on over word characters, apostrophes, dots and
+    hyphens."""
+    firsts, in_word = [], False
+    for c in piece.replace("\u2019", "'"):
+        if in_word:
+            in_word = is_word_char(c) or c in "'.-"
+        elif is_word_char(c) or c == "'":
+            firsts.append(c)
+            in_word = True
+    return all(c.isupper() for c in firsts)
 
 
 def normalized_forms(entries: dict[str, list[str]]) -> list[tuple[str, str]]:
@@ -397,7 +427,7 @@ def longest_at_starts(entries: dict[str, list[str]], text: str) -> list[tuple]:
     for start in cluster_starts(text):
         best = None
         for end in ends:
-            if end <= start or end < len(text) and (text[end].isalnum() or text[end] == "_"):
+            if end <= start or end < len(text) and is_word_char(text[end]):
                 continue
             piece = text[start:end]
             for label, form in forms:
@@ -435,7 +465,7 @@ def catalogue() -> list[Detector]:
 _WORDS = [
     "June", "june", "Lee", "Ho", "May", "O'Brien", "O\u2019Brien", "\u2019John", "'Lee",
     "Straße", "12", "9:30", "re.June", "x-Lee", "June\u00a0Lee", "Lee  Ho", "Jose\u0301",
-    "\uff2a\uff55\uff4e\uff45",
+    "\uff2a\uff55\uff4e\uff45", "x\u00b2June", "\u00bdLee", "Ho\u2460", "a2Lee",
 ]
 
 

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,17 +24,21 @@ from scipy import integrate, optimize
 from scipy.stats import chi2
 
 import scrublang
+from logistic_oracle import FAILED_FITS
+from scrublang import stats
 from scrublang.modeling import bootstrap_accuracy_diff
 from scrublang.stats import (
     DegenerateDataError,
+    Fit,
     _rowwise_pearson,
     bh_fdr,
     bootstrap_corr_diff,
     bootstrap_score_diff,
     cohens_d_paired,
+    logistic_slope_p,
+    paired_stats,
     paired_t_test,
     pearson_r,
-    univariate_logistic_p,
 )
 
 # A constant vector whose mean does not round-trip: x - x.mean() is ~1e-15,
@@ -223,37 +228,106 @@ class TestBhFdr:
         assert flags == list(reversed(rev))
 
 
+def logistic_fit(values, labels):
+    """``logistic_slope_p`` on one column: (p, outcome), with the higher
+    label as class 1."""
+    x = np.asarray(values, dtype=float)
+    y = np.asarray(labels)
+    fit = logistic_slope_p(x[y == y.max()][:, None], x[y != y.max()][:, None])
+    return fit.p[0], Fit(fit.outcome[0])
+
+
+class TestPairedStats:
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda n: st.lists(
+                st.lists(st.floats(-50, 50, allow_nan=False), min_size=2 * n, max_size=2 * n),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(columns=[[1.0, 2.0, 4.0, 0.0, 1.0, 1.0], CONSTANT + [0.0] * 3, [0.1] * 6])
+    def test_columns_are_bit_identical_to_each_column_alone(self, columns):
+        """A column's statistics do not depend on the columns batched with
+        it, and its means are the means of the column taken on its own."""
+        n = len(columns[0]) // 2
+        x = np.array([c[:n] for c in columns]).T
+        y = np.array([c[n:] for c in columns]).T
+        batch = paired_stats(x, y)
+        for j in range(len(columns)):
+            alone = paired_stats(x[:, [j]], y[:, [j]])
+            for got, want in zip(batch, alone):
+                assert repr(got[j]) == repr(want[0])
+            assert (batch.mean_x[j], batch.mean_y[j]) == (x[:, j].mean(), y[:, j].mean())
+
+    def test_degenerate_and_equal_columns(self):
+        x = np.array([[2.0, 4.0, 3.0], [3.0, 4.0, 5.0], [4.0, 4.0, 7.0]])
+        y = np.array([[1.0, 4.0, 1.0], [2.0, 4.0, 1.0], [3.0, 4.0, 1.0]])
+        paired = paired_stats(x, y)
+        assert paired.degenerate.tolist() == [True, False, False]
+        assert np.isnan(paired.d[0]) and np.isnan(paired.t[0]) and paired.p[0] == 1.0
+        assert (paired.d[1], paired.t[1], paired.p[1]) == (0.0, 0.0, 1.0)
+        assert paired.d[2] == 2.0
+
+    def test_shapes_checked(self):
+        with pytest.raises(ValueError):
+            paired_stats(np.zeros((3, 2)), np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            paired_stats(np.zeros((1, 2)), np.zeros((1, 2)))
+
+
 class TestLogistic:
     def test_constant_feature_p_is_one(self):
         x = np.full(60, 3.0)
         y = np.r_[np.zeros(30), np.ones(30)]
-        assert univariate_logistic_p(x, y) == 1.0
+        assert logistic_fit(x, y) == (1.0, Fit.CONSTANT)
 
     def test_strongly_separated_agrees_with_lr_oracle(self):
         rng = np.random.default_rng(3)
         x = np.r_[rng.normal(0, 1, 60), rng.normal(1.6, 1, 60)]
         y = np.r_[np.zeros(60), np.ones(60)]
-        p_wald = univariate_logistic_p(x, y)
+        p_wald, outcome = logistic_fit(x, y)
         p_lr = logistic_lr_p(x, y)
+        assert outcome == Fit.CONVERGED
         assert p_wald < 0.05 and p_lr < 0.05
 
     def test_null_agrees_with_lr_oracle(self):
         rng = np.random.default_rng(4)
         x = rng.normal(0, 1, 120)
         y = np.r_[np.zeros(60), np.ones(60)]
-        p_wald = univariate_logistic_p(x, y)
+        p_wald, outcome = logistic_fit(x, y)
         p_lr = logistic_lr_p(x, y)
+        assert outcome == Fit.CONVERGED
         assert p_wald > 0.2 and p_lr > 0.2
+
+    def test_failures_stay_in_their_column(self):
+        """Three blocks of columns, three of them failing three ways: each
+        column's outcome and p are those of the column fitted alone."""
+        rng = np.random.default_rng(5)
+        x1, x0 = rng.normal(0.3, 1, (4, 520)), rng.normal(0, 1, (4, 520))
+        failing = {0: Fit.NON_FINITE, 300: Fit.SINGULAR, 519: Fit.NOT_CONVERGED}
+        for j, (a, b) in zip(failing, FAILED_FITS):
+            x1[:, j], x0[:, j] = a, b
+        with mock.patch.object(stats, "_FIT_BLOCK", 8 * 256):  # 256 columns a block
+            fit = logistic_slope_p(x1, x0)
+        for j in range(520):
+            alone = logistic_slope_p(x1[:, [j]], x0[:, [j]])
+            assert (fit.outcome[j], repr(fit.p[j])) == (alone.outcome[0], repr(alone.p[0]))
+        assert [fit.outcome[j] for j in failing] == list(failing.values())
+        assert np.isnan(fit.p[list(failing)]).all()
+        assert (fit.outcome == Fit.CONVERGED).sum() + (fit.outcome == Fit.SEPARATED).sum() == 517
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            univariate_logistic_p([1.0, 2.0], [1, 1])
+            logistic_fit([1.0, 2.0], [1, 1])
 
     def test_perfect_separation_flagged(self):
         x = np.r_[np.zeros(10), np.ones(10) + 1]
         y = np.r_[np.zeros(10), np.ones(10)]
-        with pytest.warns(RuntimeWarning, match="separation"):
-            p = univariate_logistic_p(x, y)
+        p, outcome = logistic_fit(x, y)
+        assert outcome == Fit.SEPARATED
         assert p == 1.0
 
 
