@@ -230,6 +230,7 @@ class Gazetteer:
 
     def __init__(self, entries: dict[str, Iterable[str]] | None = None) -> None:
         self.entries: dict[str, set[str]] = {}
+        self._initials: set[str] = set()  # the first character of every form
         for label, forms in (entries or {}).items():
             for form in forms:
                 self.add(label, form)
@@ -239,6 +240,7 @@ class Gazetteer:
         if not surface:
             raise CatalogueError(f"empty gazetteer surface form for label {label!r}")
         self.entries.setdefault(label, set()).add(surface)
+        self._initials.add(surface[0])
 
     @classmethod
     def from_file(cls, path) -> "Gazetteer":
@@ -266,11 +268,10 @@ class Gazetteer:
         ``(offset, normalized offset)`` of each ``_START`` that begins a
         cluster whose normalized form begins some entry."""
         norm, norm_at, text_at = _normalize(text)
-        initials = {form[0] for forms in self.entries.values() for form in forms}
         starts = []
         for m in (_ASCII_START if text.isascii() else _START).finditer(text):
             at = norm_at[m.start()]
-            if at >= 0 and norm[at] in initials:
+            if at >= 0 and norm[at] in self._initials:
                 starts.append((m.start(), at))
         return norm, text_at, starts
 

@@ -111,38 +111,63 @@ def ridge_solve(
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+    _check_fit_inputs(X, [y], alpha)
+    if not standardize:
+        return _ridge_weights(X, _gram(X, alpha), y), 0.0
+    return _ridge_fits(X, [y], alpha)[0]
+
+
+def _check_fit_inputs(X: np.ndarray, ys: Sequence[np.ndarray], alpha: float) -> None:
+    if X.ndim != 2 or any(y.ndim != 1 or X.shape[0] != y.shape[0] for y in ys):
         raise ValueError("X must be 2-d with rows aligned to y")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     _check_finite("X", X)
-    _check_finite("y", y)
-    n, p = X.shape
-    if not standardize:
-        return _ridge_weights(X, y, alpha), 0.0
+    for y in ys:
+        _check_finite("y", y)
+
+
+def _ridge_fits(
+    X: np.ndarray, ys: Sequence[np.ndarray], alpha: float
+) -> list[tuple[np.ndarray, float]]:
+    """The standardized :func:`ridge_solve` of ``X`` against each target in
+    ``ys``, sharing one standardization and one Gram matrix.
+
+    Each target is solved on its own, as a 1-d right-hand side, so every fit
+    is bit-identical to ``ridge_solve(X, y)`` alone.
+    """
     mu = X.mean(axis=0)
     sigma = X.std(axis=0)
     live = sigma > 0
     Z = np.zeros_like(X)
     Z[:, live] = (X[:, live] - mu[live]) / sigma[live]
-    ybar = y.mean()
-    w_std = _ridge_weights(Z, y - ybar, alpha)
-    w = np.zeros(p)
-    w[live] = w_std[live] / sigma[live]
-    intercept = float(ybar - w @ mu)
-    return w, intercept
+    K = _gram(Z, alpha)
+    fits = []
+    for y in ys:
+        ybar = y.mean()
+        w_std = _ridge_weights(Z, K, y - ybar)
+        w = np.zeros(X.shape[1])
+        w[live] = w_std[live] / sigma[live]
+        fits.append((w, float(ybar - w @ mu)))
+    return fits
 
 
-def _ridge_weights(X: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
-    """Solve (X'X + aI) w = X'y, via the dual when features outnumber rows.
+def _gram(X: np.ndarray, alpha: float) -> np.ndarray:
+    """``X'X + aI``, or the dual ``XX' + aI`` when features outnumber rows.
 
-    The dual form X'(XX' + aI)^-1 y is algebraically identical and turns a
-    p x p solve into an n x n solve.
+    The dual form X'(XX' + aI)^-1 y of :func:`_ridge_weights` is
+    algebraically identical and turns a p x p solve into an n x n solve.
     """
     n, p = X.shape
+    return X.T @ X + alpha * np.eye(p) if p <= n else X @ X.T + alpha * np.eye(n)
+
+
+def _ridge_weights(X: np.ndarray, K: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Solve (X'X + aI) w = X'y given ``K = _gram(X, a)``."""
+    n, p = X.shape
     if p <= n:
-        return np.linalg.solve(X.T @ X + alpha * np.eye(p), X.T @ y)
-    return X.T @ np.linalg.solve(X @ X.T + alpha * np.eye(n), y)
+        return np.linalg.solve(K, X.T @ y)
+    return X.T @ np.linalg.solve(K, y)
 
 
 def ridge_fit(
@@ -177,19 +202,22 @@ def loocv_folds(n: int) -> Iterable[tuple[np.ndarray, int]]:
 
 
 def _loocv_fold_predictions(
-    X: np.ndarray, y: np.ndarray, alpha: float, tests: Sequence[np.ndarray]
-) -> list[np.ndarray]:
-    """Leave-one-out predictions of fold-standardized ridge fits on ``X``.
+    X: np.ndarray, ys: Sequence[np.ndarray], alpha: float, tests: Sequence[np.ndarray]
+) -> list[list[np.ndarray]]:
+    """Leave-one-out predictions of fold-standardized ridge fits on ``X``, one
+    list per target in ``ys``.
 
-    Fold i fits on every row of ``X`` but row i and predicts row i of each
-    matrix in ``tests`` (row-aligned with ``X``), so matrices sharing a source
-    share each fold's fit.
+    Fold i fits each target on every row of ``X`` but row i and predicts row
+    i of each matrix in ``tests`` (row-aligned with ``X``), so the targets
+    share each fold's standardization and Gram matrix, and the matrices
+    sharing a source share each fold's fit.
     """
-    preds = [np.empty(X.shape[0]) for _ in tests]
+    _check_fit_inputs(X, ys, alpha)
+    preds = [[np.empty(X.shape[0]) for _ in tests] for _ in ys]
     for train, i in loocv_folds(X.shape[0]):
-        w, b = ridge_solve(X[train], y[train], alpha, standardize=True)
-        for p, T in zip(preds, tests):
-            p[i] = T[i] @ w + b
+        for pred, (w, b) in zip(preds, _ridge_fits(X[train], [y[train] for y in ys], alpha)):
+            for p, T in zip(pred, tests):
+                p[i] = T[i] @ w + b
     return preds
 
 
@@ -220,7 +248,7 @@ def loocv_predictions_naive(
     if n < 3:
         raise ValueError("need n >= 3 for leave-one-out evaluation")
     if standardize == "fold":
-        return _loocv_fold_predictions(X, y, alpha, [X])[0]
+        return _loocv_fold_predictions(X, [y], alpha, [X])[0][0]
     preds = np.empty(n)
     D = _augmented_design(X, standardize)
     P = alpha * np.eye(D.shape[1])
@@ -333,10 +361,14 @@ def cross_domain_matrix(
     a user never influences their own estimate; a source platform's in-domain
     and cross-domain cells share each fold's fit.  ``cross_fit="full"``
     instead trains cross-domain models once on the entire source platform.
+    Outcomes labeled for the same users share each fold's standardization
+    and Gram matrix; each outcome is then solved on its own, so its
+    estimates equal those of a fit of that outcome alone.
 
     Cells are scored by :func:`outcome_scoring` (NaN where undefined), and
     each of ``COMPARISONS`` is tested with :func:`compare_estimates` (delta
-    and p of None where undefined).
+    and p of None where undefined), which scores the bootstrap resamples in
+    blocks of rows.
     """
     if cross_fit not in ("holdout", "full"):
         raise ValueError("cross_fit must be 'holdout' or 'full'")
@@ -366,29 +398,32 @@ def cross_domain_matrix(
         cross_fit=cross_fit,
     )
 
-    for name in outcome_names:
-        labeled = labeled_users(users, outcomes, name)
-        if labeled is None:
-            continue
-        keep, y = labeled
-        kind, metric = outcome_scoring(name)
-
-        preds: dict[str, np.ndarray] = {}
+    labeled = {name: labeled_users(users, outcomes, name) for name in outcome_names}
+    groups: dict[tuple[int, ...], list[str]] = {}  # outcomes by their labeled users
+    for name, found in labeled.items():
+        if found is not None:
+            groups.setdefault(tuple(found[0]), []).append(name)
+    preds: dict[str, dict[str, np.ndarray]] = {}  # outcome -> cell -> estimates
+    for keep, names in groups.items():
+        ys = [labeled[name][1] for name in names]
         for src, dst in (("fb", "sms"), ("sms", "fb")):
-            Xs, Xd = X[src][keep], X[dst][keep]
+            Xs, Xd = X[src][list(keep)], X[dst][list(keep)]
             if cross_fit == "full":
-                preds[f"{src}_{src}"] = _loocv_fold_predictions(Xs, y, alpha, [Xs])[0]
-                w, b = ridge_solve(Xs, y, alpha, standardize=True)
-                preds[f"{src}_{dst}"] = Xd @ w + b
+                in_domain = _loocv_fold_predictions(Xs, ys, alpha, [Xs])
+                fits = _ridge_fits(Xs, ys, alpha)
+                cells = [(p, Xd @ w + b) for (p,), (w, b) in zip(in_domain, fits)]
             else:
-                preds[f"{src}_{src}"], preds[f"{src}_{dst}"] = _loocv_fold_predictions(
-                    Xs, y, alpha, [Xs, Xd]
-                )
+                cells = _loocv_fold_predictions(Xs, ys, alpha, [Xs, Xd])
+            for name, (p_src, p_dst) in zip(names, cells):
+                preds.setdefault(name, {}).update({f"{src}_{src}": p_src, f"{src}_{dst}": p_dst})
 
+    for name, est in sorted(preds.items()):
+        keep, y = labeled[name]
+        kind, metric = outcome_scoring(name)
         ev = OutcomeEval(outcome=name, kind=kind)
         for cell in CELL_ORDER:
             try:
-                value = score(metric, preds[cell], y)
+                value = score(metric, est[cell], y)
             except DegenerateDataError:
                 value = float("nan")
             ev.cells[cell] = CellResult(metric=metric, value=value, n=len(keep))
@@ -396,7 +431,7 @@ def cross_domain_matrix(
             sides = {"facebook_side": cell_a, "sms_side": cell_b}
             try:
                 result = compare_estimates(
-                    metric, preds[cell_a], preds[cell_b], y, bootstrap_iterations, seed
+                    metric, est[cell_a], est[cell_b], y, bootstrap_iterations, seed
                 )
             except DegenerateDataError:
                 result = {"delta": None, "p_value": None, "skipped": bootstrap_iterations}

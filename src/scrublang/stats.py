@@ -41,6 +41,13 @@ def _is_constant(v: np.ndarray, axis: int | None = None):
     return np.ptp(v, axis=axis) < _MIN_RANGE
 
 
+# Values per (columns x observations) work array of the logistic fit and of
+# the paired sd.  Freeing a block above glibc's 128 KiB mmap threshold raises
+# that threshold, and a later stage's peak RSS then read 4 MB higher
+# (analysis-wide, 256 columns of 200 observations); blocks below it are reused.
+_FIT_BLOCK = 15_000
+
+
 class PairedStats(NamedTuple):
     """:func:`paired_stats` of each column."""
 
@@ -68,12 +75,16 @@ def paired_stats(x: np.ndarray, y: np.ndarray) -> PairedStats:
     n = x.shape[0]
     if n < 2:
         raise ValueError("need at least 2 pairs")
-    diffs = np.ascontiguousarray((x - y).T)
+    rows = np.empty(x.shape[::-1])  # one columns x pairs buffer: the differences, then x, then y
+    diffs = np.subtract(x.T, y.T, out=rows)
     constant = _is_constant(diffs, axis=1)
     zero = constant & ~diffs.any(axis=1)
     degenerate = constant & ~zero
     mean = diffs.mean(axis=1)
-    sd = diffs.std(axis=1, ddof=1)
+    sd = np.empty(len(diffs))
+    width = max(1, _FIT_BLOCK // n)  # std's deviations take a block of rows at a time
+    for lo in range(0, len(diffs), width):
+        sd[lo : lo + width] = diffs[lo : lo + width].std(axis=1, ddof=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         d = mean / sd
         t = mean / (sd / np.sqrt(n))
@@ -81,7 +92,10 @@ def paired_stats(x: np.ndarray, y: np.ndarray) -> PairedStats:
     d[degenerate] = t[degenerate] = np.nan
     p = 2.0 * stdtr(n - 1, -np.abs(t))  # Student t CDF at -|t|, i.e. its survival at |t|
     p[constant] = 1.0
-    mean_x, mean_y = (np.ascontiguousarray(v.T).mean(axis=1) for v in (x, y))
+    np.copyto(rows, x.T)
+    mean_x = rows.mean(axis=1)
+    np.copyto(rows, y.T)
+    mean_y = rows.mean(axis=1)
     return PairedStats(d, t, p, degenerate, mean_x, mean_y)
 
 
@@ -156,13 +170,6 @@ class Fit(IntEnum):
 class LogisticFits(NamedTuple):
     p: np.ndarray  # Wald p of the slope: 1 if constant or separated, NaN if no fit
     outcome: np.ndarray  # a Fit per column
-
-
-# Values per (columns x observations) work array of the fit.  Freeing a block
-# above glibc's 128 KiB mmap threshold raises that threshold, and a later
-# stage's peak RSS then read 4 MB higher (analysis-wide, 256 columns of 200
-# observations); blocks below it are reused.
-_FIT_BLOCK = 15_000
 
 
 def logistic_slope_p(
@@ -289,17 +296,34 @@ def score(metric: str, estimates: Sequence[float], truth: Sequence[float]) -> fl
     return (pearson_r if metric == "pearson_r" else sign_accuracy)(estimates, truth)
 
 
-def _rowwise_pearson(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pearson r along axis 1 plus a validity mask (constant rows fail)."""
-    valid = ~_is_constant(a, axis=1) & ~_is_constant(b, axis=1)
-    a = a - a.mean(axis=1, keepdims=True)
-    b = b - b.mean(axis=1, keepdims=True)
-    saa = np.einsum("ij,ij->i", a, a)
-    sbb = np.einsum("ij,ij->i", b, b)
+def _centered_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row of ``v`` minus its mean, the rows' sums of squares, and which
+    rows have spread."""
+    valid = ~_is_constant(v, axis=1)
+    v = v - v.mean(axis=1, keepdims=True)
+    return v, np.einsum("ij,ij->i", v, v), valid
+
+
+def _pearson_centered(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson r of each row pair of two :func:`_centered_rows` results, plus
+    a validity mask (constant rows fail)."""
+    (a, saa, va), (b, sbb, vb) = a, b
+    valid = va & vb
     sab = np.einsum("ij,ij->i", a, b)
     r = np.full(a.shape[0], np.nan)
     r[valid] = sab[valid] / np.sqrt(saa[valid] * sbb[valid])
     return r, valid
+
+
+def _rowwise_pearson(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson r along axis 1 plus a validity mask (constant rows fail)."""
+    return _pearson_centered(_centered_rows(a), _centered_rows(b))
+
+
+# Resamples scored at a time.  Each row's score depends on that row alone, so
+# the block size changes no value; it bounds the gathered temporaries to
+# this many rows instead of all the iterations.
+_BOOTSTRAP_BLOCK = 1024
 
 
 def bootstrap_score_diff(
@@ -332,12 +356,21 @@ def bootstrap_score_diff(
 
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, n, size=(iterations, n))
+    sa, sb = np.empty(iterations), np.empty(iterations)
+    valid = np.ones(iterations, dtype=bool)
     if metric == "accuracy":  # a resampled user keeps their hit: ties go to the sample's majority
-        sa, sb = (np.mean(_sign_hits(e, t)[idx], axis=1) for e in (a, b))
-        valid = np.ones(iterations, dtype=bool)
-    else:
-        (sa, va), (sb, vb) = (_rowwise_pearson(e[idx], t[idx]) for e in (a, b))
-        valid = va & vb
+        hits_a, hits_b = _sign_hits(a, t), _sign_hits(b, t)
+    for lo in range(0, iterations, _BOOTSTRAP_BLOCK):
+        rows = slice(lo, lo + _BOOTSTRAP_BLOCK)
+        block = idx[rows]
+        if metric == "accuracy":
+            sa[rows], sb[rows] = (np.mean(hits[block], axis=1) for hits in (hits_a, hits_b))
+        else:
+            truth_rows = _centered_rows(t[block])
+            (sa[rows], va), (sb[rows], vb) = (
+                _pearson_centered(_centered_rows(e[block]), truth_rows) for e in (a, b)
+            )
+            valid[rows] = va & vb
     deltas = sa[valid] - sb[valid]
     skipped = int(iterations - valid.sum())
     m = deltas.size

@@ -3,12 +3,17 @@ four-cell evaluation matrix, feature importance, and NMF."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+import evaluation_oracle
 from scrublang.modeling import (
     CELL_ORDER,
     LexiconModel,
+    _loocv_fold_predictions,
+    _ridge_fits,
     apply_lexicon,
     cross_domain_matrix,
     feature_importance,
@@ -266,6 +271,69 @@ class TestCrossDomain:
             w, b = ridge_solve(X[src], y)
             expected = pearson_r(X[dst] @ w + b, y)
             assert full[f"{src}_{dst}"].value == pytest.approx(expected, abs=1e-12)
+
+
+def _shared_fold_case(n, p, seed):
+    """Two platforms' features and four outcomes in three labeled-user groups:
+    ``age`` and ``score`` label everyone, ``stress`` all but two users and
+    the binary ``gender`` all but one.  Column 0 of each platform is zero but
+    for one user, so it has no variance in that user's fold alone."""
+    rng = np.random.default_rng(seed)
+    users = [f"u{i:02d}" for i in range(n)]
+    X = {plat: rng.uniform(0, 1, (n, p)) for plat in ("fb", "sms")}
+    X["fb"][:, 0], X["sms"][:, 0] = 0.0, 0.0
+    X["fb"][2, 0], X["sms"][5, 0] = 0.7, 0.3
+    signal = X["fb"][:, 1] - X["sms"][:, 2]
+    outcomes = {}
+    for i, u in enumerate(users):
+        outcomes[u] = {
+            "age": float(20 + 10 * signal[i] + rng.normal()),
+            "score": float(rng.normal()),
+            "stress": None if i in (1, 4) else float(signal[i] + rng.normal(0, 0.5)),
+            "gender": float("nan") if i == 3 else (1.0 if signal[i] + rng.normal(0, 0.3) > 0 else -1.0),
+        }
+    feats = {
+        plat: {u: {f"f{j}": float(M[i, j]) for j in range(p)} for i, u in enumerate(users)}
+        for plat, M in X.items()
+    }
+    return X, feats, outcomes
+
+
+SHAPES = [(12, 4), (9, 30)]  # p <= n (primal) and p > n (dual)
+
+
+class TestSharedFolds:
+    """The fold engine fits each fold once for every outcome that shares its
+    users; the per-outcome loop of ``evaluation_oracle`` is the reference."""
+
+    @pytest.mark.parametrize("n, p", SHAPES)
+    def test_predictions_equal_the_per_outcome_loop(self, n, p):
+        X, _, outcomes = _shared_fold_case(n, p, seed=n + p)
+        ys = [np.array([outcomes[u][name] for u in sorted(outcomes)]) for name in ("age", "score")]
+        for Xs, Xd in ((X["fb"], X["sms"]), (X["sms"], X["fb"])):
+            shared = _loocv_fold_predictions(Xs, ys, 0.5, [Xs, Xd])
+            for y, preds in zip(ys, shared):
+                expected = evaluation_oracle.loocv_fold_predictions(Xs, y, 0.5, [Xs, Xd])
+                for got, want in zip(preds, expected):
+                    assert np.array_equal(got, want)
+            for y, (w, b) in zip(ys, _ridge_fits(Xs, ys, 0.5)):
+                w_want, b_want = evaluation_oracle.ridge_solve(Xs, y, 0.5)
+                assert np.array_equal(w, w_want) and b == b_want
+            naive = loocv_predictions_naive(Xs, ys[0], 0.5, standardize="fold")
+            want = evaluation_oracle.loocv_fold_predictions(Xs, ys[0], 0.5, [Xs])[0]
+            assert np.array_equal(naive, want)
+
+    @pytest.mark.parametrize("cross_fit", ["holdout", "full"])
+    @pytest.mark.parametrize("n, p", SHAPES)
+    def test_report_equals_the_per_outcome_loop(self, n, p, cross_fit):
+        _, feats, outcomes = _shared_fold_case(n, p, seed=n * p)
+        kw = dict(alpha=0.5, bootstrap_iterations=1000, seed=2, cross_fit=cross_fit)
+        report = cross_domain_matrix(feats["fb"], feats["sms"], outcomes, **kw)
+        expected = evaluation_oracle.cross_domain_matrix(feats["fb"], feats["sms"], outcomes, **kw)
+        assert sorted(report.outcomes) == ["age", "gender", "score", "stress"]
+        assert report.outcomes["gender"].cells["fb_fb"].metric == "accuracy"
+        assert [ev.cells["fb_fb"].n for ev in report.outcomes.values()] == [n, n - 1, n, n - 2]
+        assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
 
 
 class TestFeatureImportance:
