@@ -160,37 +160,28 @@ def load_catalogue(path: str | Path | None = None) -> list[Detector]:
 
 # a word for the capitalization rule; ’ joins a word as ' does
 _WORD_RUN = regex.compile(r"[\w'’][\w'’.-]*")
-# Unicode category No, other numbers (², ½, ①): the ranges of Unicode 17.0,
-# which hold those of every earlier version.  Tests check them against
-# ``unicodedata``.
-_OTHER_NUMBERS = (
-    (0xB2, 0xB3), (0xB9, 0xB9), (0xBC, 0xBE), (0x9F4, 0x9F9), (0xB72, 0xB77), (0xBF0, 0xBF2),
-    (0xC78, 0xC7E), (0xD58, 0xD5E), (0xD70, 0xD78), (0xF2A, 0xF33), (0x1369, 0x137C),
-    (0x17F0, 0x17F9), (0x19DA, 0x19DA), (0x2070, 0x2070), (0x2074, 0x2079), (0x2080, 0x2089),
-    (0x2150, 0x215F), (0x2189, 0x2189), (0x2460, 0x249B), (0x24EA, 0x24FF), (0x2776, 0x2793),
-    (0x2CFD, 0x2CFD), (0x3192, 0x3195), (0x3220, 0x3229), (0x3248, 0x324F), (0x3251, 0x325F),
-    (0x3280, 0x3289), (0x32B1, 0x32BF), (0xA830, 0xA835), (0x10107, 0x10133),
-    (0x10175, 0x10178), (0x1018A, 0x1018B), (0x102E1, 0x102FB), (0x10320, 0x10323),
-    (0x10858, 0x1085F), (0x10879, 0x1087F), (0x108A7, 0x108AF), (0x108FB, 0x108FF),
-    (0x10916, 0x1091B), (0x109BC, 0x109BD), (0x109C0, 0x109CF), (0x109D2, 0x109FF),
-    (0x10A40, 0x10A48), (0x10A7D, 0x10A7E), (0x10A9D, 0x10A9F), (0x10AEB, 0x10AEF),
-    (0x10B58, 0x10B5F), (0x10B78, 0x10B7F), (0x10BA9, 0x10BAF), (0x10CFA, 0x10CFF),
-    (0x10E60, 0x10E7E), (0x10F1D, 0x10F26), (0x10F51, 0x10F54), (0x10FC5, 0x10FCB),
-    (0x11052, 0x11065), (0x111E1, 0x111F4), (0x1173A, 0x1173B), (0x118EA, 0x118F2),
-    (0x11C5A, 0x11C6C), (0x11FC0, 0x11FD4), (0x16B5B, 0x16B61), (0x16E80, 0x16E96),
-    (0x1D2C0, 0x1D2D3), (0x1D2E0, 0x1D2F3), (0x1D360, 0x1D378), (0x1E8C7, 0x1E8CF),
-    (0x1EC71, 0x1ECAB), (0x1ECAD, 0x1ECAF), (0x1ECB1, 0x1ECB4), (0x1ED01, 0x1ED2D),
-    (0x1ED2F, 0x1ED3D), (0x1F100, 0x1F10C),
-)
-# a word character of both boundary rules: ``_``, or ``isalnum()`` and not of
-# category No (stdlib ``re``: ``\w`` is exactly ``isalnum()`` or ``_``)
-_WORD_CHAR = re.compile("[^\\W" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _OTHER_NUMBERS) + "]")
-# where an occurrence may start: a non-blank character that no word character
-# precedes; ASCII holds no other number, so there ``\w`` says the same, faster
-_START = re.compile(rf"(?<!{_WORD_CHAR.pattern})\S")
+# the word starts of ASCII text: there stdlib ``re``'s ``\w`` (``isalnum()`` or
+# ``_``) is the word rule, and it runs faster than a loop
 _ASCII_START = re.compile(r"(?<!\w)\S")
 _CLUSTER = regex.compile(r"\X")
 _ODD_SPACE = re.compile(r"[^\S ]| {2}")  # whitespace that normalization rewrites
+
+
+def _is_word_char(c: str) -> bool:
+    """A word character of both boundary rules: ``_``, or ``isalnum()`` and
+    not of category No (², ½, ①), which ASCII does not hold."""
+    return c == "_" or c.isalnum() and (c.isascii() or unicodedata.category(c) != "No")
+
+
+def _word_starts(text: str) -> list[int]:
+    """Where an occurrence may start: each non-blank character that no word
+    character precedes."""
+    if text.isascii():
+        return [m.start() for m in _ASCII_START.finditer(text)]
+    return [
+        i for i, c in enumerate(text)
+        if not c.isspace() and (i == 0 or not _is_word_char(text[i - 1]))
+    ]
 
 
 def _normalize(text: str) -> tuple[str, Sequence[int], Sequence[int]]:
@@ -265,14 +256,14 @@ class Gazetteer:
 
     def _starts(self, text: str) -> tuple[str, Sequence[int], list[tuple[int, int]]]:
         """``_normalize(text)``'s form and map back to ``text``, and the
-        ``(offset, normalized offset)`` of each ``_START`` that begins a
-        cluster whose normalized form begins some entry."""
+        ``(offset, normalized offset)`` of each ``_word_starts`` offset that
+        begins a cluster whose normalized form begins some entry."""
         norm, norm_at, text_at = _normalize(text)
         starts = []
-        for m in (_ASCII_START if text.isascii() else _START).finditer(text):
-            at = norm_at[m.start()]
+        for start in _word_starts(text):
+            at = norm_at[start]
             if at >= 0 and norm[at] in self._initials:
-                starts.append((m.start(), at))
+                starts.append((start, at))
         return norm, text_at, starts
 
     def _capitalized_ok(self, label: str, text: str, start: int) -> bool:
@@ -296,7 +287,7 @@ class Gazetteer:
                     if not norm.startswith(form, at):
                         continue
                     end = text_at[at + len(form)]
-                    if end < 0 or end < len(text) and _WORD_CHAR.match(text, end):
+                    if end < 0 or end < len(text) and _is_word_char(text[end]):
                         continue  # ends inside a cluster, or a word character follows
                     if not self._capitalized_ok(label, text[:end], start):
                         continue

@@ -290,4 +290,4 @@ def group_frequency_filter(
         for feat, freq in vec.items():
             if freq > 0:
                 used_by[feat] += 1
-    return sorted(f for f, c in used_by.items() if c >= min_fraction * n_users)
+    return sorted(f for f, c in used_by.items() if c / n_users >= min_fraction)

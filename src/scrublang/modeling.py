@@ -18,7 +18,7 @@ import numpy as np
 
 from .features import feature_matrix
 from .spans import Record
-from .stats import DegenerateDataError, bootstrap_score_diff, score
+from .stats import DegenerateDataError, _is_constant, bootstrap_score_diff, score
 from .stats import sign_accuracy  # noqa: F401  (re-exported: callers import it from here)
 
 CELL_ORDER = ("fb_fb", "fb_sms", "sms_sms", "sms_fb")
@@ -98,22 +98,18 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
         raise ValueError(f"{name} contains non-finite values")
 
 
-def ridge_solve(
-    X: np.ndarray, y: np.ndarray, alpha: float = 1.0, standardize: bool = True
-) -> tuple[np.ndarray, float]:
-    """L2-regularized least squares; returns (weights, intercept).
+def ridge_solve(X: np.ndarray, y: np.ndarray, alpha: float = 1.0) -> tuple[np.ndarray, float]:
+    """L2-regularized least squares with an unpenalized intercept; returns
+    (weights, intercept).
 
-    With ``standardize`` (the default) columns of X are z-scored, y is
-    centered, the penalized normal equations are solved in standardized space,
-    and the solution is mapped back (intercept from the means).  Zero-variance
-    columns get weight 0.  With ``standardize=False`` the raw normal equations
-    ``(X'X + aI) w = X'y`` are solved with no intercept.
+    Columns of X are z-scored, y is centered, the penalized normal equations
+    are solved in standardized space, and the solution is mapped back
+    (intercept from the means).  Columns without spread (``stats``' range
+    test) get weight 0.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_fit_inputs(X, [y], alpha)
-    if not standardize:
-        return _ridge_weights(X, _gram(X, alpha), y), 0.0
     return _ridge_fits(X, [y], alpha)[0]
 
 
@@ -128,17 +124,19 @@ def _check_fit_inputs(X: np.ndarray, ys: Sequence[np.ndarray], alpha: float) -> 
 
 
 def _ridge_fits(
-    X: np.ndarray, ys: Sequence[np.ndarray], alpha: float
+    X: np.ndarray, ys: Sequence[np.ndarray], alpha: float, scale: bool = True
 ) -> list[tuple[np.ndarray, float]]:
-    """The standardized :func:`ridge_solve` of ``X`` against each target in
-    ``ys``, sharing one standardization and one Gram matrix.
+    """The ridge fit of ``X`` against each target in ``ys``, with an
+    unpenalized intercept: X's columns are centered (and, with ``scale``,
+    divided by their sd) and so is each target (Hastie et al., *ESL* §3.4.1).
 
-    Each target is solved on its own, as a 1-d right-hand side, so every fit
-    is bit-identical to ``ridge_solve(X, y)`` alone.
+    The targets share one centering and one Gram matrix, and columns without
+    spread get weight 0.  Each target is solved on its own, as a 1-d
+    right-hand side, so every fit is bit-identical to that target's alone.
     """
     mu = X.mean(axis=0)
-    sigma = X.std(axis=0)
-    live = sigma > 0
+    sigma = X.std(axis=0) if scale else np.ones(X.shape[1])
+    live = ~_is_constant(X, axis=0)
     Z = np.zeros_like(X)
     Z[:, live] = (X[:, live] - mu[live]) / sigma[live]
     K = _gram(Z, alpha)
@@ -176,10 +174,9 @@ def ridge_fit(
     alpha: float = 1.0,
     feature_names: Sequence[str] | None = None,
     outcome: str = "",
-    standardize: bool = True,
 ) -> LexiconModel:
     """Fit ridge regression and package it as a :class:`LexiconModel`."""
-    w, intercept = ridge_solve(X, y, alpha, standardize=standardize)
+    w, intercept = ridge_solve(X, y, alpha)
     if feature_names is None:
         feature_names = [f"f{j}" for j in range(len(w))]
     if len(feature_names) != len(w):
@@ -202,10 +199,12 @@ def loocv_folds(n: int) -> Iterable[tuple[np.ndarray, int]]:
 
 
 def _loocv_fold_predictions(
-    X: np.ndarray, ys: Sequence[np.ndarray], alpha: float, tests: Sequence[np.ndarray]
+    X: np.ndarray, ys: Sequence[np.ndarray], alpha: float,
+    tests: Sequence[np.ndarray], scale: bool = True,
 ) -> list[list[np.ndarray]]:
-    """Leave-one-out predictions of fold-standardized ridge fits on ``X``, one
-    list per target in ``ys``.
+    """Leave-one-out predictions of ridge fits on ``X`` (``_ridge_fits``,
+    centered and, with ``scale``, scaled on each fold), one list per target
+    in ``ys``.
 
     Fold i fits each target on every row of ``X`` but row i and predicts row
     i of each matrix in ``tests`` (row-aligned with ``X``), so the targets
@@ -215,21 +214,23 @@ def _loocv_fold_predictions(
     _check_fit_inputs(X, ys, alpha)
     preds = [[np.empty(X.shape[0]) for _ in tests] for _ in ys]
     for train, i in loocv_folds(X.shape[0]):
-        for pred, (w, b) in zip(preds, _ridge_fits(X[train], [y[train] for y in ys], alpha)):
+        fits = _ridge_fits(X[train], [y[train] for y in ys], alpha, scale)
+        for pred, (w, b) in zip(preds, fits):
             for p, T in zip(pred, tests):
                 p[i] = T[i] @ w + b
     return preds
 
 
-def _augmented_design(X: np.ndarray, standardize: str) -> np.ndarray:
+def _fixed_design(X: np.ndarray, standardize: str) -> np.ndarray:
+    """X z-scored once over all rows (``"global"``; a column without spread
+    is only centered) or as given (``"none"``)."""
     if standardize == "global":
-        mu = X.mean(axis=0)
         sigma = X.std(axis=0)
-        sigma[sigma == 0] = 1.0
-        X = (X - mu) / sigma
-    elif standardize != "none":
+        sigma[_is_constant(X, axis=0)] = 1.0
+        return (X - X.mean(axis=0)) / sigma
+    if standardize != "none":
         raise ValueError("fixed-design paths support standardize='global' or 'none'")
-    return np.column_stack([np.ones(X.shape[0]), X])
+    return X
 
 
 def loocv_predictions_naive(
@@ -238,26 +239,19 @@ def loocv_predictions_naive(
     """Per-user LOOCV predictions by explicit refits.
 
     ``standardize="fold"`` recomputes standardization statistics on each
-    training fold (no leakage).  ``"global"`` / ``"none"`` use one fixed
-    design with an unpenalized intercept column, which is the estimator the
-    hat-matrix shortcut reproduces exactly.
+    training fold (no leakage).  ``"global"`` / ``"none"`` refit one fixed
+    design with an unpenalized intercept, centered on each fold but never
+    rescaled, which is the estimator the hat-matrix shortcut reproduces
+    exactly.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = X.shape[0]
-    if n < 3:
+    if X.shape[0] < 3:
         raise ValueError("need n >= 3 for leave-one-out evaluation")
     if standardize == "fold":
         return _loocv_fold_predictions(X, [y], alpha, [X])[0][0]
-    preds = np.empty(n)
-    D = _augmented_design(X, standardize)
-    P = alpha * np.eye(D.shape[1])
-    P[0, 0] = 0.0  # intercept unpenalized
-    for train, i in loocv_folds(n):
-        Dt = D[train]
-        beta = np.linalg.solve(Dt.T @ Dt + P, Dt.T @ y[train])
-        preds[i] = D[i] @ beta
-    return preds
+    D = _fixed_design(X, standardize)
+    return _loocv_fold_predictions(D, [y], alpha, [D], scale=False)[0][0]
 
 
 def loocv_predictions_hat(
@@ -271,9 +265,10 @@ def loocv_predictions_hat(
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    _check_fit_inputs(X, [y], alpha)
     if X.shape[0] < 3:
         raise ValueError("need n >= 3 for leave-one-out evaluation")
-    D = _augmented_design(X, standardize)
+    D = np.column_stack([np.ones(X.shape[0]), _fixed_design(X, standardize)])
     P = alpha * np.eye(D.shape[1])
     P[0, 0] = 0.0
     A = np.linalg.solve(D.T @ D + P, D.T)

@@ -1,10 +1,13 @@
 """Reference for the shared-fold evaluation: the per-outcome LOOCV loop that
 ``modeling.cross_domain_matrix`` replaced, with one standardized ridge solve
-per (outcome, source, fold), and the whole-matrix bootstrap that
-``stats.bootstrap_score_diff`` replaced with row blocks.
+per (outcome, source, fold), the whole-matrix bootstrap that
+``stats.bootstrap_score_diff`` replaced with row blocks, and the
+intercept-augmented refit loop that the fixed-design
+``loocv_predictions_naive`` replaced with centered fold fits.
 
 The tests compare ``cross_domain_matrix``, ``loocv_predictions_naive`` and
-``bootstrap_score_diff`` against these for exact equality.
+``bootstrap_score_diff`` against these: for exact equality, and the
+fixed-design refits within a rounding tolerance.
 """
 
 from __future__ import annotations
@@ -37,11 +40,11 @@ from scrublang.stats import (
 def ridge_solve(X: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
     """Standardized ridge on one target: z-score X's columns, center y, solve
     the penalized normal equations (dual when features outnumber rows) and
-    map the solution back; zero-variance columns get weight 0."""
+    map the solution back; columns without spread get weight 0."""
     n, p = X.shape
     mu = X.mean(axis=0)
     sigma = X.std(axis=0)
-    live = sigma > 0
+    live = ~_is_constant(X, axis=0)
     Z = np.zeros_like(X)
     Z[:, live] = (X[:, live] - mu[live]) / sigma[live]
     ybar = y.mean()
@@ -65,6 +68,26 @@ def loocv_fold_predictions(
         w, b = ridge_solve(X[train], y[train], alpha)
         for p, T in zip(preds, tests):
             p[i] = T[i] @ w + b
+    return preds
+
+
+def loocv_fixed_design(X: np.ndarray, y: np.ndarray, alpha: float, standardize: str) -> np.ndarray:
+    """LOOCV refits of one fixed design, z-scored over all rows
+    (``"global"``; zero-variance columns only centered) or raw (``"none"``),
+    with an intercept column left out of the penalty.  A constant column is
+    collinear with the intercept, which absorbs it whatever its scale."""
+    n = X.shape[0]
+    if standardize == "global":
+        sigma = X.std(axis=0)
+        sigma[sigma == 0] = 1.0
+        X = (X - X.mean(axis=0)) / sigma
+    D = np.column_stack([np.ones(n), X])
+    P = alpha * np.eye(D.shape[1])
+    P[0, 0] = 0.0  # intercept unpenalized
+    preds = np.empty(n)
+    for train, i in loocv_folds(n):
+        Dt = D[train]
+        preds[i] = D[i] @ np.linalg.solve(Dt.T @ Dt + P, Dt.T @ y[train])
     return preds
 
 

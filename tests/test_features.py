@@ -201,6 +201,19 @@ class TestCorpus:
         assert group_frequency_filter(vectors, 0.5) == ["common"]
         assert group_frequency_filter(vectors, 0.25) == ["common", "rare"]
 
+    def test_group_frequency_filter_keeps_a_feature_at_the_exact_fraction(self):
+        # 0.28 * 25 is 7.000000000000001: 7 of 25 users is still 0.28 of them
+        vectors = {f"u{i}": {"edge": 1.0} if i < 7 else {"other": 1.0} for i in range(25)}
+        assert group_frequency_filter(vectors, 0.28) == ["edge", "other"]
+        for d in (3, 7, 10, 20, 25, 50, 100):
+            for k in range(1, d):
+                for n in range(1, 60):
+                    at = -(-k * n // d)  # the fewest of n users that make k/d of them
+                    vectors = {
+                        f"u{i}": {"at": float(i < at), "below": float(i < at - 1)} for i in range(n)
+                    }
+                    assert group_frequency_filter(vectors, k / d) == ["at"], (k, d, n)
+
     def test_user_feature_table_platform_selection(self):
         corpora = {
             ("u1", "facebook"): UserCorpus("u1", "facebook", ["a b"]),

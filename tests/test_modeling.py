@@ -45,11 +45,6 @@ class TestApplyLexicon:
 
 
 class TestRidge:
-    def test_closed_form_without_standardization(self):
-        w, b = ridge_solve(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]), 1.0, standardize=False)
-        assert w[0] == pytest.approx(5 / 6, abs=1e-12)
-        assert b == 0.0
-
     def test_constant_target(self):
         rng = np.random.default_rng(0)
         w, b = ridge_solve(rng.normal(size=(12, 4)), np.full(12, 3.5), 1.0)
@@ -98,6 +93,21 @@ class TestRidge:
         assert w[0] == 0.0
         assert w[1] == pytest.approx(3.0, rel=0.01)
 
+    def test_equal_values_with_a_nonzero_sd_get_weight_zero(self):
+        # twenty 0.05s have a range of 0 but a computed sd of ~7e-18
+        constant = np.full(20, 0.05)
+        assert constant.std() > 0
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=20)
+        X = np.column_stack([constant, x])
+        y = 2.0 * x + rng.normal(size=20)
+        w, b = ridge_solve(X, y, 1.0)
+        assert w[0] == 0.0
+        assert ridge_fit(X, y, 1.0).weights["f0"] == 0.0
+        w1, b1 = ridge_solve(x[:, None], y, 1.0)
+        assert w[1] == pytest.approx(w1[0], rel=1e-12)
+        assert b == pytest.approx(b1, rel=1e-12)
+
 
 class TestLoocv:
     def test_folds_never_contain_holdout(self):
@@ -134,6 +144,29 @@ class TestLoocv:
             hat = loocv_predictions_hat(X, y, 1.0, standardize=standardize)
             assert np.max(np.abs(naive - hat)) < 1e-9
 
+    @pytest.mark.parametrize("standardize", ["fold", "global"])
+    def test_column_of_equal_values_changes_no_prediction(self, standardize):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(16, 3))
+        y = rng.normal(size=16)
+        with_constant = np.column_stack([X[:, :1], np.full(16, 0.05), X[:, 1:]])
+        want = loocv_predictions_naive(X, y, 1.0, standardize=standardize)
+        got = loocv_predictions_naive(with_constant, y, 1.0, standardize=standardize)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n, p", [(12, 4), (9, 30)])  # p <= n and p > n
+    @pytest.mark.parametrize("standardize", ["global", "none"])
+    def test_fixed_design_refits_match_the_augmented_loop(self, standardize, n, p):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            X = rng.normal(size=(n, p))
+            X[:, 1] = 0.05
+            X[:, 2] = 3.0
+            y = rng.normal(size=n)
+            got = loocv_predictions_naive(X, y, 1.0, standardize=standardize)
+            want = evaluation_oracle.loocv_fixed_design(X, y, 1.0, standardize)
+            assert np.max(np.abs(got - want)) < 1e-10
+
     def test_shortcut_metric_path(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(20, 2))
@@ -149,6 +182,16 @@ class TestLoocv:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             loocv_evaluate(np.zeros((2, 1)), np.zeros(2))
+
+    @pytest.mark.parametrize("loocv", [loocv_predictions_naive, loocv_predictions_hat])
+    def test_fixed_design_paths_reject_what_a_fit_rejects(self, loocv):
+        X = np.random.default_rng(9).normal(size=(6, 2))
+        y = np.arange(6.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            loocv(np.where(np.eye(6, 2, dtype=bool), np.nan, X), y, 1.0, standardize="global")
+        for alpha in (0.0, -1.0):
+            with pytest.raises(ValueError, match="alpha must be positive"):
+                loocv(X, y, alpha, standardize="global")
 
 
 def _mk_features(users, rng, signal=None):
