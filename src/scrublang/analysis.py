@@ -91,7 +91,7 @@ def paired_features(
 ) -> list[str]:
     """The n-grams used by at least ``min_group_fraction`` of the users of
     :func:`paired_vectors`; a user uses an n-gram present on either platform."""
-    return group_frequency_filter({u: {**sms[u], **fb[u]} for u in fb}, min_group_fraction)
+    return group_frequency_filter((fb[u].keys() | sms[u].keys() for u in fb), min_group_fraction)
 
 
 def _require_pairs(users: list[str]) -> None:

@@ -158,8 +158,10 @@ def load_catalogue(path: str | Path | None = None) -> list[Detector]:
     return detectors
 
 
-# a word for the capitalization rule; ’ joins a word as ' does
-_WORD_RUN = regex.compile(r"[\w'’][\w'’.-]*")
+# a word for the capitalization rule; ’ joins a word as ' does, and a
+# default-ignorable character (soft hyphen, zero-width space) does not end one
+_WORD_RUN = regex.compile(r"[\w'’][\w'’.\p{Default_Ignorable_Code_Point}-]*")
+_IGNORABLE = regex.compile(r"\p{Default_Ignorable_Code_Point}+")
 # the word starts of ASCII text: there stdlib ``re``'s ``\w`` (``isalnum()`` or
 # ``_``) is the word rule, and it runs faster than a loop
 _ASCII_START = re.compile(r"(?<!\w)\S")
@@ -187,9 +189,11 @@ def _word_starts(text: str) -> list[int]:
 def _normalize(text: str) -> tuple[str, Sequence[int], Sequence[int]]:
     """What the gazetteer compares, built one grapheme cluster at a time: NFKC,
     ’ read as ', İ read as I (so a name listed in ASCII matches its Turkish
-    spelling), ``casefold``, and each whitespace run read as one space.  Also
+    spelling), default-ignorable code points (U+00AD, U+200B-U+200D, ...) read
+    as nothing, ``casefold``, and each whitespace run read as one space.  Also
     the normalized offset of each offset of ``text`` and the offset in
-    ``text`` of each normalized offset, -1 inside a cluster or a run."""
+    ``text`` of each normalized offset, -1 inside a cluster or a run and at a
+    cluster read as nothing."""
     if text.isascii() and not _ODD_SPACE.search(text):
         same = range(len(text) + 1)
         return text.lower(), same, same
@@ -198,6 +202,10 @@ def _normalize(text: str) -> tuple[str, Sequence[int], Sequence[int]]:
     pieces: list[str] = []
     for m in _CLUSTER.finditer(text):
         piece = unicodedata.normalize("NFKC", m.group()).replace("’", "'").replace("İ", "I")
+        if not piece.isascii():
+            piece = _IGNORABLE.sub("", piece)
+            if not piece:
+                continue  # a default-ignorable cluster reads as nothing
         if piece.isspace() and pieces and pieces[-1] == " ":
             continue  # a whitespace run goes on
         piece = " " if piece.isspace() else piece.casefold()  # never empty

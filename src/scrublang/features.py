@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -58,44 +58,33 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(straight_apostrophes(text.lower()))
 
 
-def is_placeholder_token(token: str) -> bool:
-    return PLACEHOLDER_RE.fullmatch(token) is not None
+def _as_documents(tokens: Sequence) -> Sequence[Sequence[str]]:
+    return [tokens] if tokens and isinstance(tokens[0], str) else tokens
 
 
-def _as_documents(tokens: Sequence) -> list[list[str]]:
-    if tokens and isinstance(tokens[0], str):
-        return [list(tokens)]
-    return [list(doc) for doc in tokens]
-
-
-def ngram_counts(
-    tokens: Sequence, orders: Iterable[int] = (1, 2, 3)
-) -> tuple[Counter, dict[int, int]]:
-    """Raw n-gram counts and per-order totals.
+def ngram_counts(tokens: Sequence, orders: Iterable[int] = (1, 2, 3)) -> dict[int, Counter]:
+    """Raw n-gram counts, one ``Counter`` per order, from one walk of the
+    documents; an order's total is its ``Counter.total()``.
 
     ``tokens`` is either one document (sequence of str) or a sequence of
     documents; n-grams never span document boundaries.  N-gram feature ids are
     the tokens joined by single spaces.  Every order must be at least 1.
     """
-    docs = _as_documents(tokens)
-    counts: Counter = Counter()
-    totals: dict[int, int] = {n: 0 for n in orders}
-    if any(n < 1 for n in totals):
-        raise ValueError(f"n-gram orders must be >= 1, got {tuple(totals)}")
-    for doc in docs:
-        for n in totals:
-            for i in range(len(doc) - n + 1):
-                counts[" ".join(doc[i : i + n])] += 1
-                totals[n] += 1
-    return counts, totals
+    counts = {n: Counter() for n in orders}
+    if any(n < 1 for n in counts):
+        raise ValueError(f"n-gram orders must be >= 1, got {tuple(counts)}")
+    for doc in _as_documents(tokens):
+        for n, grams in counts.items():
+            grams.update(" ".join(doc[i : i + n]) for i in range(len(doc) - n + 1))
+    return counts
 
 
 def extract_ngrams(tokens: Sequence, orders: Iterable[int] = (1, 2, 3)) -> dict[str, float]:
     """Relative n-gram frequencies (count / total n-grams of that order)."""
     out: dict[str, float] = {}
-    for n in orders:
-        counts, totals = ngram_counts(tokens, (n,))
-        out.update((gram, c / totals[n]) for gram, c in counts.items())
+    for grams in ngram_counts(tokens, orders).values():
+        total = grams.total()
+        out.update((gram, c / total) for gram, c in grams.items())
     return out
 
 
@@ -274,20 +263,19 @@ def feature_matrix(
 
 
 def group_frequency_filter(
-    vectors: Mapping[str, Mapping[str, float]],
+    user_features: Iterable[Collection[str]],
     min_fraction: float = DEFAULT_MIN_GROUP_FRACTION,
 ) -> list[str]:
     """Features used by at least ``min_fraction`` of users, sorted.
 
+    ``user_features`` holds each user's distinct features, one user at a time;
+    it is read once, so a generator keeps only one user's set alive.
     Standard differential-language practice: rare n-grams carry no stable
     signal and blow up the test count.
     """
-    n_users = len(vectors)
-    if n_users == 0:
-        return []
     used_by: Counter = Counter()
-    for vec in vectors.values():
-        for feat, freq in vec.items():
-            if freq > 0:
-                used_by[feat] += 1
+    n_users = 0
+    for feats in user_features:
+        used_by.update(feats)
+        n_users += 1
     return sorted(f for f, c in used_by.items() if c / n_users >= min_fraction)

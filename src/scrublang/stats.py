@@ -16,7 +16,6 @@ from enum import IntEnum
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import ndtr, stdtr
 
 
 class DegenerateDataError(ValueError):
@@ -90,6 +89,10 @@ def paired_stats(x: np.ndarray, y: np.ndarray) -> PairedStats:
         t = mean / (sd / np.sqrt(n))
     d[zero] = t[zero] = 0.0
     d[degenerate] = t[degenerate] = np.nan
+    # imported on first use: scipy.special is half of the CLI's import time,
+    # and only p-values need it
+    from scipy.special import stdtr
+
     p = 2.0 * stdtr(n - 1, -np.abs(t))  # Student t CDF at -|t|, i.e. its survival at |t|
     p[constant] = 1.0
     np.copyto(rows, x.T)
@@ -249,6 +252,8 @@ def _fit_rows(v: np.ndarray, y: np.ndarray, n1: int, tol: float, max_iter: int):
         outcome[active[done]] = Fit.CONVERGED
         active = active[moved & ~done]
 
+    from scipy.special import ndtr  # imported on first use, as in paired_stats
+
     fitted = np.flatnonzero(outcome == Fit.CONVERGED)
     (h00, _, _, det, _, _), finite = _information(v[fitted], y, *beta[:, fitted])
     with np.errstate(all="ignore"):
@@ -313,11 +318,6 @@ def _pearson_centered(a, b) -> tuple[np.ndarray, np.ndarray]:
     r = np.full(a.shape[0], np.nan)
     r[valid] = sab[valid] / np.sqrt(saa[valid] * sbb[valid])
     return r, valid
-
-
-def _rowwise_pearson(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pearson r along axis 1 plus a validity mask (constant rows fail)."""
-    return _pearson_centered(_centered_rows(a), _centered_rows(b))
 
 
 # Resamples scored at a time.  Each row's score depends on that row alone, so

@@ -23,6 +23,7 @@ from scrublang.analysis import (
     diff_categories,
     diff_ngrams,
     ngram_diffs,
+    paired_features,
     shared_users,
     summary_stats,
 )
@@ -44,6 +45,13 @@ def paired_corpora(n_users, fb_docs_fn, sms_docs_fn):
 
 
 class TestDiffNgrams:
+    def test_paired_features_counts_a_user_once_per_ngram(self):
+        # "both" is one user's on both platforms: 1 of 4 users, below half;
+        # "fb" is two users', on facebook only: 2 of 4, kept
+        fb = {"u1": {"both": 0.5, "fb": 0.5}, "u2": {"fb": 1.0}, "u3": {"x": 1.0}, "u4": {"x": 1.0}}
+        sms = {"u1": {"both": 1.0}, "u2": {"sms": 1.0}, "u3": {"x": 1.0}, "u4": {"x": 1.0}}
+        assert paired_features(fb, sms, 0.5) == ["fb", "x"]
+
     def test_planted_bigram_significant_on_facebook_side(self):
         rng = np.random.default_rng(0)
         filler = "the day was long and we went out".split()

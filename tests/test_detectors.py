@@ -356,6 +356,15 @@ class TestOneMatchingRule:
         suite = DetectorSuite.default(gazetteer=Gazetteer(RULE_NAMES))
         assert redact_string(text, suite).text == redacted
 
+    @pytest.mark.parametrize(
+        "text",
+        ["met Jo\u00adhn Smith", "met John Smi\u200bth", "met J\u200dohn Smith"],
+        ids=["soft-hyphen", "zero-width-space", "zero-width-joiner"],
+    )
+    def test_default_ignorable_code_point_reads_as_nothing(self, text):
+        suite = DetectorSuite.default(gazetteer=Gazetteer(RULE_NAMES))
+        assert redact_string(text, suite).text == "met <person>"
+
     @pytest.mark.parametrize("text", ["x2John Smith", "met John Smith2", "met John Smith_"])
     def test_name_glued_to_a_word_character_is_not_an_occurrence(self, text):
         suite = DetectorSuite.default(gazetteer=Gazetteer(RULE_NAMES))

@@ -17,16 +17,32 @@ from scrublang.features import (
     extract_ngrams,
     filter_min_words,
     group_frequency_filter,
-    is_placeholder_token,
     load_corpus_jsonl,
     ngram_counts,
     tokenize,
     user_feature_table,
 )
+from scrublang.spans import PLACEHOLDER_RE
 
 tokens_strategy = st.lists(
     st.sampled_from(["a", "b", "c", "dd", "ee", ":)", "<email>"]), min_size=1, max_size=30
 )
+
+
+def ngrams_order_by_order(tokens, orders=(1, 2, 3)) -> dict[str, float]:
+    """Reference for ``extract_ngrams``: one walk of the documents per order,
+    each order's counts and total kept by hand."""
+    docs = [tokens] if tokens and isinstance(tokens[0], str) else tokens
+    out: dict[str, float] = {}
+    for n in orders:
+        counts: dict[str, int] = {}
+        for doc in docs:
+            for i in range(len(doc) - n + 1):
+                gram = " ".join(doc[i : i + n])
+                counts[gram] = counts.get(gram, 0) + 1
+        total = sum(counts.values())
+        out.update((gram, c / total) for gram, c in counts.items())
+    return out
 
 
 class TestTokenize:
@@ -48,10 +64,10 @@ class TestTokenize:
         assert tokenize("at the #beach w/ @sam") == ["at", "the", "#beach", "w", "/", "@sam"]
 
     def test_placeholder_predicate(self):
-        assert is_placeholder_token("<email>")
-        assert is_placeholder_token("<work of art>")
-        assert not is_placeholder_token("email")
-        assert not is_placeholder_token("<3")
+        assert PLACEHOLDER_RE.fullmatch("<email>")
+        assert PLACEHOLDER_RE.fullmatch("<work of art>")
+        assert not PLACEHOLDER_RE.fullmatch("email")
+        assert not PLACEHOLDER_RE.fullmatch("<3")
 
 
 class TestNgrams:
@@ -100,9 +116,27 @@ class TestNgrams:
     @given(st.lists(tokens_strategy, min_size=2, max_size=4))
     @settings(max_examples=50, deadline=None)
     def test_counts_stable_under_document_order(self, docs):
-        counts1, totals1 = ngram_counts(docs)
-        counts2, totals2 = ngram_counts(list(reversed(docs)))
-        assert counts1 == counts2 and totals1 == totals2
+        counts1 = ngram_counts(docs)
+        counts2 = ngram_counts(list(reversed(docs)))
+        assert list(counts1) == list(counts2) == [1, 2, 3]
+        assert counts1 == counts2
+        assert [c.total() for c in counts1.values()] == [
+            sum(max(len(doc) - n + 1, 0) for doc in docs) for n in (1, 2, 3)
+        ]
+
+    # "a b" as one token makes a unigram id equal to a bigram id
+    @given(
+        st.one_of(
+            st.lists(st.sampled_from(["a", "b", "a b", "<work of art>", ":)"]), max_size=12),
+            st.lists(st.lists(st.sampled_from(["a", "b", "a b", ":)"]), max_size=8), max_size=4),
+        ),
+        st.sampled_from([(1,), (2,), (3, 1), (2, 1), (1, 2, 3)]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_walk_matches_order_by_order(self, tokens, orders):
+        # items in order: apply_lexicon sums a vector in its dict order
+        expected = ngrams_order_by_order(tokens, orders)
+        assert list(extract_ngrams(tokens, orders).items()) == list(expected.items())
 
 
 class TestDictionary:
@@ -192,27 +226,25 @@ class TestCorpus:
         assert excluded == {"u2": 100}
 
     def test_group_frequency_filter(self):
-        vectors = {
-            "u1": {"common": 0.5, "rare": 0.1},
-            "u2": {"common": 0.4},
-            "u3": {"common": 0.2},
-            "u4": {"common": 0.3},
-        }
-        assert group_frequency_filter(vectors, 0.5) == ["common"]
-        assert group_frequency_filter(vectors, 0.25) == ["common", "rare"]
+        users = [{"common", "rare"}, {"common"}, {"common"}, {"common"}]
+        assert group_frequency_filter(users, 0.5) == ["common"]
+        assert group_frequency_filter(users, 0.25) == ["common", "rare"]
+        assert group_frequency_filter([], 0.25) == []
 
     def test_group_frequency_filter_keeps_a_feature_at_the_exact_fraction(self):
         # 0.28 * 25 is 7.000000000000001: 7 of 25 users is still 0.28 of them
-        vectors = {f"u{i}": {"edge": 1.0} if i < 7 else {"other": 1.0} for i in range(25)}
-        assert group_frequency_filter(vectors, 0.28) == ["edge", "other"]
+        users = [{"edge"} if i < 7 else {"other"} for i in range(25)]
+        assert group_frequency_filter(users, 0.28) == ["edge", "other"]
         for d in (3, 7, 10, 20, 25, 50, 100):
             for k in range(1, d):
                 for n in range(1, 60):
                     at = -(-k * n // d)  # the fewest of n users that make k/d of them
-                    vectors = {
-                        f"u{i}": {"at": float(i < at), "below": float(i < at - 1)} for i in range(n)
-                    }
-                    assert group_frequency_filter(vectors, k / d) == ["at"], (k, d, n)
+                    users = [{"at", "below"}] * (at - 1) + [{"at"}] + [set()] * (n - at)
+                    assert group_frequency_filter(users, k / d) == ["at"], (k, d, n)
+
+    def test_group_frequency_filter_reads_a_generator(self):
+        one_user_at_a_time = (set(feats) for feats in ("xy", "x", "z"))
+        assert group_frequency_filter(one_user_at_a_time, 0.5) == ["x"]
 
     def test_user_feature_table_platform_selection(self):
         corpora = {

@@ -32,7 +32,8 @@ from scrublang.modeling import bootstrap_accuracy_diff
 from scrublang.stats import (
     DegenerateDataError,
     Fit,
-    _rowwise_pearson,
+    _centered_rows,
+    _pearson_centered,
     bh_fdr,
     bootstrap_corr_diff,
     bootstrap_score_diff,
@@ -42,6 +43,7 @@ from scrublang.stats import (
     paired_t_test,
     pearson_r,
 )
+from scrublang.synth import make_fixture
 
 # A constant vector whose mean does not round-trip: x - x.mean() is ~1e-15,
 # not 0, so a variance-based degeneracy test misses it.
@@ -364,7 +366,7 @@ class TestBootstrap:
     def test_constant_resample_rows_are_invalid(self):
         a = np.array([CONSTANT, [1.0, 2.0, 3.0]])
         b = np.array([[0.0, 0.0, 1.0], [1.0, 2.0, 4.0]])
-        r, valid = _rowwise_pearson(a, b)
+        r, valid = _pearson_centered(_centered_rows(a), _centered_rows(b))
         assert valid.tolist() == [False, True]
         assert r[1] == pytest.approx(pearson_r([1, 2, 3], [1, 2, 4]), abs=1e-12)
 
@@ -475,13 +477,29 @@ class TestBlockedBootstrap:
         assert peak < 12e6
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    # the p-values come from scipy.special; scipy.stats costs ~0.7 s and ~45 MB
-    # to import and is only needed by this test module's oracles
+def _modules_loaded_by(code: str, *modules: str) -> list[bool]:
+    """Whether each of ``modules`` is imported after ``code`` runs in a fresh
+    interpreter."""
     src = str(Path(scrublang.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, scrublang.cli; print('scipy.stats' in sys.modules)"
+    code += f"\nimport sys; print(*(m in sys.modules for m in {modules!r}))"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "False"
+    return [word == "True" for word in out.stdout.splitlines()[-1].split()]
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # the p-values come from scipy.special, imported when a p-value is first
+    # computed; scipy.stats costs ~0.7 s and ~45 MB to import and is only
+    # needed by this test module's oracles
+    loaded = _modules_loaded_by("import scrublang.cli", "scipy.stats", "scipy.special")
+    assert loaded == [False, False]
+
+
+def test_redact_does_not_load_scipy_special(tmp_path):
+    log = make_fixture(tmp_path, n_users=3, seed=0)["keystroke_log"]
+    argv = ["redact", "--in", str(log), "--out", str(tmp_path / "entries.jsonl")]
+    code = f"from scrublang import cli\nassert cli.main({argv!r}) == 0"
+    assert _modules_loaded_by(code, "scipy.special") == [False]
+    assert (tmp_path / "entries.jsonl").stat().st_size > 0
