@@ -191,29 +191,31 @@ def _normalize(text: str) -> tuple[str, Sequence[int], Sequence[int]]:
     ’ read as ', İ read as I (so a name listed in ASCII matches its Turkish
     spelling), default-ignorable code points (U+00AD, U+200B-U+200D, ...) read
     as nothing, ``casefold``, and each whitespace run read as one space.  Also
-    the normalized offset of each offset of ``text`` and the offset in
-    ``text`` of each normalized offset, -1 inside a cluster or a run and at a
-    cluster read as nothing."""
+    the normalized offset of each offset of ``text``, and the offset in
+    ``text`` where the clusters read before each normalized offset end (so an
+    occurrence ends before an ignorable, as it starts after one); -1 inside a
+    cluster or a run and at a cluster read as nothing."""
     if text.isascii() and not _ODD_SPACE.search(text):
         same = range(len(text) + 1)
         return text.lower(), same, same
     norm_at = [-1] * (len(text) + 1)
     text_at: list[int] = []
     pieces: list[str] = []
+    read_to = 0  # where the last cluster not read as nothing ends
     for m in _CLUSTER.finditer(text):
         piece = unicodedata.normalize("NFKC", m.group()).replace("’", "'").replace("İ", "I")
         if not piece.isascii():
             piece = _IGNORABLE.sub("", piece)
             if not piece:
                 continue  # a default-ignorable cluster reads as nothing
-        if piece.isspace() and pieces and pieces[-1] == " ":
-            continue  # a whitespace run goes on
-        piece = " " if piece.isspace() else piece.casefold()  # never empty
-        norm_at[m.start()] = len(text_at)
-        text_at += [m.start()] + [-1] * (len(piece) - 1)
-        pieces.append(piece)
+        if not (piece.isspace() and pieces and pieces[-1] == " "):  # else a run goes on
+            piece = " " if piece.isspace() else piece.casefold()  # never empty
+            norm_at[m.start()] = len(text_at)
+            text_at += [read_to] + [-1] * (len(piece) - 1)
+            pieces.append(piece)
+        read_to = m.end()
     norm_at[-1] = len(text_at)
-    text_at.append(len(text))
+    text_at.append(read_to)
     return "".join(pieces), norm_at, text_at
 
 

@@ -357,13 +357,26 @@ class TestOneMatchingRule:
         assert redact_string(text, suite).text == redacted
 
     @pytest.mark.parametrize(
-        "text",
-        ["met Jo\u00adhn Smith", "met John Smi\u200bth", "met J\u200dohn Smith"],
-        ids=["soft-hyphen", "zero-width-space", "zero-width-joiner"],
+        ("text", "redacted"),
+        [
+            ("met Jo\u00adhn Smith", "met <person>"),
+            ("met John Smi\u200bth", "met <person>"),
+            ("met J\u200dohn Smith", "met <person>"),
+            ("met John Smith\u200bok", "met <person>\u200bok"),
+            ("met John Smith\ufeffok", "met <person>\ufeffok"),
+            ("met John Smith\u2060ok", "met <person>\u2060ok"),
+            ("met John Smith\u00adok", "met <person>\u00adok"),
+            ("x\u200bJohn Smith\u200b", "x\u200b<person>\u200b"),
+        ],
+        ids=["soft-hyphen", "zero-width-space", "zero-width-joiner",
+             "before-zero-width-space", "before-bom", "before-word-joiner",
+             "before-soft-hyphen", "between-zero-width-spaces"],
     )
-    def test_default_ignorable_code_point_reads_as_nothing(self, text):
+    def test_default_ignorable_code_point_reads_as_nothing(self, text, redacted):
+        # inside an occurrence an ignorable reads as nothing; at either edge it
+        # is no word character, so the occurrence ends before it
         suite = DetectorSuite.default(gazetteer=Gazetteer(RULE_NAMES))
-        assert redact_string(text, suite).text == "met <person>"
+        assert redact_string(text, suite).text == redacted
 
     @pytest.mark.parametrize("text", ["x2John Smith", "met John Smith2", "met John Smith_"])
     def test_name_glued_to_a_word_character_is_not_an_occurrence(self, text):
