@@ -85,7 +85,7 @@ from .redactor import (
     StreamRedactor,
     redact_string,
 )
-from .spans import PLACEHOLDER_RE, Record, numbered_lines
+from .spans import PLACEHOLDER_RE, Record, json_lines, numbered_lines
 # cli calls neither bootstrap_corr_diff nor pearson_r; bench/tracing.py patches both here
 from .stats import DegenerateDataError, bootstrap_corr_diff, pearson_r
 from .stats import MIN_BOOTSTRAP_ITERATIONS, score
@@ -336,11 +336,7 @@ class Run:
         )
         counters = {"events": 0, "apps_filtered": 0, "out_of_order": 0}
         entries = []
-        for lineno, line in numbered_lines(log):
-            try:
-                event = KeystrokeEvent.from_json(line)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{log}:{lineno}: bad keystroke event: {exc}") from exc
+        for _, event in json_lines(log, "keystroke event", KeystrokeEvent.from_json):
             counters["events"] += 1
             if cfg.apps and event.app_id not in cfg.apps:
                 counters["apps_filtered"] += 1

@@ -18,7 +18,6 @@ literal token or a prefix wildcard ("happ*", star only in terminal position).
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from collections import Counter
@@ -29,10 +28,11 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .spans import PLACEHOLDER_RE, numbered_lines, straight_apostrophes
+from .spans import PLACEHOLDER_RE, json_lines, json_record, numbered_lines, straight_apostrophes
 
 DEFAULT_MIN_WORDS = 500
 DEFAULT_MIN_GROUP_FRACTION = 0.05
+PLATFORMS = ("facebook", "sms")
 
 # token grammar, tried in order: placeholder, emoticon, word w/ contractions,
 # hashtag/mention, number, any other non-space char
@@ -202,20 +202,24 @@ class UserCorpus:
         return extract_dictionary(self._tokens, spec)
 
 
+_parse_corpus = json_record({"user_id": str, "platform": str, "text": str})
+
+
+def _corpus_record(line: str) -> tuple[str, str, str]:
+    user, platform, text = _parse_corpus(line)
+    if platform not in PLATFORMS:
+        raise ValueError(f"platform must be 'facebook' or 'sms', got {platform!r}")
+    return user, platform, text
+
+
 def load_corpus_jsonl(path: str | Path) -> dict[tuple[str, str], UserCorpus]:
-    """Load ``{user_id, platform, text}`` JSON lines into per-(user, platform) corpora."""
+    """Load ``{user_id, platform, text}`` JSON lines into per-(user, platform)
+    corpora; a platform other than ``PLATFORMS`` is a ``path:line`` error."""
     corpora: dict[tuple[str, str], UserCorpus] = {}
-    for lineno, line in numbered_lines(path):
-        try:
-            d = json.loads(line)
-            key, text = (d["user_id"], d["platform"]), d["text"]
-            if not all(type(v) is str for v in (*key, text)):
-                raise TypeError("user_id, platform and text must be JSON strings")
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad corpus record: {exc}") from exc
-        corpus = corpora.get(key)
+    for _, (user, platform, text) in json_lines(path, "corpus record", _corpus_record):
+        corpus = corpora.get((user, platform))
         if corpus is None:
-            corpus = corpora[key] = UserCorpus(user_id=key[0], platform=key[1])
+            corpus = corpora[(user, platform)] = UserCorpus(user_id=user, platform=platform)
         corpus.documents.append(text)
     return corpora
 

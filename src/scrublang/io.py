@@ -1,17 +1,10 @@
-"""File formats and report persistence.
+"""Input readers and report persistence.
 
-Formats supported:
-
-* outcomes CSV — ``user_id`` column plus one column per outcome; gender is
-  accepted as m/f/male/female/-1/1 and coded female=+1, male=-1; blank cells
-  are missing values;
-* lexicon weight CSV — header ``term,category,weight``; the term
-  ``_intercept`` sets the model intercept for its category;
-* embeddings — CSV (``user_id`` then one column per dimension) or JSON lines
-  (``{"user_id": "...", "embedding": [...]}``);
-* reports — JSON written with sorted keys (byte-reproducible) plus CSV mirrors
-  of tabular data;
-* run manifests — seeds, thresholds, and a SHA-256 digest per input file.
+Every CSV input is read by :func:`_csv_rows` and every JSON-lines input by
+:func:`spans.json_lines`; README's File formats section states the formats
+and the rules they enforce.  Reports are JSON written with sorted keys
+(byte-reproducible) plus CSV mirrors of tabular data; a run manifest records
+seeds, thresholds, and a SHA-256 digest per input file.
 """
 
 from __future__ import annotations
@@ -19,13 +12,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from itertools import zip_longest
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .modeling import LexiconModel
-from .spans import numbered_lines
+from .spans import json_lines, json_record, wrong_json_type
 
 GENDER_CODES = {
     "f": 1.0,
@@ -49,25 +43,58 @@ def _outcome_value(column: str, raw: str | None) -> float | None:
     return GENDER_CODES[raw.lower()]
 
 
+def _csv_rows(
+    path: str | Path, kind: str, required: Sequence[str], parse: Callable[[dict], Any]
+) -> Iterator[tuple[int, Any]]:
+    """``(line number, parse(row))`` for each non-empty row of the CSV file
+    ``path``, ``row`` mapping each header column to its cell (blank past the
+    end of a short row).  An empty file, or a header that lacks a ``required``
+    column or names one twice, is an error naming ``path``; a row with more
+    cells than the header, or one ``parse`` rejects, names ``path:line``."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty {kind} file")
+        if missing := [c for c in required if c not in header]:
+            raise ValueError(f"{path}: {kind} CSV needs a {missing[0]} column")
+        if len(set(header)) < len(header):
+            twice = next(c for c in header if header.count(c) > 1)
+            raise ValueError(f"{path}:{reader.line_num}: the header names {twice!r} twice")
+        for cells in filter(None, reader):
+            try:
+                if len(cells) > len(header):
+                    raise ValueError("more cells than header columns")
+                record = parse(dict(zip_longest(header, cells, fillvalue="")))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{path}:{reader.line_num}: bad {kind} row: {exc}") from exc
+            yield reader.line_num, record
+
+
+def _put_once(rows: dict, key, value, where: str, label: str) -> None:
+    """``rows[key] = value``; a key already read is an error at ``where``."""
+    if key in rows:
+        raise ValueError(f"{where}: repeated {label}")
+    rows[key] = value
+
+
+def _outcome_row(row: dict) -> tuple[str, dict[str, float | None]]:
+    user = row.pop("user_id")
+    return user, {col: _outcome_value(col, raw) for col, raw in row.items()}
+
+
 def load_outcomes_csv(path: str | Path) -> dict[str, dict[str, float | None]]:
     """Outcome columns per user; missing cells map to None.  A malformed row,
     or a user's second row, raises ``ValueError`` naming ``path:line``."""
     out: dict[str, dict[str, float | None]] = {}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "user_id" not in reader.fieldnames:
-            raise ValueError(f"{path}: outcomes CSV needs a user_id column")
-        for row in reader:
-            user = row.pop("user_id")
-            if user in out:
-                raise ValueError(f"{path}:{reader.line_num}: repeated user_id {user!r}")
-            try:
-                if None in row:
-                    raise ValueError("more cells than header columns")
-                out[user] = {col: _outcome_value(col, raw) for col, raw in row.items()}
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: bad outcomes row: {exc}") from exc
+    for lineno, (user, values) in _csv_rows(path, "outcomes", ("user_id",), _outcome_row):
+        _put_once(out, user, values, f"{path}:{lineno}", f"user_id {user!r}")
     return out
+
+
+def _lexicon_row(row: dict) -> tuple[str, str, float]:
+    term = "_intercept" if row["term"].lower() == "_intercept" else row["term"]
+    return term, row["category"], float(row["weight"])
 
 
 def load_lexicon_csv(path: str | Path) -> dict[str, LexiconModel]:
@@ -75,25 +102,10 @@ def load_lexicon_csv(path: str | Path) -> dict[str, LexiconModel]:
     with a non-numeric weight or more cells than the header, or a repeated
     (term, category) pair, raises ``ValueError`` naming ``path:line``."""
     weights: dict[str, dict[str, float]] = {}  # category -> term -> weight, intercept too
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        required = {"term", "category", "weight"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: lexicon CSV needs term,category,weight columns")
-        for row in reader:
-            term, cat = row["term"], row["category"]
-            where = f"{path}:{reader.line_num}"
-            if None in row:
-                raise ValueError(f"{where}: bad lexicon row: more cells than header columns")
-            try:
-                w = float(row["weight"])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{where}: bad lexicon weight: {exc}") from exc
-            term = "_intercept" if term.lower() == "_intercept" else term
-            terms = weights.setdefault(cat, {})
-            if term in terms:
-                raise ValueError(f"{where}: repeated term {term!r} in category {cat!r}")
-            terms[term] = w
+    rows = _csv_rows(path, "lexicon", ("term", "category", "weight"), _lexicon_row)
+    for lineno, (term, cat, w) in rows:
+        label = f"term {term!r} in category {cat!r}"
+        _put_once(weights.setdefault(cat, {}), term, w, f"{path}:{lineno}", label)
     return {
         cat: LexiconModel(intercept=terms.pop("_intercept", 0.0), weights=terms, outcome=cat)
         for cat, terms in sorted(weights.items())
@@ -111,49 +123,40 @@ def save_lexicon_csv(models: Mapping[str, LexiconModel], path: str | Path) -> No
                 writer.writerow([term, cat, repr(model.weights[term])])
 
 
+_parse_embedding = json_record({"user_id": str, "embedding": list})
+
+
+def _embedding_record(line: str) -> tuple[str, list[float]]:
+    user, values = _parse_embedding(line)
+    if not all(type(v) in (int, float) for v in values):
+        raise wrong_json_type("embedding", "array of numbers", values)
+    return user, [float(v) for v in values]
+
+
+def _embedding_row(row: dict) -> tuple[str, list[float]]:
+    user = row.pop("user_id")
+    return user, [float(v) for v in row.values()]
+
+
 def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
     """User id -> embedding vector, in file order.  A malformed row (a JSON
-    line needs a string ``user_id`` and an array of numbers, not booleans), or
-    a second row for the same user, raises ``ValueError`` naming ``path:line``."""
+    line needs a string ``user_id`` and an array of numbers, not booleans), a
+    row whose width differs from the first row's, or a second row for the
+    same user, raises ``ValueError`` naming ``path:line``."""
     path = Path(path)
-    rows: dict[str, list[float]] = {}
     if path.suffix in (".jsonl", ".ndjson"):
-        for lineno, line in numbered_lines(path):
-            try:
-                d = json.loads(line)
-                user, values = d["user_id"], d["embedding"]
-                if type(user) is not str or type(values) is not list:
-                    raise TypeError("user_id must be a JSON string and embedding a JSON array")
-                if not all(type(v) in (int, float) for v in values):
-                    raise TypeError("embedding values must be JSON numbers")
-                values = [float(v) for v in values]
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad embedding record: {exc}") from exc
-            if user in rows:
-                raise ValueError(f"{path}:{lineno}: repeated user_id {user!r}")
-            rows[user] = values
+        records = json_lines(path, "embedding record", _embedding_record)
     else:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty embeddings file")
-            if not header or header[0] != "user_id":
-                raise ValueError(f"{path}: embeddings CSV must start with a user_id column")
-            for row in reader:
-                if not row:
-                    continue
-                if row[0] in rows:
-                    raise ValueError(f"{path}:{reader.line_num}: repeated user_id {row[0]!r}")
-                try:
-                    rows[row[0]] = [float(v) for v in row[1:]]
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{reader.line_num}: bad embedding row: {exc}") from exc
+        records = _csv_rows(path, "embeddings", ("user_id",), _embedding_row)
+    rows: dict[str, list[float]] = {}
+    for lineno, (user, values) in records:
+        where = f"{path}:{lineno}"
+        if rows and len(values) != width:
+            raise ValueError(f"{where}: {len(values)} embedding values, the first row has {width}")
+        _put_once(rows, user, values, where, f"user_id {user!r}")
+        width = len(values)
     if not rows:
         raise ValueError(f"{path}: no embedding rows")
-    widths = {len(r) for r in rows.values()}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: inconsistent embedding widths {sorted(widths)}")
     return {user: np.asarray(r, dtype=float) for user, r in rows.items()}
 
 

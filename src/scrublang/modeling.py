@@ -18,7 +18,7 @@ import numpy as np
 
 from .features import feature_matrix
 from .spans import Record
-from .stats import DegenerateDataError, _is_constant, bootstrap_score_diff, score
+from .stats import DegenerateDataError, _is_constant, bootstrap_score_diff, score, shared_resamples
 from .stats import sign_accuracy  # noqa: F401  (re-exported: callers import it from here)
 
 CELL_ORDER = ("fb_fb", "fb_sms", "sms_sms", "sms_fb")
@@ -268,11 +268,12 @@ def loocv_predictions_hat(
     _check_fit_inputs(X, [y], alpha)
     if X.shape[0] < 3:
         raise ValueError("need n >= 3 for leave-one-out evaluation")
-    D = np.column_stack([np.ones(X.shape[0]), _fixed_design(X, standardize)])
-    P = alpha * np.eye(D.shape[1])
-    P[0, 0] = 0.0
-    A = np.linalg.solve(D.T @ D + P, D.T)
-    H = D @ A
+    # _ridge_fits' hat matrix: 1/n for the intercept plus Z (Z'Z + aI)^-1 Z' on the
+    # centered design, whose columns without spread are 0.  Primal even for p > n:
+    # there _gram's dual form loses 100-1000x more precision where 1 - h is small.
+    D = _fixed_design(X, standardize)
+    Z = np.where(_is_constant(D, axis=0), 0.0, D - D.mean(axis=0))
+    H = 1.0 / len(Z) + Z @ np.linalg.solve(Z.T @ Z + alpha * np.eye(Z.shape[1]), Z.T)
     h = np.diag(H)
     if np.any(h >= 1.0):
         raise DegenerateDataError("leverage of 1: a point determines its own fit")
@@ -338,6 +339,7 @@ def bootstrap_accuracy_diff(preds_a, preds_b, y, iterations: int, seed: int) -> 
     return compare_estimates("accuracy", preds_a, preds_b, y, iterations, seed)
 
 
+@shared_resamples()  # the comparisons on the same number of users share one draw
 def cross_domain_matrix(
     features_fb: Mapping[str, Mapping[str, float]],
     features_sms: Mapping[str, Mapping[str, float]],

@@ -34,17 +34,20 @@ fed from different threads, a single stream must not.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .detectors import DetectorSuite, default_suite
-from .spans import Record, RedactionSpan, clip_spans, merge_spans, render_redacted
+from .spans import Record, RedactionSpan, clip_spans, json_record, merge_spans, render_redacted
 
 BOUNDARY_CHARS = " \t\n\r.,!?;:"
 DEFAULT_TIMEOUT_MS = 60_000
 
-# each KeystrokeEvent field's JSON type, in field order (a boolean is no integer here)
-_EVENT_TYPES = (str, int, str, str, bool, bool)
-_JSON_NAMES = {str: "string", int: "integer", bool: "boolean"}
+# each KeystrokeEvent field's JSON type, in field order; the two flags may be left out
+_parse_event = json_record(
+    {"user_id": str, "timestamp": int, "app_id": str, "current_text": str,
+     "is_password": bool, "is_phone_field": bool},
+    is_password=False, is_phone_field=False,
+)
 
 STRUCTURAL_PASSWORD = "password"
 STRUCTURAL_PHONE = "phone"
@@ -80,18 +83,8 @@ class KeystrokeEvent(Record):
     @classmethod
     def from_json(cls, line: str) -> "KeystrokeEvent":
         """Parse one log line; a value whose JSON type is not its field's
-        (see ``_EVENT_TYPES``) raises ``TypeError`` instead of being coerced."""
-        d = json.loads(line)
-        values = (
-            d["user_id"], d["timestamp"], d["app_id"], d["current_text"],
-            d.get("is_password", False), d.get("is_phone_field", False),
-        )
-        if tuple(map(type, values)) != _EVENT_TYPES:
-            for f, value, want in zip(fields(cls), values, _EVENT_TYPES):
-                if type(value) is not want:
-                    got = json.dumps(value)
-                    raise TypeError(f"{f.name} must be a JSON {_JSON_NAMES[want]}, got {got}")
-        return cls(*values)
+        (see ``_parse_event``) raises ``TypeError`` instead of being coerced."""
+        return cls(*_parse_event(line))
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Character-range annotations and the span algebra shared by detectors and the redactor.
+"""Character-range annotations, the span algebra and the line readers of text inputs.
 
 A :class:`RedactionSpan` marks a half-open character range ``[start, end)`` of
 some string together with one or more tag labels.  Spans carrying more than one
@@ -10,10 +10,12 @@ canonical form: non-overlapping, sorted by ``start``.
 from __future__ import annotations
 
 import functools
+import json
+import operator
 import re
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 # Placeholder grammar: lowercase labels (spaces/underscores allowed) joined by
 # "|" inside one angle-bracket pair, e.g. "<phone>" or "<date|phone>".
@@ -72,6 +74,53 @@ def numbered_lines(source, comments: bool = False) -> Iterator[tuple[int, str]]:
             text = line.strip()
             if text and not (comments and text.startswith("#")):
                 yield lineno, line.rstrip("\n")
+
+
+_JSON_NAMES = {str: "string", int: "integer", bool: "boolean", list: "array"}
+_MISSING = object()
+
+
+def wrong_json_type(name: str, kind: str, value) -> TypeError:
+    """The one error for a JSON value that is not of its field's type."""
+    got = "nothing" if value is _MISSING else json.dumps(value, ensure_ascii=False)
+    return TypeError(f"{name} must be a JSON {kind}, got {got}")
+
+
+def json_record(types: dict[str, type], **optional) -> Callable[[str], tuple]:
+    """A parser of one JSON-lines line into the values of ``types``' fields,
+    each of its JSON type, never coerced (an ``optional`` field may be left
+    out); a valid line costs one compare of its type tuple."""
+    names, want = tuple(types), tuple(types.values())
+    defaults = tuple(optional.get(name, _MISSING) for name in names)
+    every_field = operator.itemgetter(*names)  # a tuple, as ``types`` has two or more
+
+    def parse(line: str) -> tuple:
+        record = json.loads(line)
+        if type(record) is not dict:
+            raise wrong_json_type("record", "object", record)
+        try:
+            values = every_field(record)
+        except KeyError:
+            values = tuple(map(record.get, names, defaults))
+        if tuple(map(type, values)) != want:
+            for name, kind, value in zip(names, want, values):
+                if type(value) is not kind:
+                    raise wrong_json_type(name, _JSON_NAMES[kind], value)
+        return values
+
+    return parse
+
+
+def json_lines(path, what: str, parse: Callable[[str], Any]) -> Iterator[tuple[int, Any]]:
+    """``(line number, parse(line))`` for each line of the JSON-lines file
+    ``path``, read by :func:`numbered_lines`; a line that ``parse`` rejects
+    raises ``ValueError`` naming ``path:line`` (``bad <what>: ...``)."""
+    for lineno, line in numbered_lines(path):
+        try:
+            record = parse(line)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad {what}: {exc}") from exc
+        yield lineno, record
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ two-sided.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from enum import IntEnum
 from typing import NamedTuple, Sequence
 
@@ -45,6 +47,8 @@ def _is_constant(v: np.ndarray, axis: int | None = None):
 # that threshold, and a later stage's peak RSS then read 4 MB higher
 # (analysis-wide, 256 columns of 200 observations); blocks below it are reused.
 _FIT_BLOCK = 15_000
+_FIT_TOL = 1e-8  # a logistic fit converges once no coefficient moves by this much
+_FIT_MAX_ITER = 100  # and ends NOT_CONVERGED if it still moves after this many steps
 
 
 class PairedStats(NamedTuple):
@@ -175,15 +179,13 @@ class LogisticFits(NamedTuple):
     outcome: np.ndarray  # a Fit per column
 
 
-def logistic_slope_p(
-    x1: np.ndarray, x0: np.ndarray, tol: float = 1e-8, max_iter: int = 100
-) -> LogisticFits:
+def logistic_slope_p(x1: np.ndarray, x0: np.ndarray) -> LogisticFits:
     """Two-sided Wald p for the slope of an intercept + one-feature logistic
     fit of each column, with class 1 for the rows of ``x1`` and class 0 for
     those of ``x0``.
 
     Fit by iteratively reweighted least squares (Newton, closed-form 2x2
-    steps), no regularization, until no coefficient moves by ``tol``, a
+    steps), no regularization, until no coefficient moves by ``_FIT_TOL``, a
     block of columns at a time.  Each column ends on its own :class:`Fit`,
     which no other column affects.
     Separated data, where the classes' values overlap at most at one point
@@ -205,7 +207,7 @@ def logistic_slope_p(
     for lo in range(0, m, width):
         cols = slice(lo, lo + width)
         v = np.concatenate([x1[:, cols], x0[:, cols]]).T.copy()  # one row per column
-        p[cols], outcome[cols] = _fit_rows(v, y, len(x1), tol, max_iter)
+        p[cols], outcome[cols] = _fit_rows(v, y, len(x1))
     return LogisticFits(p, outcome)
 
 
@@ -223,7 +225,7 @@ def _information(v: np.ndarray, y: np.ndarray, b0: np.ndarray, b1: np.ndarray):
     return terms, np.isfinite(e).all(axis=1) & np.isfinite(terms).all(axis=0)
 
 
-def _fit_rows(v: np.ndarray, y: np.ndarray, n1: int, tol: float, max_iter: int):
+def _fit_rows(v: np.ndarray, y: np.ndarray, n1: int):
     """:func:`logistic_slope_p` of each row of ``v``, whose first ``n1``
     values are class 1's."""
     k = len(v)
@@ -237,7 +239,7 @@ def _fit_rows(v: np.ndarray, y: np.ndarray, n1: int, tol: float, max_iter: int):
 
     beta = np.zeros((2, k))
     active = np.flatnonzero(~(constant | separated))
-    for _ in range(max_iter):
+    for _ in range(_FIT_MAX_ITER):
         if not active.size:
             break
         (h00, h01, h11, det, g0, g1), finite = _information(v[active], y, *beta[:, active])
@@ -246,7 +248,7 @@ def _fit_rows(v: np.ndarray, y: np.ndarray, n1: int, tol: float, max_iter: int):
         singular = finite & (det == 0.0)
         moved = finite & ~singular
         beta[:, active[moved]] += step[:, moved]
-        done = moved & (np.abs(step).max(axis=0) < tol)
+        done = moved & (np.abs(step).max(axis=0) < _FIT_TOL)
         outcome[active[~finite]] = Fit.NON_FINITE
         outcome[active[singular]] = Fit.SINGULAR
         outcome[active[done]] = Fit.CONVERGED
@@ -320,6 +322,20 @@ def _pearson_centered(a, b) -> tuple[np.ndarray, np.ndarray]:
     return r, valid
 
 
+_resamples: ContextVar[dict] = ContextVar("_resamples")  # (seed, n, iterations) -> indices
+
+
+@contextmanager
+def shared_resamples():
+    """Inside the block, bootstraps with the same (seed, n, iterations) draw
+    their resample indices once; the draws end with the block."""
+    token = _resamples.set({})
+    try:
+        yield
+    finally:
+        _resamples.reset(token)
+
+
 # Resamples scored at a time.  Each row's score depends on that row alone, so
 # the block size changes no value; it bounds the gathered temporaries to
 # this many rows instead of all the iterations.
@@ -354,8 +370,10 @@ def bootstrap_score_diff(
     n = a.size
     observed = score(metric, a, t) - score(metric, b, t)
 
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(iterations, n))
+    drawn, key = _resamples.get({}), (seed, n, iterations)  # {} outside a shared block
+    if key not in drawn:
+        drawn[key] = np.random.default_rng(seed).integers(0, n, size=(iterations, n))
+    idx = drawn[key]
     sa, sb = np.empty(iterations), np.empty(iterations)
     valid = np.ones(iterations, dtype=bool)
     if metric == "accuracy":  # a resampled user keeps their hit: ties go to the sample's majority

@@ -208,7 +208,10 @@ def logistic_p_fitting_quasi_separation(values, labels, tol=1e-8, max_iter=100):
     else:
         raise RuntimeError("IRLS did not converge")
     mu = 1.0 / (1.0 + np.exp(-(X @ beta)))
-    se = np.sqrt(np.linalg.inv(X.T @ (X * (mu * (1 - mu))[:, None]))[1, 1])
+    try:  # the information matrix at the last step can be exactly singular too
+        se = np.sqrt(np.linalg.inv(X.T @ (X * (mu * (1 - mu))[:, None]))[1, 1])
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateDataError(str(exc)) from exc
     if se == 0.0 or not np.isfinite(se):
         return 1.0
     return float(2.0 * ndtr(-abs(beta[1] / se)))
@@ -239,6 +242,13 @@ class TestSeparation:
     @settings(max_examples=150, deadline=None)
     @example(paired_corpora(4, lambda i: ["fun ok" if i % 2 else "ok"], lambda i: ["ok yes"]))
     @example(quasi_separated_corpora())
+    @example(  # the reference's information matrix is singular after its last step
+        paired_corpora(
+            6,
+            lambda i: ["fun " * (7, 5, 7, 6, 6, 1)[i] + "ok" + " ok" * (i in (3, 4))],
+            lambda i: ["ok" + " yes" * 7 if i == 5 else "yes"],
+        )
+    )
     def test_separated_features_take_the_fallback_without_a_fit(self, corpora):
         """Where the platforms' values overlap at most at one point there is
         no MLE: the fit is not tried and the row takes the paired-t fallback.

@@ -1,10 +1,19 @@
-"""Input readers: a spreadsheet export may start with a byte-order mark."""
+"""Input readers: one JSON-lines and one CSV reader under every loader, so
+each loader names a malformed record by ``path:line`` the same way; a
+spreadsheet export may start with a byte-order mark."""
 
 from __future__ import annotations
 
-import numpy as np
+import json
+import re
 
+import numpy as np
+import pytest
+
+from scrublang.features import load_corpus_jsonl
 from scrublang.io import load_embeddings, load_lexicon_csv, load_outcomes_csv
+from scrublang.redactor import KeystrokeEvent
+from scrublang.spans import json_lines
 
 BOM = "\ufeff"
 
@@ -29,3 +38,91 @@ def test_embeddings_csv_with_byte_order_mark(tmp_path):
     path = write(tmp_path / "emb.csv", "user_id,d0,d1\nu0,1,2\n")
     ((user, vector),) = load_embeddings(path).items()
     assert user == "u0" and np.array_equal(vector, [1.0, 2.0])
+
+
+def read_keystroke_log(path):
+    """The keystroke log as ``scrublang redact`` reads it."""
+    return [event for _, event in json_lines(path, "keystroke event", KeystrokeEvent.from_json)]
+
+
+EVENT = {"user_id": "u0", "timestamp": 1, "app_id": "sms", "current_text": "hi"}
+POST = {"user_id": "u0", "platform": "sms", "text": "hi"}
+VECTOR = {"user_id": "u0", "embedding": [1.0, 2.0]}
+JSON_LOADERS = {
+    "keystrokes.jsonl": (read_keystroke_log, EVENT, "current_text", "JSON string"),
+    "corpus.jsonl": (load_corpus_jsonl, POST, "text", "JSON string"),
+    "emb.jsonl": (load_embeddings, VECTOR, "embedding", "JSON array"),
+}
+CSV_LOADERS = {  # loader, a valid file, a row with an extra cell, a repeated key and its name
+    "o.csv": (load_outcomes_csv, "user_id,age\nu0,20\n", "u1,21,9\n", "u0,22\n", "user_id 'u0'"),
+    "lex.csv": (load_lexicon_csv, "term,category,weight\nfun,age,1\n", "ok,age,2,9\n",
+                "fun,age,3\n", "term 'fun' in category 'age'"),
+    "emb.csv": (load_embeddings, "user_id,d0\nu0,1\n", "u1,2,9\n", "u0,3\n", "user_id 'u0'"),
+}
+
+
+def json_cases():
+    for name, (_, good, field, kind) in JSON_LOADERS.items():
+        missing = {k: v for k, v in good.items() if k != field}
+        not_an_object = json.dumps(list(good.values()))
+        yield name, "not-an-object", [not_an_object], "record must be a JSON object"
+        yield name, "missing-field", [json.dumps(missing)], f"{field} must be a {kind}, got nothing"
+        yield name, "wrong-type", [json.dumps({**good, field: True})], f"{field} must be a {kind}"
+        if name == "emb.jsonl":
+            yield name, "repeated-key", [json.dumps(good)], "repeated user_id 'u0'"
+
+
+def csv_cases():
+    for name, (_, text, extra_cell, repeated, key) in CSV_LOADERS.items():
+        yield name, "extra-cell", text + extra_cell, "more cells than header columns"
+        yield name, "repeated-key", text + repeated, f"repeated {key}"
+
+
+@pytest.mark.parametrize(
+    "name,case,lines,message", list(json_cases()), ids=[f"{c[0]}-{c[1]}" for c in json_cases()]
+)
+def test_json_lines_loaders_name_a_bad_record_by_path_and_line(
+    tmp_path, name, case, lines, message
+):
+    loader, good = JSON_LOADERS[name][:2]
+    path = tmp_path / name
+    path.write_text("\n".join([json.dumps(good), "", *lines]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: ") + ".*" + re.escape(message)):
+        loader(path)
+
+
+@pytest.mark.parametrize(
+    "name,case,text,message", list(csv_cases()), ids=[f"{c[0]}-{c[1]}" for c in csv_cases()]
+)
+def test_csv_loaders_name_a_bad_row_by_path_and_line(tmp_path, name, case, text, message):
+    path = write(tmp_path / name, text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: ") + ".*" + re.escape(message)):
+        CSV_LOADERS[name][0](path)
+
+
+@pytest.mark.parametrize("name", list(CSV_LOADERS))
+def test_csv_header_that_names_a_column_twice_is_an_error(tmp_path, name):
+    """Read by column name, a repeated name would merge two columns."""
+    header, row = CSV_LOADERS[name][1].splitlines()
+    last = header.split(",")[-1]
+    path = write(tmp_path / name, f"{header},{last}\n{row},7\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: the header names {last!r} twice")):
+        CSV_LOADERS[name][0](path)
+
+
+def test_corpus_platform_is_facebook_or_sms(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    rows = [POST, {**POST, "platform": "twitter"}]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    expected = f"{path}:2: bad corpus record: platform must be 'facebook' or 'sms', got 'twitter'"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        load_corpus_jsonl(path)
+
+
+def test_embedding_width_error_names_the_first_row_that_differs(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    rows = [VECTOR, {"user_id": "u1", "embedding": [3, 4]}, {"user_id": "u2", "embedding": [5]}]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    expected = f"{path}:3: 1 embedding values, the first row has 2"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        load_embeddings(path)

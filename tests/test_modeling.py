@@ -378,6 +378,22 @@ class TestSharedFolds:
         assert [ev.cells["fb_fb"].n for ev in report.outcomes.values()] == [n, n - 1, n, n - 2]
         assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
 
+    def test_each_user_count_draws_its_resamples_once(self, monkeypatch):
+        """Eight comparisons on three labeled-user counts draw three index
+        matrices, where the oracle, one per comparison, draws eight."""
+        _, feats, outcomes = _shared_fold_case(12, 4, seed=48)
+        draws = []
+        default_rng = np.random.default_rng
+        counted = lambda seed: draws.append(seed) or default_rng(seed)  # noqa: E731
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        kw = dict(alpha=0.5, bootstrap_iterations=1000, seed=2)
+        report = cross_domain_matrix(feats["fb"], feats["sms"], outcomes, **kw)
+        assert draws == [2, 2, 2]
+        draws.clear()
+        expected = evaluation_oracle.cross_domain_matrix(feats["fb"], feats["sms"], outcomes, **kw)
+        assert len(draws) == 8
+        assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
+
 
 class TestFeatureImportance:
     def test_arithmetic(self):
