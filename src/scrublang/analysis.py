@@ -20,13 +20,16 @@ import numpy as np
 
 from .features import (
     DEFAULT_MIN_GROUP_FRACTION,
+    PLATFORMS,
+    CountTable,
     DictionarySpec,
     UserCorpus,
-    feature_matrix,
-    group_frequency_filter,
 )
 from .spans import Record
 from .stats import Fit, bh_fdr, logistic_slope_p, paired_stats
+
+
+DIFF_ORDERS = (1, 2, 3)  # the n-gram orders diff_ngrams tests
 
 
 class InsufficientUsersError(ValueError):
@@ -68,56 +71,38 @@ class CloudDatum(Record):
     darkness: float
 
 
-def shared_users(corpora: Mapping[tuple[str, str], UserCorpus]) -> list[str]:
+def shared_users(corpora: Mapping[tuple[str, str], object]) -> list[str]:
+    """The users of both platforms among the (user, platform) keys of
+    ``corpora`` (corpora, or a :class:`CountTable`'s rows), sorted."""
     fb = {u for (u, plat) in corpora if plat == "facebook"}
     sms = {u for (u, plat) in corpora if plat == "sms"}
     return sorted(fb & sms)
 
 
-def paired_vectors(
-    corpora: Mapping[tuple[str, str], UserCorpus], orders: Iterable[int]
-) -> tuple[list[str], dict[str, dict[str, float]], dict[str, dict[str, float]]]:
-    """(shared users, their facebook n-gram vectors, their sms n-gram vectors)."""
-    users = shared_users(corpora)
-    fb = {u: corpora[(u, "facebook")].ngram_features(orders) for u in users}
-    sms = {u: corpora[(u, "sms")].ngram_features(orders) for u in users}
-    return users, fb, sms
-
-
-def paired_features(
-    fb: Mapping[str, Mapping[str, float]],
-    sms: Mapping[str, Mapping[str, float]],
-    min_group_fraction: float,
-) -> list[str]:
-    """The n-grams used by at least ``min_group_fraction`` of the users of
-    :func:`paired_vectors`; a user uses an n-gram present on either platform."""
-    return group_frequency_filter((fb[u].keys() | sms[u].keys() for u in fb), min_group_fraction)
-
-
-def _require_pairs(users: list[str]) -> None:
+def _paired_users(table: CountTable) -> list[str]:
+    users = shared_users(table.rows)
     if len(users) < 2:
         raise InsufficientUsersError(
             f"need >= 2 users present on both platforms, have {len(users)}"
         )
+    return users
 
 
 def diff_ngrams(
-    corpora: Mapping[tuple[str, str], UserCorpus],
+    table: CountTable,
     alpha: float = 0.05,
     min_group_fraction: float = DEFAULT_MIN_GROUP_FRACTION,
-    orders: Iterable[int] = (1, 2, 3),
+    orders: Iterable[int] = DIFF_ORDERS,
 ) -> list[NgramDiff]:
-    """Per-n-gram Cohen's d (positive = more Facebook) with FDR-flagged p.
+    """Per-n-gram Cohen's d (positive = more Facebook) with FDR-flagged p,
+    for the users of both platforms in ``table``.
 
     N-grams must be used by at least ``min_group_fraction`` of the shared
     users (on either platform) to be tested.
     """
-    users, fb, sms = paired_vectors(corpora, orders)
-    _require_pairs(users)
-    features = paired_features(fb, sms, min_group_fraction)
-    X_fb = feature_matrix(fb, users, features)
-    X_sms = feature_matrix(sms, users, features)
-    del fb, sms  # only the matrices are needed from here on
+    users = _paired_users(table)
+    features = table.paired_features(users, orders, min_group_fraction)
+    X_fb, X_sms = (table.freqs([(u, plat) for u in users], features) for plat in PLATFORMS)
     return ngram_diffs(features, X_fb, X_sms, alpha)
 
 
@@ -162,20 +147,15 @@ def ngram_diffs(
 
 
 def diff_categories(
-    corpora: Mapping[tuple[str, str], UserCorpus],
+    table: CountTable,
     spec: DictionarySpec,
     alpha: float = 0.05,
 ) -> list[CategoryDiff]:
-    """Paired t-test per dictionary category (positive t = more Facebook)."""
-    users = shared_users(corpora)
-    _require_pairs(users)
+    """Paired t-test per dictionary category (positive t = more Facebook),
+    for the users of both platforms in ``table``, which counts unigrams."""
+    users = _paired_users(table)
     categories = sorted(spec.categories)
-    X_fb, X_sms = (
-        feature_matrix(
-            {u: corpora[(u, plat)].dictionary_features(spec) for u in users}, users, categories
-        )
-        for plat in ("facebook", "sms")
-    )
+    X_fb, X_sms = (table.categories([(u, plat) for u in users], spec) for plat in PLATFORMS)
     paired = paired_stats(X_fb, X_sms)
     flags = bh_fdr(paired.p, alpha)
     return [

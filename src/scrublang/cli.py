@@ -31,14 +31,13 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    DIFF_ORDERS,
     CategoryDiff,
     InsufficientUsersError,
     NgramDiff,
     cloud_data,
     diff_categories,
     diff_ngrams,
-    paired_features,
-    paired_vectors,
     shared_users,
     summary_stats,
 )
@@ -46,13 +45,14 @@ from .detectors import DetectorSuite, Gazetteer, bundled_inputs, default_suite
 from .features import (
     DEFAULT_MIN_GROUP_FRACTION,
     DEFAULT_MIN_WORDS,
+    PLATFORMS,
+    CountTable,
     DictionarySpec,
     UserCorpus,
-    feature_matrix,
+    count_table,
     filter_min_words,
     group_frequency_filter,  # unused here; bench/tracing.py patches cli.group_frequency_filter
     load_corpus_jsonl,
-    user_feature_table,
 )
 from .io import (
     load_embeddings,
@@ -313,7 +313,6 @@ class Run:
         else:  # summary without --out-dir writes nothing
             self.out_dir = self.out_file.parent if self.out_file else args.out_dir or "."
         self.trained: dict = {}  # the train stage's models
-        self._vectors: dict = {}
 
     @cached_property
     def suite(self) -> DetectorSuite:
@@ -351,11 +350,14 @@ class Run:
     def cleaned(self) -> dict[tuple[str, str], UserCorpus]:
         """Every (user, platform) corpus before the ``min_words`` exclusion,
         each document run through the cleaning pipeline (idempotent, so
-        pre-redacted corpora pass through unchanged)."""
+        pre-redacted corpora pass through unchanged).  The pipeline's
+        ``facebook_corpus`` may hold only facebook records: its sms corpora
+        come from the keystroke log."""
         path = self.cfg.facebook_corpus if self.pipeline else self.args.corpus
+        platforms = ("facebook",) if self.pipeline else PLATFORMS
         corpora = {
             key: replace(c, documents=[redact_string(d, self.suite).text for d in c.documents])
-            for key, c in load_corpus_jsonl(path).items()
+            for key, c in load_corpus_jsonl(path, platforms).items()
         }
         if self.pipeline:  # one sms corpus per user, of its messages in typing order
             entries = self.redaction[0]
@@ -378,21 +380,31 @@ class Run:
         """The pretrained lexicon models; none when no lexicon is set."""
         return load_lexicon_csv(self.cfg.lexicon) if self.cfg.lexicon else {}
 
-    def vectors(self, orders: tuple[int, ...]) -> dict[str, dict[str, dict[str, float]]]:
-        """platform -> shared user -> frequencies of the n-grams of ``orders``, counted once."""
-        if orders not in self._vectors:
-            _, fb, sms = paired_vectors(self.filtered[0], orders)
-            self._vectors[orders] = {"facebook": fb, "sms": sms}
-        return self._vectors[orders]
+    @cached_property
+    def table(self) -> CountTable:
+        """The n-gram counts of every corpus left after the ``min_words``
+        exclusion, counted once per command: the model orders, every order
+        ``diff`` tests when the command runs it, and unigrams for the
+        dictionary categories."""
+        cfg = self.cfg
+        orders = {*cfg.model_orders, *((1,) if cfg.dictionary else ())}
+        if self.pipeline or self.args.command == "diff":
+            orders.update(DIFF_ORDERS)
+        return count_table(self.filtered[0], orders)
+
+    def paired(self, users: list[str], features: list[str]) -> list[np.ndarray]:
+        """The facebook and the sms ``users x features`` frequency matrices."""
+        return [self.table.freqs([(u, plat) for u in users], features) for plat in PLATFORMS]
 
     @cached_property
-    def model_tables(self):
-        """(shared users, facebook vectors, sms vectors, features) of the model
-        orders; the features pass :func:`paired_features` and hold no
-        redaction placeholder (those n-grams are display only)."""
-        fb, sms = self.vectors(self.cfg.model_orders).values()
-        names = paired_features(fb, sms, self.cfg.min_group_fraction)
-        return list(fb), fb, sms, [f for f in names if not PLACEHOLDER_RE.search(f)]
+    def model_tables(self) -> tuple[list[str], np.ndarray, np.ndarray, list[str]]:
+        """(shared users, their facebook and sms frequency matrices, features)
+        of the model orders; the features pass the group frequency filter
+        and hold no redaction placeholder (those n-grams are display only)."""
+        cfg, users = self.cfg, shared_users(self.table.rows)
+        names = self.table.paired_features(users, cfg.model_orders, cfg.min_group_fraction)
+        features = [f for f in names if not PLACEHOLDER_RE.search(f)]
+        return users, *self.paired(users, features), features
 
     def redact(self) -> str:
         entries, counters = self.redaction
@@ -437,17 +449,18 @@ class Run:
 
     def features(self) -> str:
         cfg, out = self.cfg, self.out
-        corpora, excluded = self.filtered
-        platforms = sorted({p for (_, p) in corpora})
-        out.json(
-            {plat: user_feature_table(corpora, plat, cfg.model_orders) for plat in platforms},
-            "ngram_features.json",
-        )
+        excluded, table = self.filtered[1], self.table
+        ngrams: dict = {}
+        for key in table.rows:
+            names = [table.vocabulary[j] for j in table.columns(key, cfg.model_orders)]
+            freqs = table.freqs([key], names)[0].tolist()
+            ngrams.setdefault(key[1], {})[key[0]] = dict(zip(names, freqs))
+        out.json(ngrams, "ngram_features.json")
         if cfg.dictionary:
             spec = DictionarySpec.from_file(cfg.dictionary)
-            cats = {plat: {} for plat in platforms}
-            for u, plat in sorted(corpora):
-                cats[plat][u] = corpora[(u, plat)].dictionary_features(spec)
+            cats: dict = {}
+            for key, row in zip(table.rows, table.categories(list(table.rows), spec).tolist()):
+                cats.setdefault(key[1], {})[key[0]] = dict(zip(sorted(spec.categories), row))
             out.json(cats, "dictionary_features.json")
         if excluded:
             out.json({"min_words": excluded}, "exclusions.json")
@@ -457,13 +470,12 @@ class Run:
         """Differential n-gram (and, with a dictionary, category) analysis
         between the platforms: the diff tables and the word-cloud data."""
         cfg, out = self.cfg, self.out
-        corpora, excluded = self.filtered
-        alpha = cfg.fdr_alpha
-        ngram_rows = diff_ngrams(corpora, alpha=alpha, min_group_fraction=cfg.min_group_fraction)
+        excluded, alpha = self.filtered[1], cfg.fdr_alpha
+        ngram_rows = diff_ngrams(self.table, alpha=alpha, min_group_fraction=cfg.min_group_fraction)
         category_rows = None
         if cfg.dictionary:
             spec = DictionarySpec.from_file(cfg.dictionary)
-            category_rows = diff_categories(corpora, spec, alpha=alpha)
+            category_rows = diff_categories(self.table, spec, alpha=alpha)
         out.table(ngram_rows, NgramDiff, "ngram_diff")
         out.json([c.to_dict() for c in cloud_data(ngram_rows)], "cloud.json")
         if category_rows is not None:
@@ -482,8 +494,11 @@ class Run:
         outcomes, cfg = self.outcomes, self.cfg
         if not self.lexicon:
             return "no pretrained lexicon set"
-        unigrams = self.vectors((1,))
-        users = list(unigrams["facebook"])
+        corpora = self.filtered[0]
+        users = shared_users(corpora)
+        unigrams = {
+            plat: [corpora[(u, plat)].ngram_features((1,)) for u in users] for plat in PLATFORMS
+        }
         report: dict = {"n_users": len(users), "models": {}}
         for name, model in sorted(self.lexicon.items()):
             labeled = labeled_users(users, outcomes, name)
@@ -495,7 +510,7 @@ class Run:
             est = {}
             try:
                 for plat, vectors in unigrams.items():
-                    est[plat] = np.array([apply_lexicon(model, vectors[users[i]]) for i in keep])
+                    est[plat] = np.array([apply_lexicon(model, vectors[i]) for i in keep])
                     entry[plat] = score(metric, est[plat], y)
                 entry["bootstrap"] = compare_estimates(
                     metric, est["facebook"], est["sms"], y, cfg.bootstrap_iterations, cfg.seed
@@ -510,8 +525,8 @@ class Run:
         the pipeline every outcome on facebook, in the subcommand the
         ``--outcome`` ones (default every one) on ``--platform``."""
         cfg, platform = self.cfg, "facebook" if self.pipeline else self.args.platform
-        users, fb, sms, feature_names = self.model_tables
-        outcomes, vectors = self.outcomes, fb if platform == "facebook" else sms
+        users, X_fb, X_sms, feature_names = self.model_tables
+        outcomes, X = self.outcomes, X_fb if platform == "facebook" else X_sms
         models = self.trained
         wanted = None if self.pipeline else self.args.outcome
         for name in wanted or sorted({n for u in users for n in outcomes.get(u, {})}):
@@ -521,9 +536,8 @@ class Run:
                 sys.stderr.write(skip)
                 continue
             keep, y = labeled
-            X = feature_matrix(vectors, [users[i] for i in keep], feature_names)
             models[name] = ridge_fit(
-                X, y, cfg.ridge_alpha, feature_names=feature_names, outcome=name
+                X[keep], y, cfg.ridge_alpha, feature_names=feature_names, outcome=name
             )
         file_name = self.out_file.name if self.out_file else f"trained_lexicon_{platform}.csv"
         dest = self.out.claim(file_name)
@@ -536,12 +550,12 @@ class Run:
         evaluation runs on both platforms' embeddings reduced in one shared NMF
         basis of ``nmf_k`` components."""
         cfg, out, outcomes = self.cfg, self.out, self.outcomes
-        users, fb, sms, feature_names = self.model_tables
+        users, X_fb, X_sms, _ = self.model_tables
         cross_fit = "holdout" if self.pipeline else self.args.cross_fit
         matrix_args = dict(alpha=cfg.ridge_alpha, bootstrap_iterations=cfg.bootstrap_iterations,
                            seed=cfg.seed, cross_fit=cross_fit)
         labels = {u: outcomes.get(u, {}) for u in users}
-        report = cross_domain_matrix(fb, sms, labels, feature_names=feature_names, **matrix_args)
+        report = cross_domain_matrix(X_fb, X_sms, users, labels, **matrix_args)
         out.json(report.to_dict(), "eval_report.json")
         columns = ("outcome", "cell", "metric", "value", "n", "bootstrap_comparison",
                    "bootstrap_delta", "bootstrap_p")
@@ -566,12 +580,8 @@ class Run:
         k = min(cfg.nmf_k, min(stacked.shape))
         result = nmf_reduce(stacked, k=k, iterations=cfg.nmf_iterations, seed=cfg.seed)
         n = len(usable)
-        names = [f"nmf{j}" for j in range(k)]
         emb_report = cross_domain_matrix(
-            {u: dict(zip(names, result.W[i])) for i, u in enumerate(usable)},
-            {u: dict(zip(names, result.W[n + i])) for i, u in enumerate(usable)},
-            {u: outcomes.get(u, {}) for u in usable},
-            feature_names=names,
+            result.W[:n], result.W[n:], usable, {u: outcomes.get(u, {}) for u in usable},
             **matrix_args,
         )
         info = {"k": k, "iterations": cfg.nmf_iterations, "n_users": n}
@@ -581,8 +591,9 @@ class Run:
 
     def importance(self) -> str:
         """Weight-times-frequency importance of each model's features, with
-        the users' mean unigram frequencies on each platform; one table per
-        model.  Only the models' terms are averaged; a term no user wrote
+        the shared users' mean frequencies on each platform, each term read
+        at its own n-gram order from :attr:`table`; one table per model.  Only
+        the models' terms are averaged; a term the table does not hold
         averages 0.  The pipeline ranks the pretrained models when a lexicon
         is set, else the trained ones; the subcommand, its ``--outcome``'s."""
         models = self.lexicon or self.trained
@@ -595,8 +606,7 @@ class Run:
             models = {outcome: models[outcome]}
         terms = sorted({t for model in models.values() for t in model.weights})
         freq = {}
-        for plat, vecs in self.vectors((1,)).items():
-            M = feature_matrix(vecs, list(vecs), terms)
+        for plat, M in zip(PLATFORMS, self.paired(shared_users(self.table.rows), terms)):
             # each column's own mean: M.mean(axis=0) sums in another order
             freq[plat] = {t: float(M[:, j].mean()) for j, t in enumerate(terms)}
         progress = []

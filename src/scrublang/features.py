@@ -1,4 +1,5 @@
-"""Tokenization, 1-to-3-gram frequencies, and dictionary-category extraction.
+"""Tokenization, 1-to-3-gram frequencies, dictionary categories, and the
+count table every analysis stage reads.
 
 The tokenizer is tuned for informal message text: it lowercases, keeps
 emoticons (":)") and contractions ("i'll") intact, treats redaction
@@ -14,21 +15,33 @@ contain spaces).  N-grams never cross document boundaries.
 
 Dictionary extraction counts tokens matching category entries; an entry is a
 literal token or a prefix wildcard ("happ*", star only in terminal position).
+Each distinct token type is scored once against every category.
+
+:func:`count_table` counts every (user, platform) corpus once into one
+:class:`CountTable`: a sparse users x vocabulary matrix of integer n-gram
+counts, one column per (n-gram, order) with the vocabulary sorted by id, and
+each row's total per order.  N-gram frequencies, the group frequency filter
+and dictionary categories (the unigram columns times a 0/1 type x category
+matrix) are all read from it, with one ``count / total`` division per cell.
 """
 
 from __future__ import annotations
 
+import bisect
 import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .spans import PLACEHOLDER_RE, json_lines, json_record, numbered_lines, straight_apostrophes
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 DEFAULT_MIN_WORDS = 500
 DEFAULT_MIN_GROUP_FRACTION = 0.05
@@ -156,21 +169,24 @@ class DictionarySpec:
         return any(token.startswith(p) for p in self._prefixes[category])
 
 
+def _category_hits(types: Sequence[str], spec: DictionarySpec) -> np.ndarray:
+    """The 0/1 ``types x sorted(spec.categories)`` matrix of
+    :meth:`DictionarySpec.matches`, called once per (type, category)."""
+    cats = sorted(spec.categories)
+    hits = [[spec.matches(t, cat) for cat in cats] for t in types]
+    return np.array(hits, dtype=np.int64).reshape(len(types), len(cats))
+
+
 def extract_dictionary(tokens: Sequence, spec: DictionarySpec) -> dict[str, float]:
     """Per-category relative frequencies (matching tokens / total tokens).
 
     A token matching several categories counts once in each; an empty token
-    list yields 0 for every category.
+    list yields 0 for every category.  Each distinct token is scored once,
+    and its count times its 0/1 row of categories is summed in integers.
     """
-    docs = _as_documents(tokens)
-    flat = [t for doc in docs for t in doc]
-    total = len(flat)
-    out = {cat: 0 for cat in spec.categories}
-    for tok in flat:
-        for cat in spec.categories:
-            if spec.matches(tok, cat):
-                out[cat] += 1
-    return {cat: (c / total if total else 0.0) for cat, c in out.items()}
+    counts = Counter(t for doc in _as_documents(tokens) for t in doc)
+    hits = np.fromiter(counts.values(), np.int64, len(counts)) @ _category_hits(list(counts), spec)
+    return dict(zip(sorted(spec.categories), _relative(hits, counts.total()).tolist()))
 
 
 @dataclass
@@ -205,18 +221,21 @@ class UserCorpus:
 _parse_corpus = json_record({"user_id": str, "platform": str, "text": str})
 
 
-def _corpus_record(line: str) -> tuple[str, str, str]:
-    user, platform, text = _parse_corpus(line)
-    if platform not in PLATFORMS:
-        raise ValueError(f"platform must be 'facebook' or 'sms', got {platform!r}")
-    return user, platform, text
-
-
-def load_corpus_jsonl(path: str | Path) -> dict[tuple[str, str], UserCorpus]:
+def load_corpus_jsonl(
+    path: str | Path, platforms: Sequence[str] = PLATFORMS
+) -> dict[tuple[str, str], UserCorpus]:
     """Load ``{user_id, platform, text}`` JSON lines into per-(user, platform)
-    corpora; a platform other than ``PLATFORMS`` is a ``path:line`` error."""
+    corpora; a platform other than ``platforms`` is a ``path:line`` error."""
+
+    def record(line: str) -> tuple[str, str, str]:
+        user, platform, text = _parse_corpus(line)
+        if platform not in platforms:
+            allowed = " or ".join(map(repr, platforms))
+            raise ValueError(f"platform must be {allowed}, got {platform!r}")
+        return user, platform, text
+
     corpora: dict[tuple[str, str], UserCorpus] = {}
-    for _, (user, platform, text) in json_lines(path, "corpus record", _corpus_record):
+    for _, (user, platform, text) in json_lines(path, "corpus record", record):
         corpus = corpora.get((user, platform))
         if corpus is None:
             corpus = corpora[(user, platform)] = UserCorpus(user_id=user, platform=platform)
@@ -239,41 +258,15 @@ def filter_min_words(
     return kept, excluded
 
 
-def user_feature_table(
-    corpora: Mapping[tuple[str, str], UserCorpus],
-    platform: str,
-    orders: Iterable[int] = (1, 2, 3),
-) -> dict[str, dict[str, float]]:
-    """user_id -> n-gram relative-frequency vector for one platform."""
-    return {
-        user: corpus.ngram_features(orders)
-        for (user, plat), corpus in sorted(corpora.items())
-        if plat == platform
-    }
-
-
-def feature_matrix(
-    vectors: Mapping[str, Mapping[str, float]], users: Sequence[str], features: Sequence[str]
-) -> np.ndarray:
-    """Users x features matrix of ``vectors``; absent features are 0."""
-    M = np.zeros((len(users), len(features)))
-    index = {f: j for j, f in enumerate(features)}
-    for i, u in enumerate(users):
-        for feat, freq in vectors[u].items():
-            j = index.get(feat)
-            if j is not None:
-                M[i, j] = freq
-    return M
-
-
 def group_frequency_filter(
-    user_features: Iterable[Collection[str]],
+    user_features: Iterable[Collection],
     min_fraction: float = DEFAULT_MIN_GROUP_FRACTION,
-) -> list[str]:
+) -> list:
     """Features used by at least ``min_fraction`` of users, sorted.
 
-    ``user_features`` holds each user's distinct features, one user at a time;
-    it is read once, so a generator keeps only one user's set alive.
+    ``user_features`` holds each user's distinct features (n-gram ids, or a
+    :class:`CountTable`'s columns), one user at a time; it is read once, so a
+    generator keeps only one user's set alive.
     Standard differential-language practice: rare n-grams carry no stable
     signal and blow up the test count.
     """
@@ -283,3 +276,117 @@ def group_frequency_filter(
         used_by.update(feats)
         n_users += 1
     return sorted(f for f, c in used_by.items() if c / n_users >= min_fraction)
+
+
+@dataclass(frozen=True)
+class CountTable:
+    """Integer n-gram counts of a set of corpora: one row per (user,
+    platform) corpus, in sorted order, and one column per distinct (n-gram,
+    order), sorted by n-gram id and then order, plus a last, empty column
+    that every n-gram outside the vocabulary reads.  Built by
+    :func:`count_table`.  An id counted under two orders (the
+    placeholder-shaped unigram ``<xd >`` and the bigram of ``<xd`` and ``>``)
+    is read at the higher order.
+    """
+
+    rows: dict[tuple[str, str], int]  # (user, platform) -> row
+    vocabulary: list[str]  # each column's n-gram id
+    orders: np.ndarray  # each column's order; 0 for the last column
+    counts: sparse.csr_array  # rows x (columns + 1), int64; the last column is empty
+    totals: np.ndarray  # rows x (1 + largest order): each row's n-gram total per order
+
+    def columns(self, key: tuple[str, str], orders: Iterable[int]) -> set[int]:
+        """The columns of ``orders`` that corpus ``key`` counts at least once."""
+        r = self.rows[key]
+        cols = self.counts.indices[self.counts.indptr[r] : self.counts.indptr[r + 1]]
+        return set(cols[np.isin(self.orders[cols], list(orders))].tolist())
+
+    def freqs(self, keys: Sequence[tuple[str, str]], features: Sequence[str]) -> np.ndarray:
+        """The ``keys x features`` relative frequencies: each cell is its count
+        over the row's total of that column's order, 0 where the row has no
+        n-gram of that order or the feature is not in the vocabulary."""
+        rows = np.array([self.rows[k] for k in keys], dtype=np.intp)
+        cols = np.array([self._column(f) for f in features], dtype=np.intp)
+        counts = self.counts[rows][:, cols].astype(np.float64)
+        # only counted cells are divided, each by its row's total of its column's order
+        cell_rows = rows[np.repeat(np.arange(len(rows)), np.diff(counts.indptr))]
+        counts.data /= self.totals[cell_rows, self.orders[cols][counts.indices]]
+        return counts.toarray()
+
+    def categories(self, keys: Sequence[tuple[str, str]], spec: DictionarySpec) -> np.ndarray:
+        """The ``keys x sorted(spec.categories)`` frequencies of
+        :func:`extract_dictionary`, from a table that counts unigrams: the
+        unigram counts times the 0/1 type x category matrix, over each row's
+        unigram total."""
+        rows = [self.rows[k] for k in keys]
+        unigrams = np.flatnonzero(self.orders == 1)
+        types = [self.vocabulary[j] for j in unigrams]
+        hits = self.counts[rows][:, unigrams] @ _category_hits(types, spec)
+        return _relative(hits, self.totals[rows, 1:2])
+
+    def paired_features(
+        self, users: Iterable[str], orders: Iterable[int], min_fraction: float
+    ) -> list[str]:
+        """The n-grams of ``orders`` that :func:`group_frequency_filter`
+        keeps, sorted, where a user uses an n-gram counted on either platform."""
+        orders = tuple(orders)
+        used = (
+            self.columns((u, "facebook"), orders) | self.columns((u, "sms"), orders) for u in users
+        )
+        cols = group_frequency_filter(used, min_fraction)  # sorted columns: sorted ids
+        return list(dict.fromkeys(self.vocabulary[j] for j in cols))
+
+    def _column(self, gram: str) -> int:
+        """The column of ``gram`` at its highest order; the last, empty column
+        if the vocabulary does not hold it."""
+        j = bisect.bisect_right(self.vocabulary, gram) - 1
+        return j if j >= 0 and self.vocabulary[j] == gram else len(self.vocabulary)
+
+
+def _relative(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """``counts / totals`` cell by cell, 0 where the total is 0."""
+    return np.divide(counts, totals, out=np.zeros(np.shape(counts)), where=totals > 0)
+
+
+def count_table(
+    corpora: Mapping[tuple[str, str], UserCorpus], orders: Iterable[int] = (1, 2, 3)
+) -> CountTable:
+    """The :class:`CountTable` of ``corpora`` over the n-grams of ``orders``,
+    from one :func:`ngram_counts` walk of each corpus's tokens.  One corpus's
+    counters live at a time: a row is kept as arrays of provisional column
+    numbers, which are renumbered into vocabulary order at the end."""
+    from scipy import sparse  # on first use, so that importing the CLI stays fast
+
+    orders, keys = sorted(set(orders)), sorted(corpora)
+    seen: dict[int, dict[str, int]] = {n: {} for n in orders}  # order -> id -> column
+    grams, col_orders = [], []  # each provisional column's id and order
+    totals = np.zeros((len(keys), 1 + max(orders, default=0)), dtype=np.int64)
+    nnz, indptr, indices, data = 0, [0], [np.zeros(0, np.intp)], [np.zeros(0, np.int64)]
+    for r, key in enumerate(keys):
+        for n, counts in ngram_counts(corpora[key]._tokens, orders).items():
+            column = seen[n]
+            for gram in counts:
+                if gram not in column:
+                    column[gram] = len(grams)
+                    grams.append(gram)
+                    col_orders.append(n)
+            indices.append(np.fromiter(map(column.__getitem__, counts), np.intp, len(counts)))
+            data.append(np.fromiter(counts.values(), np.int64, len(counts)))
+            totals[r, n] = counts.total()
+            nnz += len(counts)
+        indptr.append(nnz)
+    order = sorted(range(len(grams)), key=col_orders.__getitem__)
+    order.sort(key=grams.__getitem__)  # stable: by id, then by order
+    renumber = np.empty(len(grams), dtype=np.intp)
+    renumber[order] = np.arange(len(grams))
+    counts = sparse.csr_array(
+        (np.concatenate(data), renumber[np.concatenate(indices)], indptr),
+        shape=(len(keys), len(grams) + 1),  # and an empty column for n-grams not counted
+    )
+    return CountTable(
+        rows={key: r for r, key in enumerate(keys)},
+        vocabulary=[grams[j] for j in order],
+        orders=np.array([*(col_orders[j] for j in order), 0], dtype=np.int64),
+        counts=counts,
+        totals=totals,
+    )

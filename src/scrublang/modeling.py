@@ -16,7 +16,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .features import feature_matrix
 from .spans import Record
 from .stats import DegenerateDataError, _is_constant, bootstrap_score_diff, score, shared_resamples
 from .stats import sign_accuracy  # noqa: F401  (re-exported: callers import it from here)
@@ -341,16 +340,18 @@ def bootstrap_accuracy_diff(preds_a, preds_b, y, iterations: int, seed: int) -> 
 
 @shared_resamples()  # the comparisons on the same number of users share one draw
 def cross_domain_matrix(
-    features_fb: Mapping[str, Mapping[str, float]],
-    features_sms: Mapping[str, Mapping[str, float]],
+    X_fb: np.ndarray,
+    X_sms: np.ndarray,
+    users: Sequence[str],
     outcomes: Mapping[str, Mapping[str, float | None]],
     alpha: float = 1.0,
-    feature_names: Sequence[str] | None = None,
     bootstrap_iterations: int = 10_000,
     seed: int = 0,
     cross_fit: str = "holdout",
 ) -> EvalReport:
-    """Fill the four train/test cells per outcome for one shared user set.
+    """Fill the four train/test cells per outcome for one shared user set:
+    ``X_fb`` and ``X_sms`` hold the same features, one row per user of
+    ``users`` on each platform.
 
     Every cell holds out the evaluated user: in-domain cells are classic
     LOOCV, and with ``cross_fit="holdout"`` (the default) cross-domain cells
@@ -369,22 +370,15 @@ def cross_domain_matrix(
     """
     if cross_fit not in ("holdout", "full"):
         raise ValueError("cross_fit must be 'holdout' or 'full'")
-    fb_users = set(features_fb)
-    sms_users = set(features_sms)
-    if fb_users != sms_users:
-        missing = sorted(fb_users ^ sms_users)
-        raise ValueError(f"user sets differ between platforms; unmatched ids: {missing}")
-    users = sorted(fb_users)
+    X = {"fb": np.asarray(X_fb, dtype=float), "sms": np.asarray(X_sms, dtype=float)}
+    if X["fb"].ndim != 2 or X["fb"].shape != X["sms"].shape or len(users) != len(X["fb"]):
+        raise ValueError(
+            f"X_fb {X['fb'].shape} and X_sms {X['sms'].shape} need one row per user "
+            f"({len(users)}) and the same columns"
+        )
     unknown = sorted(u for u in users if u not in outcomes)
     if unknown:
         raise ValueError(f"users missing from outcomes: {unknown}")
-
-    if feature_names is None:
-        feature_names = sorted(set().union(*features_fb.values(), *features_sms.values()))
-
-    X_fb = feature_matrix(features_fb, users, feature_names)
-    X_sms = feature_matrix(features_sms, users, feature_names)
-    X = {"fb": X_fb, "sms": X_sms}
 
     outcome_names = sorted({name for u in users for name in outcomes[u]})
     report = EvalReport(

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from scrublang.features import feature_matrix
+from logistic_oracle import feature_matrix
 from scrublang.modeling import (
     CELL_ORDER,
     COMPARISONS,
@@ -128,24 +128,31 @@ def bootstrap_score_diff(
     return BootstrapResult(float(observed), float(p), int(iterations - valid.sum()))
 
 
-def cross_domain_matrix(
+def paired_matrices(
     features_fb: Mapping[str, Mapping[str, float]],
     features_sms: Mapping[str, Mapping[str, float]],
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """(facebook matrix, sms matrix, users) of per-user feature dicts: one row
+    per user, sorted, and one column per feature of either platform, sorted;
+    the arguments ``cross_domain_matrix`` takes before the outcomes."""
+    users = sorted(features_fb)
+    names = sorted(set().union(*features_fb.values(), *features_sms.values()))
+    X_fb, X_sms = (feature_matrix(f, users, names) for f in (features_fb, features_sms))
+    return X_fb, X_sms, users
+
+
+def cross_domain_matrix(
+    X_fb: np.ndarray,
+    X_sms: np.ndarray,
+    users: Sequence[str],
     outcomes: Mapping[str, Mapping[str, float | None]],
     alpha: float = 1.0,
-    feature_names: Sequence[str] | None = None,
     bootstrap_iterations: int = 10_000,
     seed: int = 0,
     cross_fit: str = "holdout",
 ) -> EvalReport:
     """The four cells and both bootstrap comparisons, one outcome at a time."""
-    users = sorted(features_fb)
-    if feature_names is None:
-        feature_names = sorted(set().union(*features_fb.values(), *features_sms.values()))
-    X = {
-        "fb": feature_matrix(features_fb, users, feature_names),
-        "sms": feature_matrix(features_sms, users, feature_names),
-    }
+    X = {"fb": X_fb, "sms": X_sms}
     report = EvalReport(
         outcomes={}, alpha=alpha, seed=seed, bootstrap_iterations=bootstrap_iterations,
         cross_fit=cross_fit,

@@ -1,20 +1,21 @@
 """Scalar reference for the batched per-n-gram statistics: the one-column
-logistic fit and the per-feature loop that ``analysis.ngram_diffs`` replaced.
+logistic fit and the per-feature loop that ``analysis.ngram_diffs`` replaced,
+fed by the per-user frequency dicts that ``features.CountTable`` replaced.
 
-The tests compare ``stats.logistic_slope_p`` and ``analysis.diff_ngrams``
-against these, feature by feature.
+The tests compare ``stats.logistic_slope_p``, ``analysis.diff_ngrams`` and
+``CountTable.freqs`` against these, feature by feature.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
-from scrublang.analysis import NgramDiff, paired_features, paired_vectors
-from scrublang.features import feature_matrix
+from scrublang.analysis import NgramDiff, shared_users
+from scrublang.features import UserCorpus, group_frequency_filter
 from scrublang.stats import (
     DegenerateDataError,
     _is_constant,
@@ -139,6 +140,40 @@ def ngram_diffs_per_feature(
         )
         for (feat, d, p, fx, fy, degenerate, fallback), flag in zip(rows, flags)
     ]
+
+
+def feature_matrix(
+    vectors: Mapping[str, Mapping[str, float]], users: Sequence[str], features: Sequence[str]
+) -> np.ndarray:
+    """Users x features matrix of ``vectors``; absent features are 0."""
+    M = np.zeros((len(users), len(features)))
+    index = {f: j for j, f in enumerate(features)}
+    for i, u in enumerate(users):
+        for feat, freq in vectors[u].items():
+            j = index.get(feat)
+            if j is not None:
+                M[i, j] = freq
+    return M
+
+
+def paired_vectors(
+    corpora: Mapping[tuple[str, str], UserCorpus], orders: Iterable[int]
+) -> tuple[list[str], dict[str, dict[str, float]], dict[str, dict[str, float]]]:
+    """(shared users, their facebook n-gram vectors, their sms n-gram vectors)."""
+    users = shared_users(corpora)
+    fb = {u: corpora[(u, "facebook")].ngram_features(orders) for u in users}
+    sms = {u: corpora[(u, "sms")].ngram_features(orders) for u in users}
+    return users, fb, sms
+
+
+def paired_features(
+    fb: Mapping[str, Mapping[str, float]],
+    sms: Mapping[str, Mapping[str, float]],
+    min_group_fraction: float,
+) -> list[str]:
+    """The n-grams used by at least ``min_group_fraction`` of the users of
+    :func:`paired_vectors`; a user uses an n-gram present on either platform."""
+    return group_frequency_filter((fb[u].keys() | sms[u].keys() for u in fb), min_group_fraction)
 
 
 def diff_ngrams_per_feature(

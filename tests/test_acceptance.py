@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from evaluation_oracle import paired_matrices
 from scrublang.cli import main
 from scrublang.features import UserCorpus
 from scrublang.modeling import (
@@ -177,7 +178,8 @@ def test_08_cross_domain_matrix_symmetry_and_planted_signal():
         u: {f"f{j}": float(rng.uniform(0, 1)) for j in range(4)} for u in users
     }
     outcomes = {u: {"score": feats[u]["f2"] * 2.0 + float(rng.normal(0, 0.05))} for u in users}
-    rep = cross_domain_matrix(feats, feats, outcomes, bootstrap_iterations=1000, seed=0)
+    X_fb, X_sms, users = paired_matrices(feats, feats)
+    rep = cross_domain_matrix(X_fb, X_sms, users, outcomes, bootstrap_iterations=1000, seed=0)
     values = [rep.outcomes["score"].cells[c].value for c in CELL_ORDER]
     spread = max(values) - min(values)
     assert spread < 1e-9
@@ -192,7 +194,8 @@ def test_08_cross_domain_matrix_symmetry_and_planted_signal():
         u: {"f0": float(rng.uniform()), "f1": float(rng.uniform())} for u in users40
     }
     outcomes40 = {u: {"score": float(y[i])} for i, u in enumerate(users40)}
-    rep2 = cross_domain_matrix(fb, sms, outcomes40, bootstrap_iterations=1000, seed=0)
+    X_fb, X_sms, users40 = paired_matrices(fb, sms)
+    rep2 = cross_domain_matrix(X_fb, X_sms, users40, outcomes40, bootstrap_iterations=1000, seed=0)
     cells = {c: rep2.outcomes["score"].cells[c].value for c in CELL_ORDER}
     others = [cells["fb_sms"], cells["sms_sms"], cells["sms_fb"]]
     assert cells["fb_fb"] > max(others)

@@ -23,11 +23,10 @@ from scrublang.analysis import (
     diff_categories,
     diff_ngrams,
     ngram_diffs,
-    paired_features,
     shared_users,
     summary_stats,
 )
-from scrublang.features import DictionarySpec, UserCorpus
+from scrublang.features import DictionarySpec, UserCorpus, count_table
 from scrublang.stats import DegenerateDataError
 
 
@@ -48,9 +47,15 @@ class TestDiffNgrams:
     def test_paired_features_counts_a_user_once_per_ngram(self):
         # "both" is one user's on both platforms: 1 of 4 users, below half;
         # "fb" is two users', on facebook only: 2 of 4, kept
-        fb = {"u1": {"both": 0.5, "fb": 0.5}, "u2": {"fb": 1.0}, "u3": {"x": 1.0}, "u4": {"x": 1.0}}
-        sms = {"u1": {"both": 1.0}, "u2": {"sms": 1.0}, "u3": {"x": 1.0}, "u4": {"x": 1.0}}
-        assert paired_features(fb, sms, 0.5) == ["fb", "x"]
+        docs = {"u1": ("both fb", "both"), "u2": ("fb", "sms"), "u3": ("x", "x"), "u4": ("x", "x")}
+        corpora = {
+            (u, plat): corpus(u, plat, [text])
+            for u, pair in docs.items()
+            for plat, text in zip(("facebook", "sms"), pair)
+        }
+        table = count_table(corpora)
+        assert table.paired_features(sorted(docs), (1,), 0.5) == ["fb", "x"]
+        assert table.paired_features(sorted(docs), (1, 2), 0.5) == ["fb", "x"]
 
     def test_planted_bigram_significant_on_facebook_side(self):
         rng = np.random.default_rng(0)
@@ -64,7 +69,7 @@ class TestDiffNgrams:
             return [" ".join(rng.permutation(filler))]
 
         corpora = paired_corpora(16, fb_docs, sms_docs)
-        rows = diff_ngrams(corpora, alpha=0.05, min_group_fraction=0.5, orders=(1, 2))
+        rows = diff_ngrams(count_table(corpora), alpha=0.05, min_group_fraction=0.5, orders=(1, 2))
         by_name = {r.ngram: r for r in rows}
         target = by_name["fun weekend"]
         assert target.q_significant
@@ -78,7 +83,7 @@ class TestDiffNgrams:
     def test_identical_corpora_nothing_significant(self):
         docs = ["same words on both platforms every time"]
         corpora = paired_corpora(10, lambda i: docs, lambda i: docs)
-        rows = diff_ngrams(corpora, alpha=0.05, min_group_fraction=0.5)
+        rows = diff_ngrams(count_table(corpora), alpha=0.05, min_group_fraction=0.5)
         assert all(not r.q_significant for r in rows)
         assert cloud_data(rows) == []
 
@@ -93,7 +98,7 @@ class TestDiffNgrams:
             return [" ".join(rng.choice(vocab, size=30))]
 
         corpora = paired_corpora(12, fb_docs, sms_docs)
-        rows = diff_ngrams(corpora, alpha=0.2, min_group_fraction=0.3)
+        rows = diff_ngrams(count_table(corpora), alpha=0.2, min_group_fraction=0.3)
         clouds = cloud_data(rows)
         assert {c.ngram for c in clouds} == {
             r.ngram for r in rows if r.q_significant and np.isfinite(r.cohens_d)
@@ -102,12 +107,13 @@ class TestDiffNgrams:
     def test_insufficient_users(self):
         corpora = {("u1", "facebook"): corpus("u1", "facebook", ["hello"])}
         with pytest.raises(InsufficientUsersError):
-            diff_ngrams(corpora)
+            diff_ngrams(count_table(corpora))
 
     def test_constant_nonzero_difference_is_degenerate(self):
         # every user: "fun" is 1/2 of the posts' words and 1/4 of the messages'
         corpora = paired_corpora(6, lambda i: ["fun day"], lambda i: ["fun day day day"])
-        rows = {r.ngram: r for r in diff_ngrams(corpora, min_group_fraction=0.5, orders=(1,))}
+        rows = diff_ngrams(count_table(corpora), min_group_fraction=0.5, orders=(1,))
+        rows = {r.ngram: r for r in rows}
         fun = rows["fun"]
         assert fun.degenerate and fun.p_value == 1.0 and not fun.q_significant
         assert fun.p_fallback is None
@@ -134,7 +140,7 @@ class TestDiffCategories:
             return ["ok yes ok sure thing today " + "filler " * (1 + i % 2)]
 
         corpora = paired_corpora(12, fb_docs, sms_docs)
-        rows = {r.category: r for r in diff_categories(corpora, spec, alpha=0.05)}
+        rows = {r.category: r for r in diff_categories(count_table(corpora), spec, alpha=0.05)}
         assert rows["leisure"].t_statistic > 0
         assert rows["assent"].t_statistic < 0
         assert rows["leisure"].q_significant and rows["assent"].q_significant
@@ -142,14 +148,14 @@ class TestDiffCategories:
     def test_constant_nonzero_difference_is_degenerate(self):
         spec = DictionarySpec({"leisure": ["fun"]})
         corpora = paired_corpora(6, lambda i: ["fun day"], lambda i: ["fun day day day"])
-        (row,) = diff_categories(corpora, spec)
+        (row,) = diff_categories(count_table(corpora), spec)
         assert row.degenerate and row.p_value == 1.0 and not row.q_significant
         assert np.isnan(row.t_statistic)
 
     def test_equal_usage_degenerate_category(self):
         spec = DictionarySpec({"both": ["word"]})
         corpora = paired_corpora(6, lambda i: ["word two"], lambda i: ["word two"])
-        (row,) = diff_categories(corpora, spec)
+        (row,) = diff_categories(count_table(corpora), spec)
         assert row.t_statistic == 0.0 or row.degenerate
 
 
@@ -257,7 +263,7 @@ class TestSeparation:
         iteration stopped instead, it stopped at the Wald p's limit of 1."""
         users = shared_users(corpora)
         labels = np.r_[np.ones(len(users)), np.zeros(len(users))]
-        rows = diff_ngrams(corpora, min_group_fraction=0.0, orders=(1,))
+        rows = diff_ngrams(count_table(corpora), min_group_fraction=0.0, orders=(1,))
         stopped = set()
         for row in rows:
             x, y = (
@@ -339,6 +345,6 @@ class TestBatchedStatistics:
     @settings(max_examples=30, deadline=None)
     def test_diff_ngrams_equals_the_per_feature_loop(self, corpora):
         assert_rows_match(
-            diff_ngrams(corpora, min_group_fraction=0.0, orders=(1, 2)),
+            diff_ngrams(count_table(corpora), min_group_fraction=0.0, orders=(1, 2)),
             diff_ngrams_per_feature(corpora, min_group_fraction=0.0, orders=(1, 2)),
         )

@@ -8,6 +8,7 @@ import importlib.resources
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from scrublang import cli, features
@@ -265,6 +266,38 @@ class TestAnalysisCommands:
         rows = json.loads((imp_dir / "importance_depression.json").read_text())
         assert rows and all("quadrant" in r for r in rows)
 
+    def test_importance_reads_each_term_at_its_own_order(self, tmp_path):
+        """A model trained on unigrams and bigrams ranks its bigrams by their
+        bigram frequencies: each term's freq_diff is the difference of its
+        mean frequencies, as ``UserCorpus.ngram_features`` counts them."""
+        corpus, ages, lexicon = (tmp_path / n for n in ("c.jsonl", "ages.csv", "lex.csv"))
+        rows = []
+        for i in range(6):
+            fb = "fun weekend party trip ok" + " fun weekend" * (i % 3)
+            for platform, text in (("facebook", fb), ("sms", "ok yes sure fine trip")):
+                rows.append({"user_id": f"u{i}", "platform": platform, "text": text})
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        write_ages(ages)
+        common = ["--corpus", str(corpus), "--min-words", "1"]
+        argv = ["train", *common, "--orders", "1,2", "--outcomes", str(ages), "--out", str(lexicon)]
+        assert main(argv) == 0
+        argv = ["importance", *common, "--lexicon", str(lexicon), "--outcome", "age"]
+        assert main([*argv, "--out-dir", str(tmp_path / "imp")]) == 0
+        ranked = json.loads((tmp_path / "imp" / "importance_age.json").read_text())
+        corpora = features.load_corpus_jsonl(corpus)
+        users = [f"u{i}" for i in range(6)]
+
+        def mean(term, platform):
+            freqs = [corpora[(u, platform)].ngram_features((1, 2)).get(term, 0.0) for u in users]
+            return float(np.mean(freqs))
+
+        assert {r["feature"] for r in ranked} >= {"fun weekend", "ok yes", "fun"}
+        for row in ranked:
+            term = row["feature"]
+            assert row["freq_diff"] == pytest.approx(mean(term, "facebook") - mean(term, "sms"))
+            assert row["importance"] == pytest.approx(row["weight"] * row["freq_diff"])
+        by_term = {r["feature"]: r for r in ranked}
+        assert by_term["fun weekend"]["freq_diff"] > 0 > by_term["ok yes"]["freq_diff"]
 
     def test_diff_with_a_placeholder_holding_spaces(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
@@ -869,6 +902,22 @@ class TestPipeline:
         assert main(["pipeline", "--config", str(fixture_dir / "pipeline.cfg")]) == 0
         unigram_calls = [c for c in calls if c[2] == (1,)]
         assert unigram_calls and max(map(calls.count, calls)) == 1
+
+    @pytest.mark.parametrize("user", ["user00", "ghost"])
+    def test_facebook_corpus_holds_only_facebook_records(self, tmp_path, capsys, user):
+        """The pipeline's sms corpora come from the keystroke log: an sms
+        record in ``facebook_corpus`` is a path:line error, for a user who
+        typed messages (user00) and for one who typed none (ghost)."""
+        files = make_fixture(tmp_path / "fx", n_users=6, seed=1)
+        posts = files["facebook_corpus"]
+        n_lines = len(posts.read_text(encoding="utf-8").splitlines())
+        with open(posts, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"user_id": user, "platform": "sms", "text": "hi there"}) + "\n")
+        assert main(["pipeline", "--config", str(files["config"])]) == 1
+        err = capsys.readouterr().err
+        assert "error: stage 'corpora' failed: " in err
+        where = f"facebook.jsonl:{n_lines + 1}: bad corpus record: "
+        assert where + "platform must be 'facebook', got 'sms'" in err
 
     def test_lexicon_estimates_score_binary_and_degenerate_models(self, tmp_path):
         """A gender model is scored by sign accuracy; a model none of whose

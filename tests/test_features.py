@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import logistic_oracle
 from scrublang import features
+from scrublang.analysis import shared_users
 from scrublang.features import (
     DictionaryError,
     DictionarySpec,
     UserCorpus,
+    count_table,
     extract_dictionary,
     extract_ngrams,
     filter_min_words,
@@ -20,7 +24,6 @@ from scrublang.features import (
     load_corpus_jsonl,
     ngram_counts,
     tokenize,
-    user_feature_table,
 )
 from scrublang.spans import PLACEHOLDER_RE
 
@@ -246,10 +249,85 @@ class TestCorpus:
         one_user_at_a_time = (set(feats) for feats in ("xy", "x", "z"))
         assert group_frequency_filter(one_user_at_a_time, 0.5) == ["x"]
 
-    def test_user_feature_table_platform_selection(self):
+    def test_count_table_rows_per_platform(self):
         corpora = {
             ("u1", "facebook"): UserCorpus("u1", "facebook", ["a b"]),
             ("u1", "sms"): UserCorpus("u1", "sms", ["c"]),
         }
-        table = user_feature_table(corpora, "facebook", orders=(1,))
-        assert table == {"u1": {"a": 0.5, "b": 0.5}}
+        table = count_table(corpora, orders=(1,))
+        assert table.rows == {("u1", "facebook"): 0, ("u1", "sms"): 1}
+        assert table.vocabulary == ["a", "b", "c"]
+        assert table.columns(("u1", "facebook"), (1,)) == {0, 1}
+        assert table.freqs([("u1", "facebook")], ["a", "b", "c"]).tolist() == [[0.5, 0.5, 0.0]]
+
+
+def extract_dictionary_per_token(tokens, spec: DictionarySpec) -> dict[str, float]:
+    """Reference for ``extract_dictionary`` and ``CountTable.categories``:
+    every token occurrence scored against every category."""
+    flat = [t for doc in features._as_documents(tokens) for t in doc]
+    total = len(flat)
+    out = {cat: 0 for cat in spec.categories}
+    for tok in flat:
+        for cat in spec.categories:
+            if spec.matches(tok, cat):
+                out[cat] += 1
+    return {cat: (c / total if total else 0.0) for cat, c in out.items()}
+
+
+WORDS = ["ok", "okay", "you", "fun", "i’ll", "i'll", ":)", "<work of art>", "<email>", "a", "b"]
+SPECS = [
+    DictionarySpec({}),
+    DictionarySpec({"assent": ["ok*", "yes"]}),
+    DictionarySpec({"you": ["you", "u"], "leisure": ["fun", "play*"], "will": ["i'll", "<work*"]}),
+]
+
+
+def assert_table_matches_dict_path(corpora, orders, spec):
+    """``count_table`` reads every corpus as the per-corpus dict path does,
+    bit for bit: n-gram frequencies (and a column of zeros for an n-gram no
+    corpus holds), the group frequency filter and the dictionary categories."""
+    keys = sorted(corpora)
+    vectors = {key: corpora[key].ngram_features(orders) for key in keys}
+    names = sorted(set().union(*vectors.values())) + ["zz unseen"]
+    table = count_table(corpora, orders)
+    got = table.freqs(keys, names)
+    assert np.array_equal(got, logistic_oracle.feature_matrix(vectors, keys, names))
+    users = shared_users(corpora)
+    _, fb, sms = logistic_oracle.paired_vectors(corpora, orders)
+    for fraction in (0.0, 0.5):
+        want = logistic_oracle.paired_features(fb, sms, fraction)
+        assert table.paired_features(users, orders, fraction) == want
+    table = count_table(corpora, {1, *orders})
+    cats = sorted(spec.categories)
+    want = [[extract_dictionary_per_token(corpora[k]._tokens, spec)[c] for c in cats] for k in keys]
+    assert table.categories(keys, spec).tolist() == want
+    assert [list(corpora[k].dictionary_features(spec).values()) for k in keys] == want
+
+
+class TestCountTable:
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("orders", [(1,), (2, 3), (1, 2, 3)])
+    def test_edge_cases_match_the_dict_path(self, orders, spec):
+        docs = {
+            ("u0", "facebook"): ["", "I’ll see <work of art> ok, you?"],  # empty document
+            ("u0", "sms"): ["ok u"],  # fewer tokens than order 3
+            ("u1", "facebook"): ["you play fun :) fun"],  # one platform only
+            ("u2", "facebook"): ["okay yes yes", "playing"],
+            ("u2", "sms"): [""],  # no n-gram of any order
+        }
+        corpora = {key: UserCorpus(*key, list(texts)) for key, texts in docs.items()}
+        assert_table_matches_dict_path(corpora, orders, spec)
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.sampled_from(["u0", "u1", "u2"]), st.sampled_from(features.PLATFORMS)),
+            st.lists(st.lists(st.sampled_from(WORDS), max_size=8).map(" ".join), max_size=3),
+            max_size=8,
+        ),
+        st.sets(st.integers(1, 3), min_size=1),
+        st.sampled_from(SPECS),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_corpora_match_the_dict_path(self, docs, orders, spec):
+        corpora = {key: UserCorpus(*key, texts) for key, texts in docs.items()}
+        assert_table_matches_dict_path(corpora, tuple(sorted(orders)), spec)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import evaluation_oracle
+from evaluation_oracle import paired_matrices
 from scrublang.modeling import (
     CELL_ORDER,
     LexiconModel,
@@ -230,16 +231,22 @@ class TestCrossDomain:
         users = [f"u{i}" for i in range(10)]
         feats = _mk_features(users, rng)
         outcomes = {u: {"score": feats[u]["f1"] * 3 + 1} for u in users}
-        report = cross_domain_matrix(feats, feats, outcomes, bootstrap_iterations=1000)
+        report = cross_domain_matrix(
+            *paired_matrices(feats, feats), outcomes, bootstrap_iterations=1000
+        )
         values = [report.outcomes["score"].cells[c].value for c in CELL_ORDER]
         assert max(values) - min(values) < 1e-9
 
-    def test_user_mismatch_lists_ids(self):
+    def test_rows_must_match_users(self):
         rng = np.random.default_rng(8)
-        fb = _mk_features(["a", "b", "c"], rng)
-        sms = _mk_features(["a", "b", "d"], rng)
-        with pytest.raises(ValueError, match="'c', 'd'"):
-            cross_domain_matrix(fb, sms, {}, bootstrap_iterations=1000)
+        X_fb, X_sms, users = paired_matrices(*[_mk_features(["a", "b", "c"], rng)] * 2)
+        outcomes = {u: {"score": 1.0} for u in users}
+        with pytest.raises(ValueError, match=r"one row per user \(2\)"):
+            cross_domain_matrix(X_fb, X_sms, users[:2], outcomes, bootstrap_iterations=1000)
+        with pytest.raises(ValueError, match="the same columns"):
+            cross_domain_matrix(X_fb, X_sms[:, :3], users, outcomes, bootstrap_iterations=1000)
+        with pytest.raises(ValueError, match=r"users missing from outcomes: \['c'\]"):
+            cross_domain_matrix(X_fb, X_sms, users, {"a": {}, "b": {}}, bootstrap_iterations=1000)
 
     def test_planted_signal_platform_wins_at_home(self):
         rng = np.random.default_rng(9)
@@ -248,7 +255,9 @@ class TestCrossDomain:
         fb = _mk_features(users, rng, signal=y)  # facebook carries the signal
         sms = _mk_features(users, rng)  # sms is noise
         outcomes = {u: {"score": float(y[i])} for i, u in enumerate(users)}
-        report = cross_domain_matrix(fb, sms, outcomes, bootstrap_iterations=1000, seed=1)
+        report = cross_domain_matrix(
+            *paired_matrices(fb, sms), outcomes, bootstrap_iterations=1000, seed=1
+        )
         cells = {c: report.outcomes["score"].cells[c].value for c in CELL_ORDER}
         assert cells["fb_fb"] > max(cells["fb_sms"], cells["sms_sms"], cells["sms_fb"])
 
@@ -258,8 +267,10 @@ class TestCrossDomain:
         fb = _mk_features(users, rng)
         sms = _mk_features(users, rng)
         outcomes = {u: {"score": float(rng.normal())} for u in users}
-        rep = cross_domain_matrix(fb, sms, outcomes, bootstrap_iterations=1000)
-        swapped = cross_domain_matrix(sms, fb, outcomes, bootstrap_iterations=1000)
+        rep = cross_domain_matrix(*paired_matrices(fb, sms), outcomes, bootstrap_iterations=1000)
+        swapped = cross_domain_matrix(
+            *paired_matrices(sms, fb), outcomes, bootstrap_iterations=1000
+        )
         pairs = {"fb_fb": "sms_sms", "sms_sms": "fb_fb", "fb_sms": "sms_fb", "sms_fb": "fb_sms"}
         for cell, mirror in pairs.items():
             assert rep.outcomes["score"].cells[cell].value == pytest.approx(
@@ -271,7 +282,9 @@ class TestCrossDomain:
         users = [f"u{i}" for i in range(12)]
         feats = _mk_features(users, rng)
         outcomes = {u: {"gender": 1.0 if i % 2 else -1.0} for i, u in enumerate(users)}
-        report = cross_domain_matrix(feats, feats, outcomes, bootstrap_iterations=1000)
+        report = cross_domain_matrix(
+            *paired_matrices(feats, feats), outcomes, bootstrap_iterations=1000
+        )
         assert report.outcomes["gender"].cells["fb_fb"].metric == "accuracy"
 
     def test_constant_outcome_gives_nan_cells_and_no_bootstrap(self):
@@ -279,7 +292,9 @@ class TestCrossDomain:
         users = [f"u{i}" for i in range(8)]
         feats = _mk_features(users, rng)
         outcomes = {u: {"score": 4.0} for u in users}
-        report = cross_domain_matrix(feats, feats, outcomes, bootstrap_iterations=1000)
+        report = cross_domain_matrix(
+            *paired_matrices(feats, feats), outcomes, bootstrap_iterations=1000
+        )
         ev = report.outcomes["score"]
         assert all(np.isnan(ev.cells[c].value) for c in CELL_ORDER)
         for result in ev.bootstrap.values():
@@ -291,7 +306,9 @@ class TestCrossDomain:
         users = [f"u{i}" for i in range(10)]
         feats = _mk_features(users, rng)
         outcomes = {u: {"score": float(i) if i >= 4 else None} for i, u in enumerate(users)}
-        report = cross_domain_matrix(feats, feats, outcomes, bootstrap_iterations=1000)
+        report = cross_domain_matrix(
+            *paired_matrices(feats, feats), outcomes, bootstrap_iterations=1000
+        )
         assert report.outcomes["score"].cells["fb_fb"].n == 6
 
     def test_full_cross_fit_trains_on_whole_source(self):
@@ -302,8 +319,9 @@ class TestCrossDomain:
         y = rng.normal(size=12)
         outcomes = {u: {"score": float(y[i])} for i, u in enumerate(users)}
         kw = dict(bootstrap_iterations=1000, seed=3)
-        holdout = cross_domain_matrix(fb, sms, outcomes, **kw).outcomes["score"].cells
-        full = cross_domain_matrix(fb, sms, outcomes, cross_fit="full", **kw).outcomes["score"].cells
+        args = (*paired_matrices(fb, sms), outcomes)
+        holdout = cross_domain_matrix(*args, **kw).outcomes["score"].cells
+        full = cross_domain_matrix(*args, cross_fit="full", **kw).outcomes["score"].cells
         assert full["fb_fb"] == holdout["fb_fb"]
         assert full["sms_sms"] == holdout["sms_sms"]
         X = {
@@ -371,8 +389,9 @@ class TestSharedFolds:
     def test_report_equals_the_per_outcome_loop(self, n, p, cross_fit):
         _, feats, outcomes = _shared_fold_case(n, p, seed=n * p)
         kw = dict(alpha=0.5, bootstrap_iterations=1000, seed=2, cross_fit=cross_fit)
-        report = cross_domain_matrix(feats["fb"], feats["sms"], outcomes, **kw)
-        expected = evaluation_oracle.cross_domain_matrix(feats["fb"], feats["sms"], outcomes, **kw)
+        args = (*paired_matrices(feats["fb"], feats["sms"]), outcomes)
+        report = cross_domain_matrix(*args, **kw)
+        expected = evaluation_oracle.cross_domain_matrix(*args, **kw)
         assert sorted(report.outcomes) == ["age", "gender", "score", "stress"]
         assert report.outcomes["gender"].cells["fb_fb"].metric == "accuracy"
         assert [ev.cells["fb_fb"].n for ev in report.outcomes.values()] == [n, n - 1, n, n - 2]
@@ -387,10 +406,11 @@ class TestSharedFolds:
         counted = lambda seed: draws.append(seed) or default_rng(seed)  # noqa: E731
         monkeypatch.setattr(np.random, "default_rng", counted)
         kw = dict(alpha=0.5, bootstrap_iterations=1000, seed=2)
-        report = cross_domain_matrix(feats["fb"], feats["sms"], outcomes, **kw)
+        args = (*paired_matrices(feats["fb"], feats["sms"]), outcomes)
+        report = cross_domain_matrix(*args, **kw)
         assert draws == [2, 2, 2]
         draws.clear()
-        expected = evaluation_oracle.cross_domain_matrix(feats["fb"], feats["sms"], outcomes, **kw)
+        expected = evaluation_oracle.cross_domain_matrix(*args, **kw)
         assert len(draws) == 8
         assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
 

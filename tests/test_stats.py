@@ -491,15 +491,16 @@ def _modules_loaded_by(code: str, *modules: str) -> list[bool]:
 
 def test_cli_import_does_not_load_scipy_stats():
     # the p-values come from scipy.special, imported when a p-value is first
-    # computed; scipy.stats costs ~0.7 s and ~45 MB to import and is only
-    # needed by this test module's oracles
-    loaded = _modules_loaded_by("import scrublang.cli", "scipy.stats", "scipy.special")
-    assert loaded == [False, False]
+    # computed, and the count table from scipy.sparse, imported when a table
+    # is first built; scipy.stats costs ~0.7 s and ~45 MB to import and is
+    # only needed by this test module's oracles
+    modules = ("scipy.stats", "scipy.special", "scipy.sparse")
+    assert _modules_loaded_by("import scrublang.cli", *modules) == [False, False, False]
 
 
 def test_redact_does_not_load_scipy_special(tmp_path):
     log = make_fixture(tmp_path, n_users=3, seed=0)["keystroke_log"]
     argv = ["redact", "--in", str(log), "--out", str(tmp_path / "entries.jsonl")]
     code = f"from scrublang import cli\nassert cli.main({argv!r}) == 0"
-    assert _modules_loaded_by(code, "scipy.special") == [False]
+    assert _modules_loaded_by(code, "scipy.special", "scipy.sparse") == [False, False]
     assert (tmp_path / "entries.jsonl").stat().st_size > 0
