@@ -24,6 +24,7 @@ from .features import (
     CountTable,
     DictionarySpec,
     UserCorpus,
+    shared_users,  # re-exported for corpus dicts; a CountTable has CountTable.users
 )
 from .spans import Record
 from .stats import Fit, bh_fdr, logistic_slope_p, paired_stats
@@ -71,20 +72,9 @@ class CloudDatum(Record):
     darkness: float
 
 
-def shared_users(corpora: Mapping[tuple[str, str], object]) -> list[str]:
-    """The users of both platforms among the (user, platform) keys of
-    ``corpora`` (corpora, or a :class:`CountTable`'s rows), sorted."""
-    fb = {u for (u, plat) in corpora if plat == "facebook"}
-    sms = {u for (u, plat) in corpora if plat == "sms"}
-    return sorted(fb & sms)
-
-
 def _paired_users(table: CountTable) -> list[str]:
-    users = shared_users(table.rows)
-    if len(users) < 2:
-        raise InsufficientUsersError(
-            f"need >= 2 users present on both platforms, have {len(users)}"
-        )
+    if len(users := table.users) < 2:
+        raise InsufficientUsersError(f"need >= 2 users on both platforms, have {len(users)}")
     return users
 
 
@@ -100,10 +90,8 @@ def diff_ngrams(
     N-grams must be used by at least ``min_group_fraction`` of the shared
     users (on either platform) to be tested.
     """
-    users = _paired_users(table)
-    features = table.paired_features(users, orders, min_group_fraction)
-    X_fb, X_sms = (table.freqs([(u, plat) for u in users], features) for plat in PLATFORMS)
-    return ngram_diffs(features, X_fb, X_sms, alpha)
+    features = table.paired_features(_paired_users(table), orders, min_group_fraction)
+    return ngram_diffs(features, *table.paired(features), alpha)
 
 
 def ngram_diffs(

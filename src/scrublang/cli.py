@@ -96,10 +96,10 @@ class PipelineError(RuntimeError):
 
 
 def _int_tuple(value: str) -> tuple[int, ...]:
-    """Comma-separated positive integers, e.g. n-gram orders ``1,2,3``."""
+    """One or more comma-separated positive integers, e.g. n-gram orders ``1,2,3``."""
     orders = tuple(int(v) for v in value.split(",") if v.strip())
-    if any(n < 1 for n in orders):
-        raise argparse.ArgumentTypeError(f"n-gram orders must be >= 1, got {value!r}")
+    if not orders or any(n < 1 for n in orders):
+        raise argparse.ArgumentTypeError(f"need one or more n-gram orders >= 1, got {value!r}")
     return orders
 
 
@@ -166,6 +166,8 @@ class RunConfig(Record):
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             if key not in _TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: repeated config key {key!r}")
             if _TYPES[key] in ("InputPath", "OutputPath"):
                 values[key] = str((path.parent / value).resolve()) if value else None
                 continue
@@ -202,6 +204,8 @@ _LIMITS = {  # setting -> (in range, the rule); NaN is never in range
     "timeout_ms": (lambda v: v >= 1, "be >= 1"),
     "ridge_alpha": (lambda v: v > 0.0, "be > 0"),
     "nmf_k": (lambda v: v >= 1, "be >= 1"),
+    "nmf_iterations": (lambda v: v >= 1, "be >= 1"),
+    "seed": (lambda v: v >= 0, "be >= 0"),
     "bootstrap_iterations": (
         lambda v: v >= MIN_BOOTSTRAP_ITERATIONS, f"be >= {MIN_BOOTSTRAP_ITERATIONS}"
     ),
@@ -392,19 +396,15 @@ class Run:
             orders.update(DIFF_ORDERS)
         return count_table(self.filtered[0], orders)
 
-    def paired(self, users: list[str], features: list[str]) -> list[np.ndarray]:
-        """The facebook and the sms ``users x features`` frequency matrices."""
-        return [self.table.freqs([(u, plat) for u in users], features) for plat in PLATFORMS]
-
     @cached_property
     def model_tables(self) -> tuple[list[str], np.ndarray, np.ndarray, list[str]]:
         """(shared users, their facebook and sms frequency matrices, features)
         of the model orders; the features pass the group frequency filter
         and hold no redaction placeholder (those n-grams are display only)."""
-        cfg, users = self.cfg, shared_users(self.table.rows)
-        names = self.table.paired_features(users, cfg.model_orders, cfg.min_group_fraction)
+        cfg, table = self.cfg, self.table
+        names = table.paired_features(table.users, cfg.model_orders, cfg.min_group_fraction)
         features = [f for f in names if not PLACEHOLDER_RE.search(f)]
-        return users, *self.paired(users, features), features
+        return table.users, *table.paired(features), features
 
     def redact(self) -> str:
         entries, counters = self.redaction
@@ -490,15 +490,12 @@ class Run:
         """Task-style evaluation of the pretrained lexicon models on both
         platforms: per-user estimates scored against self-reports by
         :func:`outcome_scoring`, with a bootstrap test on the facebook-vs-sms
-        difference."""
+        difference.  A model reads each of its terms at its own n-gram order
+        from :attr:`table`; a term the table does not count reads 0."""
         outcomes, cfg = self.outcomes, self.cfg
         if not self.lexicon:
             return "no pretrained lexicon set"
-        corpora = self.filtered[0]
-        users = shared_users(corpora)
-        unigrams = {
-            plat: [corpora[(u, plat)].ngram_features((1,)) for u in users] for plat in PLATFORMS
-        }
+        users = self.table.users
         report: dict = {"n_users": len(users), "models": {}}
         for name, model in sorted(self.lexicon.items()):
             labeled = labeled_users(users, outcomes, name)
@@ -507,10 +504,11 @@ class Run:
             keep, y = labeled
             metric = outcome_scoring(name)[1]
             entry = report["models"][name] = {"metric": metric}
-            est = {}
+            est, terms = {}, list(model.weights)
             try:
-                for plat, vectors in unigrams.items():
-                    est[plat] = np.array([apply_lexicon(model, vectors[i]) for i in keep])
+                for plat, M in zip(PLATFORMS, self.table.paired(terms)):
+                    freqs = [dict(zip(terms, row)) for row in M[keep].tolist()]
+                    est[plat] = np.array([apply_lexicon(model, f) for f in freqs])
                     entry[plat] = score(metric, est[plat], y)
                 entry["bootstrap"] = compare_estimates(
                     metric, est["facebook"], est["sms"], y, cfg.bootstrap_iterations, cfg.seed
@@ -601,12 +599,12 @@ class Run:
             outcome = self.args.outcome
             if outcome not in models:
                 raise ValueError(f"importance: outcome {outcome!r} not in {self.cfg.lexicon}")
-            if not shared_users(self.filtered[0]):
+            if not self.table.users:
                 raise InsufficientUsersError("importance: no users present on both platforms")
             models = {outcome: models[outcome]}
         terms = sorted({t for model in models.values() for t in model.weights})
         freq = {}
-        for plat, M in zip(PLATFORMS, self.paired(shared_users(self.table.rows), terms)):
+        for plat, M in zip(PLATFORMS, self.table.paired(terms)):
             # each column's own mean: M.mean(axis=0) sums in another order
             freq[plat] = {t: float(M[:, j].mean()) for j, t in enumerate(terms)}
         progress = []

@@ -20,9 +20,10 @@ Each distinct token type is scored once against every category.
 :func:`count_table` counts every (user, platform) corpus once into one
 :class:`CountTable`: a sparse users x vocabulary matrix of integer n-gram
 counts, one column per (n-gram, order) with the vocabulary sorted by id, and
-each row's total per order.  N-gram frequencies, the group frequency filter
-and dictionary categories (the unigram columns times a 0/1 type x category
-matrix) are all read from it, with one ``count / total`` division per cell.
+each row's total per order.  Every stage reads from it alone: n-gram
+frequencies, each at its own order (:meth:`CountTable.paired` pairs the two
+platforms), the group filter and dictionary categories (the unigram columns
+times a 0/1 type x category matrix), with one ``count / total`` per cell.
 """
 
 from __future__ import annotations
@@ -258,6 +259,13 @@ def filter_min_words(
     return kept, excluded
 
 
+def shared_users(corpora: Mapping[tuple[str, str], object]) -> list[str]:
+    """The users of both platforms among the (user, platform) keys of
+    ``corpora`` (corpora, or a :class:`CountTable`'s rows), sorted."""
+    fb = {u for (u, plat) in corpora if plat == "facebook"}
+    return sorted(fb & {u for (u, plat) in corpora if plat == "sms"})
+
+
 def group_frequency_filter(
     user_features: Iterable[Collection],
     min_fraction: float = DEFAULT_MIN_GROUP_FRACTION,
@@ -290,10 +298,15 @@ class CountTable:
     """
 
     rows: dict[tuple[str, str], int]  # (user, platform) -> row
+    users: list[str]  # the users with a row on both platforms, sorted
     vocabulary: list[str]  # each column's n-gram id
     orders: np.ndarray  # each column's order; 0 for the last column
     counts: sparse.csr_array  # rows x (columns + 1), int64; the last column is empty
     totals: np.ndarray  # rows x (1 + largest order): each row's n-gram total per order
+
+    def paired(self, features: Sequence[str]) -> list[np.ndarray]:
+        """The facebook and the sms :attr:`users` x ``features`` :meth:`freqs`."""
+        return [self.freqs([(u, plat) for u in self.users], features) for plat in PLATFORMS]
 
     def columns(self, key: tuple[str, str], orders: Iterable[int]) -> set[int]:
         """The columns of ``orders`` that corpus ``key`` counts at least once."""
@@ -385,6 +398,7 @@ def count_table(
     )
     return CountTable(
         rows={key: r for r, key in enumerate(keys)},
+        users=shared_users(corpora),
         vocabulary=[grams[j] for j in order],
         orders=np.array([*(col_orders[j] for j in order), 0], dtype=np.int64),
         counts=counts,

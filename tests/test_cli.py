@@ -6,14 +6,17 @@ import argparse
 import dataclasses
 import importlib.resources
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scrublang import cli, features
+from scrublang.analysis import shared_users
 from scrublang.cli import RunConfig, main
 from scrublang.io import load_lexicon_csv, sha256_file
+from scrublang.modeling import labeled_users
 from scrublang.synth import ALLOWED_APPS, make_fixture
 
 
@@ -604,8 +607,10 @@ class TestUsageErrors:
         [
             "features {corpus} --orders 0 --out-dir {out}",
             "train {corpus} --outcomes {ages} --orders 1,-2 --out {out}.csv",
+            "train {corpus} --outcomes {ages} --orders , --out {out}.csv",
+            "evaluate {corpus} --outcomes {ages} --orders , --out-dir {out}",
         ],
-        ids=["features-orders-0", "train-negative-order"],
+        ids=["features-orders-0", "train-negative-order", "train-no-orders", "evaluate-no-orders"],
     )
     def test_usage_error(self, tmp_path, capsys, argv):
         corpus, ages = tmp_path / "c.jsonl", tmp_path / "ages.csv"
@@ -637,11 +642,17 @@ class TestUsageErrors:
              "bootstrap_iterations"),
             ("evaluate {corpus} --outcomes {ages} --bootstrap-iterations 999 --out-dir {out}",
              "bootstrap_iterations"),
+            ("evaluate {corpus} --outcomes {ages} --seed -1 --out-dir {out}", "seed"),
+            ("evaluate {corpus} --outcomes {ages} --nmf-iterations 0 --out-dir {out}",
+             "nmf_iterations"),
+            ("evaluate {corpus} --outcomes {ages} --nmf-iterations -3 --out-dir {out}",
+             "nmf_iterations"),
         ],
         ids=["redact-negative-timeout", "redact-zero-timeout", "diff-fraction-above-1",
              "diff-negative-fraction", "diff-alpha-1.5", "evaluate-fraction-above-1",
              "evaluate-missing-outcomes", "train-negative-ridge-alpha", "evaluate-nmf-k-0",
-             "evaluate-0-resamples", "evaluate-999-resamples"],
+             "evaluate-0-resamples", "evaluate-999-resamples", "evaluate-negative-seed",
+             "evaluate-0-nmf-iterations", "evaluate-negative-nmf-iterations"],
     )
     def test_setting_checked_before_any_work(self, tmp_path, capsys, argv, setting):
         """A flag sets the same RunConfig field as the config key, and is
@@ -675,6 +686,33 @@ class TestUsageErrors:
         assert not (tmp_path / "fx" / "out").exists()
         with pytest.raises(ValueError, match="iterations must be >= 1000"):
             RunConfig(bootstrap_iterations=999)
+
+    @pytest.mark.parametrize(
+        "old,new,problem",
+        [
+            ("seed = 17", "seed = -1", "seed must be >= 0, got -1"),
+            ("nmf_iterations = 150", "nmf_iterations = -2", "nmf_iterations must be >= 1, got -2"),
+            ("model_orders = 1", "model_orders =",
+             "bad model_orders: need one or more n-gram orders >= 1, got ''"),
+            ("model_orders = 1", "model_orders = ,",
+             "bad model_orders: need one or more n-gram orders >= 1, got ','"),
+        ],
+        ids=["negative-seed", "negative-nmf-iterations", "empty-orders", "comma-orders"],
+    )
+    def test_config_value_fails_at_its_line_before_redaction(
+        self, tmp_path, capsys, old, new, problem
+    ):
+        """A seed below 0, fewer than one NMF update or no n-gram order fails
+        the config stage with the line's path:line, before any stage runs."""
+        files = make_fixture(tmp_path / "fx", n_users=6, seed=1)
+        cfg = files["config"]
+        lines = cfg.read_text().splitlines()
+        lineno = lines.index(old) + 1
+        lines[lineno - 1] = new
+        cfg.write_text("\n".join(lines) + "\n")
+        assert main(["pipeline", "--config", str(cfg)]) == 1
+        assert f"stage 'config' failed: {cfg}:{lineno}: {problem}" in capsys.readouterr().err
+        assert not (tmp_path / "fx" / "out").exists()
 
 
 class TestErrorPath:
@@ -839,6 +877,12 @@ class TestConfig:
         with pytest.raises(FileNotFoundError, match="^dictionary: "):
             RunConfig(dictionary=str(tmp_path / "nope.txt"))
 
+    def test_repeated_key_names_its_second_line(self, tmp_path):
+        bad = tmp_path / "c.cfg"
+        bad.write_text("seed = 1\nmin_words = 5\n# again\nseed = 2\n")
+        with pytest.raises(ValueError, match=re.escape(f"{bad}:4: repeated config key 'seed'")):
+            RunConfig.from_file(bad)
+
     def test_alpha_range_checked(self, tmp_path):
         bad = tmp_path / "c.cfg"
         bad.write_text("fdr_alpha = 1.5\n")
@@ -888,20 +932,63 @@ class TestPipeline:
         assert 0 < len(calls) <= len(posts) + len(entries)
 
     def test_estimates_and_importance_share_unigram_counts(self, fixture_dir, monkeypatch):
-        """With ``model_orders = 1`` the model tables, the lexicon estimates
-        and importance read one count of each corpus's unigrams: every
-        (user, platform, orders) is counted once."""
-        calls = []
-        real = features.UserCorpus.ngram_features
+        """The diff, the lexicon estimates, the model tables and importance
+        read one count of each corpus: the pipeline walks each corpus's
+        tokens through ``features.ngram_counts`` once."""
+        walks = []
+        real = features.ngram_counts
 
-        def counting(corpus, orders=(1, 2, 3)):
-            calls.append((corpus.user_id, corpus.platform, tuple(orders)))
-            return real(corpus, orders)
+        def counting(tokens, orders=(1, 2, 3)):
+            walks.append(tuple(map(tuple, tokens)))
+            return real(tokens, orders)
 
-        monkeypatch.setattr(features.UserCorpus, "ngram_features", counting)
+        monkeypatch.setattr(features, "ngram_counts", counting)
         assert main(["pipeline", "--config", str(fixture_dir / "pipeline.cfg")]) == 0
-        unigram_calls = [c for c in calls if c[2] == (1,)]
-        assert unigram_calls and max(map(calls.count, calls)) == 1
+        report = json.loads((fixture_dir / "out" / "lexicon_eval.json").read_text())
+        assert report["models"]  # the estimates stage scored a model
+        assert len(walks) >= 2 * report["n_users"] and len(set(walks)) == len(walks)
+
+    def test_trained_bigram_lexicon_estimates_equal_its_predictions(self, tmp_path, monkeypatch):
+        """A lexicon written by ``train --orders 1,2`` and fed back as the
+        pipeline's ``lexicon`` is scored as it predicts: each estimate is
+        ``X @ w + b`` of the user's own 1- and 2-gram frequencies, bigrams
+        included."""
+        files = make_fixture(tmp_path / "fx", n_users=10, seed=3)
+        argv = ["pipeline", "--config", str(files["config"])]
+        assert main(argv) == 0
+        corpus = tmp_path / "roundtrip.jsonl"
+        entries = tmp_path / "fx" / "out" / "entries.jsonl"
+        write_two_platform_corpus(files["facebook_corpus"], entries, corpus)
+        run = cli.Run(cli.build_parser().parse_args(argv))
+        settings = ["--min-words", str(run.cfg.min_words),
+                    "--min-group-fraction", str(run.cfg.min_group_fraction)]
+        assert main(["train", "--corpus", str(corpus), "--outcomes", str(files["outcomes"]),
+                     "--orders", "1,2", *settings, "--out", str(files["lexicon"])]) == 0
+        models = load_lexicon_csv(files["lexicon"])
+        assert any(" " in term for model in models.values() for term in model.weights)
+
+        estimates: dict[str, list[float]] = {}
+        real = cli.apply_lexicon
+
+        def recording(model, freqs):
+            estimates.setdefault(model.outcome, []).append(real(model, freqs))
+            return estimates[model.outcome][-1]
+
+        monkeypatch.setattr(cli, "apply_lexicon", recording)
+        assert main(argv) == 0
+        corpora = run.filtered[0]
+        users = shared_users(corpora)
+        assert set(estimates) == set(models)
+        for name, model in models.items():
+            keep, _ = labeled_users(users, run.outcomes, name)
+            terms = sorted(model.weights)
+            w = np.array([model.weights[t] for t in terms])
+            want = []
+            for platform in ("facebook", "sms"):
+                for i in keep:
+                    own = corpora[(users[i], platform)].ngram_features((1, 2))
+                    want.append(np.array([own.get(t, 0.0) for t in terms]) @ w + model.intercept)
+            np.testing.assert_allclose(estimates[name], want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("user", ["user00", "ghost"])
     def test_facebook_corpus_holds_only_facebook_records(self, tmp_path, capsys, user):
