@@ -15,7 +15,7 @@ deterministic demo fixture.
 __version__ = "0.1.0"
 
 from .detectors import Detector, DetectorSuite, Gazetteer, default_suite
-from .features import DictionarySpec, UserCorpus, extract_dictionary, extract_ngrams, tokenize
+from .features import DictionarySpec, UserCorpus, tokenize
 from .modeling import (
     LexiconModel,
     apply_lexicon,
@@ -54,8 +54,6 @@ __all__ = [
     "cross_domain_matrix",
     "default_suite",
     "detect_token_completion",
-    "extract_dictionary",
-    "extract_ngrams",
     "feature_importance",
     "nmf_reduce",
     "paired_t_test",

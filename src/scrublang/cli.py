@@ -117,7 +117,8 @@ def _bool(value: str) -> bool:
 
 
 # A RunConfig field's annotation says how a config file spells its value.
-# Paths resolve against the config file's directory; an empty path is unset.
+# Paths resolve against the config file's directory; an empty input path is
+# unset, and an empty output path is an error.
 InputPath = str | None  # a file the run reads; its digest goes in the manifest
 OutputPath = str
 _PARSERS = {
@@ -168,6 +169,8 @@ class RunConfig(Record):
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             if key in values:
                 raise ValueError(f"{path}:{lineno}: repeated config key {key!r}")
+            if _TYPES[key] == "OutputPath" and not value:
+                raise ValueError(f"{path}:{lineno}: {key} needs a directory")
             if _TYPES[key] in ("InputPath", "OutputPath"):
                 values[key] = str((path.parent / value).resolve()) if value else None
                 continue
@@ -452,9 +455,7 @@ class Run:
         excluded, table = self.filtered[1], self.table
         ngrams: dict = {}
         for key in table.rows:
-            names = [table.vocabulary[j] for j in table.columns(key, cfg.model_orders)]
-            freqs = table.freqs([key], names)[0].tolist()
-            ngrams.setdefault(key[1], {})[key[0]] = dict(zip(names, freqs))
+            ngrams.setdefault(key[1], {})[key[0]] = table.row(key, cfg.model_orders)
         out.json(ngrams, "ngram_features.json")
         if cfg.dictionary:
             spec = DictionarySpec.from_file(cfg.dictionary)
@@ -527,6 +528,9 @@ class Run:
         outcomes, X = self.outcomes, X_fb if platform == "facebook" else X_sms
         models = self.trained
         wanted = None if self.pipeline else self.args.outcome
+        columns = {n for row in outcomes.values() for n in row}
+        if wanted and outcomes and (unknown := [n for n in wanted if n not in columns]):
+            raise ValueError(f"train: outcome {unknown[0]!r} not in {cfg.outcomes}")
         for name in wanted or sorted({n for u in users for n in outcomes.get(u, {})}):
             labeled = labeled_users(users, outcomes, name)
             if labeled is None:

@@ -13,17 +13,20 @@ order sum to 1.  An n-gram's order is the one it was counted under, never
 inferred from the spaces in its id (placeholders such as "<work of art>"
 contain spaces).  N-grams never cross document boundaries.
 
-Dictionary extraction counts tokens matching category entries; an entry is a
+Dictionary categories count tokens matching category entries; an entry is a
 literal token or a prefix wildcard ("happ*", star only in terminal position).
 Each distinct token type is scored once against every category.
 
-:func:`count_table` counts every (user, platform) corpus once into one
-:class:`CountTable`: a sparse users x vocabulary matrix of integer n-gram
-counts, one column per (n-gram, order) with the vocabulary sorted by id, and
-each row's total per order.  Every stage reads from it alone: n-gram
-frequencies, each at its own order (:meth:`CountTable.paired` pairs the two
-platforms), the group filter and dictionary categories (the unigram columns
-times a 0/1 type x category matrix), with one ``count / total`` per cell.
+:func:`count_table` is the one counter: it counts every (user, platform)
+corpus once into one :class:`CountTable`, a sparse users x vocabulary matrix
+of integer n-gram counts, one column per (n-gram, order) with the vocabulary
+sorted by id, and each row's total per order.  Every frequency is read from
+it: one corpus's n-grams (:meth:`CountTable.row`, which
+:meth:`UserCorpus.ngram_features` reads from the table of that corpus alone),
+n-gram frequencies by id (:meth:`CountTable.paired` pairs the two platforms),
+the group filter and dictionary categories (the unigram columns times a 0/1
+type x category matrix), with one ``count / total`` per cell.  An id counted
+under two orders reads the higher one, whatever the order of ``orders``.
 """
 
 from __future__ import annotations
@@ -72,34 +75,22 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(straight_apostrophes(text.lower()))
 
 
-def _as_documents(tokens: Sequence) -> Sequence[Sequence[str]]:
-    return [tokens] if tokens and isinstance(tokens[0], str) else tokens
-
-
-def ngram_counts(tokens: Sequence, orders: Iterable[int] = (1, 2, 3)) -> dict[int, Counter]:
+def ngram_counts(
+    documents: Iterable[Sequence[str]], orders: Iterable[int] = (1, 2, 3)
+) -> dict[int, Counter]:
     """Raw n-gram counts, one ``Counter`` per order, from one walk of the
-    documents; an order's total is its ``Counter.total()``.
+    token ``documents``; an order's total is its ``Counter.total()``.
 
-    ``tokens`` is either one document (sequence of str) or a sequence of
-    documents; n-grams never span document boundaries.  N-gram feature ids are
-    the tokens joined by single spaces.  Every order must be at least 1.
+    N-grams never span document boundaries.  N-gram feature ids are the
+    tokens joined by single spaces.  Every order must be at least 1.
     """
     counts = {n: Counter() for n in orders}
     if any(n < 1 for n in counts):
         raise ValueError(f"n-gram orders must be >= 1, got {tuple(counts)}")
-    for doc in _as_documents(tokens):
+    for doc in documents:
         for n, grams in counts.items():
             grams.update(" ".join(doc[i : i + n]) for i in range(len(doc) - n + 1))
     return counts
-
-
-def extract_ngrams(tokens: Sequence, orders: Iterable[int] = (1, 2, 3)) -> dict[str, float]:
-    """Relative n-gram frequencies (count / total n-grams of that order)."""
-    out: dict[str, float] = {}
-    for grams in ngram_counts(tokens, orders).values():
-        total = grams.total()
-        out.update((gram, c / total) for gram, c in grams.items())
-    return out
 
 
 def _dictionary_entry(entry: str) -> tuple[str, bool]:
@@ -178,18 +169,6 @@ def _category_hits(types: Sequence[str], spec: DictionarySpec) -> np.ndarray:
     return np.array(hits, dtype=np.int64).reshape(len(types), len(cats))
 
 
-def extract_dictionary(tokens: Sequence, spec: DictionarySpec) -> dict[str, float]:
-    """Per-category relative frequencies (matching tokens / total tokens).
-
-    A token matching several categories counts once in each; an empty token
-    list yields 0 for every category.  Each distinct token is scored once,
-    and its count times its 0/1 row of categories is summed in integers.
-    """
-    counts = Counter(t for doc in _as_documents(tokens) for t in doc)
-    hits = np.fromiter(counts.values(), np.int64, len(counts)) @ _category_hits(list(counts), spec)
-    return dict(zip(sorted(spec.categories), _relative(hits, counts.total()).tolist()))
-
-
 @dataclass
 class UserCorpus:
     """Per-user, per-platform collection of sanitized documents.
@@ -213,10 +192,15 @@ class UserCorpus:
         return sum(map(len, self._tokens))
 
     def ngram_features(self, orders: Iterable[int] = (1, 2, 3)) -> dict[str, float]:
-        return extract_ngrams(self._tokens, orders)
+        """This corpus's :meth:`CountTable.row` in the table of it alone."""
+        key, orders = (self.user_id, self.platform), tuple(orders)
+        return count_table({key: self}, orders).row(key, orders)
 
     def dictionary_features(self, spec: DictionarySpec) -> dict[str, float]:
-        return extract_dictionary(self._tokens, spec)
+        """This corpus's :meth:`CountTable.categories`, by category."""
+        key = (self.user_id, self.platform)
+        freqs = count_table({key: self}, (1,)).categories([key], spec)[0]
+        return dict(zip(sorted(spec.categories), freqs.tolist()))
 
 
 _parse_corpus = json_record({"user_id": str, "platform": str, "text": str})
@@ -294,7 +278,8 @@ class CountTable:
     that every n-gram outside the vocabulary reads.  Built by
     :func:`count_table`.  An id counted under two orders (the
     placeholder-shaped unigram ``<xd >`` and the bigram of ``<xd`` and ``>``)
-    is read at the higher order.
+    is read at the higher order: the higher the table counts by
+    :meth:`freqs`, the higher its row counts by :meth:`row`.
     """
 
     rows: dict[tuple[str, str], int]  # (user, platform) -> row
@@ -314,6 +299,15 @@ class CountTable:
         cols = self.counts.indices[self.counts.indptr[r] : self.counts.indptr[r + 1]]
         return set(cols[np.isin(self.orders[cols], list(orders))].tolist())
 
+    def row(self, key: tuple[str, str], orders: Iterable[int]) -> dict[str, float]:
+        """Corpus ``key``'s relative frequency of each n-gram of ``orders`` it
+        counts, by id in vocabulary order; an id it counts at two of
+        ``orders`` reads the higher."""
+        r, cols = self.rows[key], sorted(self.columns(key, orders))
+        freqs = self.counts[[r]][:, cols].toarray()[0] / self.totals[r, self.orders[cols]]
+        # sorted columns: an id's higher order overwrites its lower one
+        return dict(zip([self.vocabulary[j] for j in cols], freqs.tolist()))
+
     def freqs(self, keys: Sequence[tuple[str, str]], features: Sequence[str]) -> np.ndarray:
         """The ``keys x features`` relative frequencies: each cell is its count
         over the row's total of that column's order, 0 where the row has no
@@ -327,15 +321,17 @@ class CountTable:
         return counts.toarray()
 
     def categories(self, keys: Sequence[tuple[str, str]], spec: DictionarySpec) -> np.ndarray:
-        """The ``keys x sorted(spec.categories)`` frequencies of
-        :func:`extract_dictionary`, from a table that counts unigrams: the
+        """The ``keys x sorted(spec.categories)`` frequencies (matching tokens
+        over all tokens, a token matching several categories counted in each,
+        0 for a row without tokens), from a table that counts unigrams: the
         unigram counts times the 0/1 type x category matrix, over each row's
         unigram total."""
         rows = [self.rows[k] for k in keys]
         unigrams = np.flatnonzero(self.orders == 1)
         types = [self.vocabulary[j] for j in unigrams]
         hits = self.counts[rows][:, unigrams] @ _category_hits(types, spec)
-        return _relative(hits, self.totals[rows, 1:2])
+        totals = self.totals[rows, 1:2]
+        return np.divide(hits, totals, out=np.zeros(hits.shape), where=totals > 0)
 
     def paired_features(
         self, users: Iterable[str], orders: Iterable[int], min_fraction: float
@@ -354,11 +350,6 @@ class CountTable:
         if the vocabulary does not hold it."""
         j = bisect.bisect_right(self.vocabulary, gram) - 1
         return j if j >= 0 and self.vocabulary[j] == gram else len(self.vocabulary)
-
-
-def _relative(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """``counts / totals`` cell by cell, 0 where the total is 0."""
-    return np.divide(counts, totals, out=np.zeros(np.shape(counts)), where=totals > 0)
 
 
 def count_table(

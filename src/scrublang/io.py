@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .modeling import LexiconModel
+from .modeling import BINARY_OUTCOMES, LexiconModel
 from .spans import json_lines, json_record, wrong_json_type
 
 GENDER_CODES = {
@@ -36,10 +36,10 @@ def _outcome_value(column: str, raw: str | None) -> float | None:
     raw = (raw or "").strip()
     if not raw:
         return None
-    if column != "gender":
+    if column not in BINARY_OUTCOMES:
         return float(raw)
     if raw.lower() not in GENDER_CODES:
-        raise ValueError(f"unrecognized gender value {raw!r}")
+        raise ValueError(f"unrecognized {column} value {raw!r}")
     return GENDER_CODES[raw.lower()]
 
 

@@ -60,19 +60,14 @@ def apply_lexicon(model: LexiconModel, features: Mapping[str, float]) -> float:
     """Dot product of model weights with relative frequencies plus intercept.
 
     Features absent from the model (and model terms absent from the features)
-    contribute zero.
+    contribute zero.  The terms are summed in the model's order, whatever the
+    order of ``features``.
     """
     total = model.intercept
-    if len(model.weights) <= len(features):
-        for feat, w in model.weights.items():
-            freq = features.get(feat)
-            if freq is not None:
-                total += w * freq
-    else:
-        for feat, freq in features.items():
-            w = model.weights.get(feat)
-            if w is not None:
-                total += w * freq
+    for feat, w in model.weights.items():
+        freq = features.get(feat)
+        if freq is not None:
+            total += w * freq
     return float(total)
 
 

@@ -1,9 +1,11 @@
 """Scalar reference for the batched per-n-gram statistics: the one-column
 logistic fit and the per-feature loop that ``analysis.ngram_diffs`` replaced,
-fed by the per-user frequency dicts that ``features.CountTable`` replaced.
+fed by per-user frequency dicts counted order by order, independently of
+``features.count_table``.
 
-The tests compare ``stats.logistic_slope_p``, ``analysis.diff_ngrams`` and
-``CountTable.freqs`` against these, feature by feature.
+The tests compare ``stats.logistic_slope_p``, ``analysis.diff_ngrams``,
+``CountTable.freqs`` and ``UserCorpus.ngram_features`` against these,
+feature by feature.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from scrublang.analysis import NgramDiff, shared_users
-from scrublang.features import UserCorpus, group_frequency_filter
+from scrublang.features import UserCorpus, group_frequency_filter, tokenize
 from scrublang.stats import (
     DegenerateDataError,
     _is_constant,
@@ -142,6 +144,30 @@ def ngram_diffs_per_feature(
     ]
 
 
+def ngrams_order_by_order(
+    documents: Iterable[Sequence[str]], orders: Iterable[int] = (1, 2, 3)
+) -> dict[str, float]:
+    """Relative n-gram frequencies of token ``documents``: one walk of the
+    documents per order, lowest first, each order's counts and total kept by
+    hand, so an id counted under two orders keeps the higher one's."""
+    documents = list(documents)
+    out: dict[str, float] = {}
+    for n in sorted(set(orders)):
+        counts: dict[str, int] = {}
+        for doc in documents:
+            for i in range(len(doc) - n + 1):
+                gram = " ".join(doc[i : i + n])
+                counts[gram] = counts.get(gram, 0) + 1
+        total = sum(counts.values())
+        out.update((gram, c / total) for gram, c in counts.items())
+    return out
+
+
+def corpus_ngrams(corpus: UserCorpus, orders: Iterable[int] = (1, 2, 3)) -> dict[str, float]:
+    """:func:`ngrams_order_by_order` of ``corpus``'s documents, each tokenized afresh."""
+    return ngrams_order_by_order(map(tokenize, corpus.documents), orders)
+
+
 def feature_matrix(
     vectors: Mapping[str, Mapping[str, float]], users: Sequence[str], features: Sequence[str]
 ) -> np.ndarray:
@@ -161,8 +187,8 @@ def paired_vectors(
 ) -> tuple[list[str], dict[str, dict[str, float]], dict[str, dict[str, float]]]:
     """(shared users, their facebook n-gram vectors, their sms n-gram vectors)."""
     users = shared_users(corpora)
-    fb = {u: corpora[(u, "facebook")].ngram_features(orders) for u in users}
-    sms = {u: corpora[(u, "sms")].ngram_features(orders) for u in users}
+    fb = {u: corpus_ngrams(corpora[(u, "facebook")], orders) for u in users}
+    sms = {u: corpus_ngrams(corpora[(u, "sms")], orders) for u in users}
     return users, fb, sms
 
 

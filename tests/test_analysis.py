@@ -13,6 +13,7 @@ from scipy.special import ndtr
 
 from logistic_oracle import (
     FAILED_FITS,
+    corpus_ngrams,
     diff_ngrams_per_feature,
     ngram_diffs_per_feature,
     univariate_logistic_p,
@@ -264,10 +265,11 @@ class TestSeparation:
         users = shared_users(corpora)
         labels = np.r_[np.ones(len(users)), np.zeros(len(users))]
         rows = diff_ngrams(count_table(corpora), min_group_fraction=0.0, orders=(1,))
+        vectors = {key: corpus_ngrams(corpus, (1,)) for key, corpus in corpora.items()}
         stopped = set()
         for row in rows:
             x, y = (
-                np.array([corpora[(u, plat)].ngram_features((1,)).get(row.ngram, 0.0) for u in users])
+                np.array([vectors[(u, plat)].get(row.ngram, 0.0) for u in users])
                 for plat in ("facebook", "sms")
             )
             constant = x.min() == x.max() == y.min() == y.max()

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import logistic_oracle
 from scrublang import cli, features
 from scrublang.analysis import shared_users
 from scrublang.cli import RunConfig, main
@@ -272,7 +273,7 @@ class TestAnalysisCommands:
     def test_importance_reads_each_term_at_its_own_order(self, tmp_path):
         """A model trained on unigrams and bigrams ranks its bigrams by their
         bigram frequencies: each term's freq_diff is the difference of its
-        mean frequencies, as ``UserCorpus.ngram_features`` counts them."""
+        mean frequencies, as the order-by-order reference counts them."""
         corpus, ages, lexicon = (tmp_path / n for n in ("c.jsonl", "ages.csv", "lex.csv"))
         rows = []
         for i in range(6):
@@ -291,7 +292,8 @@ class TestAnalysisCommands:
         users = [f"u{i}" for i in range(6)]
 
         def mean(term, platform):
-            freqs = [corpora[(u, platform)].ngram_features((1, 2)).get(term, 0.0) for u in users]
+            own = [logistic_oracle.corpus_ngrams(corpora[(u, platform)], (1, 2)) for u in users]
+            freqs = [vector.get(term, 0.0) for vector in own]
             return float(np.mean(freqs))
 
         assert {r["feature"] for r in ranked} >= {"fun weekend", "ok yes", "fun"}
@@ -696,14 +698,17 @@ class TestUsageErrors:
              "bad model_orders: need one or more n-gram orders >= 1, got ''"),
             ("model_orders = 1", "model_orders = ,",
              "bad model_orders: need one or more n-gram orders >= 1, got ','"),
+            ("output_dir = out", "output_dir =", "output_dir needs a directory"),
         ],
-        ids=["negative-seed", "negative-nmf-iterations", "empty-orders", "comma-orders"],
+        ids=["negative-seed", "negative-nmf-iterations", "empty-orders", "comma-orders",
+             "empty-output-dir"],
     )
     def test_config_value_fails_at_its_line_before_redaction(
         self, tmp_path, capsys, old, new, problem
     ):
-        """A seed below 0, fewer than one NMF update or no n-gram order fails
-        the config stage with the line's path:line, before any stage runs."""
+        """A seed below 0, fewer than one NMF update, no n-gram order or no
+        output directory fails the config stage with the line's path:line,
+        before any stage runs."""
         files = make_fixture(tmp_path / "fx", n_users=6, seed=1)
         cfg = files["config"]
         lines = cfg.read_text().splitlines()
@@ -729,22 +734,42 @@ class TestErrorPath:
             ("pipeline --config {cfg}", 1,
              "error: stage 'config' failed: config must set keystroke_log, facebook_corpus, "
              "outcomes"),
+            ("train --corpus {corpus} --min-words 1 --outcomes {ages} --outcome age "
+             "--outcome nosuch --out {out}/lex.csv", 2, "error: train: outcome 'nosuch' not in "),
         ],
-        ids=["importance-unknown-outcome", "importance-no-shared-users", "pipeline-no-inputs"],
+        ids=["importance-unknown-outcome", "importance-no-shared-users", "pipeline-no-inputs",
+             "train-unknown-outcome"],
     )
     def test_bad_input(self, tmp_path, capsys, argv, rc, message):
         corpus, posts = tmp_path / "c.jsonl", tmp_path / "posts.jsonl"
-        lex, cfg = tmp_path / "lex.csv", tmp_path / "run.cfg"
+        lex, cfg, ages = tmp_path / "lex.csv", tmp_path / "run.cfg", tmp_path / "ages.csv"
         write_small_corpus(corpus)
+        write_ages(ages)
         facebook = [line for line in corpus.read_text().splitlines() if '"facebook"' in line]
         posts.write_text("\n".join(facebook) + "\n")
         lex.write_text("term,category,weight\n_intercept,age,20\nfun,age,1.0\n")
         cfg.write_text(f"seed = 1\noutput_dir = {tmp_path / 'out'}\n")
-        argv = argv.format(corpus=corpus, posts=posts, lex=lex, cfg=cfg, out=tmp_path / "out")
+        argv = argv.format(
+            corpus=corpus, posts=posts, lex=lex, cfg=cfg, ages=ages, out=tmp_path / "out"
+        )
         assert main(argv.split()) == rc
         assert message in capsys.readouterr().err
         out = tmp_path / "out"
         assert not out.exists() or list(out.iterdir()) == []
+
+    def test_train_skips_an_outcome_with_too_few_labels(self, tmp_path, capsys):
+        """An outcomes column with fewer than 3 labeled users is skipped with
+        a message, and train writes the lexicon of the other outcomes."""
+        corpus, ages, lexicon = tmp_path / "c.jsonl", tmp_path / "ages.csv", tmp_path / "lex.csv"
+        write_small_corpus(corpus)
+        ages.write_text("user_id,age,stress\n" + "".join(
+            f"u{i},{20 + 3 * i},{'' if i > 1 else i}\n" for i in range(6)
+        ))
+        argv = ["train", "--corpus", str(corpus), "--min-words", "1", "--outcomes", str(ages),
+                "--outcome", "age", "--outcome", "stress", "--out", str(lexicon)]
+        assert main(argv) == 0
+        assert "train: skipping stress: fewer than 3 labeled users" in capsys.readouterr().err
+        assert set(load_lexicon_csv(lexicon)) == {"age"}
 
 
 class TestFailedCommandCleanup:
@@ -986,7 +1011,7 @@ class TestPipeline:
             want = []
             for platform in ("facebook", "sms"):
                 for i in keep:
-                    own = corpora[(users[i], platform)].ngram_features((1, 2))
+                    own = logistic_oracle.corpus_ngrams(corpora[(users[i], platform)], (1, 2))
                     want.append(np.array([own.get(t, 0.0) for t in terms]) @ w + model.intercept)
             np.testing.assert_allclose(estimates[name], want, rtol=0, atol=1e-12)
 

@@ -1,12 +1,13 @@
-"""Tokenizer, n-gram frequencies, dictionary extraction, corpus loading."""
+"""Tokenizer, n-gram frequencies, dictionary categories, corpus loading."""
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import logistic_oracle
@@ -17,8 +18,6 @@ from scrublang.features import (
     DictionarySpec,
     UserCorpus,
     count_table,
-    extract_dictionary,
-    extract_ngrams,
     filter_min_words,
     group_frequency_filter,
     load_corpus_jsonl,
@@ -32,20 +31,12 @@ tokens_strategy = st.lists(
 )
 
 
-def ngrams_order_by_order(tokens, orders=(1, 2, 3)) -> dict[str, float]:
-    """Reference for ``extract_ngrams``: one walk of the documents per order,
-    each order's counts and total kept by hand."""
-    docs = [tokens] if tokens and isinstance(tokens[0], str) else tokens
-    out: dict[str, float] = {}
-    for n in orders:
-        counts: dict[str, int] = {}
-        for doc in docs:
-            for i in range(len(doc) - n + 1):
-                gram = " ".join(doc[i : i + n])
-                counts[gram] = counts.get(gram, 0) + 1
-        total = sum(counts.values())
-        out.update((gram, c / total) for gram, c in counts.items())
-    return out
+def ngrams(*documents: str, orders=(1, 2, 3)) -> dict[str, float]:
+    return UserCorpus("u", "sms", list(documents)).ngram_features(orders)
+
+
+def categories(text: str, spec: DictionarySpec) -> dict[str, float]:
+    return UserCorpus("u", "sms", [text] if text else []).dictionary_features(spec)
 
 
 class TestTokenize:
@@ -75,18 +66,17 @@ class TestTokenize:
 
 class TestNgrams:
     def test_single_document_counts(self):
-        vec = extract_ngrams(["a", "b", "a"])
+        vec = ngrams("a b a")
         assert vec["a"] == pytest.approx(2 / 3)
         assert vec["b"] == pytest.approx(1 / 3)
         assert vec["a b"] == pytest.approx(1 / 2)
         assert vec["b a"] == pytest.approx(1 / 2)
 
     def test_single_token_has_no_higher_orders(self):
-        vec = extract_ngrams(["a"])
-        assert vec == {"a": 1.0}
+        assert ngrams("a") == {"a": 1.0}
 
     def test_no_cross_document_ngrams(self):
-        vec = extract_ngrams([["a", "b"], ["b", "a"]])
+        vec = ngrams("a b", "b a")
         assert "b b" not in vec
         assert vec["a b"] == pytest.approx(1 / 2)
         assert vec["b a"] == pytest.approx(1 / 2)
@@ -94,27 +84,28 @@ class TestNgrams:
     @given(tokens_strategy)
     @settings(max_examples=100, deadline=None)
     def test_per_order_frequencies_sum_to_one(self, tokens):
-        vec = extract_ngrams(tokens)
+        assert tokenize(" ".join(tokens)) == tokens
+        vec = ngrams(" ".join(tokens))
         for order in (1, 2, 3):
             total = sum(v for k, v in vec.items() if k.count(" ") + 1 == order)
             if len(tokens) >= order:
                 assert total == pytest.approx(1.0)
 
     def test_placeholder_with_spaces_is_a_unigram(self):
-        assert extract_ngrams(["<work of art>", "a"], (1,)) == {"<work of art>": 0.5, "a": 0.5}
-        tokens = ["<work of art>", "a", "<work of art>", "b"]
-        vec = extract_ngrams(tokens, (1, 2, 3))
+        assert ngrams("<work of art> a", orders=(1,)) == {"<work of art>": 0.5, "a": 0.5}
+        text = "<work of art> a <work of art> b"
+        vec = ngrams(text, orders=(1, 2, 3))
         for order in (1, 2, 3):
-            by_order = extract_ngrams(tokens, (order,))
+            by_order = ngrams(text, orders=(order,))
             assert by_order.items() <= vec.items()
             assert sum(by_order.values()) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("orders", [(0,), (1, 0), (-1, 2)])
     def test_orders_below_one_rejected(self, orders):
         with pytest.raises(ValueError, match="orders must be >= 1"):
-            ngram_counts(["a", "b"], orders)
+            ngram_counts([["a", "b"]], orders)
         with pytest.raises(ValueError, match="orders must be >= 1"):
-            extract_ngrams(["a", "b"], orders)
+            ngrams("a b", orders=orders)
 
     @given(st.lists(tokens_strategy, min_size=2, max_size=4))
     @settings(max_examples=50, deadline=None)
@@ -127,35 +118,37 @@ class TestNgrams:
             sum(max(len(doc) - n + 1, 0) for doc in docs) for n in (1, 2, 3)
         ]
 
-    # "a b" as one token makes a unigram id equal to a bigram id
+    # "<xd >" is one placeholder token, "<xd\t>" the tokens "<xd" and ">":
+    # the unigram id "<xd >" equals a bigram id
     @given(
-        st.one_of(
-            st.lists(st.sampled_from(["a", "b", "a b", "<work of art>", ":)"]), max_size=12),
-            st.lists(st.lists(st.sampled_from(["a", "b", "a b", ":)"]), max_size=8), max_size=4),
+        st.lists(
+            st.lists(st.sampled_from(["a", "b", "<xd >", "<xd\t>", "<work of art>", ":)"]),
+                     max_size=8).map(" ".join),
+            max_size=4,
         ),
         st.sampled_from([(1,), (2,), (3, 1), (2, 1), (1, 2, 3)]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_one_walk_matches_order_by_order(self, tokens, orders):
-        # items in order: apply_lexicon sums a vector in its dict order
-        expected = ngrams_order_by_order(tokens, orders)
-        assert list(extract_ngrams(tokens, orders).items()) == list(expected.items())
+    @example(["ok <xd > and <xd\t> again"], (2, 1))  # "<xd >" reads 1/5, its bigram's
+    def test_one_walk_matches_order_by_order(self, docs, orders):
+        """An id counted under two orders reads the higher one, whatever the
+        order of ``orders``, as the order-by-order reference reads it."""
+        corpus = UserCorpus("u", "sms", docs)
+        assert corpus.ngram_features(orders) == logistic_oracle.corpus_ngrams(corpus, orders)
 
 
 class TestDictionary:
     def test_wildcard_prefix_counting(self):
         spec = DictionarySpec({"assent": ["yes", "ok*"]})
-        out = extract_dictionary(["yes", "ok", "okay", "no"], spec)
-        assert out == {"assent": pytest.approx(3 / 4)}
+        assert categories("yes ok okay no", spec) == {"assent": pytest.approx(3 / 4)}
 
     def test_empty_tokens_give_zero(self):
         spec = DictionarySpec({"assent": ["yes"], "negate": ["no"]})
-        assert extract_dictionary([], spec) == {"assent": 0.0, "negate": 0.0}
+        assert categories("", spec) == {"assent": 0.0, "negate": 0.0}
 
     def test_token_counts_once_per_category(self):
         spec = DictionarySpec({"a": ["ok"], "b": ["ok*"]})
-        out = extract_dictionary(["ok"], spec)
-        assert out == {"a": 1.0, "b": 1.0}
+        assert categories("ok", spec) == {"a": 1.0, "b": 1.0}
 
     def test_internal_star_rejected(self):
         with pytest.raises(DictionaryError):
@@ -164,10 +157,10 @@ class TestDictionary:
             DictionarySpec({"bad": ["*ok"]})
 
     def test_monotone_under_added_entry(self):
-        tokens = "yes ok sure fine".split()
+        text = "yes ok sure fine"
         base = DictionarySpec({"c": ["yes"]})
         larger = DictionarySpec({"c": ["yes", "sure"]})
-        assert extract_dictionary(tokens, larger)["c"] >= extract_dictionary(tokens, base)["c"]
+        assert categories(text, larger)["c"] >= categories(text, base)["c"]
 
     def test_file_parsing(self, tmp_path):
         path = tmp_path / "dict.txt"
@@ -261,10 +254,10 @@ class TestCorpus:
         assert table.freqs([("u1", "facebook")], ["a", "b", "c"]).tolist() == [[0.5, 0.5, 0.0]]
 
 
-def extract_dictionary_per_token(tokens, spec: DictionarySpec) -> dict[str, float]:
-    """Reference for ``extract_dictionary`` and ``CountTable.categories``:
-    every token occurrence scored against every category."""
-    flat = [t for doc in features._as_documents(tokens) for t in doc]
+def dictionary_per_token(documents, spec: DictionarySpec) -> dict[str, float]:
+    """Reference for ``CountTable.categories``: every token occurrence of the
+    token ``documents`` scored against every category."""
+    flat = [t for doc in documents for t in doc]
     total = len(flat)
     out = {cat: 0 for cat in spec.categories}
     for tok in flat:
@@ -283,15 +276,18 @@ SPECS = [
 
 
 def assert_table_matches_dict_path(corpora, orders, spec):
-    """``count_table`` reads every corpus as the per-corpus dict path does,
-    bit for bit: n-gram frequencies (and a column of zeros for an n-gram no
-    corpus holds), the group frequency filter and the dictionary categories."""
+    """``count_table`` reads every corpus as the per-corpus references'
+    dicts do, bit for bit: n-gram frequencies (and a column of zeros for an
+    n-gram no corpus holds), each corpus's own row, the group frequency
+    filter and the dictionary categories."""
     keys = sorted(corpora)
-    vectors = {key: corpora[key].ngram_features(orders) for key in keys}
+    vectors = {key: logistic_oracle.corpus_ngrams(corpora[key], orders) for key in keys}
     names = sorted(set().union(*vectors.values())) + ["zz unseen"]
     table = count_table(corpora, orders)
     got = table.freqs(keys, names)
     assert np.array_equal(got, logistic_oracle.feature_matrix(vectors, keys, names))
+    assert [table.row(key, orders) for key in keys] == [vectors[key] for key in keys]
+    assert [corpora[key].ngram_features(orders) for key in keys] == [vectors[key] for key in keys]
     users = shared_users(corpora)
     _, fb, sms = logistic_oracle.paired_vectors(corpora, orders)
     for fraction in (0.0, 0.5):
@@ -299,7 +295,7 @@ def assert_table_matches_dict_path(corpora, orders, spec):
         assert table.paired_features(users, orders, fraction) == want
     table = count_table(corpora, {1, *orders})
     cats = sorted(spec.categories)
-    want = [[extract_dictionary_per_token(corpora[k]._tokens, spec)[c] for c in cats] for k in keys]
+    want = [[dictionary_per_token(corpora[k]._tokens, spec)[c] for c in cats] for k in keys]
     assert table.categories(keys, spec).tolist() == want
     assert [list(corpora[k].dictionary_features(spec).values()) for k in keys] == want
 
@@ -331,3 +327,29 @@ class TestCountTable:
     def test_random_corpora_match_the_dict_path(self, docs, orders, spec):
         corpora = {key: UserCorpus(*key, texts) for key, texts in docs.items()}
         assert_table_matches_dict_path(corpora, tuple(sorted(orders)), spec)
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.sampled_from(["u0", "u1", "u2"]), st.sampled_from(features.PLATFORMS)),
+            st.lists(
+                st.lists(st.sampled_from([*WORDS, "<xd >", "<xd\t>"]), max_size=8).map(" ".join),
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True),
+    )
+    @settings(max_examples=100, deadline=None)
+    @example({("u0", "facebook"): ["ok <xd > and <xd\t> again"]}, [2, 1])
+    def test_ngram_features_is_the_table_row_in_any_order_of_orders(self, docs, orders):
+        """A corpus's ``ngram_features`` is its row of the table of every
+        corpus, the same for each permutation of ``orders``: an id counted
+        under two orders ("<xd >", the unigram and the bigram) reads the
+        higher."""
+        corpora = {key: UserCorpus(*key, texts) for key, texts in docs.items()}
+        table = count_table(corpora, orders)
+        for key, corpus in corpora.items():
+            row = table.row(key, orders)
+            for permuted in itertools.permutations(orders):
+                assert corpus.ngram_features(permuted) == row

@@ -10,6 +10,7 @@ import re
 import numpy as np
 import pytest
 
+from scrublang import io, modeling
 from scrublang.features import load_corpus_jsonl
 from scrublang.io import load_embeddings, load_lexicon_csv, load_outcomes_csv
 from scrublang.redactor import KeystrokeEvent
@@ -26,6 +27,22 @@ def write(path, text: str):
 def test_outcomes_csv_with_byte_order_mark(tmp_path):
     path = write(tmp_path / "o.csv", "user_id,age\nu0,20\n")
     assert load_outcomes_csv(path) == {"u0": {"age": 20.0}}
+
+
+def test_binary_outcomes_are_read_as_they_are_scored(tmp_path, monkeypatch):
+    """``modeling.BINARY_OUTCOMES`` decides which columns read the +/-1 codes,
+    and a value outside the codes is an error naming its column."""
+    assert io.BINARY_OUTCOMES is modeling.BINARY_OUTCOMES
+    monkeypatch.setattr(io, "BINARY_OUTCOMES", frozenset({"gender", "smoker"}))
+    path = write(tmp_path / "o.csv", "user_id,smoker,age\nu0,f,20\nu1,-1,21\n")
+    assert load_outcomes_csv(path) == {
+        "u0": {"smoker": 1.0, "age": 20.0},
+        "u1": {"smoker": -1.0, "age": 21.0},
+    }
+    write(path, "user_id,smoker\nu0,maybe\n")
+    where = "o.csv:2: bad outcomes row: unrecognized smoker value 'maybe'"
+    with pytest.raises(ValueError, match=re.escape(where)):
+        load_outcomes_csv(path)
 
 
 def test_lexicon_csv_with_byte_order_mark(tmp_path):

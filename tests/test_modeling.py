@@ -3,6 +3,7 @@ four-cell evaluation matrix, feature importance, and NMF."""
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -43,6 +44,14 @@ class TestApplyLexicon:
     def test_unknown_features_ignored(self):
         model = LexiconModel(weights={"a": 2.0}, intercept=0.0)
         assert apply_lexicon(model, {"b": 9.0, "a": 1.0}) == 2.0
+
+    def test_terms_summed_in_the_model_order(self):
+        """The sum runs over the model's terms in their order, whatever the
+        order (or the size) of the frequencies: 1e16 - 1e16 + 1 is 1, while
+        1e16 + 1 - 1e16 rounds to 0."""
+        model = LexiconModel(weights={"a": 1e16, "c": -1e16, "b": 1.0, "unread": 5.0})
+        for order in itertools.permutations("abc"):
+            assert apply_lexicon(model, {t: 1.0 for t in order}) == 1.0
 
 
 class TestRidge:
