@@ -16,6 +16,12 @@ the middle of something that could still become a match (``"call 555-1"``),
 the suite reports a provisional span reaching the end of the string.  This is
 what lets the stream redactor tag half-typed PII before it is complete.
 
+A catalogue detector skips the scan of a text that lacks one of its *gates*
+(:func:`pattern_gates`): character classes, derived once from the standard
+library's parse of the pattern, that every match holds a character of.  The
+prefix matcher is never gated, as a half-typed match may not hold them yet,
+and a pattern that parser cannot read has no gate and is always scanned.
+
 Detectors only propose matches, which may overlap; :meth:`DetectorSuite.detect`
 alone chooses among them by priority, then match length, then leftmost
 position.  Regions already covered by a ``<tag>`` placeholder are never
@@ -24,14 +30,22 @@ re-examined.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import re
+import string
 import unicodedata
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence
 
 import regex
+
+try:  # the standard library's regular-expression parser, read for catalogue gates
+    from re import _parser as _sre
+except ImportError:  # Python 3.10
+    import sre_parse as _sre
 
 from .spans import (
     RedactionSpan,
@@ -76,8 +90,11 @@ class EntityRecognizer(Protocol):
 
 
 def _regex_full_matches(
-    pattern: regex.Pattern, label: str, min_len: int, text: str
+    pattern: regex.Pattern, gates: Sequence, label: str, min_len: int, text: str
 ) -> list[RedactionSpan]:
+    for gate in gates:  # every match holds a character of each gate
+        if not (gate in text if isinstance(gate, str) else gate.search(text)):
+            return []
     out = []
     for m in pattern.finditer(text):
         if m.end() - m.start() >= min_len:
@@ -112,13 +129,129 @@ def _regex_partial_at_end(pattern: regex.Pattern, label: str, text: str) -> list
     return out
 
 
+# -- catalogue gates ---------------------------------------------------
+# A class is a frozenset of atoms: ``(first, last)`` code point ranges and the
+# categories ``\d`` and ``\s``, which hold no cased character.
+_CATEGORIES = {_sre.CATEGORY_DIGIT: r"\d", _sre.CATEGORY_SPACE: r"\s"}
+_REPEATS = {_sre.MAX_REPEAT, _sre.MIN_REPEAT, getattr(_sre, "POSSESSIVE_REPEAT", _sre.MAX_REPEAT)}
+_IGNORECASE = _sre.SRE_FLAG_IGNORECASE
+_LETTERS_AND_SPACE = string.ascii_letters + string.whitespace
+_MAX_GATES = 2  # a third gate seldom rejects a text that the first two let through
+
+
+def _cased(first: int, last: int) -> bool:
+    """Whether a character of the range has a case variant: one whose
+    ``lower()`` or ``upper()`` is not itself (``ſ``, the Kelvin sign, ``µ``)."""
+    return any(not (c.lower() == c.upper() == c) for c in map(chr, range(first, last + 1)))
+
+
+def _class(op, av, icase: bool) -> frozenset | None:
+    """The class of a literal or a non-negated class of literals, ranges,
+    ``\\d`` and ``\\s``; None for any other node, and under ``(?i)`` for a
+    class that holds a cased character, which would match its case variants."""
+    if op not in (_sre.LITERAL, _sre.IN):
+        return None
+    atoms = set()
+    for kind, value in [(op, av)] if op == _sre.LITERAL else av:
+        if kind == _sre.LITERAL:
+            atoms.add((value, value))
+        elif kind == _sre.RANGE:
+            atoms.add(value)
+        elif kind == _sre.CATEGORY and value in _CATEGORIES:
+            atoms.add(_CATEGORIES[value])
+        else:
+            return None
+    if icase and any(_cased(*a) for a in atoms if isinstance(a, tuple)):
+        return None
+    return frozenset(atoms)
+
+
+def _rank(cls: frozenset) -> tuple[int, int]:
+    """How likely a text is to hold a character of ``cls``, least likely
+    first: no ASCII letter, digit or whitespace; then digits; then ASCII
+    letters or whitespace.  Then the smaller class."""
+    ranges = [a for a in cls if isinstance(a, tuple)]
+
+    def holds(chars: str) -> bool:
+        return any(first <= ord(c) <= last for c in chars for first, last in ranges)
+
+    if r"\s" in cls or holds(_LETTERS_AND_SPACE):
+        tier = 2
+    else:
+        tier = int(r"\d" in cls or holds(string.digits))
+    return tier, sum(last - first + 1 for first, last in ranges) + 10 * (len(cls) - len(ranges))
+
+
+def _walk(nodes, icase: bool) -> list[frozenset]:
+    """The classes every match of the parsed sequence ``nodes`` holds a
+    character of.  Anchors, lookarounds and other nodes contribute nothing."""
+    classes = []
+    for op, av in nodes:
+        if op in _REPEATS:
+            if av[0] >= 1:
+                classes += _walk(av[2], icase)
+        elif op == _sre.SUBPATTERN:  # (group, flags set, flags cleared, nodes)
+            classes += _walk(av[3], bool(av[1] & _IGNORECASE or icase and not av[2] & _IGNORECASE))
+        elif op == _sre.BRANCH:  # one class from each branch, or none
+            picks = [min(_walk(branch, icase), key=_rank, default=None) for branch in av[1]]
+            if None not in picks:
+                classes.append(frozenset().union(*picks))
+        elif op == _sre.LITERAL and av == ord("{"):
+            # regex reads ``{e<=1}`` after an item as a fuzzy-match constraint
+            raise _sre.error("a literal { may be a fuzzy-match constraint")
+        else:
+            cls = _class(op, av, icase)
+            if cls is not None:
+                classes.append(cls)
+    return classes
+
+
+def _necessary_classes(pattern: str) -> list[frozenset]:
+    """The classes every match of ``pattern`` holds a character of, from the
+    standard library's parse of it; none for a pattern that parser rejects
+    or warns about (syntax only ``regex`` knows, such as ``\\p{L}``, ``(?V1)``
+    or ``[[:digit:]]``)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            parsed = _sre.parse(pattern)
+            return _walk(parsed, bool(parsed.state.flags & _IGNORECASE))
+        except (_sre.error, RecursionError, Warning):
+            return []
+
+
+def _gate(cls: frozenset) -> str | regex.Pattern:
+    """A one-character class as that character; any other as a ``regex``
+    class, so that ``\\d`` and ``\\s`` mean what they mean in the pattern."""
+    if len(cls) == 1 and isinstance(atom := next(iter(cls)), tuple) and atom[0] == atom[1]:
+        return chr(atom[0])
+    escape = functools.partial(regex.escape, special_only=False)
+    pieces = sorted(
+        a if isinstance(a, str) else "-".join(escape(chr(c)) for c in dict.fromkeys(a)) for a in cls
+    )
+    return regex.compile("[" + "".join(pieces) + "]")
+
+
+def pattern_gates(pattern: str) -> tuple[str | regex.Pattern, ...]:
+    """The gates of a catalogue pattern, most selective first: each a
+    character (tested with ``in``) or a ``regex`` class (searched), and every
+    match of the pattern holds a character of each.  A class that holds an
+    ASCII letter or whitespace is no gate, since almost every text holds one."""
+    classes = sorted(dict.fromkeys(_necessary_classes(pattern)), key=_rank)
+    return tuple(_gate(c) for c in classes if _rank(c)[0] < 2)[:_MAX_GATES]
+
+
 def regex_detector(label: str, pattern: str, min_len: int = 1) -> Detector:
-    """Build a common-format detector from one catalogue entry."""
-    compiled = regex.compile(pattern)
+    """Build a common-format detector from one catalogue entry.  Its matcher
+    skips the scan of a text that lacks one of :func:`pattern_gates`; its
+    partial matcher always scans, as a half-typed match may not hold them yet."""
+    if min_len < 1:
+        raise ValueError(f"min_len must be at least 1, got {min_len}")
+    compiled, gates = regex.compile(pattern), pattern_gates(pattern)
     return Detector(
         name=label,
         priority=PRIORITY_REGEX,
-        matcher=lambda text: _regex_full_matches(compiled, label, min_len, text),
+        matcher=lambda text: _regex_full_matches(compiled, gates, label, min_len, text),
         partial_matcher=lambda text: _regex_partial_at_end(compiled, label, text),
     )
 

@@ -278,8 +278,8 @@ class CountTable:
     that every n-gram outside the vocabulary reads.  Built by
     :func:`count_table`.  An id counted under two orders (the
     placeholder-shaped unigram ``<xd >`` and the bigram of ``<xd`` and ``>``)
-    is read at the higher order: the higher the table counts by
-    :meth:`freqs`, the higher its row counts by :meth:`row`.
+    is read in each row at the higher order that row counts, by :meth:`freqs`
+    as by :meth:`row`.
     """
 
     rows: dict[tuple[str, str], int]  # (user, platform) -> row
@@ -311,9 +311,20 @@ class CountTable:
     def freqs(self, keys: Sequence[tuple[str, str]], features: Sequence[str]) -> np.ndarray:
         """The ``keys x features`` relative frequencies: each cell is its count
         over the row's total of that column's order, 0 where the row has no
-        n-gram of that order or the feature is not in the vocabulary."""
+        n-gram of that order or the feature is not in the vocabulary.  An id
+        counted at two orders reads, in each row, the higher that row counts,
+        as :meth:`row` reads it."""
         rows = np.array([self.rows[k] for k in keys], dtype=np.intp)
-        cols = np.array([self._column(f) for f in features], dtype=np.intp)
+        first, last = np.array([self._columns(f) for f in features], dtype=np.intp).reshape(-1, 2).T
+        out = self._cells(rows, last)
+        for lower in range(1, int((last - first).max(initial=0)) + 1):
+            held = np.flatnonzero(last - lower >= first)  # ids with a column this far below
+            cells = self._cells(rows, last[held] - lower)
+            out[:, held] = np.where(out[:, held] > 0, out[:, held], cells)
+        return out
+
+    def _cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The dense ``rows x cols`` relative frequencies."""
         counts = self.counts[rows][:, cols].astype(np.float64)
         # only counted cells are divided, each by its row's total of its column's order
         cell_rows = rows[np.repeat(np.arange(len(rows)), np.diff(counts.indptr))]
@@ -345,11 +356,13 @@ class CountTable:
         cols = group_frequency_filter(used, min_fraction)  # sorted columns: sorted ids
         return list(dict.fromkeys(self.vocabulary[j] for j in cols))
 
-    def _column(self, gram: str) -> int:
-        """The column of ``gram`` at its highest order; the last, empty column
-        if the vocabulary does not hold it."""
-        j = bisect.bisect_right(self.vocabulary, gram) - 1
-        return j if j >= 0 and self.vocabulary[j] == gram else len(self.vocabulary)
+    def _columns(self, gram: str) -> tuple[int, int]:
+        """The first and the last column of ``gram``, one per order it is
+        counted at; the last, empty column twice if the vocabulary does not
+        hold it."""
+        first = bisect.bisect_left(self.vocabulary, gram)
+        last = bisect.bisect_right(self.vocabulary, gram, first) - 1
+        return (first, last) if last >= first else (len(self.vocabulary),) * 2
 
 
 def count_table(

@@ -23,12 +23,13 @@ from scrublang.detectors import (
     Gazetteer,
     entity_detector,
     load_catalogue,
+    pattern_gates,
     regex_detector,
     default_suite,
     _normalize,
 )
 from scrublang.redactor import redact_string
-from scrublang.spans import RedactionSpan, merge_spans, render_redacted, span
+from scrublang.spans import RedactionSpan, merge_spans, numbered_lines, render_redacted, span
 
 # one complete matchable string per label, used for prefix-awareness checks
 LABEL_SAMPLES = {
@@ -114,6 +115,15 @@ class TestCommonFormats:
             load_catalogue(bad)
         bad.write_text("x\t(unclosed\n")
         with pytest.raises(CatalogueError):
+            load_catalogue(bad)
+
+    @pytest.mark.parametrize("min_len", ["0", "-1"])
+    def test_min_len_below_one_names_its_line(self, tmp_path, min_len):
+        # a zero-length match would pass a min_len of 0, and fail later as an
+        # empty span that names no file
+        bad = tmp_path / "cat.tsv"
+        bad.write_text(f"num\t\\d+\t2\nx\ta*\t{min_len}\n")
+        with pytest.raises(CatalogueError, match=rf"cat\.tsv:2: .*min_len must be at least 1"):
             load_catalogue(bad)
 
 
@@ -564,3 +574,126 @@ class TestSpanAlgebra:
         s = RedactionSpan(0, 1, ("phone", "date", "phone"))
         assert s.tags == ("date", "phone")
         assert s.placeholder() == "<date|phone>"
+
+
+@functools.cache
+def bundled_entries() -> list[tuple[str, str, int]]:
+    """Each bundled catalogue line as ``(label, pattern, min_len)``."""
+    lines = numbered_lines(detectors._bundled(detectors._BUNDLED_CATALOGUE), comments=True)
+    return [(f[0], f[1], int(f[2])) for f in (line.split("\t") for _, line in lines)]
+
+
+def holds(gate, text: str) -> bool:
+    return gate in text if isinstance(gate, str) else bool(gate.search(text))
+
+
+def scanned(pattern: str, min_len: int, text: str) -> list[RedactionSpan]:
+    """The matcher's spans without its gates: a scan of every text."""
+    return [
+        span(m.start(), m.end(), "x")
+        for m in regex.finditer(pattern, text)
+        if m.end() - m.start() >= min_len
+    ]
+
+
+# gate characters, their case variants (the Kelvin sign, long s), digits of
+# other scripts (fullwidth, Arabic-Indic) and the catalogue's own samples
+_GATE_CHARS = [
+    *"aAbBkKsS@.-:$/,+ 0159\n", "\u212a", "\u017f", "\u00b5", "\u039c", "\uff11", "\u0661",
+]
+_PIECES = [*_GATE_CHARS, *(t for ts in LABEL_SAMPLES.values() for t in ts), "may 5", "5th", "pm"]
+gate_texts = st.lists(st.sampled_from(_PIECES), max_size=12).map("".join)
+
+_ATOMS = [
+    "a", "b", "k", "s", "K", "@", r"\.", "-", ":", r"\$", "1", "5", "[a-c]", "[0-5]", r"\d", r"\s",
+    "[.:@]", "[^a]", ".", "[a1]", "\u212a", "\u017f", r"\b", "^",
+]
+
+
+def _extend(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(["?", "*", "+", "{2,3}", "{0,2}", "??"])).map(
+            lambda t: f"(?:{t[0]}){t[1]}"
+        ),
+        st.lists(inner, min_size=2, max_size=3).map("".join),
+        st.lists(inner, min_size=2, max_size=3).map(lambda bs: "(?:" + "|".join(bs) + ")"),
+        st.tuples(st.sampled_from(["(", "(?=", "(?!", "(?<=", "(?<!", "(?i:", "(?-i:"]), inner).map(
+            lambda t: f"{t[0]}{t[1]})"
+        ),
+    )
+
+
+gate_patterns = st.tuples(
+    st.sampled_from(["", "(?i)"]), st.recursive(st.sampled_from(_ATOMS), _extend, max_leaves=8)
+).map("".join)
+
+
+class TestCatalogueGates:
+    def test_every_bundled_pattern_has_a_gate(self):
+        ungated = [(label, p) for label, p, _ in bundled_entries() if not pattern_gates(p)]
+        assert not ungated
+
+    @given(gate_texts)
+    @settings(max_examples=300, deadline=None)
+    @example("call 555-123-4567 or mail bob@example.com at 5:30pm for $19.99")
+    @example("\uff15\uff15\uff15-\uff11\uff12\uff13\uff14 \u0661\u0662:\u0663\u0664")
+    def test_bundled_gated_matches_equal_a_scan(self, text):
+        for (label, pattern, min_len), det in zip(bundled_entries(), catalogue()):
+            assert det.matcher(text) == [
+                RedactionSpan(s.start, s.end, (label,)) for s in scanned(pattern, min_len, text)
+            ], pattern
+
+    @given(gate_patterns, st.lists(st.sampled_from(_GATE_CHARS), max_size=16).map("".join))
+    @settings(max_examples=400, deadline=None)
+    @example("(?i:ab)", "AB")
+    @example("x(?i:k)", "xK")
+    @example("(?i)x(?-i:k)", "Xk")
+    @example("(?i)(?:s|1)", "\u017f")
+    def test_every_match_holds_each_derived_class(self, pattern, text):
+        """Every match holds a character of each class the derivation finds,
+        cased letters included (gates leave those out), and the gated matcher
+        finds what a scan finds.  Ignoring scoped flags would derive a and b
+        from ``(?i:ab)``, and k from ``x(?i:k)``."""
+        try:
+            compiled = regex.compile(pattern)
+        except regex.error:
+            return
+        gates = [detectors._gate(c) for c in detectors._necessary_classes(pattern)]
+        for m in compiled.finditer(text):
+            assert all(holds(g, m.group()) for g in gates), (pattern, m)
+        assert regex_detector("x", pattern).matcher(text) == scanned(pattern, 1, text)
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            r"\p{L}\d",  # syntax only regex knows
+            r"(?V1)\d",
+            r"[[:digit:]]x",
+            r"[\d--5]",
+            r"(?:\d:){e<=1}",  # a fuzzy-match constraint, literal text to re
+            r"\d*",  # can match the empty string
+            r"(?:\d|)-?",
+            r"(?=\d)",
+            r"[^\d]\D",  # negated classes
+            r"(?i)[a-z]",  # cased letters under (?i)
+        ],
+    )
+    def test_pattern_without_a_gate_is_always_scanned(self, pattern):
+        assert pattern_gates(pattern) == ()
+        text = "abc 5 1:2 \u0665 ab"
+        assert regex_detector("x", pattern).matcher(text) == scanned(pattern, 1, text)
+
+    def test_gates_most_selective_first(self):
+        assert pattern_gates(r"\d+@\d") == ("@", pattern_gates(r"\d")[0])
+        assert [g.pattern for g in pattern_gates(r"(?:https?://|www\.)x")] == [r"[\.\:]"]
+
+    def test_partial_matching_is_not_gated(self):
+        (det,) = [d for d in catalogue() if d.name == "email"]
+        assert det.matcher("write to bob") == []
+        assert det.partial_matcher("write to bob") == [span(9, 12, "email")]
+
+    def test_digit_and_space_classes_hold_no_cased_character(self):
+        # the derivation keeps \d and \s under (?i) on this ground
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        cased = [c for c in regex.findall(r"[\d\s]", every) if not c.lower() == c.upper() == c]
+        assert cased == []

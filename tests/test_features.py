@@ -353,3 +353,29 @@ class TestCountTable:
             row = table.row(key, orders)
             for permuted in itertools.permutations(orders):
                 assert corpus.ngram_features(permuted) == row
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.sampled_from(["u0", "u1", "u2"]), st.sampled_from(features.PLATFORMS)),
+            st.lists(
+                st.lists(st.sampled_from([*WORDS, "<xd >", "<xd\t>"]), max_size=8).map(" ".join),
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True),
+    )
+    @settings(max_examples=100, deadline=None)
+    @example({("u0", "sms"): ["<xd > z ok"], ("u1", "sms"): ["<xd\t> z ok"]}, [2, 3])
+    def test_freqs_reads_each_row_as_its_own_row(self, docs, orders):
+        """Each cell of ``freqs`` is the row's ``row`` value (0 where it has
+        none), also for an id that one corpus counts at a lower order than
+        another: u0's bigram "<xd > z" reads 0.5 next to u1's trigram."""
+        corpora = {key: UserCorpus(*key, texts) for key, texts in docs.items()}
+        table = count_table(corpora, orders)
+        keys, ids = sorted(corpora), [*dict.fromkeys(table.vocabulary), "absent"]
+        freqs = table.freqs(keys, ids)
+        for key, cells in zip(keys, freqs.tolist()):
+            row = table.row(key, orders)
+            assert cells == [row.get(i, 0.0) for i in ids]
