@@ -205,10 +205,11 @@ _LIMITS = {  # setting -> (in range, the rule); NaN is never in range
     "fdr_alpha": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
     "min_group_fraction": (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
     "timeout_ms": (lambda v: v >= 1, "be >= 1"),
-    "ridge_alpha": (lambda v: v > 0.0, "be > 0"),
+    "ridge_alpha": (lambda v: 0.0 < v < float("inf"), "be finite and > 0"),
     "nmf_k": (lambda v: v >= 1, "be >= 1"),
     "nmf_iterations": (lambda v: v >= 1, "be >= 1"),
     "seed": (lambda v: v >= 0, "be >= 0"),
+    "min_words": (lambda v: v >= 0, "be >= 0"),
     "bootstrap_iterations": (
         lambda v: v >= MIN_BOOTSTRAP_ITERATIONS, f"be >= {MIN_BOOTSTRAP_ITERATIONS}"
     ),

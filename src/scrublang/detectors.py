@@ -48,6 +48,7 @@ except ImportError:  # Python 3.10
     import sre_parse as _sre
 
 from .spans import (
+    LABEL_RE,
     RedactionSpan,
     merge_spans,
     numbered_lines,
@@ -241,10 +242,17 @@ def pattern_gates(pattern: str) -> tuple[str | regex.Pattern, ...]:
     return tuple(_gate(c) for c in classes if _rank(c)[0] < 2)[:_MAX_GATES]
 
 
+def _check_label(label: str) -> None:
+    """A ``CatalogueError`` unless ``spans.LABEL_RE`` reads all of ``label``."""
+    if not LABEL_RE.fullmatch(label):
+        raise CatalogueError(f"label {label!r} must be a-z, then a-z, 0-9, '_' or inner spaces")
+
+
 def regex_detector(label: str, pattern: str, min_len: int = 1) -> Detector:
     """Build a common-format detector from one catalogue entry.  Its matcher
     skips the scan of a text that lacks one of :func:`pattern_gates`; its
     partial matcher always scans, as a half-typed match may not hold them yet."""
+    _check_label(label)
     if min_len < 1:
         raise ValueError(f"min_len must be at least 1, got {min_len}")
     compiled, gates = regex.compile(pattern), pattern_gates(pattern)
@@ -370,6 +378,7 @@ class Gazetteer:
                 self.add(label, form)
 
     def add(self, label: str, surface: str) -> None:
+        _check_label(label)
         surface = _normalize(surface)[0].strip()
         if not surface:
             raise CatalogueError(f"empty gazetteer surface form for label {label!r}")

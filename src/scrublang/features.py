@@ -19,14 +19,13 @@ Each distinct token type is scored once against every category.
 
 :func:`count_table` is the one counter: it counts every (user, platform)
 corpus once into one :class:`CountTable`, a sparse users x vocabulary matrix
-of integer n-gram counts, one column per (n-gram, order) with the vocabulary
-sorted by id, and each row's total per order.  Every frequency is read from
+of integer n-gram counts, one column per n-gram id with the vocabulary sorted
+by id, and each row's total per order.  Every frequency is read from
 it: one corpus's n-grams (:meth:`CountTable.row`, which
 :meth:`UserCorpus.ngram_features` reads from the table of that corpus alone),
 n-gram frequencies by id (:meth:`CountTable.paired` pairs the two platforms),
 the group filter and dictionary categories (the unigram columns times a 0/1
-type x category matrix), with one ``count / total`` per cell.  An id counted
-under two orders reads the higher one, whatever the order of ``orders``.
+type x category matrix), with one ``count / total`` per cell.
 """
 
 from __future__ import annotations
@@ -273,13 +272,9 @@ def group_frequency_filter(
 @dataclass(frozen=True)
 class CountTable:
     """Integer n-gram counts of a set of corpora: one row per (user,
-    platform) corpus, in sorted order, and one column per distinct (n-gram,
-    order), sorted by n-gram id and then order, plus a last, empty column
-    that every n-gram outside the vocabulary reads.  Built by
-    :func:`count_table`.  An id counted under two orders (the
-    placeholder-shaped unigram ``<xd >`` and the bigram of ``<xd`` and ``>``)
-    is read in each row at the higher order that row counts, by :meth:`freqs`
-    as by :meth:`row`.
+    platform) corpus, in sorted order, and one column per distinct n-gram id,
+    sorted by id, plus a last, empty column that every n-gram outside the
+    vocabulary reads.  Built by :func:`count_table`.
     """
 
     rows: dict[tuple[str, str], int]  # (user, platform) -> row
@@ -301,27 +296,17 @@ class CountTable:
 
     def row(self, key: tuple[str, str], orders: Iterable[int]) -> dict[str, float]:
         """Corpus ``key``'s relative frequency of each n-gram of ``orders`` it
-        counts, by id in vocabulary order; an id it counts at two of
-        ``orders`` reads the higher."""
-        r, cols = self.rows[key], sorted(self.columns(key, orders))
-        freqs = self.counts[[r]][:, cols].toarray()[0] / self.totals[r, self.orders[cols]]
-        # sorted columns: an id's higher order overwrites its lower one
+        counts, by id in vocabulary order."""
+        cols = sorted(self.columns(key, orders))
+        freqs = self._cells(np.array([self.rows[key]]), np.array(cols, dtype=np.intp))[0]
         return dict(zip([self.vocabulary[j] for j in cols], freqs.tolist()))
 
     def freqs(self, keys: Sequence[tuple[str, str]], features: Sequence[str]) -> np.ndarray:
         """The ``keys x features`` relative frequencies: each cell is its count
         over the row's total of that column's order, 0 where the row has no
-        n-gram of that order or the feature is not in the vocabulary.  An id
-        counted at two orders reads, in each row, the higher that row counts,
-        as :meth:`row` reads it."""
+        n-gram of that order or the feature is not in the vocabulary."""
         rows = np.array([self.rows[k] for k in keys], dtype=np.intp)
-        first, last = np.array([self._columns(f) for f in features], dtype=np.intp).reshape(-1, 2).T
-        out = self._cells(rows, last)
-        for lower in range(1, int((last - first).max(initial=0)) + 1):
-            held = np.flatnonzero(last - lower >= first)  # ids with a column this far below
-            cells = self._cells(rows, last[held] - lower)
-            out[:, held] = np.where(out[:, held] > 0, out[:, held], cells)
-        return out
+        return self._cells(rows, np.array([self._column(f) for f in features], dtype=np.intp))
 
     def _cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The dense ``rows x cols`` relative frequencies."""
@@ -354,15 +339,13 @@ class CountTable:
             self.columns((u, "facebook"), orders) | self.columns((u, "sms"), orders) for u in users
         )
         cols = group_frequency_filter(used, min_fraction)  # sorted columns: sorted ids
-        return list(dict.fromkeys(self.vocabulary[j] for j in cols))
+        return [self.vocabulary[j] for j in cols]
 
-    def _columns(self, gram: str) -> tuple[int, int]:
-        """The first and the last column of ``gram``, one per order it is
-        counted at; the last, empty column twice if the vocabulary does not
-        hold it."""
-        first = bisect.bisect_left(self.vocabulary, gram)
-        last = bisect.bisect_right(self.vocabulary, gram, first) - 1
-        return (first, last) if last >= first else (len(self.vocabulary),) * 2
+    def _column(self, gram: str) -> int:
+        """The column of ``gram``; the last, empty column if the vocabulary
+        does not hold it."""
+        j = bisect.bisect_left(self.vocabulary, gram)
+        return j if self.vocabulary[j : j + 1] == [gram] else len(self.vocabulary)
 
 
 def count_table(
@@ -375,35 +358,32 @@ def count_table(
     from scipy import sparse  # on first use, so that importing the CLI stays fast
 
     orders, keys = sorted(set(orders)), sorted(corpora)
-    seen: dict[int, dict[str, int]] = {n: {} for n in orders}  # order -> id -> column
-    grams, col_orders = [], []  # each provisional column's id and order
+    column: dict[str, int] = {}  # id -> provisional column
+    col_orders = []  # each provisional column's order
     totals = np.zeros((len(keys), 1 + max(orders, default=0)), dtype=np.int64)
     nnz, indptr, indices, data = 0, [0], [np.zeros(0, np.intp)], [np.zeros(0, np.int64)]
     for r, key in enumerate(keys):
         for n, counts in ngram_counts(corpora[key]._tokens, orders).items():
-            column = seen[n]
             for gram in counts:
                 if gram not in column:
-                    column[gram] = len(grams)
-                    grams.append(gram)
+                    column[gram] = len(col_orders)
                     col_orders.append(n)
             indices.append(np.fromiter(map(column.__getitem__, counts), np.intp, len(counts)))
             data.append(np.fromiter(counts.values(), np.int64, len(counts)))
             totals[r, n] = counts.total()
             nnz += len(counts)
         indptr.append(nnz)
-    order = sorted(range(len(grams)), key=col_orders.__getitem__)
-    order.sort(key=grams.__getitem__)  # stable: by id, then by order
-    renumber = np.empty(len(grams), dtype=np.intp)
-    renumber[order] = np.arange(len(grams))
+    vocabulary = sorted(column)
+    order = [column[gram] for gram in vocabulary]  # each column's provisional column
+    renumber = np.argsort(order)  # the inverse permutation: each provisional column's column
     counts = sparse.csr_array(
         (np.concatenate(data), renumber[np.concatenate(indices)], indptr),
-        shape=(len(keys), len(grams) + 1),  # and an empty column for n-grams not counted
+        shape=(len(keys), len(order) + 1),  # and an empty column for n-grams not counted
     )
     return CountTable(
         rows={key: r for r, key in enumerate(keys)},
         users=shared_users(corpora),
-        vocabulary=[grams[j] for j in order],
+        vocabulary=vocabulary,
         orders=np.array([*(col_orders[j] for j in order), 0], dtype=np.int64),
         counts=counts,
         totals=totals,

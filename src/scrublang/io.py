@@ -94,13 +94,15 @@ def load_outcomes_csv(path: str | Path) -> dict[str, dict[str, float | None]]:
 
 def _lexicon_row(row: dict) -> tuple[str, str, float]:
     term = "_intercept" if row["term"].lower() == "_intercept" else row["term"]
-    return term, row["category"], float(row["weight"])
+    if not np.isfinite(weight := float(row["weight"])):
+        raise ValueError(f"weight {row['weight']!r} is not finite")
+    return term, row["category"], weight
 
 
 def load_lexicon_csv(path: str | Path) -> dict[str, LexiconModel]:
     """One LexiconModel per category from a ``term,category,weight`` CSV.  A row
-    with a non-numeric weight or more cells than the header, or a repeated
-    (term, category) pair, raises ``ValueError`` naming ``path:line``."""
+    with a non-numeric or non-finite weight or more cells than the header, or a
+    repeated (term, category) pair, raises ``ValueError`` naming ``path:line``."""
     weights: dict[str, dict[str, float]] = {}  # category -> term -> weight, intercept too
     rows = _csv_rows(path, "lexicon", ("term", "category", "weight"), _lexicon_row)
     for lineno, (term, cat, w) in rows:

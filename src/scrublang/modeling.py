@@ -17,7 +17,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .spans import Record
-from .stats import DegenerateDataError, _is_constant, bootstrap_score_diff, score, shared_resamples
+from .stats import DegenerateDataError, bootstrap_score_diff, score, shared_resamples
+from .stats import _finite, _is_constant
 from .stats import sign_accuracy  # noqa: F401  (re-exported: callers import it from here)
 
 CELL_ORDER = ("fb_fb", "fb_sms", "sms_sms", "sms_fb")
@@ -87,11 +88,6 @@ def labeled_users(
     return keep, np.array([float(raw[i]) for i in keep])
 
 
-def _check_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-
-
 def ridge_solve(X: np.ndarray, y: np.ndarray, alpha: float = 1.0) -> tuple[np.ndarray, float]:
     """L2-regularized least squares with an unpenalized intercept; returns
     (weights, intercept).
@@ -110,11 +106,11 @@ def ridge_solve(X: np.ndarray, y: np.ndarray, alpha: float = 1.0) -> tuple[np.nd
 def _check_fit_inputs(X: np.ndarray, ys: Sequence[np.ndarray], alpha: float) -> None:
     if X.ndim != 2 or any(y.ndim != 1 or X.shape[0] != y.shape[0] for y in ys):
         raise ValueError("X must be 2-d with rows aligned to y")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    _check_finite("X", X)
+    if not 0 < alpha < np.inf:
+        raise ValueError("alpha must be positive and finite")
+    _finite("X", X)
     for y in ys:
-        _check_finite("y", y)
+        _finite("y", y)
 
 
 def _ridge_fits(
@@ -499,7 +495,7 @@ def nmf_reduce(
     V = np.asarray(E, dtype=float)
     if V.ndim != 2:
         raise ValueError("E must be a 2-d matrix")
-    _check_finite("E", V)
+    _finite("E", V)
     n, d = V.shape
     if not (1 <= k <= min(n, d)):
         raise ValueError(f"k={k} out of range for a {n}x{d} matrix")

@@ -17,9 +17,12 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-# Placeholder grammar: lowercase labels (spaces/underscores allowed) joined by
-# "|" inside one angle-bracket pair, e.g. "<phone>" or "<date|phone>".
-PLACEHOLDER_RE = re.compile(r"<[a-z][a-z0-9_ ]*(?:\|[a-z][a-z0-9_ ]*)*>")
+# Placeholder grammar: lowercase labels joined by "|" inside one angle-bracket
+# pair, e.g. "<phone>", "<work of art>" or "<date|phone>".  A label holds spaces
+# and underscores only inside it: a placeholder ending in " >" would spell the
+# bigram id of a "<"-emoticon and ">", so one id would name two table columns.
+LABEL_RE = re.compile(r"[a-z](?:[a-z0-9_ ]*[a-z0-9_])?")
+PLACEHOLDER_RE = re.compile(rf"<{LABEL_RE.pattern}(?:\|{LABEL_RE.pattern})*>")
 
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})

@@ -130,10 +130,17 @@ def paired_t_test(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]
     return float(stats.t[0]), float(stats.p[0])
 
 
+def _finite(name: str, v) -> np.ndarray:
+    """``v`` as a float array; a NaN or an infinity in it is a ``ValueError``."""
+    v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} contains non-finite values")
+    return v
+
+
 def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
-    """Sample Pearson correlation; degenerate if either side has zero variance."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """Pearson r of finite samples; degenerate if either side has zero variance."""
+    x, y = _finite("x", x), _finite("y", y)
     if x.size != y.size or x.size < 2:
         raise ValueError("need two equal-length vectors with n >= 2")
     if _is_constant(x) or _is_constant(y):
@@ -292,12 +299,11 @@ def _sign_hits(estimates: np.ndarray, truth: np.ndarray) -> np.ndarray:
 
 def sign_accuracy(predictions: Sequence[float], y: Sequence[float]) -> float:
     """Fraction of correct signs for +/-1 targets; ties go to y's majority class."""
-    y = np.asarray(y, dtype=float)
-    return float(np.mean(_sign_hits(np.asarray(predictions, dtype=float), y)))
+    return float(np.mean(_sign_hits(_finite("predictions", predictions), _finite("y", y))))
 
 
 def score(metric: str, estimates: Sequence[float], truth: Sequence[float]) -> float:
-    """``metric`` of ``estimates`` against ``truth``: pearson_r or accuracy."""
+    """``metric`` of finite ``estimates`` against ``truth``: pearson_r or accuracy."""
     if metric not in ("pearson_r", "accuracy"):
         raise ValueError(f"unknown metric {metric!r}")
     return (pearson_r if metric == "pearson_r" else sign_accuracy)(estimates, truth)

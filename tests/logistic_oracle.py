@@ -149,7 +149,7 @@ def ngrams_order_by_order(
 ) -> dict[str, float]:
     """Relative n-gram frequencies of token ``documents``: one walk of the
     documents per order, lowest first, each order's counts and total kept by
-    hand, so an id counted under two orders keeps the higher one's."""
+    hand."""
     documents = list(documents)
     out: dict[str, float] = {}
     for n in sorted(set(orders)):

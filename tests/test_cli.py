@@ -637,6 +637,9 @@ class TestUsageErrors:
              "min_group_fraction"),
             ("evaluate {corpus} --outcomes {out}/ages.csv --out-dir {out}", "outcomes"),
             ("train {corpus} --outcomes {ages} --alpha -1 --out {out}/lex.csv", "ridge_alpha"),
+            ("train {corpus} --outcomes {ages} --alpha inf --out {out}/lex.csv", "ridge_alpha"),
+            ("evaluate {corpus} --outcomes {ages} --alpha inf --out-dir {out}", "ridge_alpha"),
+            ("features {corpus} --min-words -5 --out-dir {out}", "min_words"),
             # ages.csv doubles as a one-dimensional embeddings file
             ("evaluate {corpus} --outcomes {ages} --orders 1 --bootstrap-iterations 1000 "
              "--embeddings-fb {ages} --embeddings-sms {ages} --nmf-k 0 --out-dir {out}", "nmf_k"),
@@ -652,7 +655,9 @@ class TestUsageErrors:
         ],
         ids=["redact-negative-timeout", "redact-zero-timeout", "diff-fraction-above-1",
              "diff-negative-fraction", "diff-alpha-1.5", "evaluate-fraction-above-1",
-             "evaluate-missing-outcomes", "train-negative-ridge-alpha", "evaluate-nmf-k-0",
+             "evaluate-missing-outcomes", "train-negative-ridge-alpha",
+             "train-infinite-ridge-alpha", "evaluate-infinite-ridge-alpha",
+             "features-negative-min-words", "evaluate-nmf-k-0",
              "evaluate-0-resamples", "evaluate-999-resamples", "evaluate-negative-seed",
              "evaluate-0-nmf-iterations", "evaluate-negative-nmf-iterations"],
     )
@@ -890,6 +895,7 @@ class TestConfig:
         "line,setting",
         [("timeout_ms = 0", "timeout_ms"), ("min_group_fraction = 1.01", "min_group_fraction"),
          ("min_group_fraction = nan", "min_group_fraction"), ("ridge_alpha = 0", "ridge_alpha"),
+         ("ridge_alpha = inf", "ridge_alpha"), ("min_words = -1", "min_words"),
          ("nmf_k = 0", "nmf_k")],
     )
     def test_range_checked(self, tmp_path, line, setting):

@@ -4,6 +4,7 @@ and the prefix-awareness guarantee the stream redactor depends on."""
 from __future__ import annotations
 
 import functools
+import re
 import sys
 import unicodedata
 from dataclasses import astuple
@@ -126,6 +127,20 @@ class TestCommonFormats:
         with pytest.raises(CatalogueError, match=rf"cat\.tsv:2: .*min_len must be at least 1"):
             load_catalogue(bad)
 
+    # "e-mail" wrote "<e-mail>", which tokenizes as "<", "e", "-", "mail" and
+    # ">"; "Phone" wrote "<Phone>", which placeholder_regions does not mask
+    @pytest.mark.parametrize("label", ["e-mail", "Phone", "date|phone", "_id", "9x", ""])
+    def test_label_the_placeholder_grammar_cannot_read_names_its_line(self, tmp_path, label):
+        bad = tmp_path / "cat.tsv"
+        bad.write_text(f"num\t\\d+\n{label}\tx+\n")
+        with pytest.raises(CatalogueError, match=rf"cat\.tsv:2: .*label {re.escape(repr(label))}"):
+            load_catalogue(bad)
+
+    @pytest.mark.parametrize("label", ["phone ", " phone", "work of |art", "e-mail"])
+    def test_regex_detector_refuses_a_label_the_grammar_cannot_read(self, label):
+        with pytest.raises(CatalogueError, match="label"):
+            regex_detector(label, r"\d+")
+
 
 class TestPrefixAwareness:
     @pytest.mark.parametrize(
@@ -234,6 +249,18 @@ class TestGazetteer:
         path = tmp_path / "gaz.tsv"
         path.write_text("no-tab-here\n")
         with pytest.raises(CatalogueError):
+            Gazetteer.from_file(path)
+
+    # "Person" or "person " used to skip the capitalization rule of "person"
+    @pytest.mark.parametrize("label", ["Person", "person ", "work-of-art", ""])
+    def test_label_the_placeholder_grammar_cannot_read_is_refused(self, label):
+        with pytest.raises(CatalogueError, match="label"):
+            Gazetteer({label: ["ada lovelace"]})
+
+    def test_bad_label_names_its_line(self, tmp_path):
+        path = tmp_path / "gaz.tsv"
+        path.write_text("person\tAda Lovelace\nPerson\tGrace Hopper\n")
+        with pytest.raises(CatalogueError, match=r"gaz\.tsv:2: label 'Person'"):
             Gazetteer.from_file(path)
 
     def test_bad_bundled_line_names_its_line(self, tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import logistic_oracle
 from scrublang import features
 from scrublang.analysis import shared_users
+from scrublang.detectors import Gazetteer, load_catalogue
 from scrublang.features import (
     DictionaryError,
     DictionarySpec,
@@ -24,7 +25,7 @@ from scrublang.features import (
     ngram_counts,
     tokenize,
 )
-from scrublang.spans import PLACEHOLDER_RE
+from scrublang.spans import PLACEHOLDER_RE, span
 
 tokens_strategy = st.lists(
     st.sampled_from(["a", "b", "c", "dd", "ee", ":)", "<email>"]), min_size=1, max_size=30
@@ -62,6 +63,25 @@ class TestTokenize:
         assert PLACEHOLDER_RE.fullmatch("<work of art>")
         assert not PLACEHOLDER_RE.fullmatch("email")
         assert not PLACEHOLDER_RE.fullmatch("<3")
+        # a label holds spaces only inside it
+        assert PLACEHOLDER_RE.fullmatch("<date|phone>")
+        assert not PLACEHOLDER_RE.fullmatch("<xd >")
+        assert not PLACEHOLDER_RE.fullmatch("<a |b>")
+
+    def test_emoticon_before_a_spaced_gt_is_two_tokens(self):
+        # were "<xd >" a placeholder, its unigram id would equal the bigram id
+        # of "<xd" and ">", which "<xd\t>" spells
+        expected = ["ok", "<xd", ">", "and", "<xd", ">", "again"]
+        assert tokenize("ok <xd > and <xd\t> again") == expected
+
+    def test_every_bundled_label_and_compound_is_one_placeholder(self):
+        catalogue = {d.name for d in load_catalogue()}
+        labels = sorted(catalogue | set(Gazetteer.bundled_sample().entries))
+        assert "person" in labels and "work of art" in labels and "credit_card" in labels
+        tags = [(a,) for a in labels] + list(itertools.combinations(labels, 2))
+        for placeholder in (span(0, 1, *t).placeholder() for t in tags):
+            assert PLACEHOLDER_RE.fullmatch(placeholder)
+            assert tokenize(f"x {placeholder} y") == ["x", placeholder, "y"]
 
 
 class TestNgrams:
@@ -118,8 +138,8 @@ class TestNgrams:
             sum(max(len(doc) - n + 1, 0) for doc in docs) for n in (1, 2, 3)
         ]
 
-    # "<xd >" is one placeholder token, "<xd\t>" the tokens "<xd" and ">":
-    # the unigram id "<xd >" equals a bigram id
+    # "<xd >" and "<xd\t>" are the tokens "<xd" and ">"; "<work of art>" is
+    # one token whose id holds spaces
     @given(
         st.lists(
             st.lists(st.sampled_from(["a", "b", "<xd >", "<xd\t>", "<work of art>", ":)"]),
@@ -129,10 +149,10 @@ class TestNgrams:
         st.sampled_from([(1,), (2,), (3, 1), (2, 1), (1, 2, 3)]),
     )
     @settings(max_examples=200, deadline=None)
-    @example(["ok <xd > and <xd\t> again"], (2, 1))  # "<xd >" reads 1/5, its bigram's
+    @example(["ok <work of art> and <xd\t> again"], (2, 1))
     def test_one_walk_matches_order_by_order(self, docs, orders):
-        """An id counted under two orders reads the higher one, whatever the
-        order of ``orders``, as the order-by-order reference reads it."""
+        """One walk gives each n-gram the frequency that the order-by-order
+        reference gives it, whatever the order of ``orders``."""
         corpus = UserCorpus("u", "sms", docs)
         assert corpus.ngram_features(orders) == logistic_oracle.corpus_ngrams(corpus, orders)
 
@@ -268,6 +288,9 @@ def dictionary_per_token(documents, spec: DictionarySpec) -> dict[str, float]:
 
 
 WORDS = ["ok", "okay", "you", "fun", "i’ll", "i'll", ":)", "<work of art>", "<email>", "a", "b"]
+# emoticons that start like a placeholder, the pieces that end or join one,
+# placeholders and words, for ids that several token sequences could spell
+PIECES = ["<xd", "<x3", "<xod", ">", "|", "<a b>", "ok"]
 SPECS = [
     DictionarySpec({}),
     DictionarySpec({"assent": ["ok*", "yes"]}),
@@ -329,6 +352,23 @@ class TestCountTable:
         assert_table_matches_dict_path(corpora, tuple(sorted(orders)), spec)
 
     @given(
+        st.lists(
+            st.lists(st.tuples(st.sampled_from(PIECES), st.sampled_from([" ", "\t", ""])),
+                     min_size=1, max_size=20).map(lambda parts: "".join(map("".join, parts))),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(["ok <xd > and <xd\t> again"])
+    def test_no_id_names_two_columns(self, docs):
+        """Each n-gram id is counted under one order: no placeholder token
+        spells the id of several tokens, whatever separates the pieces."""
+        corpora = {(f"u{i}", "sms"): UserCorpus(f"u{i}", "sms", [d]) for i, d in enumerate(docs)}
+        vocabulary = count_table(corpora, (1, 2, 3)).vocabulary
+        assert len(set(vocabulary)) == len(vocabulary)
+
+    @given(
         st.dictionaries(
             st.tuples(st.sampled_from(["u0", "u1", "u2"]), st.sampled_from(features.PLATFORMS)),
             st.lists(
@@ -344,9 +384,7 @@ class TestCountTable:
     @example({("u0", "facebook"): ["ok <xd > and <xd\t> again"]}, [2, 1])
     def test_ngram_features_is_the_table_row_in_any_order_of_orders(self, docs, orders):
         """A corpus's ``ngram_features`` is its row of the table of every
-        corpus, the same for each permutation of ``orders``: an id counted
-        under two orders ("<xd >", the unigram and the bigram) reads the
-        higher."""
+        corpus, the same for each permutation of ``orders``."""
         corpora = {key: UserCorpus(*key, texts) for key, texts in docs.items()}
         table = count_table(corpora, orders)
         for key, corpus in corpora.items():
@@ -367,14 +405,13 @@ class TestCountTable:
         st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True),
     )
     @settings(max_examples=100, deadline=None)
-    @example({("u0", "sms"): ["<xd > z ok"], ("u1", "sms"): ["<xd\t> z ok"]}, [2, 3])
+    @example({("u0", "sms"): ["<xd > z ok"], ("u1", "sms"): ["<xd\t> z"]}, [2, 3])
     def test_freqs_reads_each_row_as_its_own_row(self, docs, orders):
-        """Each cell of ``freqs`` is the row's ``row`` value (0 where it has
-        none), also for an id that one corpus counts at a lower order than
-        another: u0's bigram "<xd > z" reads 0.5 next to u1's trigram."""
+        """Each cell of ``freqs`` is the row's ``row`` value, 0 where it has
+        none: u1 counts no trigram "> z ok", and no row counts "absent"."""
         corpora = {key: UserCorpus(*key, texts) for key, texts in docs.items()}
         table = count_table(corpora, orders)
-        keys, ids = sorted(corpora), [*dict.fromkeys(table.vocabulary), "absent"]
+        keys, ids = sorted(corpora), [*table.vocabulary, "absent"]
         freqs = table.freqs(keys, ids)
         for key, cells in zip(keys, freqs.tolist()):
             row = table.row(key, orders)

@@ -51,6 +51,14 @@ def test_lexicon_csv_with_byte_order_mark(tmp_path):
     assert (model.intercept, model.weights) == (1.5, {"fun": 2.0})
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf", "-Infinity", "1e999"])
+def test_lexicon_weight_must_be_finite(tmp_path, weight):
+    path = write(tmp_path / "lex.csv", f"term,category,weight\nfun,age,1\nok,age,{weight}\n")
+    where = f"lex.csv:3: bad lexicon row: weight {weight!r} is not finite"
+    with pytest.raises(ValueError, match=re.escape(where)):
+        load_lexicon_csv(path)
+
+
 def test_embeddings_csv_with_byte_order_mark(tmp_path):
     path = write(tmp_path / "emb.csv", "user_id,d0,d1\nu0,1,2\n")
     ((user, vector),) = load_embeddings(path).items()

@@ -94,6 +94,8 @@ class TestRidge:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             ridge_solve(np.array([[np.nan], [1.0]]), np.array([1.0, 2.0]), 1.0)
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            ridge_solve(np.array([[0.0], [1.0]]), np.array([1.0, 2.0]), np.inf)
 
     def test_zero_variance_column_dropped(self):
         rng = np.random.default_rng(4)
@@ -199,7 +201,7 @@ class TestLoocv:
         y = np.arange(6.0)
         with pytest.raises(ValueError, match="non-finite"):
             loocv(np.where(np.eye(6, 2, dtype=bool), np.nan, X), y, 1.0, standardize="global")
-        for alpha in (0.0, -1.0):
+        for alpha in (0.0, -1.0, np.inf, np.nan):  # an infinite penalty gave nan weights
             with pytest.raises(ValueError, match="alpha must be positive"):
                 loocv(X, y, alpha, standardize="global")
 

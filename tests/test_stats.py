@@ -42,6 +42,7 @@ from scrublang.stats import (
     paired_stats,
     paired_t_test,
     pearson_r,
+    score,
 )
 from scrublang.synth import make_fixture
 
@@ -200,6 +201,25 @@ class TestPearson:
         except DegenerateDataError:
             return
         assert pearson_r(scale * x + shift, y) == pytest.approx(r, abs=1e-6)
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_is_an_error(self, bad):
+        # max(-1.0, nan) is -1.0: a NaN used to read as a perfect negative r
+        with pytest.raises(ValueError, match="finite"):
+            pearson_r([bad, 1, 2], [1, 2, 3])
+        with pytest.raises(ValueError, match="finite"):
+            pearson_r([1, 2, 3], [1, bad, 2])
+
+
+@pytest.mark.parametrize("metric", ["pearson_r", "accuracy"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_score_of_non_finite_input_is_an_error(metric, bad):
+    # a NaN estimate used to count as a tie, so the accuracy below read 1.0
+    with pytest.raises(ValueError, match="finite"):
+        score(metric, [bad, 1, -1], [-1, 1, -1])
+    with pytest.raises(ValueError, match="finite"):
+        score(metric, [-1, 1, -1], [1, bad, -1])
 
 
 class TestBhFdr:
