@@ -16,11 +16,13 @@ the middle of something that could still become a match (``"call 555-1"``),
 the suite reports a provisional span reaching the end of the string.  This is
 what lets the stream redactor tag half-typed PII before it is complete.
 
-A catalogue detector skips the scan of a text that lacks one of its *gates*
-(:func:`pattern_gates`): character classes, derived once from the standard
-library's parse of the pattern, that every match holds a character of.  The
-prefix matcher is never gated, as a half-typed match may not hold them yet,
-and a pattern that parser cannot read has no gate and is always scanned.
+A catalogue detector carries *gates* (:func:`pattern_gates`): character
+classes, derived once from the standard library's parse of the pattern, that
+every match holds a character of.  Its matcher is a plain scan;
+:meth:`DetectorSuite.detect` tests each distinct gate once per text and skips
+the matcher of a detector whose gate the text lacks.  The prefix matcher is
+never gated, as a half-typed match may not hold them yet, and a pattern that
+parser cannot read has no gate and is always scanned.
 
 Detectors only propose matches, which may overlap; :meth:`DetectorSuite.detect`
 alone chooses among them by priority, then match length, then leftmost
@@ -38,7 +40,7 @@ import unicodedata
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Hashable, Iterable, Protocol, Sequence
 
 import regex
 
@@ -74,12 +76,17 @@ class Detector:
         matcher: Complete-match function: string -> spans within the string.
         partial_matcher: Optional prefix matcher: string -> spans that reach
             the end of the string and could still grow into a complete match.
+        gates: Characters (tested with ``in``) and ``regex`` classes
+            (searched): every complete match holds a character of each, so
+            :meth:`DetectorSuite.detect` does not call ``matcher`` on a text
+            that lacks one.
     """
 
     name: str
     priority: int
     matcher: Callable[[str], list[RedactionSpan]]
     partial_matcher: Callable[[str], list[RedactionSpan]] | None = None
+    gates: tuple = ()
 
 
 class EntityRecognizer(Protocol):
@@ -91,11 +98,8 @@ class EntityRecognizer(Protocol):
 
 
 def _regex_full_matches(
-    pattern: regex.Pattern, gates: Sequence, label: str, min_len: int, text: str
+    pattern: regex.Pattern, label: str, min_len: int, text: str
 ) -> list[RedactionSpan]:
-    for gate in gates:  # every match holds a character of each gate
-        if not (gate in text if isinstance(gate, str) else gate.search(text)):
-            return []
     out = []
     for m in pattern.finditer(text):
         if m.end() - m.start() >= min_len:
@@ -242,6 +246,18 @@ def pattern_gates(pattern: str) -> tuple[str | regex.Pattern, ...]:
     return tuple(_gate(c) for c in classes if _rank(c)[0] < 2)[:_MAX_GATES]
 
 
+def _holds(gate, text: str) -> bool:
+    """Whether ``text`` holds a character of ``gate``."""
+    return gate in text if isinstance(gate, str) else gate.search(text) is not None
+
+
+def gate_value(gate) -> Hashable:
+    """What makes two gates one: a character, or a class's type, pattern
+    and flags (``regex`` patterns compare by identity, and equal classes may
+    be compiled apart)."""
+    return gate if isinstance(gate, str) else (type(gate), gate.pattern, gate.flags)
+
+
 def _check_label(label: str) -> None:
     """A ``CatalogueError`` unless ``spans.LABEL_RE`` reads all of ``label``."""
     if not LABEL_RE.fullmatch(label):
@@ -249,18 +265,18 @@ def _check_label(label: str) -> None:
 
 
 def regex_detector(label: str, pattern: str, min_len: int = 1) -> Detector:
-    """Build a common-format detector from one catalogue entry.  Its matcher
-    skips the scan of a text that lacks one of :func:`pattern_gates`; its
-    partial matcher always scans, as a half-typed match may not hold them yet."""
+    """Build a common-format detector from one catalogue entry, gated by
+    :func:`pattern_gates`.  Both matchers scan every text they are given."""
     _check_label(label)
     if min_len < 1:
         raise ValueError(f"min_len must be at least 1, got {min_len}")
-    compiled, gates = regex.compile(pattern), pattern_gates(pattern)
+    compiled = regex.compile(pattern)
     return Detector(
         name=label,
         priority=PRIORITY_REGEX,
-        matcher=lambda text: _regex_full_matches(compiled, gates, label, min_len, text),
+        matcher=lambda text: _regex_full_matches(compiled, label, min_len, text),
         partial_matcher=lambda text: _regex_partial_at_end(compiled, label, text),
+        gates=pattern_gates(pattern),
     )
 
 
@@ -303,9 +319,6 @@ def load_catalogue(path: str | Path | None = None) -> list[Detector]:
 # default-ignorable character (soft hyphen, zero-width space) does not end one
 _WORD_RUN = regex.compile(r"[\w'’][\w'’.\p{Default_Ignorable_Code_Point}-]*")
 _IGNORABLE = regex.compile(r"\p{Default_Ignorable_Code_Point}+")
-# the word starts of ASCII text: there stdlib ``re``'s ``\w`` (``isalnum()`` or
-# ``_``) is the word rule, and it runs faster than a loop
-_ASCII_START = re.compile(r"(?<!\w)\S")
 _CLUSTER = regex.compile(r"\X")
 _ODD_SPACE = re.compile(r"[^\S ]| {2}")  # whitespace that normalization rewrites
 
@@ -319,8 +332,6 @@ def _is_word_char(c: str) -> bool:
 def _word_starts(text: str) -> list[int]:
     """Where an occurrence may start: each non-blank character that no word
     character precedes."""
-    if text.isascii():
-        return [m.start() for m in _ASCII_START.finditer(text)]
     return [
         i for i, c in enumerate(text)
         if not c.isspace() and (i == 0 or not _is_word_char(text[i - 1]))
@@ -373,6 +384,7 @@ class Gazetteer:
     def __init__(self, entries: dict[str, Iterable[str]] | None = None) -> None:
         self.entries: dict[str, set[str]] = {}
         self._initials: set[str] = set()  # the first character of every form
+        self._index: tuple[list[tuple[str, str]], re.Pattern] | None = None  # see _scan
         for label, forms in (entries or {}).items():
             for form in forms:
                 self.add(label, form)
@@ -384,6 +396,7 @@ class Gazetteer:
             raise CatalogueError(f"empty gazetteer surface form for label {label!r}")
         self.entries.setdefault(label, set()).add(surface)
         self._initials.add(surface[0])
+        self._index = None
 
     @classmethod
     def from_file(cls, path) -> "Gazetteer":
@@ -406,11 +419,28 @@ class Gazetteer:
 
     # -- matching ------------------------------------------------------
 
+    def _scan(self) -> tuple[list[tuple[str, str]], re.Pattern]:
+        """Every ``(label, form)``, labels in sorted order, and the starts of
+        ASCII text: a character that no word character precedes and whose
+        lower case is an initial (there stdlib ``re``'s ``\\w``, ``isalnum()``
+        or ``_``, is the word rule, and it runs faster than a loop).  Built
+        on the first match after an ``add``."""
+        index = self._index
+        if index is None:
+            order = [(label, f) for label, forms in sorted(self.entries.items()) for f in forms]
+            firsts = {c for i in self._initials for c in i + i.upper() if c.isascii()}
+            chars = "".join(map(re.escape, sorted(firsts)))
+            index = self._index = (order, re.compile(rf"(?<!\w)[{chars}]" if chars else "(?!)"))
+        return index
+
     def _starts(self, text: str) -> tuple[str, Sequence[int], list[tuple[int, int]]]:
         """``_normalize(text)``'s form and map back to ``text``, and the
         ``(offset, normalized offset)`` of each ``_word_starts`` offset that
         begins a cluster whose normalized form begins some entry."""
         norm, norm_at, text_at = _normalize(text)
+        if text.isascii():  # a non-blank ASCII character is a cluster of its own
+            firsts = self._scan()[1].finditer(text)
+            return norm, text_at, [(m.start(), norm_at[m.start()]) for m in firsts]
         starts = []
         for start in _word_starts(text):
             at = norm_at[start]
@@ -431,20 +461,20 @@ class Gazetteer:
         first.  The spans may overlap: :meth:`DetectorSuite.detect` chooses
         among them."""
         norm, text_at, starts = self._starts(text)
+        order = self._scan()[0]
         spans: list[RedactionSpan] = []
         for start, at in starts:
             best: tuple[int, str] | None = None
-            for label, forms in sorted(self.entries.items()):
-                for form in forms:
-                    if not norm.startswith(form, at):
-                        continue
-                    end = text_at[at + len(form)]
-                    if end < 0 or end < len(text) and _is_word_char(text[end]):
-                        continue  # ends inside a cluster, or a word character follows
-                    if not self._capitalized_ok(label, text[:end], start):
-                        continue
-                    if best is None or end > best[0]:
-                        best = (end, label)
+            for label, form in order:
+                if not norm.startswith(form, at):
+                    continue
+                end = text_at[at + len(form)]
+                if end < 0 or end < len(text) and _is_word_char(text[end]):
+                    continue  # ends inside a cluster, or a word character follows
+                if not self._capitalized_ok(label, text[:end], start):
+                    continue
+                if best is None or end > best[0]:
+                    best = (end, label)
             if best is not None:
                 spans.append(RedactionSpan(start, best[0], (best[1],)))
         return spans
@@ -455,16 +485,16 @@ class Gazetteer:
         norm, _, starts = self._starts(text)
         spans: list[RedactionSpan] = []
         proposed: set[tuple[str, str]] = set()
+        order = self._scan()[0]
         for start, at in starts:
             rest = norm[at:]
-            for label, forms in self.entries.items():
-                for form in forms:
-                    if len(rest) >= len(form) or not form.startswith(rest):
-                        continue
-                    if (label, form) in proposed or not self._capitalized_ok(label, text, start):
-                        continue
-                    proposed.add((label, form))
-                    spans.append(RedactionSpan(start, len(text), (label,)))
+            for label, form in order:
+                if len(rest) >= len(form) or not form.startswith(rest):
+                    continue
+                if (label, form) in proposed or not self._capitalized_ok(label, text, start):
+                    continue
+                proposed.add((label, form))
+                spans.append(RedactionSpan(start, len(text), (label,)))
         return spans
 
 
@@ -504,16 +534,26 @@ class DetectorSuite:
         Resolution order: detector priority, then longest match, then leftmost,
         then tag name (so permuting same-priority detectors cannot change the
         result).  Existing placeholders in the text are masked out first.
+        A detector whose gate the text lacks is not called, and each
+        distinct gate (:func:`gate_value`) is tested once.
         """
         if not text:
             return []
         masked = placeholder_regions(text)
+        held: dict = {}  # gate's value -> whether the text holds it
         candidates: list[tuple[int, int, int, str, RedactionSpan]] = []
         for det in self.detectors:
-            for s in det.matcher(text):
-                if any(s.start < mend and mstart < s.end for mstart, mend in masked):
-                    continue
-                candidates.append((det.priority, -(s.end - s.start), s.start, det.name, s))
+            for gate in det.gates:  # a text that lacks a gate holds no match
+                key = gate_value(gate)
+                if key not in held:
+                    held[key] = _holds(gate, text)
+                if not held[key]:
+                    break
+            else:
+                for s in det.matcher(text):
+                    if any(s.start < mend and mstart < s.end for mstart, mend in masked):
+                        continue
+                    candidates.append((det.priority, -(s.end - s.start), s.start, det.name, s))
         candidates.sort(key=lambda c: c[:4])
         accepted: list[RedactionSpan] = []
         for _, _, _, _, s in candidates:

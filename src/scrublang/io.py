@@ -128,23 +128,31 @@ def save_lexicon_csv(models: Mapping[str, LexiconModel], path: str | Path) -> No
 _parse_embedding = json_record({"user_id": str, "embedding": list})
 
 
+def _finite_vector(values: Iterable) -> list[float]:
+    vector = [float(v) for v in values]
+    if not np.isfinite(vector).all():
+        bad = next(v for v, x in zip(values, vector) if not np.isfinite(x))
+        raise ValueError(f"embedding value {bad!r} is not finite")
+    return vector
+
+
 def _embedding_record(line: str) -> tuple[str, list[float]]:
     user, values = _parse_embedding(line)
     if not all(type(v) in (int, float) for v in values):
         raise wrong_json_type("embedding", "array of numbers", values)
-    return user, [float(v) for v in values]
+    return user, _finite_vector(values)
 
 
 def _embedding_row(row: dict) -> tuple[str, list[float]]:
     user = row.pop("user_id")
-    return user, [float(v) for v in row.values()]
+    return user, _finite_vector(row.values())
 
 
 def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
     """User id -> embedding vector, in file order.  A malformed row (a JSON
     line needs a string ``user_id`` and an array of numbers, not booleans), a
-    row whose width differs from the first row's, or a second row for the
-    same user, raises ``ValueError`` naming ``path:line``."""
+    NaN or infinite value, a row whose width differs from the first row's, or
+    a second row for the same user, raises ``ValueError`` naming ``path:line``."""
     path = Path(path)
     if path.suffix in (".jsonl", ".ndjson"):
         records = json_lines(path, "embedding record", _embedding_record)

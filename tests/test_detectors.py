@@ -3,9 +3,11 @@ and the prefix-awareness guarantee the stream redactor depends on."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import re
 import sys
+import threading
 import unicodedata
 from dataclasses import astuple
 
@@ -528,11 +530,17 @@ _WORDS = [
 ]
 
 
+# words that keep a text on the ASCII path of the gazetteer's start finder
+_ASCII_WORDS = [
+    *(w for w in _WORDS if w.isascii() and "  " not in w), "_Lee", "Ho-June", "Lee.", "ivy",
+]
+
+
 @st.composite
-def entries_and_text(draw) -> tuple[dict[str, list[str]], str]:
+def entries_and_text(draw, pool: list[str] = _WORDS) -> tuple[dict[str, list[str]], str]:
     """A text, and entries cut from runs of its words so that they overlap
     each other and the dates and times around them."""
-    words = draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=10))
+    words = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
     entries: dict[str, list[str]] = {}
     for _ in range(draw(st.integers(0, 4))):
         start = draw(st.integers(0, len(words) - 1))
@@ -562,6 +570,70 @@ class TestChoiceProperty:
             assert any(
                 k[1] < c[2] and c[1] < k[2] and order[k] < order[c] for k in kept
             ), f"{c} dropped without an earlier overlapping kept span"
+
+
+class TestGazetteerScan:
+    """The scan order and the ASCII start finder are built on the first match
+    after an ``add``; neither changes what the gazetteer finds."""
+
+    @given(st.one_of(entries_and_text(), entries_and_text(_ASCII_WORDS)))
+    @settings(max_examples=200, deadline=None)
+    @example(({"person": ["june lee"], "org": ["lee"]}, "x-Lee re.June Lee a2Lee _Lee"))
+    def test_find_entities_is_the_longest_at_each_start(self, case):
+        entries, text = case
+        found = Gazetteer(entries).find_entities(text)
+        assert sorted((PRIORITY_ENTITY, s.start, s.end, s.tags[0]) for s in found) == sorted(
+            longest_at_starts(entries, text)
+        )
+
+    @given(
+        # ı and ſ: forms whose initial's upper case is ASCII
+        st.lists(st.sampled_from(["kim", "Sam", "\u0131ris", "\u017fam", "_x", "'lee", "9 a", ".n"])),
+        st.text(alphabet="aiksxIKSX019_'.- \n", max_size=30),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(["\u0131ris", "\u017fam"], "IRIS SAM iris sam")
+    def test_ascii_start_finder_misses_no_start(self, forms, text):
+        """Every start that ``_word_starts`` yields and the initials admit
+        is found; an extra candidate is allowed, as no form matches there."""
+        gaz = Gazetteer({"org": forms})
+        fast = {m.start() for m in gaz._scan()[1].finditer(text)}
+        lower = text.lower()
+        assert {i for i in detectors._word_starts(text) if lower[i] in gaz._initials} <= fast
+
+    def test_form_added_after_a_match_is_found(self):
+        gaz = Gazetteer({"org": ["acme"]})
+        text = "Acme met Zeta"
+        assert gaz.find_entities(text) == [span(0, 4, "org")]
+        assert gaz.find_partial_entities("Acme met Ze") == []
+        gaz.add("org", "zeta")
+        assert gaz.find_entities(text) == [span(0, 4, "org"), span(9, 13, "org")]
+        assert gaz.find_partial_entities("Acme met Ze") == [span(9, 11, "org")]
+
+    def test_label_added_later_still_wins_a_tie_if_it_sorts_first(self):
+        gaz = Gazetteer()
+        for label in ["place", "org", "location"]:
+            gaz.add(label, "jordan")
+            assert gaz.find_entities("in Jordan") == [span(3, 9, label)]
+
+    def test_threads_sharing_a_fresh_gazetteer_agree_with_a_serial_run(self):
+        entries = {"person": ["june lee", "lee ho"], "org": ["acme", "o'brien"], "at": ["straße"]}
+        texts = ["see June Lee Ho", "O'Brien at ACME", "x-Lee re.June", "Straße", "Jos\u00e9 Lee"]
+        texts *= 20
+        serial = [Gazetteer(entries).find_entities(t) for t in texts]
+        gaz, start = Gazetteer(entries), threading.Barrier(4)
+        results: list = [None] * 4
+
+        def run(k: int) -> None:
+            start.wait()  # all four reach the first match together
+            results[k] = [gaz.find_entities(t) for t in texts]
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert results == [serial] * 4
 
 
 class TestPartialProperty:
@@ -615,7 +687,7 @@ def holds(gate, text: str) -> bool:
 
 
 def scanned(pattern: str, min_len: int, text: str) -> list[RedactionSpan]:
-    """The matcher's spans without its gates: a scan of every text."""
+    """A catalogue matcher's spans: a scan of the text."""
     return [
         span(m.start(), m.end(), "x")
         for m in regex.finditer(pattern, text)
@@ -650,6 +722,24 @@ def _extend(inner):
     )
 
 
+def ungated(dets: list[Detector]) -> DetectorSuite:
+    """A suite of ``dets`` with every gate emptied: each scans every text."""
+    return DetectorSuite(dataclasses.replace(d, gates=()) for d in dets)
+
+
+class CountingGate:
+    """A stub gate, a class of the digit 5 that counts its searches."""
+
+    pattern, flags = "[5]", 0
+
+    def __init__(self) -> None:
+        self.searches = 0
+
+    def search(self, text: str):
+        self.searches += 1
+        return regex.search(self.pattern, text)
+
+
 gate_patterns = st.tuples(
     st.sampled_from(["", "(?i)"]), st.recursive(st.sampled_from(_ATOMS), _extend, max_leaves=8)
 ).map("".join)
@@ -664,11 +754,43 @@ class TestCatalogueGates:
     @settings(max_examples=300, deadline=None)
     @example("call 555-123-4567 or mail bob@example.com at 5:30pm for $19.99")
     @example("\uff15\uff15\uff15-\uff11\uff12\uff13\uff14 \u0661\u0662:\u0663\u0664")
-    def test_bundled_gated_matches_equal_a_scan(self, text):
+    def test_gated_detect_equals_an_ungated_detect(self, text):
+        """The default suite, and each bundled pattern alone, detect with
+        their gates what they detect with none; a matcher is a plain scan."""
+        suite = default_suite()
+        assert suite.detect(text) == ungated(suite.detectors).detect(text)
         for (label, pattern, min_len), det in zip(bundled_entries(), catalogue()):
             assert det.matcher(text) == [
                 RedactionSpan(s.start, s.end, (label,)) for s in scanned(pattern, min_len, text)
             ], pattern
+            assert DetectorSuite([det]).detect(text) == ungated([det]).detect(text), pattern
+
+    def test_a_shared_gate_is_searched_once_per_text(self):
+        gate, called = CountingGate(), []
+
+        def matcher(text):
+            called.append(text)
+            return [span(0, 1, "x")]
+
+        suite = DetectorSuite(Detector(n, PRIORITY_REGEX, matcher, gates=(gate,)) for n in "abc")
+        assert suite.detect("5 and 5") == [span(0, 1, "x")]
+        assert (gate.searches, len(called)) == (1, 3)
+        assert suite.detect("no digit") == []
+        assert (gate.searches, len(called)) == (2, 3)
+
+    def test_equal_patterns_compiled_apart_are_one_gate(self, monkeypatch):
+        first = regex.compile(r"[\d]")
+        regex.purge()
+        second, ascii_only = regex.compile(r"[\d]"), regex.compile(r"[\d]", regex.ASCII)
+        assert first is not second
+        searched = []
+        monkeypatch.setattr(detectors, "_holds", lambda g, t: searched.append(g) or holds(g, t))
+        dets = [
+            Detector(name, PRIORITY_REGEX, lambda text: [], gates=(g,))
+            for name, g in [("a", first), ("b", second), ("c", ascii_only)]
+        ]
+        DetectorSuite(dets).detect("call 5")
+        assert searched == [first, ascii_only]  # the flags are part of a gate's value
 
     @given(gate_patterns, st.lists(st.sampled_from(_GATE_CHARS), max_size=16).map("".join))
     @settings(max_examples=400, deadline=None)
@@ -688,7 +810,8 @@ class TestCatalogueGates:
         gates = [detectors._gate(c) for c in detectors._necessary_classes(pattern)]
         for m in compiled.finditer(text):
             assert all(holds(g, m.group()) for g in gates), (pattern, m)
-        assert regex_detector("x", pattern).matcher(text) == scanned(pattern, 1, text)
+        det = regex_detector("x", pattern)
+        assert DetectorSuite([det]).detect(text) == ungated([det]).detect(text)
 
     @pytest.mark.parametrize(
         "pattern",
@@ -706,9 +829,10 @@ class TestCatalogueGates:
         ],
     )
     def test_pattern_without_a_gate_is_always_scanned(self, pattern):
-        assert pattern_gates(pattern) == ()
+        assert pattern_gates(pattern) == regex_detector("x", pattern).gates == ()
         text = "abc 5 1:2 \u0665 ab"
-        assert regex_detector("x", pattern).matcher(text) == scanned(pattern, 1, text)
+        suite = DetectorSuite([regex_detector("x", pattern)])
+        assert suite.detect(text) == scanned(pattern, 1, text)
 
     def test_gates_most_selective_first(self):
         assert pattern_gates(r"\d+@\d") == ("@", pattern_gates(r"\d")[0])
@@ -716,7 +840,8 @@ class TestCatalogueGates:
 
     def test_partial_matching_is_not_gated(self):
         (det,) = [d for d in catalogue() if d.name == "email"]
-        assert det.matcher("write to bob") == []
+        assert det.gates == ("@", ".")
+        assert DetectorSuite([det]).detect("write to bob") == []
         assert det.partial_matcher("write to bob") == [span(9, 12, "email")]
 
     def test_digit_and_space_classes_hold_no_cased_character(self):

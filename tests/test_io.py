@@ -59,6 +59,23 @@ def test_lexicon_weight_must_be_finite(tmp_path, weight):
         load_lexicon_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+def test_embedding_csv_value_must_be_finite(tmp_path, cell):
+    path = write(tmp_path / "emb.csv", f"user_id,d0,d1\nu0,1,2\nu1,3,{cell}\n")
+    where = f"emb.csv:3: bad embeddings row: embedding value {cell!r} is not finite"
+    with pytest.raises(ValueError, match=re.escape(where)):
+        load_embeddings(path)
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_embedding_json_value_must_be_finite(tmp_path, value):
+    path = tmp_path / "emb.jsonl"
+    path.write_text(json.dumps(VECTOR) + f'\n{{"user_id": "u1", "embedding": [3, {value}]}}\n')
+    where = f"emb.jsonl:2: bad embedding record: embedding value {float(value)!r} is not finite"
+    with pytest.raises(ValueError, match=re.escape(where)):
+        load_embeddings(path)
+
+
 def test_embeddings_csv_with_byte_order_mark(tmp_path):
     path = write(tmp_path / "emb.csv", "user_id,d0,d1\nu0,1,2\n")
     ((user, vector),) = load_embeddings(path).items()
