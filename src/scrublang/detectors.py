@@ -1,15 +1,16 @@
 """Pluggable PII detector suite.
 
-Three kinds of detectors cooperate, mirrored by their priorities:
+Two kinds of detectors cooperate, mirrored by their priorities:
 
-* structural flags (priority 0) are handled upstream by the stream redactor —
-  the device itself marks password/phone fields, no string matching involved;
 * common data formats (priority 10) are regular expressions loaded from a
   versioned catalogue file (phones, emails, URLs, IPs, addresses, ZIPs, SSNs,
   card numbers, dates, times, prices);
 * entity recognition (priority 20) is an interface; the built-in implementation
   is a gazetteer with longest-match, case-insensitive lookup plus a
   capitalization requirement for person names.
+
+Password and phone-number fields need no detector: the device itself flags
+them, and the stream redactor drops their text structurally.
 
 Every detector also supports *prefix awareness*: given a string that ends in
 the middle of something that could still become a match (``"call 555-1"``),
@@ -57,7 +58,6 @@ from .spans import (
     placeholder_regions,
 )
 
-PRIORITY_STRUCTURAL = 0
 PRIORITY_REGEX = 10
 PRIORITY_ENTITY = 20
 
@@ -114,24 +114,20 @@ def _regex_partial_at_end(pattern: regex.Pattern, label: str, text: str) -> list
     # ("a.b@x.co" inside a half-typed "a.b@x.com..."), so starts within a
     # complete match are re-probed with fullmatch, which only succeeds
     # partially if the suffix could still grow into a match.
-    out = []
     pos = 0
     n = len(text)
     while pos <= n:
         m = pattern.search(text, pos, partial=True)
         if m is None:
             break
-        if m.partial:
-            if m.end() > m.start():  # ignore zero-width partials
-                out.append(RedactionSpan(m.start(), n, (label,)))
-            break
+        if m.partial:  # ignore zero-width partials
+            return [RedactionSpan(m.start(), n, (label,))] if m.end() > m.start() else []
         for start in range(m.start(), min(m.end(), n)):
             fm = pattern.fullmatch(text, start, partial=True)
-            if fm is not None and fm.partial and n > start:
-                out.append(RedactionSpan(start, n, (label,)))
-                return out
+            if fm is not None and fm.partial:
+                return [RedactionSpan(start, n, (label,))]
         pos = max(m.end(), m.start() + 1)
-    return out
+    return []
 
 
 # -- catalogue gates ---------------------------------------------------
@@ -570,14 +566,6 @@ class DetectorSuite:
             if det.partial_matcher is not None:
                 spans.extend(det.partial_matcher(text))
         return merge_spans(spans)
-
-    def provisional(self, text: str) -> list[RedactionSpan]:
-        """Complete matches plus in-progress tails, merged.
-
-        This is what a partial keystroke snapshot gets tagged with before the
-        surrounding token or entry is finished.
-        """
-        return merge_spans(self.detect(text) + self.partial_at_end(text))
 
 
 _default_suite: DetectorSuite | None = None

@@ -19,10 +19,13 @@ With snapshot retention on, every snapshot is kept and annotated:
   their in-progress tails tagged provisionally too (via the detector suite's
   prefix awareness), since the final string cannot vouch for them.
 
-With retention off, an entry carries only its final text and its first and
-last timestamps, so ingestion runs no detector at all and a stream's buffer
-holds just its first and newest snapshot: memory per stream is bounded by the
-length of the text, not by the number of keystrokes.
+With retention off, an entry carries only its final text and its start and
+end times, so ingestion runs no detector at all and a stream's buffer holds
+just its newest snapshot: memory per stream is bounded by the length of the
+text, not by the number of keystrokes.
+
+An entry starts at its first non-empty event.  It ends at its newest retained
+snapshot, or at its last event when it retained none.
 
 Entries from password or phone-number fields are dropped structurally: only a
 single ``<password>`` / ``<phone>`` placeholder survives.
@@ -106,26 +109,27 @@ class EntryBuffer:
     """Accumulates one in-progress entry for a stream.
 
     With snapshot retention on, ``history`` is append-only until
-    finalization empties it; with it off, it holds at most the first and the
-    newest snapshot.  Ingestion never retains an empty text, so a buffer has
-    content exactly when it holds a snapshot or has seen a structural field.
+    finalization empties it; with it off, it holds at most the newest
+    snapshot.  ``start_timestamp`` is the time of the entry's first non-empty
+    event (a structural field's text is never retained), and ``None`` while
+    the entry has no content.
     """
 
     user_id: str
     app_id: str
     history: list[_Snapshot] = field(default_factory=list)
     structural_tag: str | None = None
-    structural_seen: bool = False
+    start_timestamp: int | None = None
     last_timestamp: int | None = None
 
     @property
     def has_content(self) -> bool:
-        return self.structural_seen or bool(self.history)
+        return self.start_timestamp is not None
 
     def reset(self) -> None:
         self.history.clear()
         self.structural_tag = None
-        self.structural_seen = False
+        self.start_timestamp = None
 
 
 @dataclass(frozen=True)
@@ -168,25 +172,13 @@ def detect_token_completion(previous_text: str, current_text: str) -> tuple[int,
     Replacement edits (autocorrect) count as delete-then-append.  Returns the
     half-open character range of the completed token, or ``None``.
     """
-    if not current_text or current_text[-1] not in BOUNDARY_CHARS:
-        return None
-    # last non-boundary character
-    p = len(current_text) - 1
-    while p >= 0 and current_text[p] in BOUNDARY_CHARS:
-        p -= 1
-    if p < 0:
-        return None
-    start = p
-    while start > 0 and current_text[start - 1] not in BOUNDARY_CHARS:
-        start -= 1
+    end = len(current_text.rstrip(BOUNDARY_CHARS))  # the token's end
+    if not 0 < end < len(current_text):
+        return None  # no boundary at the end, or nothing but boundaries
     # newly completed iff the edit touched the token or its boundary
-    lcp = 0
-    limit = min(len(previous_text), len(current_text))
-    while lcp < limit and previous_text[lcp] == current_text[lcp]:
-        lcp += 1
-    if lcp >= p + 2:
-        return None  # token + boundary already existed before this edit
-    return (start, p + 1)
+    if previous_text[: end + 1] == current_text[: end + 1]:
+        return None
+    return max(current_text.rfind(c, 0, end) for c in BOUNDARY_CHARS) + 1, end
 
 
 class StreamRedactor:
@@ -224,26 +216,24 @@ class StreamRedactor:
 
         completed: list[SanitizedEntry] = []
         if (
-            buf.has_content
-            and buf.last_timestamp is not None
+            buf.last_timestamp is not None
             and event.timestamp - buf.last_timestamp > self.timeout_ms
+            and buf.has_content
         ):
             completed.append(self._finalize(buf))
 
         buf.last_timestamp = event.timestamp
-
-        if event.is_password or event.is_phone_field:
-            # Structural PII: never retain the text, only remember the field kind.
+        structural = event.is_password or event.is_phone_field
+        if structural:  # remember the field kind; its text is never retained
             buf.structural_tag = STRUCTURAL_PASSWORD if event.is_password else STRUCTURAL_PHONE
-            if event.current_text:
-                buf.structural_seen = True
-            elif buf.has_content:  # field cleared -> entry complete
-                completed.append(self._finalize(buf))
-            return completed
 
         if event.current_text == "":
-            if buf.has_content:
+            if buf.has_content:  # field cleared -> entry complete
                 completed.append(self._finalize(buf))
+            return completed
+        if buf.start_timestamp is None:
+            buf.start_timestamp = event.timestamp
+        if structural:
             return completed
 
         prev_text = buf.history[-1].text if buf.history else ""
@@ -251,9 +241,9 @@ class StreamRedactor:
             return completed  # cursor movement etc.; nothing new to record
 
         if not self.keep_snapshots:
-            # Only the newest text and the first/last timestamps reach the
-            # entry: keep [first, newest] and skip all per-keystroke detection.
-            buf.history[1:] = [_Snapshot(event.timestamp, event.current_text, [])]
+            # Only the newest text reaches the entry: keep it alone and skip
+            # all per-keystroke detection.
+            buf.history[:] = [_Snapshot(event.timestamp, event.current_text, [])]
             return completed
 
         snapshot = _Snapshot(
@@ -299,8 +289,6 @@ class StreamRedactor:
         in-progress tails are tagged only at finalization and only on
         snapshots whose content was edited away.
         """
-        if not buf.history:
-            return
         start = token[0]
         cur = buf.history[-1].text
         for snap in buf.history:
@@ -331,40 +319,30 @@ class StreamRedactor:
         """
         if not buf.has_content:
             raise EmptyBufferError(f"stream ({buf.user_id}, {buf.app_id}): nothing to finalize")
-        first_ts = buf.history[0].timestamp if buf.history else buf.last_timestamp or 0
-        last_ts = buf.history[-1].timestamp if buf.history else buf.last_timestamp or 0
-
-        if buf.structural_tag is not None:
-            tag = buf.structural_tag
-            placeholder = f"<{tag}>"
-            return SanitizedEntry(
-                user_id=buf.user_id,
-                app_id=buf.app_id,
-                start_timestamp=first_ts,
-                end_timestamp=last_ts,
-                final_text=placeholder,
-                spans=(RedactionSpan(0, len(placeholder), (tag,)),),
-                snapshots=(),
-            )
-
-        raw = buf.history[-1].text
-        # with retention on, the newest snapshot's confirmed spans are exactly
-        # detect(raw): its own rollback merges each of them into itself
-        detections = buf.history[-1].confirmed if self.keep_snapshots else self.suite.detect(raw)
-        final_text, final_spans = render_redacted(raw, detections)
+        end_ts = buf.history[-1].timestamp if buf.history else buf.last_timestamp
 
         snapshots_out: list[str] = []
-        if self.keep_snapshots:
-            for snap in buf.history[:-1]:
+        if buf.structural_tag is not None:
+            # one placeholder stands for the field, whose text was never retained
+            tags = (buf.structural_tag,)
+            final_text = RedactionSpan(0, 1, tags).placeholder()
+            final_spans = [RedactionSpan(0, len(final_text), tags)]
+        else:
+            newest = buf.history[-1]
+            raw = newest.text
+            # with retention on, the newest snapshot's confirmed spans are exactly
+            # detect(raw): its own rollback merges each of them into itself
+            detections = newest.confirmed if self.keep_snapshots else self.suite.detect(raw)
+            final_text, final_spans = render_redacted(raw, detections)
+            for snap in buf.history[:-1]:  # none with retention off
                 clipped = clip_spans(detections, len(snap.text))
                 if snap.text == raw[: len(snap.text)]:
-                    pieces = [
-                        RedactionSpan(max(c.start, f.start), min(c.end, f.end), c.tags)
-                        for c in snap.confirmed
-                        for f in clipped
-                        if c.overlaps(f)
-                    ]
-                    spans = merge_spans(clipped + pieces)
+                    # each final span also takes the tags of the confirmed
+                    # spans that overlap it
+                    spans = []
+                    for f in clipped:
+                        theirs = [t for c in snap.confirmed if c.overlaps(f) for t in c.tags]
+                        spans.append(RedactionSpan(f.start, f.end, f.tags + tuple(theirs)))
                 else:
                     tails = self.suite.partial_at_end(snap.text)
                     spans = merge_spans(snap.confirmed + clipped + tails)
@@ -373,8 +351,8 @@ class StreamRedactor:
         return SanitizedEntry(
             user_id=buf.user_id,
             app_id=buf.app_id,
-            start_timestamp=first_ts,
-            end_timestamp=last_ts,
+            start_timestamp=buf.start_timestamp,
+            end_timestamp=end_ts,
             final_text=final_text,
             spans=tuple(final_spans),
             snapshots=tuple(snapshots_out),

@@ -106,9 +106,16 @@ def paired_stats(x: np.ndarray, y: np.ndarray) -> PairedStats:
     return PairedStats(d, t, p, degenerate, mean_x, mean_y)
 
 
+def _finite(name: str, v) -> np.ndarray:
+    """``v`` as a float array; a NaN or an infinity in it is a ``ValueError``."""
+    v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} contains non-finite values")
+    return v
+
+
 def _paired_columns(x: Sequence[float], y: Sequence[float]) -> PairedStats:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _finite("x", x), _finite("y", y)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("paired vectors must be 1-d and the same length")
     stats = paired_stats(x[:, None], y[:, None])
@@ -119,23 +126,15 @@ def _paired_columns(x: Sequence[float], y: Sequence[float]) -> PairedStats:
 
 def cohens_d_paired(x: Sequence[float], y: Sequence[float]) -> float:
     """Standardized mean difference of paired values: :func:`paired_stats`'
-    d of one column.  Constant nonzero differences raise."""
+    d of one column.  A non-finite value or constant nonzero differences raise."""
     return float(_paired_columns(x, y).d[0])
 
 
 def paired_t_test(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     """Paired-sample t-test of one column; returns (t, two-sided p) with n-1
-    df.  Constant nonzero differences raise."""
+    df.  A non-finite value or constant nonzero differences raise."""
     stats = _paired_columns(x, y)
     return float(stats.t[0]), float(stats.p[0])
-
-
-def _finite(name: str, v) -> np.ndarray:
-    """``v`` as a float array; a NaN or an infinity in it is a ``ValueError``."""
-    v = np.asarray(v, dtype=float)
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} contains non-finite values")
-    return v
 
 
 def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
@@ -158,7 +157,7 @@ def bh_fdr(p_values: Sequence[float], alpha: float = 0.05) -> list[bool]:
     p = np.asarray(p_values, dtype=float)
     if p.size == 0:
         return []
-    if np.any((p < 0) | (p > 1)):
+    if not np.all((p >= 0) & (p <= 1)):  # a NaN fails both
         raise ValueError("p-values must lie in [0, 1]")
     m = p.size
     order = np.argsort(p, kind="stable")

@@ -58,7 +58,7 @@ def suite() -> DetectorSuite:
 def possible_prefix(suite: DetectorSuite, text: str) -> bool:
     """True when ``text`` could be a prefix of (or already end in) something
     the suite matches; never False for a true prefix of a matchable string."""
-    return not text or any(s.end == len(text) for s in suite.provisional(text))
+    return not text or any(s.end == len(text) for s in suite.detect(text) + suite.partial_at_end(text))
 
 
 def match_common_formats(text: str) -> list[RedactionSpan]:

@@ -18,13 +18,18 @@ from scrublang.detectors import (
     load_catalogue,
 )
 from scrublang.redactor import (
+    BOUNDARY_CHARS,
     EmptyBufferError,
+    EntryBuffer,
     KeystrokeEvent,
     OutOfOrderError,
     StreamRedactor,
+    _Snapshot,
     detect_token_completion,
     redact_string,
 )
+from scrublang.spans import RedactionSpan, clip_spans, render_redacted
+from redactor_oracle import prefix_overlay, token_completion
 from session_sim import leak_fragments, random_session, run_session
 from test_detectors import leak_suite
 
@@ -76,6 +81,22 @@ class TestTokenCompletion:
         assert detect_token_completion("", " ") is None
         assert detect_token_completion("a", "") is None
 
+    @given(st.data())
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_character_loops(self, data):
+        # an append, a deletion or a replacement of any range, on texts over
+        # two letters and every boundary character
+        text = st.text(alphabet="ab" + BOUNDARY_CHARS, max_size=12)
+        previous = data.draw(text)
+        i = data.draw(st.integers(0, len(previous)))
+        j = data.draw(st.integers(i, len(previous)))
+        edit = data.draw(st.sampled_from(["append", "delete", "replace"]))
+        if edit == "append":
+            current = previous + data.draw(text)
+        else:
+            current = previous[:i] + (data.draw(text) if edit == "replace" else "") + previous[j:]
+        assert detect_token_completion(previous, current) == token_completion(previous, current)
+
 
 class TestIngest:
     def test_backspace_stream_buffers_without_emitting(self):
@@ -89,11 +110,11 @@ class TestIngest:
         assert (entry.start_timestamp, entry.end_timestamp) == (0, 400)
 
     def test_snapshots_off_buffer_is_bounded(self):
-        # a long entry keeps only its first and newest snapshot
+        # a long entry keeps only its newest snapshot
         r = StreamRedactor()
         text = ("call 555-123-4567 or mail xq9w@zmail.net " * 20)[:500]
         type_text(r, text, clear=False)
-        assert len(r._buffers[("u1", "sms")].history) <= 2
+        assert len(r._buffers[("u1", "sms")].history) == 1
         (entry,) = r.finish()
         assert entry.final_text == redact_string(text).text
         assert (entry.start_timestamp, entry.end_timestamp) == (100, 50_000)
@@ -157,6 +178,52 @@ class TestIngest:
         r.ingest_event(ev("other", 0, app="app2"))
         entries = r.finish()
         assert sorted(e.final_text for e in entries) == ["hello a", "other"]
+
+
+@pytest.mark.parametrize("keep_snapshots", [False, True])
+class TestStructuralTimes:
+    """A password or phone-field entry starts at its first non-empty event
+    and ends at its last event; its text is never retained."""
+
+    def test_password_typed_then_cleared(self, keep_snapshots):
+        r = StreamRedactor(keep_snapshots=keep_snapshots)
+        for t, text in [(1000, "h"), (2000, "hu"), (3000, "hun")]:
+            assert r.ingest_event(ev(text, t, is_password=True)) == []
+        (entry,) = r.ingest_event(ev("", 4000, is_password=True))
+        assert (entry.final_text, entry.start_timestamp, entry.end_timestamp) == ("<password>", 1000, 4000)
+
+    def test_phone_field_ended_by_timeout(self, keep_snapshots):
+        r = StreamRedactor(timeout_ms=60_000, keep_snapshots=keep_snapshots)
+        r.ingest_event(ev("610", 1000, is_phone_field=True))
+        r.ingest_event(ev("6105550", 2000, is_phone_field=True))
+        (entry,) = r.ingest_event(ev("hi", 100_000))
+        assert (entry.final_text, entry.start_timestamp, entry.end_timestamp) == ("<phone>", 1000, 2000)
+        (second,) = r.finish()
+        assert (second.final_text, second.start_timestamp) == ("hi", 100_000)
+
+    def test_phone_field_ended_by_finish(self, keep_snapshots):
+        r = StreamRedactor(keep_snapshots=keep_snapshots)
+        r.ingest_event(ev("610", 1000, is_phone_field=True))
+        r.ingest_event(ev("6105550", 2000, is_phone_field=True))
+        (entry,) = r.finish()
+        assert (entry.final_text, entry.start_timestamp, entry.end_timestamp) == ("<phone>", 1000, 2000)
+
+    def test_empty_structural_event_then_typing(self, keep_snapshots):
+        # focusing the empty field is no content: the entry starts at typing
+        r = StreamRedactor(keep_snapshots=keep_snapshots)
+        assert r.ingest_event(ev("", 500, is_password=True)) == []
+        r.ingest_event(ev("p", 1000, is_password=True))
+        r.ingest_event(ev("pw", 2000, is_password=True))
+        (entry,) = r.ingest_event(ev("", 3000, is_password=True))
+        assert (entry.final_text, entry.start_timestamp, entry.end_timestamp) == ("<password>", 1000, 3000)
+
+    def test_text_before_password_keeps_its_start(self, keep_snapshots):
+        r = StreamRedactor(keep_snapshots=keep_snapshots)
+        r.ingest_event(ev("my pin", 1000))
+        r.ingest_event(ev("1234", 2000, is_password=True))
+        (entry,) = r.ingest_event(ev("", 3000, is_password=True))
+        assert (entry.final_text, entry.start_timestamp) == ("<password>", 1000)
+        assert "pin" not in entry.to_json() and "1234" not in entry.to_json()
 
 
 class TestRollbackStage1:
@@ -269,6 +336,38 @@ class TestFinalize:
         assert entry.final_text == "ok"
         (snapshot,) = entry.snapshots
         assert snapshot.startswith("call <") and "555" not in snapshot
+
+
+@st.composite
+def canonical_spans(draw, length: int) -> list[RedactionSpan]:
+    """Sorted, non-overlapping spans within ``length`` characters, some of
+    them adjacent, each with one or two of three tags."""
+    spans, pos = [], 0
+    pieces = st.tuples(st.integers(0, 3), st.integers(1, 6), st.lists(st.sampled_from("abc"), min_size=1, max_size=2))
+    for gap, width, tags in draw(st.lists(pieces, max_size=6)):
+        if pos + gap + width > length:
+            break
+        spans.append(RedactionSpan(pos + gap, pos + gap + width, tuple(tags)))
+        pos += gap + width
+    return spans
+
+
+class TestPrefixOverlay:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pairwise_pieces(self, data):
+        # a snapshot that is a prefix of the final text, with random final
+        # and confirmed spans; "x" text makes the rendering show every span
+        length = data.draw(st.integers(1, 30))
+        prefix = data.draw(st.integers(1, length))
+        final = data.draw(canonical_spans(length))
+        confirmed = data.draw(canonical_spans(prefix))
+        raw = "x" * length
+        buf = EntryBuffer("u1", "sms", [_Snapshot(0, raw[:prefix], confirmed), _Snapshot(1, raw, final)])
+        buf.start_timestamp = 0
+        (snapshot,) = StreamRedactor(keep_snapshots=True).finalize_entry(buf).snapshots
+        expected = prefix_overlay(clip_spans(final, prefix), confirmed)
+        assert snapshot == render_redacted(raw[:prefix], expected)[0]
 
 
 class TestOverlappingNames:

@@ -127,6 +127,14 @@ class TestCohensD:
             return
         assert cohens_d_paired(y, x) == -d
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_is_an_error(self, bad):
+        # an infinity used to come back as a NaN d
+        with pytest.raises(ValueError, match="finite"):
+            cohens_d_paired([1, 2, bad], [0, 1, 2])
+        with pytest.raises(ValueError, match="finite"):
+            cohens_d_paired([0, 1, 2], [1, 2, bad])
+
 
 class TestPairedT:
     def test_identical(self):
@@ -158,6 +166,14 @@ class TestPairedT:
             y = rng.normal(0.0, 1.0, n)
             t, p = paired_t_test(x, y)
             assert p == pytest.approx(t_two_sided_p_quadrature(t, df=n - 1), rel=1e-8)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_is_an_error(self, bad):
+        # a NaN used to come back as (nan, nan)
+        with pytest.raises(ValueError, match="finite"):
+            paired_t_test([1, 2, bad], [0, 1, 2])
+        with pytest.raises(ValueError, match="finite"):
+            paired_t_test([0, 1, 2], [1, 2, bad])
 
 
 class TestPearson:
@@ -235,6 +251,11 @@ class TestBhFdr:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             bh_fdr([0.5, 1.5], 0.05)
+
+    def test_rejects_nan(self):
+        # a NaN passed the range check and still counted in m
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            bh_fdr([math.nan, 0.01], 0.05)
 
     @given(
         st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=50),
