@@ -17,13 +17,15 @@ the middle of something that could still become a match (``"call 555-1"``),
 the suite reports a provisional span reaching the end of the string.  This is
 what lets the stream redactor tag half-typed PII before it is complete.
 
-A catalogue detector carries *gates* (:func:`pattern_gates`): character
-classes, derived once from the standard library's parse of the pattern, that
-every match holds a character of.  Its matcher is a plain scan;
-:meth:`DetectorSuite.detect` tests each distinct gate once per text and skips
-the matcher of a detector whose gate the text lacks.  The prefix matcher is
-never gated, as a half-typed match may not hold them yet, and a pattern that
-parser cannot read has no gate and is always scanned.
+A catalogue detector carries *gates* (:func:`pattern_gates`): classes of ASCII
+digits and punctuation, or ``\\d``, derived once from the standard library's
+parse of the pattern, that every match holds a character of; equal classes are
+one object.  A custom ``€\\d+`` keeps the gate ``\\d``, but ``€`` is never
+one, so it is scanned on more texts and loses no match.  The matcher is a
+plain scan; :meth:`DetectorSuite.detect` tests each distinct gate once per
+text and skips the matcher of a detector whose gate the text lacks.  The
+prefix matcher is never gated, as a half-typed match may not hold them yet,
+and a pattern that parser cannot read has no gate and is always scanned.
 
 Detectors only propose matches, which may overlap; :meth:`DetectorSuite.detect`
 alone chooses among them by priority, then match length, then leftmost
@@ -41,7 +43,7 @@ import unicodedata
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 import regex
 
@@ -131,25 +133,18 @@ def _regex_partial_at_end(pattern: regex.Pattern, label: str, text: str) -> list
 
 
 # -- catalogue gates ---------------------------------------------------
-# A class is a frozenset of atoms: ``(first, last)`` code point ranges and the
-# categories ``\d`` and ``\s``, which hold no cased character.
-_CATEGORIES = {_sre.CATEGORY_DIGIT: r"\d", _sre.CATEGORY_SPACE: r"\s"}
+# A class is a frozenset of atoms: ``(first, last)`` ranges of ASCII digits and
+# punctuation, and the category ``\d``.  None of these characters matches
+# another code point under ``(?i)``, ``(?fi)`` or ``(?V1i)``, and ``\d`` is the
+# same set under each, so no flag changes what such a class matches.
+_GATE_CHARS = frozenset(map(ord, string.digits + string.punctuation))
 _REPEATS = {_sre.MAX_REPEAT, _sre.MIN_REPEAT, getattr(_sre, "POSSESSIVE_REPEAT", _sre.MAX_REPEAT)}
-_IGNORECASE = _sre.SRE_FLAG_IGNORECASE
-_LETTERS_AND_SPACE = string.ascii_letters + string.whitespace
 _MAX_GATES = 2  # a third gate seldom rejects a text that the first two let through
 
 
-def _cased(first: int, last: int) -> bool:
-    """Whether a character of the range has a case variant: one whose
-    ``lower()`` or ``upper()`` is not itself (``ſ``, the Kelvin sign, ``µ``)."""
-    return any(not (c.lower() == c.upper() == c) for c in map(chr, range(first, last + 1)))
-
-
-def _class(op, av, icase: bool) -> frozenset | None:
-    """The class of a literal or a non-negated class of literals, ranges,
-    ``\\d`` and ``\\s``; None for any other node, and under ``(?i)`` for a
-    class that holds a cased character, which would match its case variants."""
+def _class(op, av) -> frozenset | None:
+    """The class of a literal or a non-negated class of ASCII digits and
+    punctuation (literals and ranges) and ``\\d``; None for any other node."""
     if op not in (_sre.LITERAL, _sre.IN):
         return None
     atoms = set()
@@ -158,50 +153,42 @@ def _class(op, av, icase: bool) -> frozenset | None:
             atoms.add((value, value))
         elif kind == _sre.RANGE:
             atoms.add(value)
-        elif kind == _sre.CATEGORY and value in _CATEGORIES:
-            atoms.add(_CATEGORIES[value])
+        elif kind == _sre.CATEGORY and value == _sre.CATEGORY_DIGIT:
+            atoms.add(r"\d")
         else:
             return None
-    if icase and any(_cased(*a) for a in atoms if isinstance(a, tuple)):
+    if any(c not in _GATE_CHARS for a in atoms if a != r"\d" for c in range(a[0], a[1] + 1)):
         return None
     return frozenset(atoms)
 
 
-def _rank(cls: frozenset) -> tuple[int, int]:
+def _rank(cls: frozenset) -> tuple[bool, int]:
     """How likely a text is to hold a character of ``cls``, least likely
-    first: no ASCII letter, digit or whitespace; then digits; then ASCII
-    letters or whitespace.  Then the smaller class."""
-    ranges = [a for a in cls if isinstance(a, tuple)]
-
-    def holds(chars: str) -> bool:
-        return any(first <= ord(c) <= last for c in chars for first, last in ranges)
-
-    if r"\s" in cls or holds(_LETTERS_AND_SPACE):
-        tier = 2
-    else:
-        tier = int(r"\d" in cls or holds(string.digits))
-    return tier, sum(last - first + 1 for first, last in ranges) + 10 * (len(cls) - len(ranges))
+    first: a class without a digit, then the smaller class."""
+    ranges = [a for a in cls if a != r"\d"]
+    digit = r"\d" in cls or any(first <= ord("9") and ord("0") <= last for first, last in ranges)
+    return digit, sum(last - first + 1 for first, last in ranges) + 10 * (len(cls) - len(ranges))
 
 
-def _walk(nodes, icase: bool) -> list[frozenset]:
+def _walk(nodes) -> list[frozenset]:
     """The classes every match of the parsed sequence ``nodes`` holds a
     character of.  Anchors, lookarounds and other nodes contribute nothing."""
     classes = []
     for op, av in nodes:
         if op in _REPEATS:
             if av[0] >= 1:
-                classes += _walk(av[2], icase)
+                classes += _walk(av[2])
         elif op == _sre.SUBPATTERN:  # (group, flags set, flags cleared, nodes)
-            classes += _walk(av[3], bool(av[1] & _IGNORECASE or icase and not av[2] & _IGNORECASE))
+            classes += _walk(av[3])
         elif op == _sre.BRANCH:  # one class from each branch, or none
-            picks = [min(_walk(branch, icase), key=_rank, default=None) for branch in av[1]]
+            picks = [min(_walk(branch), key=_rank, default=None) for branch in av[1]]
             if None not in picks:
                 classes.append(frozenset().union(*picks))
         elif op == _sre.LITERAL and av == ord("{"):
             # regex reads ``{e<=1}`` after an item as a fuzzy-match constraint
             raise _sre.error("a literal { may be a fuzzy-match constraint")
         else:
-            cls = _class(op, av, icase)
+            cls = _class(op, av)
             if cls is not None:
                 classes.append(cls)
     return classes
@@ -215,43 +202,33 @@ def _necessary_classes(pattern: str) -> list[frozenset]:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            parsed = _sre.parse(pattern)
-            return _walk(parsed, bool(parsed.state.flags & _IGNORECASE))
+            return _walk(_sre.parse(pattern))
         except (_sre.error, RecursionError, Warning):
             return []
 
 
+_compile_class = functools.cache(regex.compile)  # so that equal classes are one object
+
+
 def _gate(cls: frozenset) -> str | regex.Pattern:
     """A one-character class as that character; any other as a ``regex``
-    class, so that ``\\d`` and ``\\s`` mean what they mean in the pattern."""
+    class, so that ``\\d`` means what it means in the pattern."""
     if len(cls) == 1 and isinstance(atom := next(iter(cls)), tuple) and atom[0] == atom[1]:
         return chr(atom[0])
     escape = functools.partial(regex.escape, special_only=False)
     pieces = sorted(
         a if isinstance(a, str) else "-".join(escape(chr(c)) for c in dict.fromkeys(a)) for a in cls
     )
-    return regex.compile("[" + "".join(pieces) + "]")
+    return _compile_class("[" + "".join(pieces) + "]")
 
 
 def pattern_gates(pattern: str) -> tuple[str | regex.Pattern, ...]:
     """The gates of a catalogue pattern, most selective first: each a
     character (tested with ``in``) or a ``regex`` class (searched), and every
-    match of the pattern holds a character of each.  A class that holds an
-    ASCII letter or whitespace is no gate, since almost every text holds one."""
+    match of the pattern holds a character of each.  Only a class of ASCII
+    digits and punctuation, or ``\\d``, is a gate."""
     classes = sorted(dict.fromkeys(_necessary_classes(pattern)), key=_rank)
-    return tuple(_gate(c) for c in classes if _rank(c)[0] < 2)[:_MAX_GATES]
-
-
-def _holds(gate, text: str) -> bool:
-    """Whether ``text`` holds a character of ``gate``."""
-    return gate in text if isinstance(gate, str) else gate.search(text) is not None
-
-
-def gate_value(gate) -> Hashable:
-    """What makes two gates one: a character, or a class's type, pattern
-    and flags (``regex`` patterns compare by identity, and equal classes may
-    be compiled apart)."""
-    return gate if isinstance(gate, str) else (type(gate), gate.pattern, gate.flags)
+    return tuple(map(_gate, classes[:_MAX_GATES]))
 
 
 def _check_label(label: str) -> None:
@@ -379,8 +356,7 @@ class Gazetteer:
 
     def __init__(self, entries: dict[str, Iterable[str]] | None = None) -> None:
         self.entries: dict[str, set[str]] = {}
-        self._initials: set[str] = set()  # the first character of every form
-        self._index: tuple[list[tuple[str, str]], re.Pattern] | None = None  # see _scan
+        self._index: tuple[list[tuple[str, str]], re.Pattern, set[str]] | None = None  # see _scan
         for label, forms in (entries or {}).items():
             for form in forms:
                 self.add(label, form)
@@ -391,7 +367,6 @@ class Gazetteer:
         if not surface:
             raise CatalogueError(f"empty gazetteer surface form for label {label!r}")
         self.entries.setdefault(label, set()).add(surface)
-        self._initials.add(surface[0])
         self._index = None
 
     @classmethod
@@ -415,18 +390,21 @@ class Gazetteer:
 
     # -- matching ------------------------------------------------------
 
-    def _scan(self) -> tuple[list[tuple[str, str]], re.Pattern]:
-        """Every ``(label, form)``, labels in sorted order, and the starts of
+    def _scan(self) -> tuple[list[tuple[str, str]], re.Pattern, set[str]]:
+        """Every ``(label, form)``, labels in sorted order; the starts of
         ASCII text: a character that no word character precedes and whose
         lower case is an initial (there stdlib ``re``'s ``\\w``, ``isalnum()``
-        or ``_``, is the word rule, and it runs faster than a loop).  Built
-        on the first match after an ``add``."""
+        or ``_``, is the word rule, and it runs faster than a loop); and the
+        initials, the first character of every form.  Built on the first
+        match after an ``add``."""
         index = self._index
         if index is None:
             order = [(label, f) for label, forms in sorted(self.entries.items()) for f in forms]
-            firsts = {c for i in self._initials for c in i + i.upper() if c.isascii()}
+            initials = {f[0] for _, f in order}
+            firsts = {c for i in initials for c in i + i.upper() if c.isascii()}
             chars = "".join(map(re.escape, sorted(firsts)))
-            index = self._index = (order, re.compile(rf"(?<!\w)[{chars}]" if chars else "(?!)"))
+            finder = re.compile(rf"(?<!\w)[{chars}]" if chars else "(?!)")
+            index = self._index = (order, finder, initials)
         return index
 
     def _starts(self, text: str) -> tuple[str, Sequence[int], list[tuple[int, int]]]:
@@ -437,10 +415,10 @@ class Gazetteer:
         if text.isascii():  # a non-blank ASCII character is a cluster of its own
             firsts = self._scan()[1].finditer(text)
             return norm, text_at, [(m.start(), norm_at[m.start()]) for m in firsts]
-        starts = []
+        starts, initials = [], self._scan()[2]
         for start in _word_starts(text):
             at = norm_at[start]
-            if at >= 0 and norm[at] in self._initials:
+            if at >= 0 and norm[at] in initials:
                 starts.append((start, at))
         return norm, text_at, starts
 
@@ -531,19 +509,18 @@ class DetectorSuite:
         then tag name (so permuting same-priority detectors cannot change the
         result).  Existing placeholders in the text are masked out first.
         A detector whose gate the text lacks is not called, and each
-        distinct gate (:func:`gate_value`) is tested once.
+        distinct gate is tested once.
         """
         if not text:
             return []
         masked = placeholder_regions(text)
-        held: dict = {}  # gate's value -> whether the text holds it
+        held: dict = {}  # gate -> whether the text holds it
         candidates: list[tuple[int, int, int, str, RedactionSpan]] = []
         for det in self.detectors:
             for gate in det.gates:  # a text that lacks a gate holds no match
-                key = gate_value(gate)
-                if key not in held:
-                    held[key] = _holds(gate, text)
-                if not held[key]:
+                if gate not in held:
+                    held[gate] = gate in text if isinstance(gate, str) else bool(gate.search(text))
+                if not held[gate]:
                     break
             else:
                 for s in det.matcher(text):

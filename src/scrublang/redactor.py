@@ -25,7 +25,7 @@ just its newest snapshot: memory per stream is bounded by the length of the
 text, not by the number of keystrokes.
 
 An entry starts at its first non-empty event.  It ends at its newest retained
-snapshot, or at its last event when it retained none.
+snapshot, or at its last event when it holds a password or phone field.
 
 Entries from password or phone-number fields are dropped structurally: only a
 single ``<password>`` / ``<phone>`` placeholder survives.
@@ -319,17 +319,17 @@ class StreamRedactor:
         """
         if not buf.has_content:
             raise EmptyBufferError(f"stream ({buf.user_id}, {buf.app_id}): nothing to finalize")
-        end_ts = buf.history[-1].timestamp if buf.history else buf.last_timestamp
-
         snapshots_out: list[str] = []
         if buf.structural_tag is not None:
-            # one placeholder stands for the field, whose text was never retained
+            # one placeholder stands for the field, whose text was never
+            # retained, so the entry ends at its last event
+            end_ts = buf.last_timestamp
             tags = (buf.structural_tag,)
             final_text = RedactionSpan(0, 1, tags).placeholder()
             final_spans = [RedactionSpan(0, len(final_text), tags)]
         else:
             newest = buf.history[-1]
-            raw = newest.text
+            end_ts, raw = newest.timestamp, newest.text
             # with retention on, the newest snapshot's confirmed spans are exactly
             # detect(raw): its own rollback merges each of them into itself
             detections = newest.confirmed if self.keep_snapshots else self.suite.detect(raw)

@@ -573,8 +573,8 @@ class TestChoiceProperty:
 
 
 class TestGazetteerScan:
-    """The scan order and the ASCII start finder are built on the first match
-    after an ``add``; neither changes what the gazetteer finds."""
+    """The scan order, the ASCII start finder and the initials are built on
+    the first match after an ``add``; none changes what the gazetteer finds."""
 
     @given(st.one_of(entries_and_text(), entries_and_text(_ASCII_WORDS)))
     @settings(max_examples=200, deadline=None)
@@ -599,7 +599,8 @@ class TestGazetteerScan:
         gaz = Gazetteer({"org": forms})
         fast = {m.start() for m in gaz._scan()[1].finditer(text)}
         lower = text.lower()
-        assert {i for i in detectors._word_starts(text) if lower[i] in gaz._initials} <= fast
+        initials = gaz._scan()[2]
+        assert {i for i in detectors._word_starts(text) if lower[i] in initials} <= fast
 
     def test_form_added_after_a_match_is_found(self):
         gaz = Gazetteer({"org": ["acme"]})
@@ -745,10 +746,45 @@ gate_patterns = st.tuples(
 ).map("".join)
 
 
+# each bundled catalogue line's gates, in catalogue order: a character, or a
+# class's source
+BUNDLED_GATES = [
+    ("url", [r"[\.\:]"]),
+    ("email", ["@", "."]),
+    ("ip", [".", r"[12\d]"]),
+    ("ip", [":"]),
+    ("ip", [":"]),
+    ("ssn", ["-", r"[\d]"]),
+    ("credit_card", [r"[\d]"]),
+    ("credit_card", [r"[\d]"]),
+    ("phone", [r"[\d]"]),
+    ("street_address", [r"[\d]"]),
+    ("zip", [r"[\d]"]),
+    ("date", [r"[\-\/]", r"[\d]"]),
+    ("date", [r"[\d]"]),
+    ("date", [r"[\d]"]),
+    ("time", [":", "[0-5]"]),
+    ("price", ["$", r"[\d]"]),
+]
+
+
+def gate_source(gate) -> str:
+    return gate if isinstance(gate, str) else gate.pattern
+
+
 class TestCatalogueGates:
     def test_every_bundled_pattern_has_a_gate(self):
         ungated = [(label, p) for label, p, _ in bundled_entries() if not pattern_gates(p)]
         assert not ungated
+
+    def test_bundled_gates_line_by_line(self):
+        found = [(label, pattern_gates(p)) for label, p, _ in bundled_entries()]
+        assert [(label, [gate_source(g) for g in gates]) for label, gates in found] == BUNDLED_GATES
+
+    def test_default_suite_tests_ten_distinct_gate_objects(self):
+        gates = [g for det in default_suite().detectors for g in det.gates]
+        assert len(gates) == 22
+        assert len({id(g) for g in gates}) == 10
 
     @given(gate_texts)
     @settings(max_examples=300, deadline=None)
@@ -756,7 +792,9 @@ class TestCatalogueGates:
     @example("\uff15\uff15\uff15-\uff11\uff12\uff13\uff14 \u0661\u0662:\u0663\u0664")
     def test_gated_detect_equals_an_ungated_detect(self, text):
         """The default suite, and each bundled pattern alone, detect with
-        their gates what they detect with none; a matcher is a plain scan."""
+        their gates what they detect with none, on texts holding gate
+        characters, case variants of letters and digits of other scripts;
+        a matcher is a plain scan."""
         suite = default_suite()
         assert suite.detect(text) == ungated(suite.detectors).detect(text)
         for (label, pattern, min_len), det in zip(bundled_entries(), catalogue()):
@@ -778,19 +816,15 @@ class TestCatalogueGates:
         assert suite.detect("no digit") == []
         assert (gate.searches, len(called)) == (2, 3)
 
-    def test_equal_patterns_compiled_apart_are_one_gate(self, monkeypatch):
-        first = regex.compile(r"[\d]")
+    def test_patterns_sharing_a_class_share_one_gate(self):
+        """Equal classes are one object, even when ``regex``'s own cache is
+        emptied between two patterns, so a text searches that class once."""
+        first = regex_detector("a", r"\d+-")
         regex.purge()
-        second, ascii_only = regex.compile(r"[\d]"), regex.compile(r"[\d]", regex.ASCII)
-        assert first is not second
-        searched = []
-        monkeypatch.setattr(detectors, "_holds", lambda g, t: searched.append(g) or holds(g, t))
-        dets = [
-            Detector(name, PRIORITY_REGEX, lambda text: [], gates=(g,))
-            for name, g in [("a", first), ("b", second), ("c", ascii_only)]
-        ]
-        DetectorSuite(dets).detect("call 5")
-        assert searched == [first, ascii_only]  # the flags are part of a gate's value
+        second = regex_detector("b", r"[\d]{2}")
+        digit = first.gates[1]
+        uses = [g for det in [*catalogue(), second] for g in det.gates if gate_source(g) == r"[\d]"]
+        assert len(uses) == 11 and all(g is digit for g in uses)
 
     @given(gate_patterns, st.lists(st.sampled_from(_GATE_CHARS), max_size=16).map("".join))
     @settings(max_examples=400, deadline=None)
@@ -800,9 +834,10 @@ class TestCatalogueGates:
     @example("(?i)(?:s|1)", "\u017f")
     def test_every_match_holds_each_derived_class(self, pattern, text):
         """Every match holds a character of each class the derivation finds,
-        cased letters included (gates leave those out), and the gated matcher
-        finds what a scan finds.  Ignoring scoped flags would derive a and b
-        from ``(?i:ab)``, and k from ``x(?i:k)``."""
+        and the gated matcher finds what a scan finds.  The atoms include
+        cased letters and their case variants (the Kelvin sign, long s, µ)
+        under scoped flags; only ASCII digit and punctuation classes and
+        ``\\d`` are derived, which no flag widens."""
         try:
             compiled = regex.compile(pattern)
         except regex.error:
@@ -826,6 +861,7 @@ class TestCatalogueGates:
             r"(?=\d)",
             r"[^\d]\D",  # negated classes
             r"(?i)[a-z]",  # cased letters under (?i)
+            "\u20ac[a-z]",  # classes of neither ASCII digits nor punctuation
         ],
     )
     def test_pattern_without_a_gate_is_always_scanned(self, pattern):
@@ -844,8 +880,14 @@ class TestCatalogueGates:
         assert DetectorSuite([det]).detect("write to bob") == []
         assert det.partial_matcher("write to bob") == [span(9, 12, "email")]
 
-    def test_digit_and_space_classes_hold_no_cased_character(self):
-        # the derivation keeps \d and \s under (?i) on this ground
+    @pytest.mark.parametrize("flags", ["(?i)", "(?fi)", "(?V1i)"])
+    def test_gate_characters_have_no_case_variant(self, flags):
+        """The premise of the derivation: no gate character (an ASCII digit
+        or punctuation character) and no ``\\d`` character matches another
+        code point under a case-insensitive flag, and ``\\d`` is the same set."""
         every = "".join(map(chr, range(sys.maxunicode + 1)))
-        cased = [c for c in regex.findall(r"[\d\s]", every) if not c.lower() == c.upper() == c]
-        assert cased == []
+        digits = regex.findall(r"\d", every)
+        assert regex.findall(flags + r"\d", every) == digits
+        for chars in ("".join(map(chr, sorted(detectors._GATE_CHARS))), "".join(digits)):
+            cls = "[" + regex.escape(chars, special_only=False) + "]"
+            assert regex.findall(flags + cls, every) == sorted(chars)

@@ -225,6 +225,20 @@ class TestStructuralTimes:
         assert (entry.final_text, entry.start_timestamp) == ("<password>", 1000)
         assert "pin" not in entry.to_json() and "1234" not in entry.to_json()
 
+    @pytest.mark.parametrize("ending", ["clear", "timeout", "finish"])
+    def test_password_after_text_ends_at_its_last_event(self, keep_snapshots, ending):
+        r = StreamRedactor(timeout_ms=60_000, keep_snapshots=keep_snapshots)
+        r.ingest_event(ev("my pin", 1000))
+        r.ingest_event(ev("1234", 2000, is_password=True))
+        if ending == "clear":
+            (entry,) = r.ingest_event(ev("", 3000, is_password=True))
+        elif ending == "timeout":
+            (entry,) = r.ingest_event(ev("hi", 100_000))
+        else:
+            (entry,) = r.finish()
+        end = 3000 if ending == "clear" else 2000
+        assert (entry.final_text, entry.start_timestamp, entry.end_timestamp) == ("<password>", 1000, end)
+
 
 class TestRollbackStage1:
     def _suite_with_taylor(self) -> DetectorSuite:
