@@ -472,9 +472,9 @@ class Gazetteer:
         return spans
 
 
-def entity_detector(recognizer: EntityRecognizer, name: str = "entity") -> Detector:
+def entity_detector(recognizer: EntityRecognizer) -> Detector:
     return Detector(
-        name=name,
+        name="entity",
         priority=PRIORITY_ENTITY,
         matcher=recognizer.find_entities,
         partial_matcher=recognizer.find_partial_entities,

@@ -2,9 +2,8 @@
 the four-cell cross-platform evaluation matrix, weight-times-frequency feature
 importance, and NMF embedding reduction.
 
-All fits are deterministic.  Ridge standardization statistics are computed on
-the training fold only (the leakage-safe default); a whole-matrix mode exists
-because the exact leave-one-out hat-matrix shortcut requires a fixed design.
+All fits are deterministic, and every ridge fit z-scores its columns on its
+own training rows, so a held-out row never enters a fit.
 Binary outcomes are modeled as +/-1 regression targets; every estimate is
 scored and compared across platforms by :func:`outcome_scoring`'s metric.
 """
@@ -17,9 +16,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .spans import Record
-from .stats import DegenerateDataError, bootstrap_score_diff, score, shared_resamples
-from .stats import _finite, _is_constant
-from .stats import sign_accuracy  # noqa: F401  (re-exported: callers import it from here)
+from .stats import DegenerateDataError, bootstrap_score_diff, check_bootstrap_iterations
+from .stats import _finite, _is_constant, score, shared_resamples
 
 CELL_ORDER = ("fb_fb", "fb_sms", "sms_sms", "sms_fb")
 CELL_LABELS = {
@@ -114,18 +112,18 @@ def _check_fit_inputs(X: np.ndarray, ys: Sequence[np.ndarray], alpha: float) -> 
 
 
 def _ridge_fits(
-    X: np.ndarray, ys: Sequence[np.ndarray], alpha: float, scale: bool = True
+    X: np.ndarray, ys: Sequence[np.ndarray], alpha: float
 ) -> list[tuple[np.ndarray, float]]:
     """The ridge fit of ``X`` against each target in ``ys``, with an
-    unpenalized intercept: X's columns are centered (and, with ``scale``,
-    divided by their sd) and so is each target (Hastie et al., *ESL* §3.4.1).
+    unpenalized intercept: X's columns are z-scored and each target is
+    centered (Hastie et al., *ESL* §3.4.1).
 
     The targets share one centering and one Gram matrix, and columns without
     spread get weight 0.  Each target is solved on its own, as a 1-d
     right-hand side, so every fit is bit-identical to that target's alone.
     """
     mu = X.mean(axis=0)
-    sigma = X.std(axis=0) if scale else np.ones(X.shape[1])
+    sigma = X.std(axis=0)
     live = ~_is_constant(X, axis=0)
     Z = np.zeros_like(X)
     Z[:, live] = (X[:, live] - mu[live]) / sigma[live]
@@ -189,12 +187,10 @@ def loocv_folds(n: int) -> Iterable[tuple[np.ndarray, int]]:
 
 
 def _loocv_fold_predictions(
-    X: np.ndarray, ys: Sequence[np.ndarray], alpha: float,
-    tests: Sequence[np.ndarray], scale: bool = True,
+    X: np.ndarray, ys: Sequence[np.ndarray], alpha: float, tests: Sequence[np.ndarray]
 ) -> list[list[np.ndarray]]:
     """Leave-one-out predictions of ridge fits on ``X`` (``_ridge_fits``,
-    centered and, with ``scale``, scaled on each fold), one list per target
-    in ``ys``.
+    standardized on each fold), one list per target in ``ys``.
 
     Fold i fits each target on every row of ``X`` but row i and predicts row
     i of each matrix in ``tests`` (row-aligned with ``X``), so the targets
@@ -204,44 +200,21 @@ def _loocv_fold_predictions(
     _check_fit_inputs(X, ys, alpha)
     preds = [[np.empty(X.shape[0]) for _ in tests] for _ in ys]
     for train, i in loocv_folds(X.shape[0]):
-        fits = _ridge_fits(X[train], [y[train] for y in ys], alpha, scale)
+        fits = _ridge_fits(X[train], [y[train] for y in ys], alpha)
         for pred, (w, b) in zip(preds, fits):
             for p, T in zip(pred, tests):
                 p[i] = T[i] @ w + b
     return preds
 
 
-def _fixed_design(X: np.ndarray, standardize: str) -> np.ndarray:
-    """X z-scored once over all rows (``"global"``; a column without spread
-    is only centered) or as given (``"none"``)."""
-    if standardize == "global":
-        sigma = X.std(axis=0)
-        sigma[_is_constant(X, axis=0)] = 1.0
-        return (X - X.mean(axis=0)) / sigma
-    if standardize != "none":
-        raise ValueError("fixed-design paths support standardize='global' or 'none'")
-    return X
-
-
-def loocv_predictions_naive(
-    X: np.ndarray, y: np.ndarray, alpha: float = 1.0, standardize: str = "fold"
-) -> np.ndarray:
-    """Per-user LOOCV predictions by explicit refits.
-
-    ``standardize="fold"`` recomputes standardization statistics on each
-    training fold (no leakage).  ``"global"`` / ``"none"`` refit one fixed
-    design with an unpenalized intercept, centered on each fold but never
-    rescaled, which is the estimator the hat-matrix shortcut reproduces
-    exactly.
-    """
+def loocv_predictions_naive(X: np.ndarray, y: np.ndarray, alpha: float = 1.0) -> np.ndarray:
+    """Per-user LOOCV predictions by explicit refits, each standardized on its
+    own training fold (no leakage)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.shape[0] < 3:
         raise ValueError("need n >= 3 for leave-one-out evaluation")
-    if standardize == "fold":
-        return _loocv_fold_predictions(X, [y], alpha, [X])[0][0]
-    D = _fixed_design(X, standardize)
-    return _loocv_fold_predictions(D, [y], alpha, [D], scale=False)[0][0]
+    return _loocv_fold_predictions(X, [y], alpha, [X])[0][0]
 
 
 def loocv_predictions_hat(
@@ -251,47 +224,34 @@ def loocv_predictions_hat(
 
     For penalized least squares on a fixed design, removing row i gives
     ``pred_i = (fitted_i - h_ii * y_i) / (1 - h_ii)`` exactly, where ``h_ii``
-    is the i-th leverage of the ridge hat matrix.
+    is the i-th leverage of the ridge hat matrix (Allen's PRESS).  The one
+    design is X z-scored over all rows (``"global"``; a column without spread
+    is only centered) or X as given (``"none"``), and the refits it stands
+    for center it on each fold but never rescale it.  The fold-standardized
+    estimate that the evaluation uses is :func:`loocv_predictions_naive`.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_fit_inputs(X, [y], alpha)
     if X.shape[0] < 3:
         raise ValueError("need n >= 3 for leave-one-out evaluation")
-    # _ridge_fits' hat matrix: 1/n for the intercept plus Z (Z'Z + aI)^-1 Z' on the
-    # centered design, whose columns without spread are 0.  Primal even for p > n:
-    # there _gram's dual form loses 100-1000x more precision where 1 - h is small.
-    D = _fixed_design(X, standardize)
-    Z = np.where(_is_constant(D, axis=0), 0.0, D - D.mean(axis=0))
+    if standardize == "global":
+        sigma = X.std(axis=0)
+        sigma[_is_constant(X, axis=0)] = 1.0
+        X = (X - X.mean(axis=0)) / sigma
+    elif standardize != "none":
+        raise ValueError("loocv_predictions_hat supports standardize='global' or 'none'")
+    # The hat matrix of a ridge with an unpenalized intercept: 1/n for the intercept
+    # plus Z (Z'Z + aI)^-1 Z' on the centered design, whose columns without spread
+    # are 0.  Primal even for p > n: there _gram's dual form loses 100-1000x more
+    # precision where 1 - h is small.
+    Z = np.where(_is_constant(X, axis=0), 0.0, X - X.mean(axis=0))
     H = 1.0 / len(Z) + Z @ np.linalg.solve(Z.T @ Z + alpha * np.eye(Z.shape[1]), Z.T)
     h = np.diag(H)
     if np.any(h >= 1.0):
         raise DegenerateDataError("leverage of 1: a point determines its own fit")
     fitted = H @ y
     return (fitted - h * y) / (1.0 - h)
-
-
-def loocv_evaluate(
-    X: np.ndarray,
-    y: np.ndarray,
-    alpha: float = 1.0,
-    metric: str = "pearson_r",
-    shortcut: bool = False,
-    standardize: str | None = None,
-) -> float:
-    """LOOCV metric (``"pearson_r"`` or ``"accuracy"``) for ridge predictions.
-
-    ``shortcut=True`` switches to the exact hat-matrix identity, which
-    requires a fixed design (``standardize`` defaults to ``"global"`` there,
-    ``"fold"`` otherwise).
-    """
-    if standardize is None:
-        standardize = "global" if shortcut else "fold"
-    if shortcut:
-        preds = loocv_predictions_hat(X, y, alpha, standardize=standardize)
-    else:
-        preds = loocv_predictions_naive(X, y, alpha, standardize=standardize)
-    return score(metric, preds, y)
 
 
 # -- four-cell cross-platform evaluation ---------------------------------
@@ -361,6 +321,7 @@ def cross_domain_matrix(
     """
     if cross_fit not in ("holdout", "full"):
         raise ValueError("cross_fit must be 'holdout' or 'full'")
+    check_bootstrap_iterations(bootstrap_iterations)
     X = {"fb": np.asarray(X_fb, dtype=float), "sms": np.asarray(X_sms, dtype=float)}
     if X["fb"].ndim != 2 or X["fb"].shape != X["sms"].shape or len(users) != len(X["fb"]):
         raise ValueError(

@@ -1,13 +1,14 @@
 """Reference for the shared-fold evaluation: the per-outcome LOOCV loop that
 ``modeling.cross_domain_matrix`` replaced, with one standardized ridge solve
 per (outcome, source, fold), the whole-matrix bootstrap that
-``stats.bootstrap_score_diff`` replaced with row blocks, and the
-intercept-augmented refit loop that the fixed-design
-``loocv_predictions_naive`` replaced with centered fold fits.
+``stats.bootstrap_score_diff`` replaced with row blocks, and the explicit
+intercept-augmented refits of one fixed design that
+``loocv_predictions_hat`` reproduces without refitting.
 
 The tests compare ``cross_domain_matrix``, ``loocv_predictions_naive`` and
-``bootstrap_score_diff`` against these: for exact equality, and the
-fixed-design refits within a rounding tolerance.
+``bootstrap_score_diff`` against these for exact equality, and
+``loocv_predictions_hat`` against the fixed-design refits within a rounding
+tolerance.
 """
 
 from __future__ import annotations

@@ -8,9 +8,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evaluation_oracle
 from evaluation_oracle import paired_matrices
+from scrublang import modeling
 from scrublang.modeling import (
     CELL_ORDER,
     LexiconModel,
@@ -20,16 +23,14 @@ from scrublang.modeling import (
     cross_domain_matrix,
     feature_importance,
     labeled_users,
-    loocv_evaluate,
     loocv_folds,
     loocv_predictions_hat,
     loocv_predictions_naive,
     nmf_reduce,
     ridge_fit,
     ridge_solve,
-    sign_accuracy,
 )
-from scrublang.stats import pearson_r
+from scrublang.stats import pearson_r, sign_accuracy
 
 
 class TestApplyLexicon:
@@ -131,7 +132,7 @@ class TestLoocv:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(30, 4))
         y = X @ np.array([1.0, -2.0, 0.5, 3.0]) + 5.0
-        assert loocv_evaluate(X, y, alpha=1.0) >= 0.999
+        assert pearson_r(loocv_predictions_naive(X, y, 1.0), y) >= 0.999
 
     def test_noise_stays_in_null_band(self):
         # Monte-Carlo null band (300 trials, n=120, 5 features, alpha=1):
@@ -141,7 +142,7 @@ class TestLoocv:
             rng = np.random.default_rng(100 + seed)
             X = rng.normal(size=(120, 5))
             y = rng.normal(size=120)
-            r = loocv_evaluate(X, y, alpha=1.0)
+            r = pearson_r(loocv_predictions_naive(X, y, 1.0), y)
             assert r < 0.25
             assert abs(r) < 0.5
 
@@ -152,38 +153,65 @@ class TestLoocv:
             n = int(rng.integers(5, 50))
             X = rng.normal(size=(n, 3))
             y = rng.normal(size=n)
-            naive = loocv_predictions_naive(X, y, 1.0, standardize=standardize)
+            refits = evaluation_oracle.loocv_fixed_design(X, y, 1.0, standardize)
             hat = loocv_predictions_hat(X, y, 1.0, standardize=standardize)
-            assert np.max(np.abs(naive - hat)) < 1e-9
+            assert np.max(np.abs(refits - hat)) < 1e-9
 
-    @pytest.mark.parametrize("standardize", ["fold", "global"])
-    def test_column_of_equal_values_changes_no_prediction(self, standardize):
+    @pytest.mark.parametrize(
+        "loocv", [loocv_predictions_naive, loocv_predictions_hat], ids=["fold", "global"]
+    )
+    def test_column_of_equal_values_changes_no_prediction(self, loocv):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(16, 3))
         y = rng.normal(size=16)
         with_constant = np.column_stack([X[:, :1], np.full(16, 0.05), X[:, 1:]])
-        want = loocv_predictions_naive(X, y, 1.0, standardize=standardize)
-        got = loocv_predictions_naive(with_constant, y, 1.0, standardize=standardize)
+        want = loocv(X, y, 1.0)
+        got = loocv(with_constant, y, 1.0)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("n, p", [(12, 4), (9, 30)])  # p <= n and p > n
     @pytest.mark.parametrize("standardize", ["global", "none"])
-    def test_fixed_design_refits_match_the_augmented_loop(self, standardize, n, p):
+    def test_fixed_design_shortcut_matches_the_augmented_loop(self, standardize, n, p):
         for seed in range(4):
             rng = np.random.default_rng(seed)
             X = rng.normal(size=(n, p))
             X[:, 1] = 0.05
             X[:, 2] = 3.0
             y = rng.normal(size=n)
-            got = loocv_predictions_naive(X, y, 1.0, standardize=standardize)
+            got = loocv_predictions_hat(X, y, 1.0, standardize=standardize)
             want = evaluation_oracle.loocv_fixed_design(X, y, 1.0, standardize)
             assert np.max(np.abs(got - want)) < 1e-10
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(5, 40),
+        p=st.integers(1, 60),  # p > n included
+        alpha=st.floats(0.1, 100.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_hat_shortcut_equals_the_augmented_loop(self, data, n, p, alpha, seed):
+        """The shortcut equals the oracle's refits in both designs, over column
+        scales of 0.1 to 10 and up to three constant columns.  These ranges
+        were measured (worst 1e-11 over 4 000 random designs, 6e-11 under a
+        targeted search); scales of 1e-2 to 1e2 reach 6e-10 with design
+        "none", so measure again before widening them."""
+        scales = data.draw(st.lists(st.floats(0.1, 10.0), min_size=p, max_size=p))
+        constant = data.draw(st.lists(st.integers(0, p - 1), max_size=3, unique=True))
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, p)) * scales
+        X[:, constant] = np.asarray(scales)[constant]
+        y = rng.normal(size=n)
+        for standardize in ("global", "none"):
+            got = loocv_predictions_hat(X, y, alpha, standardize=standardize)
+            want = evaluation_oracle.loocv_fixed_design(X, y, alpha, standardize)
+            assert np.max(np.abs(got - want)) < 1e-9
 
     def test_shortcut_metric_path(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(20, 2))
         y = X @ np.array([2.0, 1.0])
-        assert loocv_evaluate(X, y, shortcut=True) >= 0.99
+        assert pearson_r(loocv_predictions_hat(X, y), y) >= 0.99
 
     def test_accuracy_metric_with_ties_to_majority(self):
         preds = np.array([0.5, -0.2, 0.0, 0.0])
@@ -191,19 +219,25 @@ class TestLoocv:
         # ties (zeros) resolve to the majority class (+1)
         assert sign_accuracy(preds, y) == 1.0
 
-    def test_small_n_rejected(self):
-        with pytest.raises(ValueError):
-            loocv_evaluate(np.zeros((2, 1)), np.zeros(2))
+    @pytest.mark.parametrize("loocv", [loocv_predictions_naive, loocv_predictions_hat])
+    def test_small_n_rejected(self, loocv):
+        with pytest.raises(ValueError, match="n >= 3"):
+            loocv(np.zeros((2, 1)), np.zeros(2))
 
     @pytest.mark.parametrize("loocv", [loocv_predictions_naive, loocv_predictions_hat])
-    def test_fixed_design_paths_reject_what_a_fit_rejects(self, loocv):
+    def test_loocv_paths_reject_what_a_fit_rejects(self, loocv):
         X = np.random.default_rng(9).normal(size=(6, 2))
         y = np.arange(6.0)
         with pytest.raises(ValueError, match="non-finite"):
-            loocv(np.where(np.eye(6, 2, dtype=bool), np.nan, X), y, 1.0, standardize="global")
+            loocv(np.where(np.eye(6, 2, dtype=bool), np.nan, X), y, 1.0)
         for alpha in (0.0, -1.0, np.inf, np.nan):  # an infinite penalty gave nan weights
             with pytest.raises(ValueError, match="alpha must be positive"):
-                loocv(X, y, alpha, standardize="global")
+                loocv(X, y, alpha)
+
+    def test_hat_shortcut_takes_no_refit_design(self):
+        X = np.random.default_rng(9).normal(size=(6, 2))
+        with pytest.raises(ValueError, match="loocv_predictions_hat supports"):
+            loocv_predictions_hat(X, np.arange(6.0), 1.0, standardize="fold")
 
 
 def _mk_features(users, rng, signal=None):
@@ -258,6 +292,20 @@ class TestCrossDomain:
             cross_domain_matrix(X_fb, X_sms[:, :3], users, outcomes, bootstrap_iterations=1000)
         with pytest.raises(ValueError, match=r"users missing from outcomes: \['c'\]"):
             cross_domain_matrix(X_fb, X_sms, users, {"a": {}, "b": {}}, bootstrap_iterations=1000)
+
+    def test_too_few_bootstrap_iterations_rejected_before_any_fold_fit(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        users = [f"u{i}" for i in range(30)]
+        feats = _mk_features(users, rng)
+        outcomes = {u: {"score": feats[u]["f1"]} for u in users}
+        calls = []
+        fold_fits = modeling._loocv_fold_predictions
+        monkeypatch.setattr(
+            modeling, "_loocv_fold_predictions", lambda *a, **k: calls.append(a) or fold_fits(*a, **k)
+        )
+        with pytest.raises(ValueError, match="iterations must be >= 1000, got 999"):
+            cross_domain_matrix(*paired_matrices(feats, feats), outcomes, bootstrap_iterations=999)
+        assert calls == []
 
     def test_planted_signal_platform_wins_at_home(self):
         rng = np.random.default_rng(9)
@@ -391,7 +439,7 @@ class TestSharedFolds:
             for y, (w, b) in zip(ys, _ridge_fits(Xs, ys, 0.5)):
                 w_want, b_want = evaluation_oracle.ridge_solve(Xs, y, 0.5)
                 assert np.array_equal(w, w_want) and b == b_want
-            naive = loocv_predictions_naive(Xs, ys[0], 0.5, standardize="fold")
+            naive = loocv_predictions_naive(Xs, ys[0], 0.5)
             want = evaluation_oracle.loocv_fold_predictions(Xs, ys[0], 0.5, [Xs])[0]
             assert np.array_equal(naive, want)
 
