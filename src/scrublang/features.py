@@ -20,17 +20,21 @@ Each distinct token type is scored once against every category.
 :func:`count_table` is the one counter: it counts every (user, platform)
 corpus once into one :class:`CountTable`, a sparse users x vocabulary matrix
 of integer n-gram counts, one column per n-gram id with the vocabulary sorted
-by id, and each row's total per order.  Every frequency is read from
-it: one corpus's n-grams (:meth:`CountTable.row`, which
-:meth:`UserCorpus.ngram_features` reads from the table of that corpus alone),
-n-gram frequencies by id (:meth:`CountTable.paired` pairs the two platforms),
-the group filter and dictionary categories (the unigram columns times a 0/1
-type x category matrix), with one ``count / total`` per cell.
+by id, and each row's total per order.  It counts int64 keys, not strings:
+each token has an int id, every document's ids are laid out in one array,
+and an n-gram is a window of ids inside one document, so only each distinct
+n-gram is joined into its string id.  Every frequency is read from it: one
+corpus's n-grams (:meth:`CountTable.row`, which :meth:`UserCorpus.ngram_features`
+reads from the table of that corpus alone), n-gram frequencies by id
+(:meth:`CountTable.paired` pairs the two platforms), the group filter and
+dictionary categories (the unigram columns times a 0/1 type x category
+matrix), with one ``count / total`` per cell.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import re
 import sys
 from collections import Counter
@@ -72,24 +76,6 @@ class DictionaryError(ValueError):
 def tokenize(text: str) -> list[str]:
     """Lowercased tokens; see module docstring for what stays intact."""
     return _TOKEN_RE.findall(straight_apostrophes(text.lower()))
-
-
-def ngram_counts(
-    documents: Iterable[Sequence[str]], orders: Iterable[int] = (1, 2, 3)
-) -> dict[int, Counter]:
-    """Raw n-gram counts, one ``Counter`` per order, from one walk of the
-    token ``documents``; an order's total is its ``Counter.total()``.
-
-    N-grams never span document boundaries.  N-gram feature ids are the
-    tokens joined by single spaces.  Every order must be at least 1.
-    """
-    counts = {n: Counter() for n in orders}
-    if any(n < 1 for n in counts):
-        raise ValueError(f"n-gram orders must be >= 1, got {tuple(counts)}")
-    for doc in documents:
-        for n, grams in counts.items():
-            grams.update(" ".join(doc[i : i + n]) for i in range(len(doc) - n + 1))
-    return counts
 
 
 def _dictionary_entry(entry: str) -> tuple[str, bool]:
@@ -348,43 +334,109 @@ class CountTable:
         return j if self.vocabulary[j : j + 1] == [gram] else len(self.vocabulary)
 
 
+# a window's key is its ids read as the digits of one base-V int64 while V**n
+# stays below this, and (rank of its first n - 1 ids, last id) from there on
+_KEY_LIMIT = 2**63
+
+
 def count_table(
     corpora: Mapping[tuple[str, str], UserCorpus], orders: Iterable[int] = (1, 2, 3)
 ) -> CountTable:
-    """The :class:`CountTable` of ``corpora`` over the n-grams of ``orders``,
-    from one :func:`ngram_counts` walk of each corpus's tokens.  One corpus's
-    counters live at a time: a row is kept as arrays of provisional column
-    numbers, which are renumbered into vocabulary order at the end."""
+    """The :class:`CountTable` of ``corpora`` over the n-grams of ``orders``.
+
+    Each distinct token gets an int id once, in token order, and every
+    corpus's documents are laid out in one id array, in row order, with a -1
+    after each document.  An n-gram is a window of n ids that holds no -1, so
+    none spans two documents.  Each order is counted from one int64 key per
+    window (:func:`_order_counts`) into its own block of columns, and its work
+    arrays are freed before the next order starts.  Only each distinct n-gram
+    is joined into its id string, and the ids of every order are sorted once,
+    at the end.  No token spells the id of several tokens
+    (``spans.LABEL_RE``), so an id is one n-gram of one order.  Every order
+    must be at least 1.
+    """
     from scipy import sparse  # on first use, so that importing the CLI stays fast
 
     orders, keys = sorted(set(orders)), sorted(corpora)
-    column: dict[str, int] = {}  # id -> provisional column
-    col_orders = []  # each provisional column's order
+    if orders and orders[0] < 1:
+        raise ValueError(f"n-gram orders must be >= 1, got {tuple(orders)}")
+    # every corpus's tokens in row order, each document followed by None
+    laid_out = [t for key in keys for doc in corpora[key]._tokens for t in (*doc, None)]
+    # each id's token, sorted: each order's n-grams then come out (nearly) sorted by id,
+    # and the one sort of every id merges sorted runs
+    words = np.array(sorted(set(laid_out) - {None}), dtype=object)
+    type_id = {None: -1, **dict(zip(words, itertools.count()))}
+    ids = np.fromiter(map(type_id.__getitem__, laid_out), np.int64, len(laid_out))
+    del laid_out, type_id
+    row_ends = np.cumsum([sum(len(doc) + 1 for doc in corpora[key]._tokens) for key in keys])
+
     totals = np.zeros((len(keys), 1 + max(orders, default=0)), dtype=np.int64)
-    nnz, indptr, indices, data = 0, [0], [np.zeros(0, np.intp)], [np.zeros(0, np.int64)]
-    for r, key in enumerate(keys):
-        for n, counts in ngram_counts(corpora[key]._tokens, orders).items():
-            for gram in counts:
-                if gram not in column:
-                    column[gram] = len(col_orders)
-                    col_orders.append(n)
-            indices.append(np.fromiter(map(column.__getitem__, counts), np.intp, len(counts)))
-            data.append(np.fromiter(counts.values(), np.int64, len(counts)))
-            totals[r, n] = counts.total()
-            nnz += len(counts)
-        indptr.append(nnz)
-    vocabulary = sorted(column)
-    order = [column[gram] for gram in vocabulary]  # each column's provisional column
+    names: list[str] = []  # each provisional column's id
+    blocks = []  # rows x provisional columns, one block per order
+    starts = np.flatnonzero(ids >= 0)  # the windows of one id
+    for n in range(1, totals.shape[1]):
+        if n > 1:
+            starts = starts[ids[starts + n - 1] >= 0]  # the windows of n ids
+        if n in orders:
+            grams, block, totals[:, n] = _order_counts(ids, starts, row_ends, n, words)
+            names += grams
+            blocks.append(block)
+    del ids, starts
+    order = sorted(range(len(names)), key=names.__getitem__)  # each column's provisional column
+    vocabulary = list(map(names.__getitem__, order))
+    order = np.array(order, dtype=np.intp)
     renumber = np.argsort(order)  # the inverse permutation: each provisional column's column
-    counts = sparse.csr_array(
-        (np.concatenate(data), renumber[np.concatenate(indices)], indptr),
-        shape=(len(keys), len(order) + 1),  # and an empty column for n-grams not counted
-    )
+    col_orders = np.repeat(np.array(orders, np.int64), [block.shape[1] for block in blocks])
+    empty = sparse.csr_array((len(keys), 1), dtype=np.int64)  # read by n-grams not counted
+    counts = sparse.hstack([*blocks, empty], format="csr")
+    counts.indices = renumber[counts.indices]
+    counts.has_sorted_indices = False
+    counts.sort_indices()
     return CountTable(
         rows={key: r for r, key in enumerate(keys)},
         users=shared_users(corpora),
         vocabulary=vocabulary,
-        orders=np.array([*(col_orders[j] for j in order), 0], dtype=np.int64),
+        orders=np.append(col_orders[order], 0),
         counts=counts,
         totals=totals,
     )
+
+
+def _order_counts(
+    ids: np.ndarray, starts: np.ndarray, row_ends: np.ndarray, n: int, words: np.ndarray
+) -> tuple[list[str], sparse.csr_array, np.ndarray]:
+    """The n-grams in the windows of ``n`` of ``ids`` at ``starts``, a row's
+    windows starting before its ``row_ends``: each distinct n-gram's id, in
+    key order, the rows x n-grams counts, and each row's total."""
+    from scipy import sparse
+
+    grams, column = np.unique(_window_keys(ids, starts, n, len(words)), return_inverse=True)
+    at = np.empty(len(grams), np.intp)
+    at[column] = starts  # a window of each distinct n-gram
+    names = list(map(" ".join, zip(*(words[ids[at + k]].tolist() for k in range(n)))))
+    cells = np.searchsorted(row_ends, starts, side="right")  # each window's row
+    totals = np.bincount(cells, minlength=len(row_ends))
+    cells *= len(grams)
+    cells += column  # row * n-grams + column: each row's cells are one sorted run
+    del column  # freed before the second sort
+    cells, counts = np.unique(cells, return_counts=True)
+    indptr = np.searchsorted(cells, np.arange(len(row_ends) + 1) * len(grams))
+    block = sparse.csr_array((counts, cells % len(grams), indptr), (len(row_ends), len(grams)))
+    return names, block, totals
+
+
+def _window_keys(ids: np.ndarray, starts: np.ndarray, n: int, base: int) -> np.ndarray:
+    """One int64 key per window of ``n`` ids at ``starts``, equal for equal
+    windows only: the ids as the digits of a base-``base`` number while
+    ``base**n`` stays below ``_KEY_LIMIT``, else the rank of the window's
+    first ``n - 1`` ids among theirs, times ``base``, plus its last id."""
+    if n > 1 and base**n >= _KEY_LIMIT:
+        keys = np.unique(_window_keys(ids, starts, n - 1, base), return_inverse=True)[1]
+        keys *= base
+        keys += ids[starts + n - 1]
+        return keys
+    keys = ids[starts]
+    for k in range(1, n):
+        keys *= base
+        keys += ids[starts + k]
+    return keys

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import platform
 from itertools import zip_longest
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -199,9 +200,15 @@ def write_manifest(
     package_version: str,
 ) -> None:
     """Write the run manifest; ``inputs`` maps each input's manifest key to
-    the file whose SHA-256 digest is recorded under it."""
+    the file whose SHA-256 digest is recorded under it, and ``versions``
+    holds the python, numpy, scipy and regex versions that ran."""
+    from importlib import metadata  # read from the installed metadata: imports no scipy module
+
+    versions = {"python": platform.python_version()}
+    versions.update((name, metadata.version(name)) for name in ("numpy", "scipy", "regex"))
     manifest = {
         "package_version": package_version,
+        "versions": versions,
         "config": dict(sorted(config.items())),
         "inputs": {key: sha256_file(inputs[key]) for key in sorted(inputs)},
     }

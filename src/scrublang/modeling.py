@@ -123,10 +123,12 @@ def _ridge_fits(
     right-hand side, so every fit is bit-identical to that target's alone.
     """
     mu = X.mean(axis=0)
-    sigma = X.std(axis=0)
+    Z = X - mu
+    sigma = np.sqrt(np.add.reduce(Z * Z, 0) / len(X))  # X.std(axis=0), bit for bit
     live = ~_is_constant(X, axis=0)
-    Z = np.zeros_like(X)
-    Z[:, live] = (X[:, live] - mu[live]) / sigma[live]
+    sigma[~live] = 1.0
+    Z /= sigma
+    Z[:, ~live] = 0.0
     K = _gram(Z, alpha)
     fits = []
     for y in ys:

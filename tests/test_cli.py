@@ -965,15 +965,17 @@ class TestPipeline:
     def test_estimates_and_importance_share_unigram_counts(self, fixture_dir, monkeypatch):
         """The diff, the lexicon estimates, the model tables and importance
         read one count of each corpus: the pipeline walks each corpus's
-        tokens through ``features.ngram_counts`` once."""
+        tokens through ``features.count_table`` once."""
         walks = []
-        real = features.ngram_counts
+        real = features.count_table
 
-        def counting(tokens, orders=(1, 2, 3)):
-            walks.append(tuple(map(tuple, tokens)))
-            return real(tokens, orders)
+        def counting(corpora, orders=(1, 2, 3)):
+            walks.extend(tuple(map(tuple, corpus._tokens)) for corpus in corpora.values())
+            return real(corpora, orders)
 
-        monkeypatch.setattr(features, "ngram_counts", counting)
+        # the CLI's own name and the one that UserCorpus's features call
+        monkeypatch.setattr(cli, "count_table", counting)
+        monkeypatch.setattr(features, "count_table", counting)
         assert main(["pipeline", "--config", str(fixture_dir / "pipeline.cfg")]) == 0
         report = json.loads((fixture_dir / "out" / "lexicon_eval.json").read_text())
         assert report["models"]  # the estimates stage scored a model

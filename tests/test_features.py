@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,10 +23,10 @@ from scrublang.features import (
     filter_min_words,
     group_frequency_filter,
     load_corpus_jsonl,
-    ngram_counts,
     tokenize,
 )
 from scrublang.spans import PLACEHOLDER_RE, span
+from scrublang.synth import make_fixture
 
 tokens_strategy = st.lists(
     st.sampled_from(["a", "b", "c", "dd", "ee", ":)", "<email>"]), min_size=1, max_size=30
@@ -122,21 +123,34 @@ class TestNgrams:
 
     @pytest.mark.parametrize("orders", [(0,), (1, 0), (-1, 2)])
     def test_orders_below_one_rejected(self, orders):
+        corpora = {("u", "sms"): UserCorpus("u", "sms", ["a b"])}
         with pytest.raises(ValueError, match="orders must be >= 1"):
-            ngram_counts([["a", "b"]], orders)
+            count_table(corpora, orders)
         with pytest.raises(ValueError, match="orders must be >= 1"):
             ngrams("a b", orders=orders)
 
-    @given(st.lists(tokens_strategy, min_size=2, max_size=4))
+    @given(
+        st.lists(st.lists(tokens_strategy, min_size=1, max_size=4), min_size=1, max_size=3),
+        st.randoms(use_true_random=False),
+    )
     @settings(max_examples=50, deadline=None)
-    def test_counts_stable_under_document_order(self, docs):
-        counts1 = ngram_counts(docs)
-        counts2 = ngram_counts(list(reversed(docs)))
-        assert list(counts1) == list(counts2) == [1, 2, 3]
-        assert counts1 == counts2
-        assert [c.total() for c in counts1.values()] == [
-            sum(max(len(doc) - n + 1, 0) for doc in docs) for n in (1, 2, 3)
-        ]
+    def test_counts_stable_under_document_order(self, users, random):
+        """Permuting each corpus's documents gives an equal table, whose
+        totals count each document's own windows."""
+        corpora = {
+            (f"u{i}", "sms"): UserCorpus(f"u{i}", "sms", list(map(" ".join, docs)))
+            for i, docs in enumerate(users)
+        }
+        permuted = {
+            key: UserCorpus(*key, random.sample(c.documents, len(c.documents)))
+            for key, c in corpora.items()
+        }
+        table = count_table(corpora)
+        assert_equal_tables(count_table(permuted), table)
+        for r, docs in enumerate(users):
+            assert table.totals[r].tolist() == [
+                0, *(sum(max(len(doc) - n + 1, 0) for doc in docs) for n in (1, 2, 3))
+            ]
 
     # "<xd >" and "<xd\t>" are the tokens "<xd" and ">"; "<work of art>" is
     # one token whose id holds spaces
@@ -272,6 +286,17 @@ class TestCorpus:
         assert table.vocabulary == ["a", "b", "c"]
         assert table.columns(("u1", "facebook"), (1,)) == {0, 1}
         assert table.freqs([("u1", "facebook")], ["a", "b", "c"]).tolist() == [[0.5, 0.5, 0.0]]
+
+
+def assert_equal_tables(got, want):
+    """Two count tables are equal: rows, users, vocabulary, column orders,
+    the counts cell for cell (in their canonical form), and the totals."""
+    assert (got.rows, got.users, got.vocabulary) == (want.rows, want.users, want.vocabulary)
+    for a, b in [(got.orders, want.orders), (got.totals, want.totals),
+                 *zip(*((m.indptr, m.indices, m.data) for m in (got.counts, want.counts)))]:
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert got.counts.shape == want.counts.shape
+    assert got.counts.has_canonical_format and want.counts.has_canonical_format
 
 
 def dictionary_per_token(documents, spec: DictionarySpec) -> dict[str, float]:
@@ -416,3 +441,79 @@ class TestCountTable:
         for key, cells in zip(keys, freqs.tolist()):
             row = table.row(key, orders)
             assert cells == [row.get(i, 0.0) for i in ids]
+
+
+# tokens that spell ids with spaces, a placeholder that is one token, and words
+ORACLE_WORDS = ["a", "b", "ok", "<work of art>", "<email>", ":)", "<xd", ">"]
+
+
+class TestIntegerKeyBuild:
+    """The build from int64 window keys, against the per-document reference
+    and across its overflow path."""
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.sampled_from(["u0", "u1", "u2"]), st.sampled_from(features.PLATFORMS)),
+            # empty documents and documents shorter than every order included
+            st.lists(st.lists(st.sampled_from(ORACLE_WORDS), max_size=6).map(" ".join),
+                     max_size=4),
+            max_size=6,
+        ),
+        st.sets(st.integers(1, 4), min_size=1),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example({("u0", "sms"): ["", "a", "a <work of art> b", "ok ok"]}, {4, 1})
+    def test_matches_the_per_document_reference(self, docs, orders):
+        """Each row is the reference's, the vocabulary strictly increases, and
+        the (id, order) of the columns are exactly the windows inside the
+        documents: no n-gram spans two documents."""
+        corpora = {key: UserCorpus(*key, texts) for key, texts in docs.items()}
+        table = count_table(corpora, orders)
+        for key, corpus in corpora.items():
+            assert table.row(key, orders) == logistic_oracle.corpus_ngrams(corpus, orders)
+        assert all(a < b for a, b in zip(table.vocabulary, table.vocabulary[1:]))
+        windows = {
+            (" ".join(doc[i : i + n]), n)
+            for corpus in corpora.values()
+            for doc in map(tokenize, corpus.documents)
+            for n in orders
+            for i in range(len(doc) - n + 1)
+        }
+        assert set(zip(table.vocabulary, table.orders[:-1].tolist())) == windows
+        for key, r in table.rows.items():
+            tokens = list(map(tokenize, corpora[key].documents))
+            for n in orders:
+                assert table.totals[r, n] == sum(max(len(doc) - n + 1, 0) for doc in tokens)
+
+    @pytest.mark.parametrize("limit", [6**2, 6**3, 6**4])
+    def test_overflow_path_builds_the_same_table(self, monkeypatch, limit):
+        """Keys whose base-6 value would reach the limit are (rank of the
+        first n - 1 ids, last id): the three limits send the orders from 2,
+        3 or 4 up through that path, and the table is the same."""
+        docs = {
+            ("u0", "facebook"): ["a b a b ok", "", "ok"],
+            ("u0", "sms"): ["b a <work of art> a b", "a b a"],
+            ("u1", "sms"): ["<xd > ok a", "b"],
+        }
+        corpora = {key: UserCorpus(*key, texts) for key, texts in docs.items()}
+        assert len({t for c in corpora.values() for doc in c._tokens for t in doc}) == 6
+        want = count_table(corpora, (1, 2, 3, 4))
+        monkeypatch.setattr(features, "_KEY_LIMIT", limit)
+        assert_equal_tables(count_table(corpora, (1, 2, 3, 4)), want)
+
+    def test_peak_memory_is_no_larger_than_the_string_counter(self, tmp_path):
+        # The string-keyed build this replaced (one Counter per order and
+        # corpus, over joined ids) peaked at 4.52 MB traced here, at orders
+        # 1-3 of the 40-user fixture's posts; this build peaks at 4.05 MB
+        corpora = load_corpus_jsonl(make_fixture(tmp_path, n_users=40, seed=1)["facebook_corpus"])
+        for corpus in corpora.values():
+            corpus.word_count()  # tokenized before tracing
+        count_table(corpora, (1,))  # and scipy.sparse imported
+        tracemalloc.start()
+        try:
+            table = count_table(corpora, (1, 2, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table.vocabulary) == 20_634
+        assert peak < 4.52e6

@@ -5,10 +5,13 @@ spreadsheet export may start with a byte-order mark."""
 from __future__ import annotations
 
 import json
+import platform
 import re
+from importlib import metadata
 
 import numpy as np
 import pytest
+import scipy
 
 from scrublang import io, modeling
 from scrublang.features import load_corpus_jsonl
@@ -168,3 +171,17 @@ def test_embedding_width_error_names_the_first_row_that_differs(tmp_path):
     expected = f"{path}:3: 1 embedding values, the first row has 2"
     with pytest.raises(ValueError, match=re.escape(expected)):
         load_embeddings(path)
+
+
+def test_manifest_records_the_library_versions(tmp_path):
+    source = tmp_path / "in.txt"
+    source.write_text("x\n")
+    io.write_manifest(tmp_path / "manifest.json", {"seed": 1}, {"corpus": source}, "0.1.0")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert set(manifest) == {"package_version", "versions", "config", "inputs"}
+    assert manifest["versions"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "regex": metadata.version("regex"),
+    }
