@@ -548,15 +548,14 @@ class Run:
         return f"wrote {len(models)} {platform} models to {dest}"
 
     def evaluate(self) -> str:
-        """Four-cell cross-platform evaluation on the n-gram tables, with holdout
-        cross fits in the pipeline.  When both embeddings files are set, the same
-        evaluation runs on both platforms' embeddings reduced in one shared NMF
-        basis of ``nmf_k`` components."""
+        """Four-cell cross-platform evaluation on the n-gram tables, every cell
+        holding out the evaluated user.  When both embeddings files are set, the
+        same evaluation runs on both platforms' embeddings reduced in one shared
+        NMF basis of ``nmf_k`` components."""
         cfg, out, outcomes = self.cfg, self.out, self.outcomes
         users, X_fb, X_sms, _ = self.model_tables
-        cross_fit = "holdout" if self.pipeline else self.args.cross_fit
         matrix_args = dict(alpha=cfg.ridge_alpha, bootstrap_iterations=cfg.bootstrap_iterations,
-                           seed=cfg.seed, cross_fit=cross_fit)
+                           seed=cfg.seed)
         labels = {u: outcomes.get(u, {}) for u in users}
         report = cross_domain_matrix(X_fb, X_sms, users, labels, **matrix_args)
         out.json(report.to_dict(), "eval_report.json")
@@ -690,7 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="four-cell cross-platform model evaluation")
     p.add_argument("--corpus", **corpus)
-    p.add_argument("--cross-fit", choices=["holdout", "full"], default="holdout")
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("importance", help="weight-times-frequency feature importance")
@@ -718,7 +716,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run_command(args)
-    except (PipelineError, FileNotFoundError, ValueError) as exc:
+    except (PipelineError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, PipelineError) else 2
 

@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .modeling import BINARY_OUTCOMES, LexiconModel
-from .spans import json_lines, json_record, wrong_json_type
+from .spans import json_lines, json_record, utf8_lines, wrong_json_type
 
 GENDER_CODES = {
     "f": 1.0,
@@ -48,12 +48,14 @@ def _csv_rows(
     path: str | Path, kind: str, required: Sequence[str], parse: Callable[[dict], Any]
 ) -> Iterator[tuple[int, Any]]:
     """``(line number, parse(row))`` for each non-empty row of the CSV file
-    ``path``, ``row`` mapping each header column to its cell (blank past the
-    end of a short row).  An empty file, or a header that lacks a ``required``
-    column or names one twice, is an error naming ``path``; a row with more
-    cells than the header, or one ``parse`` rejects, names ``path:line``."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    ``path``, read by :func:`spans.utf8_lines`, ``row`` mapping each header
+    column to its cell (blank past the end of a short row).  An empty file, or
+    a header that lacks a ``required`` column, is an error naming ``path``; a
+    header that names a column twice, a row with more cells than the header or
+    that breaks the quoting rules (``strict``), or one ``parse`` rejects,
+    names ``path:line``."""
+    reader = csv.reader((line for _, line in utf8_lines(path, newline="")), strict=True)
+    try:
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty {kind} file")
@@ -70,6 +72,8 @@ def _csv_rows(
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}:{reader.line_num}: bad {kind} row: {exc}") from exc
             yield reader.line_num, record
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: bad {kind} row: {exc}") from exc
 
 
 def _put_once(rows: dict, key, value, where: str, label: str) -> None:

@@ -118,7 +118,8 @@ def _ridge_fits(
     unpenalized intercept: X's columns are z-scored and each target is
     centered (Hastie et al., *ESL* §3.4.1).
 
-    The targets share one centering and one Gram matrix, and columns without
+    The targets share one centering and one Gram matrix, ``Z'Z + aI`` or,
+    when features outnumber rows, the dual ``ZZ' + aI``; columns without
     spread get weight 0.  Each target is solved on its own, as a 1-d
     right-hand side, so every fit is bit-identical to that target's alone.
     """
@@ -129,33 +130,19 @@ def _ridge_fits(
     sigma[~live] = 1.0
     Z /= sigma
     Z[:, ~live] = 0.0
-    K = _gram(Z, alpha)
+    n, p = Z.shape
+    # the dual Z'(ZZ' + aI)^-1 y equals (Z'Z + aI)^-1 Z'y and turns a p x p solve into n x n
+    dual = p > n
+    K = Z @ Z.T + alpha * np.eye(n) if dual else Z.T @ Z + alpha * np.eye(p)
     fits = []
     for y in ys:
         ybar = y.mean()
-        w_std = _ridge_weights(Z, K, y - ybar)
+        yc = y - ybar
+        w_std = Z.T @ np.linalg.solve(K, yc) if dual else np.linalg.solve(K, Z.T @ yc)
         w = np.zeros(X.shape[1])
         w[live] = w_std[live] / sigma[live]
         fits.append((w, float(ybar - w @ mu)))
     return fits
-
-
-def _gram(X: np.ndarray, alpha: float) -> np.ndarray:
-    """``X'X + aI``, or the dual ``XX' + aI`` when features outnumber rows.
-
-    The dual form X'(XX' + aI)^-1 y of :func:`_ridge_weights` is
-    algebraically identical and turns a p x p solve into an n x n solve.
-    """
-    n, p = X.shape
-    return X.T @ X + alpha * np.eye(p) if p <= n else X @ X.T + alpha * np.eye(n)
-
-
-def _ridge_weights(X: np.ndarray, K: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Solve (X'X + aI) w = X'y given ``K = _gram(X, a)``."""
-    n, p = X.shape
-    if p <= n:
-        return np.linalg.solve(K, X.T @ y)
-    return X.T @ np.linalg.solve(K, y)
 
 
 def ridge_fit(
@@ -245,8 +232,8 @@ def loocv_predictions_hat(
         raise ValueError("loocv_predictions_hat supports standardize='global' or 'none'")
     # The hat matrix of a ridge with an unpenalized intercept: 1/n for the intercept
     # plus Z (Z'Z + aI)^-1 Z' on the centered design, whose columns without spread
-    # are 0.  Primal even for p > n: there _gram's dual form loses 100-1000x more
-    # precision where 1 - h is small.
+    # are 0.  Primal even for p > n: there _ridge_fits' dual form loses 100-1000x
+    # more precision where 1 - h is small.
     Z = np.where(_is_constant(X, axis=0), 0.0, X - X.mean(axis=0))
     H = 1.0 / len(Z) + Z @ np.linalg.solve(Z.T @ Z + alpha * np.eye(Z.shape[1]), Z.T)
     h = np.diag(H)
@@ -282,7 +269,6 @@ class EvalReport(Record):
     alpha: float
     seed: int
     bootstrap_iterations: int
-    cross_fit: str
     cell_labels: dict[str, str] = field(default_factory=lambda: dict(CELL_LABELS))
 
 
@@ -300,18 +286,16 @@ def cross_domain_matrix(
     alpha: float = 1.0,
     bootstrap_iterations: int = 10_000,
     seed: int = 0,
-    cross_fit: str = "holdout",
 ) -> EvalReport:
     """Fill the four train/test cells per outcome for one shared user set:
     ``X_fb`` and ``X_sms`` hold the same features, one row per user of
     ``users`` on each platform.
 
-    Every cell holds out the evaluated user: in-domain cells are classic
-    LOOCV, and with ``cross_fit="holdout"`` (the default) cross-domain cells
-    likewise train on the source platform minus the user being predicted, so
-    a user never influences their own estimate; a source platform's in-domain
-    and cross-domain cells share each fold's fit.  ``cross_fit="full"``
-    instead trains cross-domain models once on the entire source platform.
+    Every cell holds out the evaluated user, as a pre-trained model never saw
+    the users it scores: in-domain cells are classic LOOCV, and cross-domain
+    cells likewise train on the source platform minus the user being
+    predicted, so a user never influences their own estimate.  A source
+    platform's in-domain and cross-domain cells share each fold's fit.
     Outcomes labeled for the same users share each fold's standardization
     and Gram matrix; each outcome is then solved on its own, so its
     estimates equal those of a fit of that outcome alone.
@@ -321,8 +305,6 @@ def cross_domain_matrix(
     and p of None where undefined), which scores the bootstrap resamples in
     blocks of rows.
     """
-    if cross_fit not in ("holdout", "full"):
-        raise ValueError("cross_fit must be 'holdout' or 'full'")
     check_bootstrap_iterations(bootstrap_iterations)
     X = {"fb": np.asarray(X_fb, dtype=float), "sms": np.asarray(X_sms, dtype=float)}
     if X["fb"].ndim != 2 or X["fb"].shape != X["sms"].shape or len(users) != len(X["fb"]):
@@ -340,7 +322,6 @@ def cross_domain_matrix(
         alpha=alpha,
         seed=seed,
         bootstrap_iterations=bootstrap_iterations,
-        cross_fit=cross_fit,
     )
 
     labeled = {name: labeled_users(users, outcomes, name) for name in outcome_names}
@@ -353,12 +334,7 @@ def cross_domain_matrix(
         ys = [labeled[name][1] for name in names]
         for src, dst in (("fb", "sms"), ("sms", "fb")):
             Xs, Xd = X[src][list(keep)], X[dst][list(keep)]
-            if cross_fit == "full":
-                in_domain = _loocv_fold_predictions(Xs, ys, alpha, [Xs])
-                fits = _ridge_fits(Xs, ys, alpha)
-                cells = [(p, Xd @ w + b) for (p,), (w, b) in zip(in_domain, fits)]
-            else:
-                cells = _loocv_fold_predictions(Xs, ys, alpha, [Xs, Xd])
+            cells = _loocv_fold_predictions(Xs, ys, alpha, [Xs, Xd])
             for name, (p_src, p_dst) in zip(names, cells):
                 preds.setdefault(name, {}).update({f"{src}_{src}": p_src, f"{src}_{dst}": p_dst})
 

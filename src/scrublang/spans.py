@@ -64,19 +64,35 @@ def straight_apostrophes(text: str) -> str:
     return text.replace("’", "'")
 
 
-def numbered_lines(source, comments: bool = False) -> Iterator[tuple[int, str]]:
-    """``(line number, line)`` for each non-blank line of the UTF-8 text file
-    ``source`` (a path or a bundled resource), read lazily and without its
-    ending.  A line ends at ``\\n``, ``\\r`` or ``\\r\\n`` only, so a JSON
-    string may hold U+2028, U+2029 or U+0085; a leading byte-order mark is
-    dropped.  With ``comments``, lines whose first non-blank character is
-    ``#`` are skipped too."""
+# A byte that is no part of a UTF-8 character, as the "surrogateescape" error
+# handler reads it: one lone surrogate U+DC80..U+DCFF per byte.
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+def utf8_lines(source, newline: str | None) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` for each line of the UTF-8 text file ``source``
+    (a path or a bundled resource), read lazily with ``newline`` as
+    :func:`open` takes it; a leading byte-order mark is dropped.  A byte that
+    is not UTF-8 raises ``ValueError`` naming ``source:line``.  Only a line
+    that is not ASCII is searched for one, so an ASCII line costs one test."""
     source = Path(source) if isinstance(source, str) else source
-    with source.open(encoding="utf-8-sig") as fh:
+    with source.open(encoding="utf-8-sig", errors="surrogateescape", newline=newline) as fh:
         for lineno, line in enumerate(fh, 1):
-            text = line.strip()
-            if text and not (comments and text.startswith("#")):
-                yield lineno, line.rstrip("\n")
+            if not line.isascii() and (bad := _UNDECODED.search(line)):
+                byte = ord(bad[0]) - 0xDC00
+                raise ValueError(f"{source}:{lineno}: invalid UTF-8 byte 0x{byte:02x}")
+            yield lineno, line
+
+
+def numbered_lines(source, comments: bool = False) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` for each non-blank line of :func:`utf8_lines`,
+    without its ending.  A line ends at ``\\n``, ``\\r`` or ``\\r\\n`` only, so
+    a JSON string may hold U+2028, U+2029 or U+0085.  With ``comments``, lines
+    whose first non-blank character is ``#`` are skipped too."""
+    for lineno, line in utf8_lines(source, None):
+        text = line.strip()
+        if text and not (comments and text.startswith("#")):
+            yield lineno, line.rstrip("\n")
 
 
 _JSON_NAMES = {str: "string", int: "integer", bool: "boolean", list: "array"}
@@ -121,7 +137,7 @@ def json_lines(path, what: str, parse: Callable[[str], Any]) -> Iterator[tuple[i
     for lineno, line in numbered_lines(path):
         try:
             record = parse(line)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ValueError(f"{path}:{lineno}: bad {what}: {exc}") from exc
         yield lineno, record
 

@@ -150,13 +150,11 @@ def cross_domain_matrix(
     alpha: float = 1.0,
     bootstrap_iterations: int = 10_000,
     seed: int = 0,
-    cross_fit: str = "holdout",
 ) -> EvalReport:
     """The four cells and both bootstrap comparisons, one outcome at a time."""
     X = {"fb": X_fb, "sms": X_sms}
     report = EvalReport(
-        outcomes={}, alpha=alpha, seed=seed, bootstrap_iterations=bootstrap_iterations,
-        cross_fit=cross_fit,
+        outcomes={}, alpha=alpha, seed=seed, bootstrap_iterations=bootstrap_iterations
     )
     for name in sorted({name for u in users for name in outcomes[u]}):
         labeled = labeled_users(users, outcomes, name)
@@ -167,14 +165,9 @@ def cross_domain_matrix(
         preds = {}
         for src, dst in (("fb", "sms"), ("sms", "fb")):
             Xs, Xd = X[src][keep], X[dst][keep]
-            if cross_fit == "full":
-                preds[f"{src}_{src}"] = loocv_fold_predictions(Xs, y, alpha, [Xs])[0]
-                w, b = ridge_solve(Xs, y, alpha)
-                preds[f"{src}_{dst}"] = Xd @ w + b
-            else:
-                preds[f"{src}_{src}"], preds[f"{src}_{dst}"] = loocv_fold_predictions(
-                    Xs, y, alpha, [Xs, Xd]
-                )
+            preds[f"{src}_{src}"], preds[f"{src}_{dst}"] = loocv_fold_predictions(
+                Xs, y, alpha, [Xs, Xd]
+            )
         ev = OutcomeEval(outcome=name, kind=kind)
         for cell in CELL_ORDER:
             try:

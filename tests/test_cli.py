@@ -17,7 +17,7 @@ from scrublang import cli, features
 from scrublang.analysis import shared_users
 from scrublang.cli import RunConfig, main
 from scrublang.io import load_lexicon_csv, sha256_file
-from scrublang.modeling import labeled_users
+from scrublang.modeling import CELL_ORDER, labeled_users
 from scrublang.synth import ALLOWED_APPS, make_fixture
 
 
@@ -351,6 +351,12 @@ class TestAnalysisCommands:
         assert main(["summary", "--corpus", str(corpus)]) == 2
         assert "corpus.jsonl:2: bad corpus record" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["summary --corpus {d}", "redact --in {d} --out {d}/o"])
+    def test_a_directory_given_as_an_input_file_is_an_error(self, tmp_path, capsys, command):
+        assert main(command.format(d=tmp_path).split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+
     def test_models_keep_emoticons_and_drop_placeholders(self, tmp_path):
         corpus, outcomes, lexicon = (tmp_path / n for n in ("c.jsonl", "o.csv", "lex.csv"))
         write_small_corpus(corpus, extra=" <3 <email>")
@@ -360,7 +366,7 @@ class TestAnalysisCommands:
         terms = set(load_lexicon_csv(lexicon)["age"].weights)
         assert "<3" in terms and "<email>" not in terms
 
-    def test_cross_fit_full_applies_to_embeddings(self, tmp_path):
+    def test_evaluate_holds_out_each_user_on_the_embeddings_too(self, tmp_path):
         corpus, outcomes = tmp_path / "c.jsonl", tmp_path / "o.csv"
         write_small_corpus(corpus)
         write_ages(outcomes)
@@ -373,10 +379,17 @@ class TestAnalysisCommands:
         out = tmp_path / "eval"
         argv = ["evaluate", "--corpus", str(corpus), "--min-words", "1", "--orders", "1"]
         argv += ["--outcomes", str(outcomes), "--bootstrap-iterations", "1000", "--nmf-k", "2"]
-        argv += ["--cross-fit", "full", *embeddings, "--out-dir", str(out)]
+        argv += [*embeddings, "--out-dir", str(out)]
         assert main(argv) == 0
-        for name in ("eval_report.json", "embedding_eval.json"):
-            assert json.loads((out / name).read_text())["cross_fit"] == "full", name
+        reports = {name: json.loads((out / name).read_text())
+                   for name in ("eval_report.json", "embedding_eval.json")}
+        keys = {"alpha", "bootstrap_iterations", "cell_labels", "outcomes", "seed"}
+        assert set(reports["eval_report.json"]) == keys
+        assert set(reports["embedding_eval.json"]) == keys | {"nmf"}
+        embedding_outcomes = reports["embedding_eval.json"]["outcomes"]
+        assert embedding_outcomes
+        for ev in embedding_outcomes.values():
+            assert sorted(ev["cells"]) == sorted(CELL_ORDER)
 
 
 SUITE_OPTIONS = {
@@ -434,7 +447,6 @@ SUBCOMMAND_OPTIONS = {
         **MODEL_OPTIONS,
         "bootstrap_iterations": (("--bootstrap-iterations",), 10000),
         "seed": (("--seed",), 0),
-        "cross_fit": (("--cross-fit",), "holdout"),
         "embeddings_fb": (("--embeddings-fb",), None),
         "embeddings_sms": (("--embeddings-sms",), None),
         "nmf_k": (("--nmf-k",), 128),

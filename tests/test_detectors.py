@@ -132,14 +132,14 @@ class TestCommonFormats:
     # "e-mail" wrote "<e-mail>", which tokenizes as "<", "e", "-", "mail" and
     # ">"; "Phone" wrote "<Phone>", which placeholder_regions does not mask
     @pytest.mark.parametrize("label", ["e-mail", "Phone", "date|phone", "_id", "9x", ""])
-    def test_label_the_placeholder_grammar_cannot_read_names_its_line(self, tmp_path, label):
+    def test_label_that_no_placeholder_can_spell_names_its_line(self, tmp_path, label):
         bad = tmp_path / "cat.tsv"
         bad.write_text(f"num\t\\d+\n{label}\tx+\n")
         with pytest.raises(CatalogueError, match=rf"cat\.tsv:2: .*label {re.escape(repr(label))}"):
             load_catalogue(bad)
 
     @pytest.mark.parametrize("label", ["phone ", " phone", "work of |art", "e-mail"])
-    def test_regex_detector_refuses_a_label_the_grammar_cannot_read(self, label):
+    def test_regex_detector_refuses_a_label_that_no_placeholder_can_spell(self, label):
         with pytest.raises(CatalogueError, match="label"):
             regex_detector(label, r"\d+")
 
@@ -255,7 +255,7 @@ class TestGazetteer:
 
     # "Person" or "person " used to skip the capitalization rule of "person"
     @pytest.mark.parametrize("label", ["Person", "person ", "work-of-art", ""])
-    def test_label_the_placeholder_grammar_cannot_read_is_refused(self, label):
+    def test_label_that_no_placeholder_can_spell_is_refused(self, label):
         with pytest.raises(CatalogueError, match="label"):
             Gazetteer({label: ["ada lovelace"]})
 

@@ -23,7 +23,9 @@ BOM = "\ufeff"
 
 
 def write(path, text: str):
-    path.write_text(BOM + text, encoding="utf-8")
+    """``text`` as UTF-8 after a byte-order mark; a lone surrogate U+DC80..U+DCFF
+    in ``text`` writes the one byte 0x80..0xff that no UTF-8 character holds."""
+    path.write_text(BOM + text, encoding="utf-8", errors="surrogateescape")
     return path
 
 
@@ -115,12 +117,21 @@ def json_cases():
         yield name, "wrong-type", [json.dumps({**good, field: True})], f"{field} must be a {kind}"
         if name == "emb.jsonl":
             yield name, "repeated-key", [json.dumps(good)], "repeated user_id 'u0'"
+        bad_byte = json.dumps(good).replace("u0", "u\udcff0")
+        yield name, "invalid-utf8", [bad_byte], "invalid UTF-8 byte 0xff"
+        yield name, "nested-too-deep", ["[" * 200_000], "maximum recursion depth exceeded"
 
 
 def csv_cases():
     for name, (_, text, extra_cell, repeated, key) in CSV_LOADERS.items():
         yield name, "extra-cell", text + extra_cell, "more cells than header columns"
         yield name, "repeated-key", text + repeated, f"repeated {key}"
+        yield name, "invalid-utf8", text + "\udcc3(,1\n", "invalid UTF-8 byte 0xc3"
+        # the bad byte's line, though the row it is in ends on the next one
+        yield name, "invalid-utf8-in-a-quoted-cell", text + '"\udcff\nu9",1\n', "byte 0xff"
+        yield name, "quote-left-open", text + '"u9,1', "unexpected end of data"
+        yield name, "text-after-a-closing-quote", text + '"u9"x,1\n', "',' expected after '\"'"
+        yield name, "cell-over-the-field-limit", text + "u" * 131_073 + ",1\n", "field larger"
 
 
 @pytest.mark.parametrize(
@@ -131,7 +142,8 @@ def test_json_lines_loaders_name_a_bad_record_by_path_and_line(
 ):
     loader, good = JSON_LOADERS[name][:2]
     path = tmp_path / name
-    path.write_text("\n".join([json.dumps(good), "", *lines]) + "\n", encoding="utf-8")
+    text = "\n".join([json.dumps(good), "", *lines]) + "\n"
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
     with pytest.raises(ValueError, match=re.escape(f"{path}:3: ") + ".*" + re.escape(message)):
         loader(path)
 
@@ -153,6 +165,19 @@ def test_csv_header_that_names_a_column_twice_is_an_error(tmp_path, name):
     path = write(tmp_path / name, f"{header},{last}\n{row},7\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}:1: the header names {last!r} twice")):
         CSV_LOADERS[name][0](path)
+
+
+@pytest.mark.parametrize("name", list(CSV_LOADERS))
+def test_csv_header_that_breaks_the_quoting_rules_names_line_1(tmp_path, name):
+    header, row = CSV_LOADERS[name][1].splitlines()
+    path = write(tmp_path / name, f'"{header}"x\n{row}\n')
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: ") + ".*expected after"):
+        CSV_LOADERS[name][0](path)
+
+
+def test_csv_quote_inside_an_unquoted_cell_or_doubled_in_a_quoted_one_reads(tmp_path):
+    path = write(tmp_path / "o.csv", 'user_id,age\nab"c,1\n"""",2\n')
+    assert load_outcomes_csv(path) == {'ab"c': {"age": 1.0}, '"': {"age": 2.0}}
 
 
 def test_corpus_platform_is_facebook_or_sms(tmp_path):

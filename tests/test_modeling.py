@@ -370,28 +370,6 @@ class TestCrossDomain:
         )
         assert report.outcomes["score"].cells["fb_fb"].n == 6
 
-    def test_full_cross_fit_trains_on_whole_source(self):
-        rng = np.random.default_rng(13)
-        users = [f"u{i}" for i in range(12)]
-        fb = _mk_features(users, rng)
-        sms = _mk_features(users, rng)
-        y = rng.normal(size=12)
-        outcomes = {u: {"score": float(y[i])} for i, u in enumerate(users)}
-        kw = dict(bootstrap_iterations=1000, seed=3)
-        args = (*paired_matrices(fb, sms), outcomes)
-        holdout = cross_domain_matrix(*args, **kw).outcomes["score"].cells
-        full = cross_domain_matrix(*args, cross_fit="full", **kw).outcomes["score"].cells
-        assert full["fb_fb"] == holdout["fb_fb"]
-        assert full["sms_sms"] == holdout["sms_sms"]
-        X = {
-            plat: np.array([[feats[u][f"f{j}"] for j in range(4)] for u in users])
-            for plat, feats in (("fb", fb), ("sms", sms))
-        }
-        for src, dst in (("fb", "sms"), ("sms", "fb")):
-            w, b = ridge_solve(X[src], y)
-            expected = pearson_r(X[dst] @ w + b, y)
-            assert full[f"{src}_{dst}"].value == pytest.approx(expected, abs=1e-12)
-
 
 def _shared_fold_case(n, p, seed):
     """Two platforms' features and four outcomes in three labeled-user groups:
@@ -443,11 +421,10 @@ class TestSharedFolds:
             want = evaluation_oracle.loocv_fold_predictions(Xs, ys[0], 0.5, [Xs])[0]
             assert np.array_equal(naive, want)
 
-    @pytest.mark.parametrize("cross_fit", ["holdout", "full"])
     @pytest.mark.parametrize("n, p", SHAPES)
-    def test_report_equals_the_per_outcome_loop(self, n, p, cross_fit):
+    def test_report_equals_the_per_outcome_loop(self, n, p):
         _, feats, outcomes = _shared_fold_case(n, p, seed=n * p)
-        kw = dict(alpha=0.5, bootstrap_iterations=1000, seed=2, cross_fit=cross_fit)
+        kw = dict(alpha=0.5, bootstrap_iterations=1000, seed=2)
         args = (*paired_matrices(feats["fb"], feats["sms"]), outcomes)
         report = cross_domain_matrix(*args, **kw)
         expected = evaluation_oracle.cross_domain_matrix(*args, **kw)
