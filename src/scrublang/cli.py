@@ -15,16 +15,20 @@ each; given the same settings both write byte-identical reports.
 Every command carries its settings in one :class:`RunConfig`, set from its
 flags by :func:`run_config`; ``pipeline`` reads a flat ``key = value`` config
 file (# comments allowed; relative paths resolve against its directory) that
-its flags override.  A failed command removes the reports it began to write.
+its flags override; every input it names is a field checked before any work.
+A failed command leaves its output directory as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from itertools import groupby
+from itertools import groupby, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +96,7 @@ from .stats import MIN_BOOTSTRAP_ITERATIONS, score
 
 
 class PipelineError(RuntimeError):
-    """A pipeline stage failed; partial outputs have been removed."""
+    """A pipeline stage failed; the output directory is as the run found it."""
 
 
 def _int_tuple(value: str) -> tuple[int, ...]:
@@ -184,11 +188,14 @@ class RunConfig(Record):
 
     def __post_init__(self) -> None:
         """Check every setting and input path, whether it came from a config
-        file or from flags, before any work starts."""
+        file or from flags, before any work starts.  An input must exist and
+        not be a directory; a pipe may stand in for a file."""
         for key in _INPUT_KEYS:
-            value = getattr(self, key)
-            if value is not None and not Path(value).exists():
-                raise FileNotFoundError(f"{key}: no such file {value}")
+            name = f"{key} (--{_FLAG_NAMES[key]})" if key in _FLAG_NAMES else key
+            if (value := getattr(self, key)) is not None and not Path(value).exists():
+                raise FileNotFoundError(f"{name}: no such file {value}")
+            if value is not None and Path(value).is_dir():
+                raise IsADirectoryError(f"{name}: {value} is a directory")
         for key in _LIMITS:
             if problem := _out_of_range(key, getattr(self, key)):
                 raise ValueError(problem)
@@ -225,21 +232,27 @@ def _out_of_range(key: str, value) -> str | None:
 _TYPES = {f.name: f.type for f in fields(RunConfig)}  # field -> annotation
 _INPUT_KEYS = tuple(key for key, kind in _TYPES.items() if kind == "InputPath")
 _SUITE = ("gazetteer", "catalogue")
-_CORPUS = ("min_words", *_SUITE)
+_CORPUS = ("facebook_corpus", "min_words", *_SUITE)
 _MODEL = ("outcomes", "ridge_alpha", "model_orders", "min_group_fraction")
 _SETTINGS = {  # the RunConfig fields each subcommand takes as flags
-    "redact": ("keep_snapshots", "timeout_ms", "apps", *_SUITE),
-    "summary": _SUITE,
-    "features": (*_CORPUS, "dictionary", "model_orders"),
-    "diff": (*_CORPUS, "dictionary", "fdr_alpha", "min_group_fraction"),
+    "redact": ("keystroke_log", "keep_snapshots", "timeout_ms", "apps", *_SUITE),
+    "summary": ("facebook_corpus", "output_dir", *_SUITE),
+    "features": (*_CORPUS, "dictionary", "model_orders", "output_dir"),
+    "diff": (*_CORPUS, "dictionary", "fdr_alpha", "min_group_fraction", "output_dir"),
     "train": (*_CORPUS, *_MODEL),
     "evaluate": (*_CORPUS, *_MODEL, "bootstrap_iterations", "seed", "embeddings_fb",
-                 "embeddings_sms", "nmf_k", "nmf_iterations"),
-    "importance": (*_CORPUS, "lexicon"),
+                 "embeddings_sms", "nmf_k", "nmf_iterations", "output_dir"),
+    "importance": (*_CORPUS, "lexicon", "output_dir"),
     "pipeline": ("seed", "fdr_alpha", "min_words"),
 }
-_FLAG_NAMES = {"model_orders": "orders", "fdr_alpha": "alpha", "ridge_alpha": "alpha"}
+_FLAG_NAMES = {"keystroke_log": "in", "facebook_corpus": "corpus", "output_dir": "out_dir",
+               "model_orders": "orders", "fdr_alpha": "alpha", "ridge_alpha": "alpha"}
 _FLAG_ARGS = {  # help texts and exceptions, by field or by (command, field)
+    "keystroke_log": dict(required=True, help="keystroke JSONL log"),
+    "facebook_corpus": dict(required=True, help="JSONL corpus {user_id, platform, text}"),
+    ("summary", "facebook_corpus"): dict(help=None),
+    "output_dir": dict(required=True, default=None),
+    ("summary", "output_dir"): dict(required=False),  # without it, summary writes nothing
     "gazetteer": dict(help="gazetteer TSV (label<TAB>surface form)"),
     "catalogue": dict(help="regex catalogue TSV override"),
     "outcomes": dict(required=True, help="outcomes CSV"),
@@ -254,34 +267,45 @@ _FLAG_ARGS = {  # help texts and exceptions, by field or by (command, field)
 
 def run_config(args, command: str, base: RunConfig | None = None) -> RunConfig:
     """``command``'s settings: ``base`` (the defaults if None) with each of
-    ``command``'s settings flags (``_SETTINGS``) set on its field; a flag left
-    unset (None) keeps the base value."""
-    flags = {name: getattr(args, _FLAG_NAMES.get(name, name)) for name in _SETTINGS[command]}
+    ``command``'s settings flags (``_SETTINGS``), its input paths among them,
+    set on its field; a flag left unset (None) keeps the base value."""
+    flags = {name: getattr(args, name) for name in _SETTINGS[command]}
     return replace(base or RunConfig(), **{k: v for k, v in flags.items() if v is not None})
 
 
 class OutputDir:
-    """A report directory that records each path before writing its file.
-    Used as a context manager, it removes every recorded file when its block
-    raises, so a failed command leaves no partial reports."""
+    """A report directory changed all at once or not at all: each report is
+    written into a staging directory inside it, made on the first write.  On
+    leaving its ``with`` block every report is moved into place, or, if the
+    block raised, none is, and each directory it made is removed if empty."""
 
     def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self.written: list[Path] = []
+        self.path, self.stage = Path(path), None
+        self.staged: dict[str, None] = {}  # report names, in the order written
+        self.made: list[Path] = []  # the directories it made, innermost first
 
     def __enter__(self) -> "OutputDir":
-        self.path.mkdir(parents=True, exist_ok=True)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            for path in self.written:
-                path.unlink(missing_ok=True)
+        if self.stage is None:  # nothing written, nothing made
+            return
+        try:
+            for name in self.staged if exc_type is None else ():
+                os.replace(self.stage / name, self.path / name)
+        finally:
+            shutil.rmtree(self.stage)
+            for made in takewhile(lambda d: not any(d.iterdir()), self.made):
+                made.rmdir()  # empty: no report was published
 
     def claim(self, name: str) -> Path:
-        path = self.path / name
-        self.written.append(path)
-        return path
+        """The staged path of report ``name``."""
+        if self.stage is None:
+            self.made = list(takewhile(lambda p: not p.exists(), (self.path, *self.path.parents)))
+            self.path.mkdir(parents=True, exist_ok=True)
+            self.stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=self.path))
+        self.staged[name] = None
+        return self.stage / name
 
     def json(self, obj, name: str) -> None:
         write_json(obj, self.claim(name))
@@ -302,24 +326,25 @@ class OutputDir:
 
 
 class Run:
-    """One command's settings, arguments and report directory; its stages,
-    each of which writes its reports and returns its progress line; and the
-    inputs that two or more stages read, each built on first use and only once."""
-
-    out: OutputDir  # opened by run_command
+    """One command's settings, stages and report directory; its stages, each
+    of which writes its reports and returns its progress line; and the inputs
+    that two or more stages read, each built on first use and only once."""
 
     def __init__(self, args) -> None:
-        self.args, self.pipeline = args, args.command == "pipeline"
-        base = RunConfig.from_file(args.config) if self.pipeline else None
-        self.cfg = cfg = run_config(args, args.command, base)
-        if self.pipeline and None in (cfg.keystroke_log, cfg.facebook_corpus, cfg.outcomes):
+        command = args.command
+        base = RunConfig.from_file(args.config) if command == "pipeline" else None
+        self.cfg = cfg = run_config(args, command, base)
+        if command == "pipeline" and None in (cfg.keystroke_log, cfg.facebook_corpus, cfg.outcomes):
             raise ValueError("config must set keystroke_log, facebook_corpus, outcomes")
-        out_file = vars(args).get("outfile") or vars(args).get("out")  # redact's, train's
-        self.out_file = Path(out_file) if out_file else None
-        if self.pipeline:
-            self.out_dir = cfg.output_dir
-        else:  # summary without --out-dir writes nothing
-            self.out_dir = self.out_file.parent if self.out_file else args.out_dir or "."
+        self.stages = PIPELINE if command == "pipeline" else (command,)
+        opts = vars(args)  # what no RunConfig field holds; the pipeline takes the defaults
+        out_file = opts.get("out")  # redact's entries, train's lexicon
+        self.out_name = out_file and Path(out_file).name
+        self.out = OutputDir(Path(out_file).parent if out_file else cfg.output_dir)
+        self.platform = opts.get("platform", "facebook")  # train's
+        wanted = opts.get("outcome")  # train's names (None: every one), importance's one
+        self.wanted = [wanted] if isinstance(wanted, str) else wanted
+        self.summary_csv = command == "summary" and opts["output_dir"] is not None
         self.trained: dict = {}  # the train stage's models
 
     @cached_property
@@ -337,13 +362,12 @@ class Run:
         order are skipped and counted; a line that is not a valid keystroke
         event raises ``ValueError`` naming ``file:line``."""
         cfg = self.cfg
-        log = cfg.keystroke_log if self.pipeline else self.args.infile
         redactor = StreamRedactor(
             suite=self.suite, timeout_ms=cfg.timeout_ms, keep_snapshots=cfg.keep_snapshots
         )
         counters = {"events": 0, "apps_filtered": 0, "out_of_order": 0}
         entries = []
-        for _, event in json_lines(log, "keystroke event", KeystrokeEvent.from_json):
+        for _, event in json_lines(cfg.keystroke_log, "keystroke event", KeystrokeEvent.from_json):
             counters["events"] += 1
             if cfg.apps and event.app_id not in cfg.apps:
                 counters["apps_filtered"] += 1
@@ -358,16 +382,16 @@ class Run:
     def cleaned(self) -> dict[tuple[str, str], UserCorpus]:
         """Every (user, platform) corpus before the ``min_words`` exclusion,
         each document run through the cleaning pipeline (idempotent, so
-        pre-redacted corpora pass through unchanged).  The pipeline's
-        ``facebook_corpus`` may hold only facebook records: its sms corpora
-        come from the keystroke log."""
-        path = self.cfg.facebook_corpus if self.pipeline else self.args.corpus
-        platforms = ("facebook",) if self.pipeline else PLATFORMS
+        pre-redacted corpora pass through unchanged).  When a keystroke log is
+        set, the sms corpora come from it, and ``facebook_corpus`` may hold
+        only facebook records."""
+        cfg = self.cfg
+        platforms = ("facebook",) if cfg.keystroke_log else PLATFORMS
         corpora = {
             key: replace(c, documents=[redact_string(d, self.suite).text for d in c.documents])
-            for key, c in load_corpus_jsonl(path, platforms).items()
+            for key, c in load_corpus_jsonl(cfg.facebook_corpus, platforms).items()
         }
-        if self.pipeline:  # one sms corpus per user, of its messages in typing order
+        if cfg.keystroke_log:  # one sms corpus per user, of its messages in typing order
             entries = self.redaction[0]
             entries = sorted(entries, key=lambda e: (e.user_id, e.start_timestamp, e.app_id))
             for user, group in groupby(entries, key=lambda e: e.user_id):
@@ -396,7 +420,7 @@ class Run:
         dictionary categories."""
         cfg = self.cfg
         orders = {*cfg.model_orders, *((1,) if cfg.dictionary else ())}
-        if self.pipeline or self.args.command == "diff":
+        if "diff" in self.stages:
             orders.update(DIFF_ORDERS)
         return count_table(self.filtered[0], orders)
 
@@ -412,7 +436,7 @@ class Run:
 
     def redact(self) -> str:
         entries, counters = self.redaction
-        self.out.jsonl(entries, self.out_file.name if self.out_file else "entries.jsonl")
+        self.out.jsonl(entries, self.out_name or "entries.jsonl")
         return (
             "{events} events -> {n} entries ({apps_filtered} filtered by app, "
             "{out_of_order} out of order)"
@@ -429,19 +453,17 @@ class Run:
         return f"{len(users)} users on both platforms"
 
     def summary(self) -> str:
-        """Per-platform word and post statistics, one progress line each.  The
-        pipeline writes those of the corpora left after the ``min_words``
-        exclusion; the subcommand, those of its whole cleaned corpus, and only
-        with ``--out-dir``, where it also writes a CSV mirror."""
-        stats = summary_stats(self.filtered[0] if self.pipeline else self.cleaned())
-        if self.pipeline or self.args.out_dir:
+        """Per-platform word and post statistics, one progress line each.
+        After the ``corpora`` stage they are those of the corpora it left,
+        written as ``summary.json``; the subcommand's are those of its whole
+        cleaned corpus, written only with ``--out-dir``, with a CSV mirror."""
+        after_corpora = "corpora" in self.stages
+        stats = summary_stats(self.filtered[0] if after_corpora else self.cleaned())
+        if after_corpora or self.summary_csv:
             self.out.json(stats, "summary.json")
-        if not self.pipeline and self.args.out_dir:
-            rows = [
-                {"platform": plat, "measure": measure, **block[measure]}
-                for plat, block in sorted(stats.items())
-                for measure in ("words", "posts")
-            ]
+        if self.summary_csv:
+            rows = [{"platform": plat, "measure": measure, **block[measure]}
+                    for plat, block in sorted(stats.items()) for measure in ("words", "posts")]
             columns = ["platform", "measure", "median", "mean", "sd", "sd_defined"]
             self.out.csv(rows, columns, "summary.csv")
         spread = "{median:.0f}/{mean:.1f}/{sd:.1f}".format_map
@@ -474,14 +496,11 @@ class Run:
         cfg, out = self.cfg, self.out
         excluded, alpha = self.filtered[1], cfg.fdr_alpha
         ngram_rows = diff_ngrams(self.table, alpha=alpha, min_group_fraction=cfg.min_group_fraction)
-        category_rows = None
-        if cfg.dictionary:
-            spec = DictionarySpec.from_file(cfg.dictionary)
-            category_rows = diff_categories(self.table, spec, alpha=alpha)
         out.table(ngram_rows, NgramDiff, "ngram_diff")
         out.json([c.to_dict() for c in cloud_data(ngram_rows)], "cloud.json")
-        if category_rows is not None:
-            out.table(category_rows, CategoryDiff, "category_diff")
+        if cfg.dictionary:
+            spec = DictionarySpec.from_file(cfg.dictionary)
+            out.table(diff_categories(self.table, spec, alpha=alpha), CategoryDiff, "category_diff")
         n_sig = sum(r.q_significant for r in ngram_rows)
         return (
             f"{len(ngram_rows)} n-grams tested, {n_sig} FDR-significant "
@@ -524,11 +543,10 @@ class Run:
         """One ridge lexicon model per outcome on one platform's n-grams: in
         the pipeline every outcome on facebook, in the subcommand the
         ``--outcome`` ones (default every one) on ``--platform``."""
-        cfg, platform = self.cfg, "facebook" if self.pipeline else self.args.platform
+        cfg, platform, wanted = self.cfg, self.platform, self.wanted
         users, X_fb, X_sms, feature_names = self.model_tables
         outcomes, X = self.outcomes, X_fb if platform == "facebook" else X_sms
         models = self.trained
-        wanted = None if self.pipeline else self.args.outcome
         columns = {n for row in outcomes.values() for n in row}
         if wanted and outcomes and (unknown := [n for n in wanted if n not in columns]):
             raise ValueError(f"train: outcome {unknown[0]!r} not in {cfg.outcomes}")
@@ -542,10 +560,9 @@ class Run:
             models[name] = ridge_fit(
                 X[keep], y, cfg.ridge_alpha, feature_names=feature_names, outcome=name
             )
-        file_name = self.out_file.name if self.out_file else f"trained_lexicon_{platform}.csv"
-        dest = self.out.claim(file_name)
-        save_lexicon_csv(models, dest)
-        return f"wrote {len(models)} {platform} models to {dest}"
+        name = self.out_name or f"trained_lexicon_{platform}.csv"
+        save_lexicon_csv(models, self.out.claim(name))
+        return f"wrote {len(models)} {platform} models to {self.out.path / name}"
 
     def evaluate(self) -> str:
         """Four-cell cross-platform evaluation on the n-gram tables, every cell
@@ -582,10 +599,7 @@ class Run:
         k = min(cfg.nmf_k, min(stacked.shape))
         result = nmf_reduce(stacked, k=k, iterations=cfg.nmf_iterations, seed=cfg.seed)
         n = len(usable)
-        emb_report = cross_domain_matrix(
-            result.W[:n], result.W[n:], usable, {u: outcomes.get(u, {}) for u in usable},
-            **matrix_args,
-        )
+        emb_report = cross_domain_matrix(result.W[:n], result.W[n:], usable, labels, **matrix_args)
         info = {"k": k, "iterations": cfg.nmf_iterations, "n_users": n}
         info["reconstruction_error"] = result.reconstruction_error
         out.json({"nmf": info, **emb_report.to_dict()}, "embedding_eval.json")
@@ -599,13 +613,12 @@ class Run:
         averages 0.  The pipeline ranks the pretrained models when a lexicon
         is set, else the trained ones; the subcommand, its ``--outcome``'s."""
         models = self.lexicon or self.trained
-        if not self.pipeline:
-            outcome = self.args.outcome
-            if outcome not in models:
-                raise ValueError(f"importance: outcome {outcome!r} not in {self.cfg.lexicon}")
-            if not self.table.users:
-                raise InsufficientUsersError("importance: no users present on both platforms")
-            models = {outcome: models[outcome]}
+        if self.wanted:  # the subcommand's --outcome
+            if unknown := [n for n in self.wanted if n not in models]:
+                raise ValueError(f"importance: outcome {unknown[0]!r} not in {self.cfg.lexicon}")
+            models = {n: models[n] for n in self.wanted}
+        if not self.table.users:
+            raise InsufficientUsersError("importance: no users present on both platforms")
         terms = sorted({t for model in models.values() for t in model.weights})
         freq = {}
         for plat, M in zip(PLATFORMS, self.table.paired(terms)):
@@ -619,9 +632,9 @@ class Run:
         return ", ".join(progress)
 
     def manifest(self) -> str:
-        path = self.out.claim("manifest.json")
-        write_manifest(path, self.cfg.to_dict(), self.cfg.manifest_inputs(), __version__)
-        return f"wrote {path}"
+        staged = self.out.claim("manifest.json")
+        write_manifest(staged, self.cfg.to_dict(), self.cfg.manifest_inputs(), __version__)
+        return f"wrote {self.out.path / staged.name}"
 
 
 PIPELINE = ("redact", "corpora", "summary", "diff", "estimates", "train", "evaluate",
@@ -630,16 +643,16 @@ STAGES = {name: getattr(Run, name) for name in (*PIPELINE, "features")}  # name 
 
 
 def run_command(args) -> int:
-    """Run ``args.command``: build its :class:`Run`, open its one report
-    directory, and run the subcommand's stage, or every pipeline stage in
-    order, printing each stage's progress line.  A pipeline failure is raised
-    as :class:`PipelineError` naming the stage (``config`` before the first)."""
+    """Run ``args.command``: build its :class:`Run` and run its stages in
+    order, printing each one's progress line, then publish its reports.  A
+    pipeline failure is raised as :class:`PipelineError` naming the stage
+    (``config`` before the first)."""
     pipeline = args.command == "pipeline"
     stage = "config"
     try:
         run = Run(args)
-        with OutputDir(run.out_dir) as run.out:
-            for stage in PIPELINE if pipeline else (args.command,):
+        with run.out:
+            for stage in run.stages:
                 for line in STAGES[stage](run).splitlines():
                     print(f"pipeline[{stage}]: {line}" if pipeline else f"{stage}: {line}")
     except Exception as exc:
@@ -663,52 +676,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    corpus = dict(required=True, help="JSONL corpus {user_id, platform, text}")
 
     p = sub.add_parser("redact", help="sanitize a keystroke log into entries")
-    p.add_argument("--in", dest="infile", required=True, help="keystroke JSONL log")
-    p.add_argument("--out", dest="outfile", required=True, help="sanitized entries JSONL")
+    p.add_argument("--out", required=True, help="sanitized entries JSONL")
 
-    p = sub.add_parser("summary", help="per-platform word/post statistics")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out-dir")
-
-    p = sub.add_parser("features", help="extract n-gram and dictionary features")
-    p.add_argument("--corpus", **corpus)
-    p.add_argument("--out-dir", required=True)
-
-    p = sub.add_parser("diff", help="differential language analysis between platforms")
-    p.add_argument("--corpus", **corpus)
-    p.add_argument("--out-dir", required=True)
+    sub.add_parser("summary", help="per-platform word/post statistics")
+    sub.add_parser("features", help="extract n-gram and dictionary features")
+    sub.add_parser("diff", help="differential language analysis between platforms")
 
     p = sub.add_parser("train", help="fit ridge lexicon models on one platform")
-    p.add_argument("--corpus", **corpus)
     p.add_argument("--platform", choices=["facebook", "sms"], default="facebook")
     p.add_argument("--outcome", action="append", help="outcome name (repeatable; default all)")
     p.add_argument("--out", required=True, help="lexicon CSV to write")
 
-    p = sub.add_parser("evaluate", help="four-cell cross-platform model evaluation")
-    p.add_argument("--corpus", **corpus)
-    p.add_argument("--out-dir", required=True)
-
+    sub.add_parser("evaluate", help="four-cell cross-platform model evaluation")
     p = sub.add_parser("importance", help="weight-times-frequency feature importance")
-    p.add_argument("--corpus", **corpus)
     p.add_argument("--outcome", required=True)
-    p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("pipeline", help="full deterministic run from a config file")
     p.add_argument("--config", required=True)
 
-    # Settings flags: --<field> with dashes (or its _FLAG_NAMES name), parsed as
-    # the config file parses the field (a bool is a switch), with the field's
-    # default; pipeline's default to None, which keeps its config file's value.
+    # Settings flags: --<field> with dashes (or its _FLAG_NAMES name), stored
+    # under the field's name, parsed as the config file parses the field (a
+    # bool is a switch), with the field's default; pipeline's default to None,
+    # which keeps its config file's value.
     for command, p in sub.choices.items():
         for name in _SETTINGS[command]:
             kind = _TYPES[name]
             kwargs = dict(action="store_true") if kind == "bool" else dict(type=_PARSERS.get(kind))
             kwargs["default"] = None if command == "pipeline" else getattr(RunConfig, name)
             kwargs.update(_FLAG_ARGS.get(name, {}), **_FLAG_ARGS.get((command, name), {}))
-            p.add_argument("--" + _FLAG_NAMES.get(name, name).replace("_", "-"), **kwargs)
+            flag = "--" + _FLAG_NAMES.get(name, name).replace("_", "-")
+            p.add_argument(flag, dest=name, **kwargs)
     return parser
 
 

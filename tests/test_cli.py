@@ -6,7 +6,9 @@ import argparse
 import dataclasses
 import importlib.resources
 import json
+import os
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -357,6 +359,25 @@ class TestAnalysisCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(tmp_path) in err
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_may_stand_in_for_the_corpus(self, tmp_path, capsys):
+        """A named pipe passes the input check and is read once, as a shell's
+        process substitution (``--corpus <(cat c.jsonl)``) is."""
+        corpus, fifo = tmp_path / "c.jsonl", tmp_path / "corpus.fifo"
+        write_small_corpus(corpus)
+        assert main(["summary", "--corpus", str(corpus)]) == 0
+        from_file = capsys.readouterr().out
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(corpus.read_bytes(),))
+        writer.start()
+        try:
+            assert main(["summary", "--corpus", str(fifo)]) == 0
+        finally:
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))  # frees a writer still waiting
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert capsys.readouterr().out == from_file
+
     def test_models_keep_emoticons_and_drop_placeholders(self, tmp_path):
         corpus, outcomes, lexicon = (tmp_path / n for n in ("c.jsonl", "o.csv", "lex.csv"))
         write_small_corpus(corpus, extra=" <3 <email>")
@@ -397,43 +418,43 @@ SUITE_OPTIONS = {
     "catalogue": (("--catalogue",), None),
 }
 CORPUS_OPTIONS = {
-    "corpus": (("--corpus",), None),
+    "facebook_corpus": (("--corpus",), None),
     "min_words": (("--min-words",), 500),
     **SUITE_OPTIONS,
 }
 MODEL_OPTIONS = {
     "outcomes": (("--outcomes",), None),
-    "alpha": (("--alpha",), 1.0),
-    "orders": (("--orders",), (1, 2, 3)),
+    "ridge_alpha": (("--alpha",), 1.0),
+    "model_orders": (("--orders",), (1, 2, 3)),
     "min_group_fraction": (("--min-group-fraction",), 0.05),
 }
 # every subcommand option: dest -> (option strings, parsed default)
 SUBCOMMAND_OPTIONS = {
     "redact": {
-        "infile": (("--in",), None),
-        "outfile": (("--out",), None),
+        "keystroke_log": (("--in",), None),
+        "out": (("--out",), None),
         "keep_snapshots": (("--keep-snapshots",), False),
         "timeout_ms": (("--timeout-ms",), 60000),
         "apps": (("--apps",), ()),
         **SUITE_OPTIONS,
     },
     "summary": {
-        "corpus": (("--corpus",), None),
-        "out_dir": (("--out-dir",), None),
+        "facebook_corpus": (("--corpus",), None),
+        "output_dir": (("--out-dir",), None),
         **SUITE_OPTIONS,
     },
     "features": {
         **CORPUS_OPTIONS,
         "dictionary": (("--dictionary",), None),
-        "orders": (("--orders",), (1, 2, 3)),
-        "out_dir": (("--out-dir",), None),
+        "model_orders": (("--orders",), (1, 2, 3)),
+        "output_dir": (("--out-dir",), None),
     },
     "diff": {
         **CORPUS_OPTIONS,
         "dictionary": (("--dictionary",), None),
-        "alpha": (("--alpha",), 0.05),
+        "fdr_alpha": (("--alpha",), 0.05),
         "min_group_fraction": (("--min-group-fraction",), 0.05),
-        "out_dir": (("--out-dir",), None),
+        "output_dir": (("--out-dir",), None),
     },
     "train": {
         **CORPUS_OPTIONS,
@@ -451,18 +472,18 @@ SUBCOMMAND_OPTIONS = {
         "embeddings_sms": (("--embeddings-sms",), None),
         "nmf_k": (("--nmf-k",), 128),
         "nmf_iterations": (("--nmf-iterations",), 200),
-        "out_dir": (("--out-dir",), None),
+        "output_dir": (("--out-dir",), None),
     },
     "importance": {
         **CORPUS_OPTIONS,
         "lexicon": (("--lexicon",), None),
         "outcome": (("--outcome",), None),
-        "out_dir": (("--out-dir",), None),
+        "output_dir": (("--out-dir",), None),
     },
     "pipeline": {
         "config": (("--config",), None),
         "seed": (("--seed",), None),
-        "alpha": (("--alpha",), None),
+        "fdr_alpha": (("--alpha",), None),
         "min_words": (("--min-words",), None),
     },
 }
@@ -771,8 +792,7 @@ class TestErrorPath:
         )
         assert main(argv.split()) == rc
         assert message in capsys.readouterr().err
-        out = tmp_path / "out"
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     def test_train_skips_an_outcome_with_too_few_labels(self, tmp_path, capsys):
         """An outcomes column with fewer than 3 labeled users is skipped with
@@ -800,7 +820,7 @@ class TestFailedCommandCleanup:
         argv = ["features", "--corpus", str(corpus), "--min-words", "1"]
         assert main([*argv, "--dictionary", str(bad), "--out-dir", str(out)]) == 2
         assert "dict.txt:1:" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_evaluate_bad_embeddings_leave_no_reports(self, tmp_path, capsys):
         corpus, ages, bad = tmp_path / "c.jsonl", tmp_path / "ages.csv", tmp_path / "emb.jsonl"
@@ -813,15 +833,80 @@ class TestFailedCommandCleanup:
                 "--embeddings-fb", str(bad), "--embeddings-sms", str(bad), "--out-dir", str(out)]
         assert main(argv) == 2
         assert "emb.jsonl:2:" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_output_dir_keeps_files_it_did_not_write(self, tmp_path):
+        """A failed block leaves every file as it was, an earlier report of
+        the same name included, and removes the directories it made."""
         (tmp_path / "notes.txt").write_text("mine")
-        with pytest.raises(OSError):
-            with cli.OutputDir(tmp_path) as out:
-                out.json({"a": 1}, "a.json")
-                raise OSError("disk full")
-        assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+        (tmp_path / "a.json").write_text("earlier run")
+        (tmp_path / "empty").mkdir()
+        for where in (tmp_path, tmp_path / "new" / "deeper", tmp_path / "empty"):
+            with pytest.raises(OSError):
+                with cli.OutputDir(where) as out:
+                    out.json({"a": 1}, "a.json")
+                    raise OSError("disk full")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "empty", "notes.txt"]
+        assert (tmp_path / "a.json").read_text() == "earlier run"
+        assert list((tmp_path / "empty").iterdir()) == []
+
+    def test_output_dir_publishes_every_report_on_success(self, tmp_path):
+        """A block that succeeds replaces earlier reports, adds new ones and
+        leaves no staging directory; a block that writes nothing makes nothing."""
+        (tmp_path / "a.json").write_text("earlier run")
+        with cli.OutputDir(tmp_path) as out:
+            out.json({"a": 1}, "a.json")
+            out.csv([{"x": 1}], ["x"], "b.csv")
+            assert not (tmp_path / "b.csv").exists()  # staged until the block ends
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.csv"]
+        assert json.loads((tmp_path / "a.json").read_text()) == {"a": 1}
+        with cli.OutputDir(tmp_path / "unused"):
+            pass
+        assert not (tmp_path / "unused").exists()
+
+    def test_failed_rerun_leaves_the_output_directory_as_it_was(self, tmp_path, capsys):
+        """A rerun that fails mid-pipeline, after some stages have written
+        their reports, changes no file of the earlier run, adds none and
+        removes none."""
+        files = make_fixture(tmp_path / "fx", n_users=10, seed=2)
+        argv = ["pipeline", "--config", str(files["config"])]
+        assert main(argv) == 0
+        out = tmp_path / "fx" / "out"
+        progress = capsys.readouterr().out  # names each report where it ends up
+        assert f"facebook models to {out / 'trained_lexicon_facebook.csv'}\n" in progress
+        assert f"pipeline[manifest]: wrote {out / 'manifest.json'}\n" in progress
+        before = {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+        assert len(before) == 16 and out / "manifest.json" in before
+        lexicon = files["lexicon"].read_text()
+        files["lexicon"].write_text(lexicon.replace("term,", "word,", 1))
+        assert main(argv) == 1
+        assert "error: stage 'estimates' failed: " in capsys.readouterr().err
+        assert {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")} == before
+
+    @pytest.mark.parametrize(
+        "argv,setting",
+        [
+            ("diff --corpus missing.jsonl --out-dir out", "facebook_corpus (--corpus): no such file"),
+            ("train --corpus posts.jsonl --outcomes a_directory --out out/l.csv",
+             "outcomes: a_directory is a directory"),
+            ("redact --in missing.jsonl --out sub/x.jsonl", "keystroke_log (--in): no such file"),
+        ],
+        ids=["diff-missing-corpus", "train-directory-outcomes", "redact-missing-log"],
+    )
+    def test_bad_input_path_fails_before_any_work(
+        self, tmp_path, capsys, monkeypatch, argv, setting
+    ):
+        """A missing input file, or a directory named as one, is refused
+        before any input is read: exit 2, an error naming the setting, and
+        no output directory."""
+        monkeypatch.chdir(tmp_path)
+        write_small_corpus(tmp_path / "posts.jsonl")
+        (tmp_path / "a_directory").mkdir()
+        for name in ("load_corpus_jsonl", "json_lines"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("an input was read"))
+        assert main(argv.split()) == 2
+        assert capsys.readouterr().err.startswith(f"error: {setting}")
+        assert not (tmp_path / "out").exists() and not (tmp_path / "sub").exists()
 
 
 class TestLabeledUsers:
@@ -847,10 +932,11 @@ class TestConfig:
         pipeline, ridge_alpha in train and evaluate; other flags set the field
         of their own name, and an unset pipeline override keeps the file's."""
         parser = cli.build_parser()
-        corpus = ["--corpus", "c.jsonl", "--min-words", "7"]
+        corpus = ["--corpus", __file__, "--min-words", "7"]
         diff = parser.parse_args(["diff", *corpus, "--alpha", "0.1", "--out-dir", "o"])
         cfg = cli.run_config(diff, "diff")
         assert (cfg.fdr_alpha, cfg.ridge_alpha, cfg.min_words) == (0.1, 1.0, 7)
+        assert (cfg.facebook_corpus, cfg.output_dir) == (__file__, "o")
         train = parser.parse_args(["train", *corpus, "--outcomes", __file__, "--alpha", "3",
                                    "--orders", "1,2", "--out", "l.csv"])
         cfg = cli.run_config(train, "train")
@@ -1120,7 +1206,7 @@ class TestPipeline:
         monkeypatch.setitem(cli.STAGES, stage, failing)
         assert main(["pipeline", "--config", str(files["config"])]) == 1
         assert f"error: stage {stage!r} failed: disk full" in capsys.readouterr().err
-        assert list((tmp_path / "fx" / "out").iterdir()) == []
+        assert not (tmp_path / "fx" / "out").exists()
 
     def test_pipeline_error_names_stage(self, tmp_path, capsys):
         fixture = tmp_path / "fx2"
@@ -1169,8 +1255,7 @@ class TestPipeline:
 
         monkeypatch.setattr(cli, "write_csv", failing_write_csv)
         assert main(["pipeline", "--config", str(files["config"])]) == 1
-        left = {p.name for p in (fixture / "out").iterdir()}
-        assert not left & {"ngram_diff.json", "ngram_diff.csv", "cloud.json", "category_diff.json"}
+        assert not (fixture / "out").exists()
 
     def test_reports_equal_subcommand_reports(self, tmp_path):
         """pipeline and the stand-alone subcommands, given the config's
