@@ -5,18 +5,15 @@ keystroke log -> assemble both platforms' corpora (the same cleaning for both,
 then the ``min_words`` exclusion) -> summary -> differential language analysis
 (diff) -> pretrained-lexicon estimates -> train -> cross-domain evaluation ->
 feature importance -> a manifest of seeds, thresholds and input digests.
-``STAGES`` maps each name, and ``features``, to a method of :class:`Run`, which
-builds each input two or more stages read on first use and only once.
-:func:`run_command` runs the stage named like the subcommand (redact, summary,
-features, diff, train, evaluate, importance), printing ``<command>: ...``, or
-every ``pipeline`` stage in order, printing ``pipeline[<stage>]: ...`` after
-each; given the same settings both write byte-identical reports.
+``STAGES`` maps each name, and ``features``, to a method of :class:`Run`;
+:func:`run_command` runs the subcommand's stage, or every ``pipeline`` stage
+in order, and given the same settings both write byte-identical reports.
 
-Every command carries its settings in one :class:`RunConfig`, set from its
-flags by :func:`run_config`; ``pipeline`` reads a flat ``key = value`` config
-file (# comments allowed; relative paths resolve against its directory) that
-its flags override; every input it names is a field checked before any work.
-A failed command leaves its output directory as it found it.
+Every command carries its settings, every input it names among them, in one
+:class:`RunConfig` checked before any work: set from its flags by
+:func:`run_config`, or read by ``pipeline`` from a ``key = value`` config
+file that its flags override.  A failed command leaves its output directory
+as it found it, but for a report written through a symlink, pipe or device.
 """
 
 from __future__ import annotations
@@ -26,6 +23,7 @@ import os
 import shutil
 import sys
 import tempfile
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import groupby, takewhile
@@ -96,7 +94,7 @@ from .stats import MIN_BOOTSTRAP_ITERATIONS, score
 
 
 class PipelineError(RuntimeError):
-    """A pipeline stage failed; the output directory is as the run found it."""
+    """A pipeline stage failed; no staged report was published."""
 
 
 def _int_tuple(value: str) -> tuple[int, ...]:
@@ -190,12 +188,12 @@ class RunConfig(Record):
         """Check every setting and input path, whether it came from a config
         file or from flags, before any work starts.  An input must exist and
         not be a directory; a pipe may stand in for a file."""
-        for key in _INPUT_KEYS:
-            name = f"{key} (--{_FLAG_NAMES[key]})" if key in _FLAG_NAMES else key
-            if (value := getattr(self, key)) is not None and not Path(value).exists():
-                raise FileNotFoundError(f"{name}: no such file {value}")
-            if value is not None and Path(value).is_dir():
-                raise IsADirectoryError(f"{name}: {value} is a directory")
+        inputs = {key: Path(v) for key in _INPUT_KEYS if (v := getattr(self, key)) is not None}
+        for key, path in inputs.items():
+            if not path.exists():
+                raise FileNotFoundError(f"{key}: no such file {path}")
+            if path.is_dir():
+                raise IsADirectoryError(f"{key}: {path} is a directory")
         for key in _LIMITS:
             if problem := _out_of_range(key, getattr(self, key)):
                 raise ValueError(problem)
@@ -248,7 +246,7 @@ _SETTINGS = {  # the RunConfig fields each subcommand takes as flags
 _FLAG_NAMES = {"keystroke_log": "in", "facebook_corpus": "corpus", "output_dir": "out_dir",
                "model_orders": "orders", "fdr_alpha": "alpha", "ridge_alpha": "alpha"}
 _FLAG_ARGS = {  # help texts and exceptions, by field or by (command, field)
-    "keystroke_log": dict(required=True, help="keystroke JSONL log"),
+    "keystroke_log": dict(required=True, help="keystroke JSONL log", metavar="INFILE"),
     "facebook_corpus": dict(required=True, help="JSONL corpus {user_id, platform, text}"),
     ("summary", "facebook_corpus"): dict(help=None),
     "output_dir": dict(required=True, default=None),
@@ -273,38 +271,36 @@ def run_config(args, command: str, base: RunConfig | None = None) -> RunConfig:
     return replace(base or RunConfig(), **{k: v for k, v in flags.items() if v is not None})
 
 
-class OutputDir:
+class OutputDir(AbstractContextManager):
     """A report directory changed all at once or not at all: each report is
-    written into a staging directory inside it, made on the first write.  On
-    leaving its ``with`` block every report is moved into place, or, if the
-    block raised, none is, and each directory it made is removed if empty."""
+    written into a staging directory inside it, made on the first write, and
+    on leaving its ``with`` block moved into place, or, if the block raised,
+    not, and each directory it made is removed if empty.  A report whose name
+    is a symlink, a pipe or a device is written straight through it."""
 
     def __init__(self, path: str | Path) -> None:
-        self.path, self.stage = Path(path), None
-        self.staged: dict[str, None] = {}  # report names, in the order written
-        self.made: list[Path] = []  # the directories it made, innermost first
-
-    def __enter__(self) -> "OutputDir":
-        return self
+        self.path, self.stage, self.made = Path(path), None, []  # made: innermost first
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self.stage is None:  # nothing written, nothing made
+        if self.stage is None:  # nothing staged, nothing made
             return
         try:
-            for name in self.staged if exc_type is None else ():
-                os.replace(self.stage / name, self.path / name)
+            for staged in self.stage.iterdir() if exc_type is None else ():
+                os.replace(staged, self.path / staged.name)
         finally:
             shutil.rmtree(self.stage)
             for made in takewhile(lambda d: not any(d.iterdir()), self.made):
                 made.rmdir()  # empty: no report was published
 
     def claim(self, name: str) -> Path:
-        """The staged path of report ``name``."""
+        """Where to write report ``name``: staged, unless its name holds no regular file."""
+        target = self.path / name
+        if target.is_symlink() or target.exists() and not target.is_file():
+            return target  # a directory there fails the write
         if self.stage is None:
             self.made = list(takewhile(lambda p: not p.exists(), (self.path, *self.path.parents)))
             self.path.mkdir(parents=True, exist_ok=True)
             self.stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=self.path))
-        self.staged[name] = None
         return self.stage / name
 
     def json(self, obj, name: str) -> None:
@@ -326,7 +322,7 @@ class OutputDir:
 
 
 class Run:
-    """One command's settings, stages and report directory; its stages, each
+    """One command's settings, options and report directory; its stages, each
     of which writes its reports and returns its progress line; and the inputs
     that two or more stages read, each built on first use and only once."""
 
@@ -337,14 +333,12 @@ class Run:
         if command == "pipeline" and None in (cfg.keystroke_log, cfg.facebook_corpus, cfg.outcomes):
             raise ValueError("config must set keystroke_log, facebook_corpus, outcomes")
         self.stages = PIPELINE if command == "pipeline" else (command,)
-        opts = vars(args)  # what no RunConfig field holds; the pipeline takes the defaults
-        out_file = opts.get("out")  # redact's entries, train's lexicon
+        out_file = getattr(args, "out", None)  # redact's entries, train's lexicon
         self.out_name = out_file and Path(out_file).name
         self.out = OutputDir(Path(out_file).parent if out_file else cfg.output_dir)
-        self.platform = opts.get("platform", "facebook")  # train's
-        wanted = opts.get("outcome")  # train's names (None: every one), importance's one
-        self.wanted = [wanted] if isinstance(wanted, str) else wanted
-        self.summary_csv = command == "summary" and opts["output_dir"] is not None
+        self.platform = getattr(args, "platform", "facebook")  # train's
+        self.wanted = getattr(args, "outcome", None)  # train's (None: every one), importance's
+        self.summary_csv = command == "summary" and args.output_dir is not None
         self.trained: dict = {}  # the train stage's models
 
     @cached_property
@@ -418,10 +412,8 @@ class Run:
         exclusion, counted once per command: the model orders, every order
         ``diff`` tests when the command runs it, and unigrams for the
         dictionary categories."""
-        cfg = self.cfg
-        orders = {*cfg.model_orders, *((1,) if cfg.dictionary else ())}
-        if "diff" in self.stages:
-            orders.update(DIFF_ORDERS)
+        diff_orders = DIFF_ORDERS if "diff" in self.stages else ()
+        orders = {*self.cfg.model_orders, *((1,) if self.cfg.dictionary else ()), *diff_orders}
         return count_table(self.filtered[0], orders)
 
     @cached_property
@@ -462,8 +454,11 @@ class Run:
         if after_corpora or self.summary_csv:
             self.out.json(stats, "summary.json")
         if self.summary_csv:
-            rows = [{"platform": plat, "measure": measure, **block[measure]}
-                    for plat, block in sorted(stats.items()) for measure in ("words", "posts")]
+            rows = [
+                {"platform": plat, "measure": measure, **block[measure]}
+                for plat, block in sorted(stats.items())
+                for measure in ("words", "posts")
+            ]
             columns = ["platform", "measure", "median", "mean", "sd", "sd_defined"]
             self.out.csv(rows, columns, "summary.csv")
         spread = "{median:.0f}/{mean:.1f}/{sd:.1f}".format_map
@@ -496,11 +491,14 @@ class Run:
         cfg, out = self.cfg, self.out
         excluded, alpha = self.filtered[1], cfg.fdr_alpha
         ngram_rows = diff_ngrams(self.table, alpha=alpha, min_group_fraction=cfg.min_group_fraction)
-        out.table(ngram_rows, NgramDiff, "ngram_diff")
-        out.json([c.to_dict() for c in cloud_data(ngram_rows)], "cloud.json")
+        category_rows = None
         if cfg.dictionary:
             spec = DictionarySpec.from_file(cfg.dictionary)
-            out.table(diff_categories(self.table, spec, alpha=alpha), CategoryDiff, "category_diff")
+            category_rows = diff_categories(self.table, spec, alpha=alpha)
+        out.table(ngram_rows, NgramDiff, "ngram_diff")
+        out.json([c.to_dict() for c in cloud_data(ngram_rows)], "cloud.json")
+        if category_rows is not None:
+            out.table(category_rows, CategoryDiff, "category_diff")
         n_sig = sum(r.q_significant for r in ngram_rows)
         return (
             f"{len(ngram_rows)} n-grams tested, {n_sig} FDR-significant "
@@ -599,7 +597,10 @@ class Run:
         k = min(cfg.nmf_k, min(stacked.shape))
         result = nmf_reduce(stacked, k=k, iterations=cfg.nmf_iterations, seed=cfg.seed)
         n = len(usable)
-        emb_report = cross_domain_matrix(result.W[:n], result.W[n:], usable, labels, **matrix_args)
+        emb_report = cross_domain_matrix(
+            result.W[:n], result.W[n:], usable, {u: outcomes.get(u, {}) for u in usable},
+            **matrix_args,
+        )
         info = {"k": k, "iterations": cfg.nmf_iterations, "n_users": n}
         info["reconstruction_error"] = result.reconstruction_error
         out.json({"nmf": info, **emb_report.to_dict()}, "embedding_eval.json")
@@ -611,7 +612,7 @@ class Run:
         at its own n-gram order from :attr:`table`; one table per model.  Only
         the models' terms are averaged; a term the table does not hold
         averages 0.  The pipeline ranks the pretrained models when a lexicon
-        is set, else the trained ones; the subcommand, its ``--outcome``'s."""
+        is set, else the trained ones; the subcommand, its ``--outcome`` ones."""
         models = self.lexicon or self.trained
         if self.wanted:  # the subcommand's --outcome
             if unknown := [n for n in self.wanted if n not in models]:
@@ -643,10 +644,9 @@ STAGES = {name: getattr(Run, name) for name in (*PIPELINE, "features")}  # name 
 
 
 def run_command(args) -> int:
-    """Run ``args.command``: build its :class:`Run` and run its stages in
-    order, printing each one's progress line, then publish its reports.  A
-    pipeline failure is raised as :class:`PipelineError` naming the stage
-    (``config`` before the first)."""
+    """Run ``args.command``'s stages in order, printing each one's progress
+    line, then publish its reports; a pipeline failure is raised as
+    :class:`PipelineError` naming the stage (``config`` before the first)."""
     pipeline = args.command == "pipeline"
     stage = "config"
     try:
@@ -678,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("redact", help="sanitize a keystroke log into entries")
-    p.add_argument("--out", required=True, help="sanitized entries JSONL")
+    p.add_argument("--out", required=True, help="sanitized entries JSONL", metavar="OUTFILE")
 
     sub.add_parser("summary", help="per-platform word/post statistics")
     sub.add_parser("features", help="extract n-gram and dictionary features")
@@ -691,23 +691,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("evaluate", help="four-cell cross-platform model evaluation")
     p = sub.add_parser("importance", help="weight-times-frequency feature importance")
-    p.add_argument("--outcome", required=True)
+    p.add_argument("--outcome", action="append", required=True)
 
     p = sub.add_parser("pipeline", help="full deterministic run from a config file")
     p.add_argument("--config", required=True)
 
     # Settings flags: --<field> with dashes (or its _FLAG_NAMES name), stored
-    # under the field's name, parsed as the config file parses the field (a
-    # bool is a switch), with the field's default; pipeline's default to None,
-    # which keeps its config file's value.
+    # under the field's name and shown by the flag's, parsed as the config file
+    # parses the field (a bool is a switch), with the field's default;
+    # pipeline's default to None, which keeps its config file's value.
     for command, p in sub.choices.items():
         for name in _SETTINGS[command]:
-            kind = _TYPES[name]
-            kwargs = dict(action="store_true") if kind == "bool" else dict(type=_PARSERS.get(kind))
+            flag = _FLAG_NAMES.get(name, name)
+            value = dict(type=_PARSERS.get(_TYPES[name]), metavar=flag.upper())
+            kwargs = dict(action="store_true") if _TYPES[name] == "bool" else value
             kwargs["default"] = None if command == "pipeline" else getattr(RunConfig, name)
             kwargs.update(_FLAG_ARGS.get(name, {}), **_FLAG_ARGS.get((command, name), {}))
-            flag = "--" + _FLAG_NAMES.get(name, name).replace("_", "-")
-            p.add_argument(flag, dest=name, **kwargs)
+            p.add_argument("--" + flag.replace("_", "-"), dest=name, **kwargs)
     return parser
 
 

@@ -378,6 +378,24 @@ class TestAnalysisCommands:
         assert not writer.is_alive()
         assert capsys.readouterr().out == from_file
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_may_stand_in_for_the_output_file(self, tmp_path):
+        """``--out`` naming a pipe, as ``--out >(gzip > e.gz)`` does, is
+        written straight through it: nothing is staged beside it."""
+        log, entries, fifo = tmp_path / "keys.jsonl", tmp_path / "e.jsonl", tmp_path / "e.fifo"
+        text = "call 555-123-4567 ok"
+        write_events(log, [event("u1", i * 100, "a", text[: i + 1]) for i in range(len(text))])
+        assert main(["redact", "--in", str(log), "--out", str(entries)]) == 0
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # open first: the write cannot block
+        try:
+            assert main(["redact", "--in", str(log), "--out", str(fifo)]) == 0
+            received = os.read(reader, 1 << 16)  # less than a pipe holds
+        finally:
+            os.close(reader)
+        assert received == entries.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e.fifo", "e.jsonl", "keys.jsonl"]
+
     def test_models_keep_emoticons_and_drop_placeholders(self, tmp_path):
         corpus, outcomes, lexicon = (tmp_path / n for n in ("c.jsonl", "o.csv", "lex.csv"))
         write_small_corpus(corpus, extra=" <3 <email>")
@@ -864,6 +882,24 @@ class TestFailedCommandCleanup:
             pass
         assert not (tmp_path / "unused").exists()
 
+    def test_output_dir_writes_through_what_is_no_regular_file(self, tmp_path):
+        """A report whose name is a symlink is written through to its target,
+        which stays a symlink; one whose name is a directory fails its write,
+        and no report of that block is published."""
+        target = tmp_path / "elsewhere.json"
+        target.write_text("earlier run")
+        (tmp_path / "a.json").symlink_to(target)
+        with cli.OutputDir(tmp_path) as out:
+            out.json({"a": 1}, "a.json")
+        assert (tmp_path / "a.json").is_symlink()
+        assert json.loads(target.read_text()) == {"a": 1}
+        (tmp_path / "b.json").mkdir()
+        with pytest.raises(IsADirectoryError):
+            with cli.OutputDir(tmp_path) as out:
+                out.json({"c": 1}, "c.json")
+                out.json({"b": 1}, "b.json")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json", "elsewhere.json"]
+
     def test_failed_rerun_leaves_the_output_directory_as_it_was(self, tmp_path, capsys):
         """A rerun that fails mid-pipeline, after some stages have written
         their reports, changes no file of the earlier run, adds none and
@@ -886,10 +922,10 @@ class TestFailedCommandCleanup:
     @pytest.mark.parametrize(
         "argv,setting",
         [
-            ("diff --corpus missing.jsonl --out-dir out", "facebook_corpus (--corpus): no such file"),
+            ("diff --corpus missing.jsonl --out-dir out", "facebook_corpus: no such file"),
             ("train --corpus posts.jsonl --outcomes a_directory --out out/l.csv",
              "outcomes: a_directory is a directory"),
-            ("redact --in missing.jsonl --out sub/x.jsonl", "keystroke_log (--in): no such file"),
+            ("redact --in missing.jsonl --out sub/x.jsonl", "keystroke_log: no such file"),
         ],
         ids=["diff-missing-corpus", "train-directory-outcomes", "redact-missing-log"],
     )
