@@ -230,22 +230,33 @@ def _out_of_range(key: str, value) -> str | None:
 _TYPES = {f.name: f.type for f in fields(RunConfig)}  # field -> annotation
 _INPUT_KEYS = tuple(key for key, kind in _TYPES.items() if kind == "InputPath")
 _SUITE = ("gazetteer", "catalogue")
-_CORPUS = ("facebook_corpus", "min_words", *_SUITE)
+_CORPUS = ("min_words", *_SUITE)
 _MODEL = ("outcomes", "ridge_alpha", "model_orders", "min_group_fraction")
-_SETTINGS = {  # the RunConfig fields each subcommand takes as flags
-    "redact": ("keystroke_log", "keep_snapshots", "timeout_ms", "apps", *_SUITE),
+_OPTIONS = {  # each subcommand's options in --help order: RunConfig fields, and its own by flag
+    "redact": ("keystroke_log", "--out", "keep_snapshots", "timeout_ms", "apps", *_SUITE),
     "summary": ("facebook_corpus", "output_dir", *_SUITE),
-    "features": (*_CORPUS, "dictionary", "model_orders", "output_dir"),
-    "diff": (*_CORPUS, "dictionary", "fdr_alpha", "min_group_fraction", "output_dir"),
-    "train": (*_CORPUS, *_MODEL),
-    "evaluate": (*_CORPUS, *_MODEL, "bootstrap_iterations", "seed", "embeddings_fb",
-                 "embeddings_sms", "nmf_k", "nmf_iterations", "output_dir"),
-    "importance": (*_CORPUS, "lexicon", "output_dir"),
-    "pipeline": ("seed", "fdr_alpha", "min_words"),
+    "features": ("facebook_corpus", "output_dir", *_CORPUS, "dictionary", "model_orders"),
+    "diff": ("facebook_corpus", "output_dir", *_CORPUS, "dictionary", "fdr_alpha",
+             "min_group_fraction"),
+    "train": ("facebook_corpus", "--platform", "--outcome", "--out", *_CORPUS, *_MODEL),
+    "evaluate": ("facebook_corpus", "output_dir", *_CORPUS, *_MODEL, "bootstrap_iterations",
+                 "seed", "embeddings_fb", "embeddings_sms", "nmf_k", "nmf_iterations"),
+    "importance": ("facebook_corpus", "--outcome", "output_dir", *_CORPUS, "lexicon"),
+    "pipeline": ("--config", "seed", "fdr_alpha", "min_words"),
+}
+_COMMANDS = {  # subcommand -> its help line, in --help order
+    "redact": "sanitize a keystroke log into entries",
+    "summary": "per-platform word/post statistics",
+    "features": "extract n-gram and dictionary features",
+    "diff": "differential language analysis between platforms",
+    "train": "fit ridge lexicon models on one platform",
+    "evaluate": "four-cell cross-platform model evaluation",
+    "importance": "weight-times-frequency feature importance",
+    "pipeline": "full deterministic run from a config file",
 }
 _FLAG_NAMES = {"keystroke_log": "in", "facebook_corpus": "corpus", "output_dir": "out_dir",
                "model_orders": "orders", "fdr_alpha": "alpha", "ridge_alpha": "alpha"}
-_FLAG_ARGS = {  # help texts and exceptions, by field or by (command, field)
+_FLAG_ARGS = {  # help texts and exceptions, by field or by (command, field); own options' by flag
     "keystroke_log": dict(required=True, help="keystroke JSONL log", metavar="INFILE"),
     "facebook_corpus": dict(required=True, help="JSONL corpus {user_id, platform, text}"),
     ("summary", "facebook_corpus"): dict(help=None),
@@ -260,14 +271,21 @@ _FLAG_ARGS = {  # help texts and exceptions, by field or by (command, field)
     "model_orders": dict(help="n-gram orders"),
     "apps": dict(help="comma-separated app allow-list"),
     ("pipeline", "fdr_alpha"): dict(help="override FDR alpha"),
+    ("redact", "--out"): dict(required=True, help="sanitized entries JSONL", metavar="OUTFILE"),
+    ("train", "--platform"): dict(choices=["facebook", "sms"], default="facebook"),
+    ("train", "--outcome"): dict(action="append", help="outcome name (repeatable; default all)"),
+    ("train", "--out"): dict(required=True, help="lexicon CSV to write"),
+    ("importance", "--outcome"): dict(action="append", required=True),
+    ("pipeline", "--config"): dict(required=True),
 }
 
 
 def run_config(args, command: str, base: RunConfig | None = None) -> RunConfig:
     """``command``'s settings: ``base`` (the defaults if None) with each of
-    ``command``'s settings flags (``_SETTINGS``), its input paths among them,
-    set on its field; a flag left unset (None) keeps the base value."""
-    flags = {name: getattr(args, name) for name in _SETTINGS[command]}
+    ``command``'s settings flags (the fields among its ``_OPTIONS``), its input
+    paths among them, set on its field; a flag left unset (None) keeps the
+    base value."""
+    flags = {name: getattr(args, name) for name in _OPTIONS[command] if name in _TYPES}
     return replace(base or RunConfig(), **{k: v for k, v in flags.items() if v is not None})
 
 
@@ -676,32 +694,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("redact", help="sanitize a keystroke log into entries")
-    p.add_argument("--out", required=True, help="sanitized entries JSONL", metavar="OUTFILE")
-
-    sub.add_parser("summary", help="per-platform word/post statistics")
-    sub.add_parser("features", help="extract n-gram and dictionary features")
-    sub.add_parser("diff", help="differential language analysis between platforms")
-
-    p = sub.add_parser("train", help="fit ridge lexicon models on one platform")
-    p.add_argument("--platform", choices=["facebook", "sms"], default="facebook")
-    p.add_argument("--outcome", action="append", help="outcome name (repeatable; default all)")
-    p.add_argument("--out", required=True, help="lexicon CSV to write")
-
-    sub.add_parser("evaluate", help="four-cell cross-platform model evaluation")
-    p = sub.add_parser("importance", help="weight-times-frequency feature importance")
-    p.add_argument("--outcome", action="append", required=True)
-
-    p = sub.add_parser("pipeline", help="full deterministic run from a config file")
-    p.add_argument("--config", required=True)
-
-    # Settings flags: --<field> with dashes (or its _FLAG_NAMES name), stored
+    # A settings flag is --<field> with dashes (or its _FLAG_NAMES name), stored
     # under the field's name and shown by the flag's, parsed as the config file
     # parses the field (a bool is a switch), with the field's default;
     # pipeline's default to None, which keeps its config file's value.
-    for command, p in sub.choices.items():
-        for name in _SETTINGS[command]:
+    for command, text in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name in _OPTIONS[command]:
+            if name not in _TYPES:  # the command's own option
+                p.add_argument(name, **_FLAG_ARGS[command, name])
+                continue
             flag = _FLAG_NAMES.get(name, name)
             value = dict(type=_PARSERS.get(_TYPES[name]), metavar=flag.upper())
             kwargs = dict(action="store_true") if _TYPES[name] == "bool" else value

@@ -1,7 +1,7 @@
 """Reference for the shared-fold evaluation: the per-outcome LOOCV loop that
 ``modeling.cross_domain_matrix`` replaced, with one standardized ridge solve
 per (outcome, source, fold), the whole-matrix bootstrap that
-``stats.bootstrap_score_diff`` replaced with row blocks, and the explicit
+``stats.bootstrap_score_diff`` replaced with resample counts, and the explicit
 intercept-augmented refits of one fixed design that
 ``loocv_predictions_hat`` reproduces without refitting.
 

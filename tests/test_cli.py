@@ -554,6 +554,36 @@ class TestKnobInventory:
                 found[name][action.dest] = (tuple(action.option_strings), default)
         assert found == SUBCOMMAND_OPTIONS
 
+    def test_subcommand_options_in_help_order(self):
+        """Each subcommand's --help lists its input first, then its output and
+        own options, then its settings."""
+        corpus = ["--min-words", "--gazetteer", "--catalogue"]
+        model = ["--outcomes", "--alpha", "--orders", "--min-group-fraction"]
+        expected = {
+            "redact": ["--in", "--out", "--keep-snapshots", "--timeout-ms", "--apps",
+                       "--gazetteer", "--catalogue"],
+            "summary": ["--corpus", "--out-dir", "--gazetteer", "--catalogue"],
+            "features": ["--corpus", "--out-dir", *corpus, "--dictionary", "--orders"],
+            "diff": ["--corpus", "--out-dir", *corpus, "--dictionary", "--alpha",
+                     "--min-group-fraction"],
+            "train": ["--corpus", "--platform", "--outcome", "--out", *corpus, *model],
+            "evaluate": ["--corpus", "--out-dir", *corpus, *model, "--bootstrap-iterations",
+                         "--seed", "--embeddings-fb", "--embeddings-sms", "--nmf-k",
+                         "--nmf-iterations"],
+            "importance": ["--corpus", "--outcome", "--out-dir", *corpus, "--lexicon"],
+            "pipeline": ["--config", "--seed", "--alpha", "--min-words"],
+        }
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        found = {
+            name: [a.option_strings[0] for a in p._actions if a.dest != "help"]
+            for name, p in sub.choices.items()
+        }
+        assert found == expected and list(found) == list(expected)
+        for name, flags in expected.items():
+            listed = re.findall(r"^  (--[\w-]+)", sub.choices[name].format_help(), flags=re.M)
+            assert listed == flags
+
 
 class TestInputErrors:
     @pytest.mark.parametrize(

@@ -148,6 +148,19 @@ def test_json_lines_loaders_name_a_bad_record_by_path_and_line(
         loader(path)
 
 
+@pytest.mark.parametrize("name", ["keystrokes.jsonl", "corpus.jsonl"])
+def test_json_values_that_do_not_align_with_lines_fail_on_the_first_line(tmp_path, name):
+    """Joined with commas into one JSON array, as a decode of many lines at
+    once might join them, these three lines make three objects; read line by
+    line, line 1 holds two values and fails."""
+    lines = ['{"a":1}, {"b":2}', '{"c":[1', "2]}"]
+    assert len(json.loads("[" + ",".join(lines) + "]")) == 3
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: ") + ".*Extra data"):
+        JSON_LOADERS[name][0](path)
+
+
 @pytest.mark.parametrize(
     "name,case,text,message", list(csv_cases()), ids=[f"{c[0]}-{c[1]}" for c in csv_cases()]
 )

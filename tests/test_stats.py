@@ -32,8 +32,9 @@ from scrublang.modeling import bootstrap_accuracy_diff
 from scrublang.stats import (
     DegenerateDataError,
     Fit,
-    _centered_rows,
-    _pearson_centered,
+    _constant_rows,
+    _count,
+    _pearson_deltas,
     bh_fdr,
     bootstrap_corr_diff,
     bootstrap_score_diff,
@@ -405,11 +406,16 @@ class TestBootstrap:
         assert res.p_value < 0.05
 
     def test_constant_resample_rows_are_invalid(self):
-        a = np.array([CONSTANT, [1.0, 2.0, 3.0]])
-        b = np.array([[0.0, 0.0, 1.0], [1.0, 2.0, 4.0]])
-        r, valid = _pearson_centered(_centered_rows(a), _centered_rows(b))
-        assert valid.tolist() == [False, True]
-        assert r[1] == pytest.approx(pearson_r([1, 2, 3], [1, 2, 4]), abs=1e-12)
+        # users 0-2 have CONSTANT estimates, and users 6 and 7 truths that
+        # differ by less than _MIN_RANGE; each row draws one of these groups
+        users = np.array([[0, 1, 2, 0, 1, 2, 0, 1], [3, 4, 5, 3, 4, 5, 3, 4], [6, 7] * 4], np.uint8)
+        a = np.array(CONSTANT + [1.0, 2.0, 3.0, 6.0, 7.0])
+        t = np.array([3.0, 5.0, 7.0, 1.0, 2.0, 4.0, 0.0, 1e-160])
+        draw = _count(users)
+        valid = ~(_constant_rows(a, draw) | _constant_rows(t, draw))
+        assert valid.tolist() == [False, True, False]
+        r = _pearson_deltas(a, -a, t, draw, 0.0, valid) / 2  # r(a, t) - r(-a, t) = 2 r(a, t)
+        assert r[0] == pytest.approx(pearson_r(a[users[1]], t[users[1]]), abs=1e-12)
 
     def test_iteration_floor(self):
         with pytest.raises(ValueError):
@@ -516,6 +522,52 @@ class TestBlockedBootstrap:
         finally:
             tracemalloc.stop()
         assert peak < 12e6
+
+
+def _outcome(bootstrap, *args):
+    """A bootstrap's result, or the type of the error it raised."""
+    try:
+        return bootstrap(*args)
+    except ValueError as exc:  # DegenerateDataError among them
+        return type(exc)
+
+
+@st.composite
+def _tied_inputs(draw, metric):
+    """Small integer-valued estimates and truth with ties; the first estimate
+    starts with a run of CONSTANT's value, so a resample that draws only
+    those users is constant with a mean that does not round-trip.  Sign
+    accuracy's truth is +/-1."""
+    n = draw(st.integers(3, 12))
+    a, b, t = (np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
+               for _ in range(3))
+    a[: draw(st.integers(0, n))] = CONSTANT[0]
+    if metric == "accuracy":
+        t = np.where(t >= 0, 1.0, -1.0)
+    return a, b, t
+
+
+class TestCountedBootstrap:
+    """Resamples scored from their counts against the gathered whole-matrix
+    reference, on small tied inputs where many resamples draw few users."""
+
+    @pytest.mark.parametrize("metric", ["pearson_r", "accuracy"])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), iterations=st.sampled_from([1000, 1023, 1025]), seed=st.integers(0, 50))
+    def test_equals_the_gathered_reference(self, metric, data, iterations, seed):
+        a, b, t = data.draw(_tied_inputs(metric))
+        args = (a, b, t, iterations, seed, metric)
+        got = _outcome(bootstrap_score_diff, *args)
+        assert got == _outcome(evaluation_oracle.bootstrap_score_diff, *args)
+
+    def test_resamples_on_the_threshold_take_the_gathered_arithmetic(self):
+        # a and b swap users 2 and 4, where t is 0: r(a, t) and r(b, t) are
+        # both -1/4, and the observed delta is their rounding.  Each resample
+        # that draws users 2 and 4 equally often has a delta of 0 too, on the
+        # threshold, which the moments and the gathered rows round apart
+        a, b, t = np.array([[0, 0, 0, 0, 1], [0, 0, 1, 0, 0], [1, 0, 0, 0, 0]], dtype=float)
+        res = bootstrap_score_diff(a, b, t, 1000, seed=0)
+        assert res == evaluation_oracle.bootstrap_score_diff(a, b, t, 1000, 0, "pearson_r")
 
 
 def _modules_loaded_by(code: str, *modules: str) -> list[bool]:
