@@ -443,10 +443,11 @@ def bootstrap_score_diff(
     ``seed``: the resamples are the rows of one ``default_rng(seed)`` draw of
     ``iterations x n`` user indices.  A score depends on a resample only
     through how often it draws each user (Efron & Tibshirani 1993), so each
-    resample is scored from its row of counts.  Resamples where either score
-    is undefined are skipped and counted; a resample's values are constant
-    when their range over the users it draws is.  At least
-    ``MIN_BOOTSTRAP_ITERATIONS`` resamples are required.
+    resample is scored from its row of counts, the same resample as its row
+    of indices.  Resamples where either score is undefined are skipped and
+    counted; a resample's values are constant when their range over the
+    users it draws is.  At least ``MIN_BOOTSTRAP_ITERATIONS`` resamples are
+    required.
     """
     a = np.asarray(estimates_a, dtype=float)
     b = np.asarray(estimates_b, dtype=float)
