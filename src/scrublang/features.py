@@ -334,11 +334,6 @@ class CountTable:
         return j if self.vocabulary[j : j + 1] == [gram] else len(self.vocabulary)
 
 
-# a window's key is its ids read as the digits of one base-V int64 while V**n
-# stays below this, and (rank of its first n - 1 ids, last id) from there on
-_KEY_LIMIT = 2**63
-
-
 def count_table(
     corpora: Mapping[tuple[str, str], UserCorpus], orders: Iterable[int] = (1, 2, 3)
 ) -> CountTable:
@@ -347,11 +342,15 @@ def count_table(
     Each distinct token gets an int id once, in token order, and every
     corpus's documents are laid out in one id array, in row order, with a -1
     after each document.  An n-gram is a window of n ids that holds no -1, so
-    none spans two documents.  Each order is counted from one int64 key per
-    window (:func:`_order_counts`) into its own block of columns, and its work
-    arrays are freed before the next order starts.  Only each distinct n-gram
-    is joined into its id string, and the ids of every order are sorted once,
-    at the end.  No token spells the id of several tokens
+    none spans two documents.  One rule ranks every window among the distinct
+    windows of its order, in id order: order 1's rank is the token id, and
+    order n's is the rank of one int64 key per window of n ids, the rank of
+    its first n - 1 ids times V (the number of distinct tokens) plus its last
+    id.  Each order of ``orders`` is counted from its ranks
+    (:func:`_order_counts`) into its own block of columns; an order below the
+    largest that ``orders`` skips is ranked, not counted.  Only each distinct
+    n-gram is joined into its id string, and the ids of every order are
+    sorted once, at the end.  No token spells the id of several tokens
     (``spans.LABEL_RE``), so an id is one n-gram of one order.  Every order
     must be at least 1.
     """
@@ -374,14 +373,23 @@ def count_table(
     names: list[str] = []  # each provisional column's id
     blocks = []  # rows x provisional columns, one block per order
     starts = np.flatnonzero(ids >= 0)  # the windows of one id
+    rank = ids[starts]  # each window's rank among the distinct windows of its order
     for n in range(1, totals.shape[1]):
         if n > 1:
-            starts = starts[ids[starts + n - 1] >= 0]  # the windows of n ids
+            last = ids[starts + n - 1]
+            extends = last >= 0  # the windows of n - 1 ids that extend to n ids
+            starts, rank = starts[extends], rank[extends]
+            # the key is below (distinct (n - 1)-grams) * V <= tokens**2, so
+            # int64 holds it below about 3e9 tokens
+            rank *= len(words)
+            rank += last[extends]
+            del last, extends
+            rank = np.unique(rank, return_inverse=True)[1]
         if n in orders:
-            grams, block, totals[:, n] = _order_counts(ids, starts, row_ends, n, words)
+            grams, block, totals[:, n] = _order_counts(ids, starts, rank, row_ends, n, words)
             names += grams
             blocks.append(block)
-    del ids, starts
+    del ids, starts, rank
     order = sorted(range(len(names)), key=names.__getitem__)  # each column's provisional column
     vocabulary = list(map(names.__getitem__, order))
     order = np.array(order, dtype=np.intp)
@@ -403,40 +411,28 @@ def count_table(
 
 
 def _order_counts(
-    ids: np.ndarray, starts: np.ndarray, row_ends: np.ndarray, n: int, words: np.ndarray
+    ids: np.ndarray,
+    starts: np.ndarray,
+    column: np.ndarray,
+    row_ends: np.ndarray,
+    n: int,
+    words: np.ndarray,
 ) -> tuple[list[str], sparse.csr_array, np.ndarray]:
     """The n-grams in the windows of ``n`` of ``ids`` at ``starts``, a row's
-    windows starting before its ``row_ends``: each distinct n-gram's id, in
-    key order, the rows x n-grams counts, and each row's total."""
+    windows starting before its ``row_ends``, counted by ``column``, each
+    window's rank among the distinct n-grams: each distinct n-gram's id, in
+    rank order, the rows x n-grams counts, and each row's total."""
     from scipy import sparse
 
-    grams, column = np.unique(_window_keys(ids, starts, n, len(words)), return_inverse=True)
-    at = np.empty(len(grams), np.intp)
+    n_grams = int(column.max(initial=-1)) + 1  # every rank below the largest is taken
+    at = np.empty(n_grams, np.intp)
     at[column] = starts  # a window of each distinct n-gram
     names = list(map(" ".join, zip(*(words[ids[at + k]].tolist() for k in range(n)))))
     cells = np.searchsorted(row_ends, starts, side="right")  # each window's row
     totals = np.bincount(cells, minlength=len(row_ends))
-    cells *= len(grams)
+    cells *= n_grams
     cells += column  # row * n-grams + column: each row's cells are one sorted run
-    del column  # freed before the second sort
     cells, counts = np.unique(cells, return_counts=True)
-    indptr = np.searchsorted(cells, np.arange(len(row_ends) + 1) * len(grams))
-    block = sparse.csr_array((counts, cells % len(grams), indptr), (len(row_ends), len(grams)))
+    indptr = np.searchsorted(cells, np.arange(len(row_ends) + 1) * n_grams)
+    block = sparse.csr_array((counts, cells % n_grams, indptr), (len(row_ends), n_grams))
     return names, block, totals
-
-
-def _window_keys(ids: np.ndarray, starts: np.ndarray, n: int, base: int) -> np.ndarray:
-    """One int64 key per window of ``n`` ids at ``starts``, equal for equal
-    windows only: the ids as the digits of a base-``base`` number while
-    ``base**n`` stays below ``_KEY_LIMIT``, else the rank of the window's
-    first ``n - 1`` ids among theirs, times ``base``, plus its last id."""
-    if n > 1 and base**n >= _KEY_LIMIT:
-        keys = np.unique(_window_keys(ids, starts, n - 1, base), return_inverse=True)[1]
-        keys *= base
-        keys += ids[starts + n - 1]
-        return keys
-    keys = ids[starts]
-    for k in range(1, n):
-        keys *= base
-        keys += ids[starts + k]
-    return keys

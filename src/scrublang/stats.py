@@ -144,8 +144,9 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
         raise ValueError("need two equal-length vectors with n >= 2")
     if _is_constant(x) or _is_constant(y):
         raise DegenerateDataError("zero variance")
-    xd = x - x.mean()
-    yd = y - y.mean()
+    # each side centered and scaled by an exact power of two (r is scale-free),
+    # so that no product below under- or overflows
+    xd, yd = (np.ldexp(d, -np.frexp(np.abs(d).max())[1]) for d in (x - x.mean(), y - y.mean()))
     r = float(xd @ yd) / np.sqrt(float(xd @ xd) * float(yd @ yd))
     return float(min(1.0, max(-1.0, r)))
 

@@ -449,7 +449,7 @@ ORACLE_WORDS = ["a", "b", "ok", "<work of art>", "<email>", ":)", "<xd", ">"]
 
 class TestIntegerKeyBuild:
     """The build from int64 window keys, against the per-document reference
-    and across its overflow path."""
+    at small and large vocabularies."""
 
     @given(
         st.dictionaries(
@@ -485,21 +485,23 @@ class TestIntegerKeyBuild:
             for n in orders:
                 assert table.totals[r, n] == sum(max(len(doc) - n + 1, 0) for doc in tokens)
 
-    @pytest.mark.parametrize("limit", [6**2, 6**3, 6**4])
-    def test_overflow_path_builds_the_same_table(self, monkeypatch, limit):
-        """Keys whose base-6 value would reach the limit are (rank of the
-        first n - 1 ids, last id): the three limits send the orders from 2,
-        3 or 4 up through that path, and the table is the same."""
-        docs = {
-            ("u0", "facebook"): ["a b a b ok", "", "ok"],
-            ("u0", "sms"): ["b a <work of art> a b", "a b a"],
-            ("u1", "sms"): ["<xd > ok a", "b"],
+    def test_a_vocabulary_past_base_v_digits_builds_the_reference_rows(self):
+        """56 000 distinct tokens: V**4 >= 2**63, so order 4's windows read as
+        base-V digits would overflow int64, and the rank of the first n - 1
+        ids times V plus the last id does not.  Every order repeats some
+        n-grams within and across rows."""
+        seq = [f"w{i}" for i in np.random.default_rng(4).permutation(56_000)]
+        chunks = [" ".join(seq[i : i + 40]) for i in range(0, len(seq), 40)]
+        shifted = [" ".join(seq[i : i + 40]) for i in range(20, len(seq), 40)]
+        corpora = {
+            ("u0", "facebook"): UserCorpus("u0", "facebook", chunks),
+            ("u0", "sms"): UserCorpus("u0", "sms", shifted + chunks[:3] + ["w1 w2 w1 w2 w1"]),
         }
-        corpora = {key: UserCorpus(*key, texts) for key, texts in docs.items()}
-        assert len({t for c in corpora.values() for doc in c._tokens for t in doc}) == 6
-        want = count_table(corpora, (1, 2, 3, 4))
-        monkeypatch.setattr(features, "_KEY_LIMIT", limit)
-        assert_equal_tables(count_table(corpora, (1, 2, 3, 4)), want)
+        orders = (1, 2, 3, 4)
+        table = count_table(corpora, orders)
+        assert int((table.orders == 1).sum()) ** 4 >= 2**63
+        for key, corpus in corpora.items():
+            assert table.row(key, orders) == logistic_oracle.corpus_ngrams(corpus, orders)
 
     def test_peak_memory_is_no_larger_than_the_string_counter(self, tmp_path):
         # The string-keyed build this replaced (one Counter per order and

@@ -219,6 +219,39 @@ class TestPearson:
             return
         assert pearson_r(scale * x + shift, y) == pytest.approx(r, abs=1e-6)
 
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e160])
+    def test_tiny_and_huge_samples(self, scale):
+        # sum_xx * sum_yy underflows at 1e-100 and overflows at 1e160: the
+        # unscaled products read 1.0 and -1.0 there
+        x, y = np.array([1, 2, 4]) * scale, np.array([1, 3, 2]) * scale
+        assert pearson_r(x, y) == pytest.approx(3 / math.sqrt(84), rel=1e-12)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-1e6, 1e6).map(lambda v: round(v, 3)),
+                st.floats(-1e6, 1e6).map(lambda v: round(v, 3)),
+            ),
+            min_size=2,
+            max_size=30,
+        ),
+        st.integers(-30, 30),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_bits_as_the_unscaled_formula_in_the_normal_range(self, pairs, exponent):
+        # the scales are exact powers of two, so where no product leaves the
+        # normal range r is the unscaled formula's, bit for bit; values are
+        # rounded, so that none is small enough to leave it
+        x = np.array([a for a, _ in pairs]) * 10.0**exponent
+        y = np.array([b for _, b in pairs])
+        try:
+            r = pearson_r(x, y)
+        except DegenerateDataError:
+            return
+        xd, yd = x - x.mean(), y - y.mean()
+        unscaled = float(xd @ yd) / np.sqrt(float(xd @ xd) * float(yd @ yd))
+        assert r == min(1.0, max(-1.0, unscaled))
+
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_is_an_error(self, bad):
