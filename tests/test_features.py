@@ -485,6 +485,31 @@ class TestIntegerKeyBuild:
             for n in orders:
                 assert table.totals[r, n] == sum(max(len(doc) - n + 1, 0) for doc in tokens)
 
+    @pytest.mark.parametrize("vocab", [6**2, 6**3, 6**4])
+    def test_overflow_path_builds_the_same_table(self, vocab):
+        """Every order past 1 is keyed the way base-V digits past int64 once
+        were, (rank of the first n - 1 ids) * V + last id: at 6**2, 6**3 and
+        6**4 distinct tokens, orders 1-4 give the reference's rows, with
+        n-grams repeated within and across rows and documents shorter than 4.
+        Every token is followed by the first and by the last token in id
+        order, so each prefix rank's largest key meets the next one's
+        smallest."""
+        seq = [f"w{i}" for i in np.random.default_rng(vocab).permutation(vocab)]
+        chunks = [" ".join(seq[i : i + 7]) for i in range(0, vocab, 7)]
+        shifted = [" ".join(seq[i : i + 7]) for i in range(3, vocab, 7)]
+        first, last = min(seq), max(seq)
+        ends = [f"{w} {last} {w} {first}" for w in seq]
+        corpora = {
+            ("u0", "facebook"): UserCorpus("u0", "facebook", chunks + ends + ["", seq[0]]),
+            ("u0", "sms"): UserCorpus("u0", "sms", shifted + chunks[:2] + [" ".join(seq[:3] * 3)]),
+            ("u1", "sms"): UserCorpus("u1", "sms", chunks[::-1]),
+        }
+        orders = (1, 2, 3, 4)
+        table = count_table(corpora, orders)
+        assert int((table.orders == 1).sum()) == vocab
+        for key, corpus in corpora.items():
+            assert table.row(key, orders) == logistic_oracle.corpus_ngrams(corpus, orders)
+
     def test_a_vocabulary_past_base_v_digits_builds_the_reference_rows(self):
         """56 000 distinct tokens: V**4 >= 2**63, so order 4's windows read as
         base-V digits would overflow int64, and the rank of the first n - 1
