@@ -330,11 +330,12 @@ _BOOTSTRAP_BLOCK = 1024
 
 
 class _Resamples(NamedTuple):
-    """Resamples of ``n`` users, one row each, in an unsigned dtype that holds ``n``."""
+    """Resamples of ``n`` users, one row each: the users drawn and their counts,
+    both in an unsigned dtype that holds ``n``.  A Pearson score needs the
+    users only for the few resamples gathered near the p-value's threshold."""
 
     users: np.ndarray  # the users each resample draws, in draw order
     counts: np.ndarray  # how often each resample draws each user
-    distinct: np.ndarray  # how many distinct users each resample draws
 
 
 def _count(users: np.ndarray) -> _Resamples:
@@ -346,7 +347,7 @@ def _count(users: np.ndarray) -> _Resamples:
         block = users[lo : lo + _BOOTSTRAP_BLOCK]
         cells = (block + np.arange(0, block.size, n)[:, None]).ravel()  # row i, user u: i * n + u
         counts[lo : lo + len(block)] = np.bincount(cells, minlength=cells.size).reshape(-1, n)
-    return _Resamples(users, counts, np.count_nonzero(counts, axis=1))
+    return _Resamples(users, counts)
 
 
 def _weighted_sums(draw: _Resamples, columns: np.ndarray) -> np.ndarray:
@@ -357,22 +358,6 @@ def _weighted_sums(draw: _Resamples, columns: np.ndarray) -> np.ndarray:
         rows = slice(lo, lo + _BOOTSTRAP_BLOCK)
         np.matmul(draw.counts[rows], columns, out=sums[rows])
     return sums
-
-
-def _constant_rows(v: np.ndarray, draw: _Resamples) -> np.ndarray:
-    """:func:`_is_constant` of ``v`` on each resample, which is its range over
-    the users the resample draws.  A resample that draws more distinct users
-    than the most values of ``v`` lying within ``_MIN_RANGE`` of each other
-    has spread; only the others take the range test."""
-    s = np.sort(v)
-    # at least as many as tie: a range below _MIN_RANGE is below 2 * _MIN_RANGE once rounded
-    tied = (np.searchsorted(s, s + 2 * _MIN_RANGE, side="right") - np.arange(s.size)).max()
-    maybe = np.flatnonzero(draw.distinct <= tied)
-    constant = np.zeros(len(draw.distinct), dtype=bool)
-    for lo in range(0, maybe.size, _BOOTSTRAP_BLOCK):
-        rows = maybe[lo : lo + _BOOTSTRAP_BLOCK]
-        constant[rows] = _is_constant(v[draw.users[rows]], axis=1)
-    return constant
 
 
 def _gathered_pearson(e: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -388,41 +373,49 @@ def _gathered_pearson(e: np.ndarray, t: np.ndarray) -> np.ndarray:
 # user and per unit of their scale: about 16 eps by the standard dot-product
 # error bounds, taken 4x over.  On random inputs the gap stays under 0.1 % of it.
 _MOMENT_TOL = 64 * np.finfo(float).eps
-_NORMS = (1e-290, 1e290)  # products of two sums of squares that keep full precision
 
 
-def _pearson_deltas(a, b, t, draw: _Resamples, observed: float, valid: np.ndarray) -> np.ndarray:
+def _pearson_deltas(a, b, t, draw: _Resamples, observed: float) -> tuple[np.ndarray, np.ndarray]:
     """r(a, t) - r(b, t) on each valid resample, on the same side of the
-    p-value's threshold as :func:`_gathered_pearson` of its gathered rows.
+    p-value's threshold as :func:`_gathered_pearson` of its gathered rows, and
+    the mask of the valid resamples.
 
-    Every resample's moments come from one ``counts @ V`` product, where ``V``
-    holds the values centered on their full-sample means, their squares and
-    the cross products with the truth.  Both routes round; for each vector,
-    their gap grows with the squared largest value over the resample's sum of
-    squares about its mean.  The few resamples whose delta lies within
-    ``_MOMENT_TOL`` of that scale from the threshold are rescored from their
-    gathered rows."""
+    Each vector is scaled once by an exact power of two, as in
+    :func:`pearson_r`.  Every resample's moments come from one ``counts @ V``
+    product, where ``V`` holds the scaled values centered on their full-sample
+    means, their squares and the cross products with the truth.  Both routes
+    round; for each vector, their gap grows with the squared largest value
+    over the resample's sum of squares about its mean.  Only the resamples
+    whose delta lies within ``_MOMENT_TOL`` of that scale from the threshold
+    are gathered: those whose unscaled values are constant are invalid, and
+    the others are rescored from their gathered rows."""
     n = t.size
-    with np.errstate(all="ignore"):  # an overflow, an underflow or a NaN makes a resample near
-        xa, xb, xt = (v - v.mean() for v in (a, b, t))
+    exps = [np.frexp(np.abs(v).max())[1] for v in (a, b, t)]
+    scaled = [np.ldexp(v, -e) for v, e in zip((a, b, t), exps)]
+    with np.errstate(all="ignore"):  # a sum of squares of 0 or a NaN makes a resample near
+        xa, xb, xt = (v - v.mean() for v in scaled)
         V = np.column_stack([xa, xb, xt, xa * xa, xb * xb, xt * xt, xa * xt, xb * xt])
-        sa, sb, st, saa, sbb, stt, sat, sbt = _weighted_sums(draw, V)[valid].T
-        ss = [np.maximum(s2 - s * s / n, 0.0) for s, s2 in ((sa, saa), (sb, sbb), (st, stt))]
-        norms = ss[0] * ss[2], ss[1] * ss[2]
-        deltas = (sat - sa * st / n) / np.sqrt(norms[0]) - (sbt - sb * st / n) / np.sqrt(norms[1])
-        scale = [n * np.max(v * v) / s for v, s in zip((a, b, t), ss)]
+        sa, sb, st, saa, sbb, stt, sat, sbt = _weighted_sums(draw, V).T
+        # A constant resample is always near.  Its sum of squares is rounding
+        # residue, so its scale term pushes tol above any delta it can give.
+        # Values too small to leave residue have an unscaled sum below
+        # n * _MIN_RANGE**2, which reads as 0; tol is then infinite, and a
+        # NaN delta counts as near.
+        ss = [s2 - s * s / n for s, s2 in ((sa, saa), (sb, sbb), (st, stt))]
+        ss = [np.where(np.ldexp(s, 2 * e) < n * _MIN_RANGE**2, 0.0, s) for s, e in zip(ss, exps)]
+        na, nb, nt = (np.sqrt(s) for s in ss)  # norms as products of roots: no under- or overflow
+        deltas = (sat - sa * st / n) / (na * nt) - (sbt - sb * st / n) / (nb * nt)
+        scale = [n * np.max(v * v) / s for v, s in zip(scaled, ss)]
         tol = _MOMENT_TOL * (n * (scale[0] + scale[1] + 2 * scale[2] + 2) + 1)
-        near = ~(np.abs(np.abs(deltas - observed) - abs(observed)) > tol)  # or NaN
-        for norm in norms:  # where the gathered route's norms lose precision or overflow
-            near |= ~((_NORMS[0] < norm) & (norm < _NORMS[1]))
-        near = np.flatnonzero(near)
-        rows = np.flatnonzero(valid)[near]
+        near = np.flatnonzero(~(np.abs(np.abs(deltas - observed) - abs(observed)) > tol))  # or NaN
+        valid = np.ones(len(deltas), dtype=bool)
         for lo in range(0, near.size, _BOOTSTRAP_BLOCK):
-            block = slice(lo, lo + _BOOTSTRAP_BLOCK)
-            users = draw.users[rows[block]]
-            ra, rb = (_gathered_pearson(e[users], t[users]) for e in (a, b))
-            deltas[near[block]] = ra - rb
-    return deltas
+            rows = near[lo : lo + _BOOTSTRAP_BLOCK]
+            users = draw.users[rows]
+            valid[rows] = ~np.any([_is_constant(v[users], axis=1) for v in (a, b, t)], axis=0)
+            ra, rb = (_gathered_pearson(v[users], scaled[2][users]) for v in scaled[:2])
+            deltas[rows] = ra - rb
+    return deltas[valid], valid
 
 
 def bootstrap_score_diff(
@@ -445,10 +438,11 @@ def bootstrap_score_diff(
     ``iterations x n`` user indices.  A score depends on a resample only
     through how often it draws each user (Efron & Tibshirani 1993), so each
     resample is scored from its row of counts, the same resample as its row
-    of indices.  Resamples where either score is undefined are skipped and
-    counted; a resample's values are constant when their range over the
-    users it draws is.  At least ``MIN_BOOTSTRAP_ITERATIONS`` resamples are
-    required.
+    of indices.  A correlation is taken on values scaled by powers of two, so
+    scaling the inputs by powers of two changes no result.  Resamples where
+    either score is undefined are skipped and counted; a resample's values
+    are constant when their range over the users it draws is.  At least
+    ``MIN_BOOTSTRAP_ITERATIONS`` resamples are required.
     """
     a = np.asarray(estimates_a, dtype=float)
     b = np.asarray(estimates_b, dtype=float)
@@ -471,8 +465,7 @@ def bootstrap_score_diff(
         valid = np.ones(iterations, dtype=bool)
         deltas = sa - sb
     else:
-        valid = ~(_constant_rows(a, draw) | _constant_rows(b, draw) | _constant_rows(t, draw))
-        deltas = _pearson_deltas(a, b, t, draw, observed, valid)
+        deltas, valid = _pearson_deltas(a, b, t, draw, observed)
     skipped = int(iterations - valid.sum())
     m = deltas.size
     if m == 0:

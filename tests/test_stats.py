@@ -32,8 +32,8 @@ from scrublang.modeling import bootstrap_accuracy_diff
 from scrublang.stats import (
     DegenerateDataError,
     Fit,
-    _constant_rows,
     _count,
+    _is_constant,
     _pearson_deltas,
     bh_fdr,
     bootstrap_corr_diff,
@@ -444,11 +444,29 @@ class TestBootstrap:
         users = np.array([[0, 1, 2, 0, 1, 2, 0, 1], [3, 4, 5, 3, 4, 5, 3, 4], [6, 7] * 4], np.uint8)
         a = np.array(CONSTANT + [1.0, 2.0, 3.0, 6.0, 7.0])
         t = np.array([3.0, 5.0, 7.0, 1.0, 2.0, 4.0, 0.0, 1e-160])
-        draw = _count(users)
-        valid = ~(_constant_rows(a, draw) | _constant_rows(t, draw))
+        deltas, valid = _pearson_deltas(a, -a, t, _count(users), 0.0)
         assert valid.tolist() == [False, True, False]
-        r = _pearson_deltas(a, -a, t, draw, 0.0, valid) / 2  # r(a, t) - r(-a, t) = 2 r(a, t)
+        r = deltas / 2  # r(a, t) - r(-a, t) = 2 r(a, t)
         assert r[0] == pytest.approx(pearson_r(a[users[1]], t[users[1]]), abs=1e-12)
+
+    def test_rows_below_the_smallest_range_are_invalid_at_any_magnitude(self):
+        # the truths' range, 1.6e-154, passes the range test, but a row that
+        # draws only users 0, 1, 3 and 4 (range 1e-154) does not; scaled, such
+        # a row has an ordinary spread and leaves no rounding residue
+        t = np.array([0.0, 1e-154, 1.6e-154, 0.0, 1e-154])
+        a, b = np.array([1.0, 2.0, 3.0, 5.0, 4.0]), np.array([3.0, 1.0, 2.0, 4.0, 5.0])
+        users = np.random.default_rng(0).integers(0, 5, (1000, 5)).astype(np.uint8)
+        _, valid = _pearson_deltas(a, b, t, _count(users), pearson_r(a, t) - pearson_r(b, t))
+        constant = np.array([_is_constant(v[users], axis=1) for v in (a, b, t)])
+        assert valid.tolist() == (~constant.any(axis=0)).tolist()
+        assert (constant[2] & ~constant[0]).sum() > 100
+
+    def test_p_value_does_not_depend_on_units(self):
+        rng = np.random.default_rng(0)
+        t = rng.normal(0, 1, 30)
+        a, b = t + rng.normal(0, 1, 30), t + rng.normal(0, 2, 30)
+        ps = [bootstrap_corr_diff(a * s, b * s, t * s, 1000, 0).p_value for s in (1e-100, 1, 1e160)]
+        assert ps[0] == ps[1] == ps[2]
 
     def test_iteration_floor(self):
         with pytest.raises(ValueError):
@@ -580,6 +598,19 @@ def _tied_inputs(draw, metric):
     return a, b, t
 
 
+@st.composite
+def _continuous_inputs(draw, metric):
+    """Estimates a = t + N(0, 1) and b = t + N(0, 2) of a normal truth, whose
+    sign is sign accuracy's +/-1 truth."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 40))
+    t = rng.normal(0, 1, n)
+    a, b = t + rng.normal(0, 1, n), t + rng.normal(0, 2, n)
+    if metric == "accuracy":
+        t = np.where(t >= 0, 1.0, -1.0)
+    return a, b, t
+
+
 class TestCountedBootstrap:
     """Resamples scored from their counts against the gathered whole-matrix
     reference, on small tied inputs where many resamples draw few users."""
@@ -592,6 +623,37 @@ class TestCountedBootstrap:
         args = (a, b, t, iterations, seed, metric)
         got = _outcome(bootstrap_score_diff, *args)
         assert got == _outcome(evaluation_oracle.bootstrap_score_diff, *args)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), seed=st.integers(0, 50))
+    def test_each_resample_is_on_the_gathered_side(self, data, seed):
+        # stronger than an equal p: each resample, not only their count
+        a, b, t = data.draw(st.one_of(_tied_inputs("pearson_r"), _continuous_inputs("pearson_r")))
+        try:
+            observed = pearson_r(a, t) - pearson_r(b, t)
+        except DegenerateDataError:
+            return
+        users = np.random.default_rng(seed).integers(0, t.size, (1000, t.size)).astype(np.uint8)
+        deltas, valid = _pearson_deltas(a, b, t, _count(users), observed)
+        rowwise = evaluation_oracle._rowwise_pearson
+        (ra, va), (rb, vb) = (rowwise(e[users], t[users]) for e in (a, b))
+        assert valid.tolist() == (va & vb).tolist()
+        sides = [np.abs(d - observed) >= abs(observed) for d in (deltas, (ra - rb)[valid])]
+        assert sides[0].tolist() == sides[1].tolist()
+
+    @pytest.mark.parametrize("metric", ["pearson_r", "accuracy"])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        exponents=st.tuples(*[st.integers(-300, 300)] * 3),
+        seed=st.integers(0, 50),
+    )
+    def test_scaling_by_powers_of_two_changes_no_result(self, metric, data, exponents, seed):
+        a, b, t = data.draw(st.one_of(_tied_inputs(metric), _continuous_inputs(metric)))
+        k, j, m = exponents
+        scaled = np.ldexp(a, k), np.ldexp(b, j), t if metric == "accuracy" else np.ldexp(t, m)
+        got = _outcome(bootstrap_score_diff, *scaled, 1000, seed, metric)
+        assert got == _outcome(bootstrap_score_diff, a, b, t, 1000, seed, metric)
 
     def test_resamples_on_the_threshold_take_the_gathered_arithmetic(self):
         # a and b swap users 2 and 4, where t is 0: r(a, t) and r(b, t) are
