@@ -388,7 +388,8 @@ def _pearson_deltas(a, b, t, draw: _Resamples, observed: float) -> tuple[np.ndar
     over the resample's sum of squares about its mean.  Only the resamples
     whose delta lies within ``_MOMENT_TOL`` of that scale from the threshold
     are gathered: those whose unscaled values are constant are invalid, and
-    the others are rescored from their gathered rows."""
+    the others are rescored from their gathered rows, each scaled by its own
+    power of two."""
     n = t.size
     exps = [np.frexp(np.abs(v).max())[1] for v in (a, b, t)]
     scaled = [np.ldexp(v, -e) for v, e in zip((a, b, t), exps)]
@@ -411,10 +412,14 @@ def _pearson_deltas(a, b, t, draw: _Resamples, observed: float) -> tuple[np.ndar
         valid = np.ones(len(deltas), dtype=bool)
         for lo in range(0, near.size, _BOOTSTRAP_BLOCK):
             rows = near[lo : lo + _BOOTSTRAP_BLOCK]
-            users = draw.users[rows]
-            valid[rows] = ~np.any([_is_constant(v[users], axis=1) for v in (a, b, t)], axis=0)
-            ra, rb = (_gathered_pearson(v[users], scaled[2][users]) for v in scaled[:2])
-            deltas[rows] = ra - rb
+            gathered = [v[draw.users[rows]] for v in (a, b, t)]
+            valid[rows] = ~np.any([_is_constant(g, axis=1) for g in gathered], axis=0)
+            # each row by its own power of two: a row far below its vector's
+            # largest value underflows when scaled with the vector
+            ga, gb, gt = (
+                np.ldexp(g, -np.frexp(np.abs(g).max(axis=1, keepdims=True))[1]) for g in gathered
+            )
+            deltas[rows] = _gathered_pearson(ga, gt) - _gathered_pearson(gb, gt)
     return deltas[valid], valid
 
 

@@ -461,6 +461,20 @@ class TestBootstrap:
         assert valid.tolist() == (~constant.any(axis=0)).tolist()
         assert (constant[2] & ~constant[0]).sum() > 100
 
+    def test_rows_far_below_the_largest_value_keep_their_precision(self):
+        # scaled with t's largest value, 1e200, a row that does not draw it
+        # underflows to 0
+        t = np.array([0.0, 1.6e-154, 1e200, 0.0, 1.6e-154, 3e-154, 2e-154])
+        a, b = np.array([1.0, 2, 3, 5, 4, 7, 1]), np.array([3.0, 1, 2, 4, 5, 2, 6])
+        users = np.random.default_rng(0).integers(0, 7, (1000, 7)).astype(np.uint8)
+        deltas, valid = _pearson_deltas(a, b, t, _count(users), pearson_r(a, t) - pearson_r(b, t))
+        constant = np.array([_is_constant(v[users], axis=1) for v in (a, b, t)])
+        assert valid.tolist() == (~constant.any(axis=0)).tolist()
+        rows = users[valid]
+        expected = [pearson_r(a[u], t[u]) - pearson_r(b[u], t[u]) for u in rows]
+        assert (rows != 2).all(axis=1).sum() > 100  # rows without the 1e200
+        np.testing.assert_allclose(deltas, expected, rtol=0, atol=1e-12)
+
     def test_p_value_does_not_depend_on_units(self):
         rng = np.random.default_rng(0)
         t = rng.normal(0, 1, 30)
