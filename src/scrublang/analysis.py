@@ -88,9 +88,11 @@ def diff_ngrams(
     for the users of both platforms in ``table``.
 
     N-grams must be used by at least ``min_group_fraction`` of the shared
-    users (on either platform) to be tested.
+    users (on either platform) to be tested: :meth:`CountTable.paired_features`
+    counts each n-gram's users from the table's rows.
     """
-    features = table.paired_features(_paired_users(table), orders, min_group_fraction)
+    _paired_users(table)  # raises with fewer than two
+    features = table.paired_features(orders, min_group_fraction)
     return ngram_diffs(features, *table.paired(features), alpha)
 
 

@@ -440,7 +440,7 @@ class Run:
         of the model orders; the features pass the group frequency filter
         and hold no redaction placeholder (those n-grams are display only)."""
         cfg, table = self.cfg, self.table
-        names = table.paired_features(table.users, cfg.model_orders, cfg.min_group_fraction)
+        names = table.paired_features(cfg.model_orders, cfg.min_group_fraction)
         features = [f for f in names if not PLACEHOLDER_RE.search(f)]
         return table.users, *table.paired(features), features
 

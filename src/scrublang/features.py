@@ -26,9 +26,11 @@ and an n-gram is a window of ids inside one document, so only each distinct
 n-gram is joined into its string id.  Every frequency is read from it: one
 corpus's n-grams (:meth:`CountTable.row`, which :meth:`UserCorpus.ngram_features`
 reads from the table of that corpus alone), n-gram frequencies by id
-(:meth:`CountTable.paired` pairs the two platforms), the group filter and
-dictionary categories (the unigram columns times a 0/1 type x category
-matrix), with one ``count / total`` per cell.
+(:meth:`CountTable.paired` pairs the two platforms) and dictionary categories
+(the unigram columns times a 0/1 type x category matrix), with one
+``count / total`` per cell.  So is the group filter: the users of an n-gram
+are the stored cells of its column in the sum of each user's facebook and
+sms rows, counted by one ``bincount`` (:func:`group_frequency_filter`).
 """
 
 from __future__ import annotations
@@ -37,11 +39,10 @@ import bisect
 import itertools
 import re
 import sys
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -236,23 +237,21 @@ def shared_users(corpora: Mapping[tuple[str, str], object]) -> list[str]:
 
 
 def group_frequency_filter(
-    user_features: Iterable[Collection],
-    min_fraction: float = DEFAULT_MIN_GROUP_FRACTION,
-) -> list:
-    """Features used by at least ``min_fraction`` of users, sorted.
+    usage: sparse.csr_array, min_fraction: float = DEFAULT_MIN_GROUP_FRACTION
+) -> np.ndarray:
+    """The columns of ``usage`` that at least one user and at least
+    ``min_fraction`` of the users use, sorted.
 
-    ``user_features`` holds each user's distinct features (n-gram ids, or a
-    :class:`CountTable`'s columns), one user at a time; it is read once, so a
-    generator keeps only one user's set alive.
+    ``usage`` is a users x columns CSR matrix without duplicate entries, whose
+    stored cells mark which user uses which column: a column's users are
+    counted by one ``bincount`` of its indices.
     Standard differential-language practice: rare n-grams carry no stable
     signal and blow up the test count.
     """
-    used_by: Counter = Counter()
-    n_users = 0
-    for feats in user_features:
-        used_by.update(feats)
-        n_users += 1
-    return sorted(f for f, c in used_by.items() if c / n_users >= min_fraction)
+    used_by = np.bincount(usage.indices, minlength=usage.shape[1])
+    keep = used_by > 0  # only these are divided, so no users divide nothing by 0
+    keep[keep] = used_by[keep] / usage.shape[0] >= min_fraction
+    return np.flatnonzero(keep)
 
 
 @dataclass(frozen=True)
@@ -274,17 +273,13 @@ class CountTable:
         """The facebook and the sms :attr:`users` x ``features`` :meth:`freqs`."""
         return [self.freqs([(u, plat) for u in self.users], features) for plat in PLATFORMS]
 
-    def columns(self, key: tuple[str, str], orders: Iterable[int]) -> set[int]:
-        """The columns of ``orders`` that corpus ``key`` counts at least once."""
-        r = self.rows[key]
-        cols = self.counts.indices[self.counts.indptr[r] : self.counts.indptr[r + 1]]
-        return set(cols[np.isin(self.orders[cols], list(orders))].tolist())
-
     def row(self, key: tuple[str, str], orders: Iterable[int]) -> dict[str, float]:
         """Corpus ``key``'s relative frequency of each n-gram of ``orders`` it
         counts, by id in vocabulary order."""
-        cols = sorted(self.columns(key, orders))
-        freqs = self._cells(np.array([self.rows[key]]), np.array(cols, dtype=np.intp))[0]
+        r = self.rows[key]
+        cols = self.counts.indices[self.counts.indptr[r] : self.counts.indptr[r + 1]]  # sorted
+        cols = cols[np.isin(self.orders[cols], list(orders))]
+        freqs = self._cells(np.array([r]), cols)[0]
         return dict(zip([self.vocabulary[j] for j in cols], freqs.tolist()))
 
     def freqs(self, keys: Sequence[tuple[str, str]], features: Sequence[str]) -> np.ndarray:
@@ -315,17 +310,13 @@ class CountTable:
         totals = self.totals[rows, 1:2]
         return np.divide(hits, totals, out=np.zeros(hits.shape), where=totals > 0)
 
-    def paired_features(
-        self, users: Iterable[str], orders: Iterable[int], min_fraction: float
-    ) -> list[str]:
-        """The n-grams of ``orders`` that :func:`group_frequency_filter`
-        keeps, sorted, where a user uses an n-gram counted on either platform."""
-        orders = tuple(orders)
-        used = (
-            self.columns((u, "facebook"), orders) | self.columns((u, "sms"), orders) for u in users
-        )
-        cols = group_frequency_filter(used, min_fraction)  # sorted columns: sorted ids
-        return [self.vocabulary[j] for j in cols]
+    def paired_features(self, orders: Iterable[int], min_fraction: float) -> list[str]:
+        """The n-grams of ``orders`` that :func:`group_frequency_filter` keeps
+        among :attr:`users`, sorted: a user uses an n-gram counted on either
+        platform, a stored cell of the sum of their facebook and sms rows."""
+        fb, sms = (np.array([self.rows[(u, p)] for u in self.users], np.intp) for p in PLATFORMS)
+        cols = group_frequency_filter(self.counts[fb] + self.counts[sms], min_fraction)
+        return [self.vocabulary[j] for j in cols[np.isin(self.orders[cols], list(orders))]]
 
     def _column(self, gram: str) -> int:
         """The column of ``gram``; the last, empty column if the vocabulary

@@ -94,8 +94,10 @@ def loocv_fixed_design(X: np.ndarray, y: np.ndarray, alpha: float, standardize: 
 
 def _rowwise_pearson(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     valid = ~_is_constant(a, axis=1) & ~_is_constant(b, axis=1)
-    a = a - a.mean(axis=1, keepdims=True)
-    b = b - b.mean(axis=1, keepdims=True)
+    # each centered row scaled by its own power of two (r is scale-free), as
+    # in stats.pearson_r, so that no sum of products below under- or overflows
+    a, b = (x - x.mean(axis=1, keepdims=True) for x in (a, b))
+    a, b = (np.ldexp(x, -np.frexp(np.abs(x).max(axis=1, keepdims=True))[1]) for x in (a, b))
     saa = np.einsum("ij,ij->i", a, a)
     sbb = np.einsum("ij,ij->i", b, b)
     sab = np.einsum("ij,ij->i", a, b)

@@ -4,20 +4,22 @@ fed by per-user frequency dicts counted order by order, independently of
 ``features.count_table``.
 
 The tests compare ``stats.logistic_slope_p``, ``analysis.diff_ngrams``,
-``CountTable.freqs`` and ``UserCorpus.ngram_features`` against these,
-feature by feature.
+``CountTable.freqs``, ``CountTable.paired_features`` (whose users this
+reference counts in its own ``Counter``) and ``UserCorpus.ngram_features``
+against these, feature by feature.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
 from scrublang.analysis import NgramDiff, shared_users
-from scrublang.features import UserCorpus, group_frequency_filter, tokenize
+from scrublang.features import UserCorpus, tokenize
 from scrublang.stats import (
     DegenerateDataError,
     _is_constant,
@@ -198,8 +200,10 @@ def paired_features(
     min_group_fraction: float,
 ) -> list[str]:
     """The n-grams used by at least ``min_group_fraction`` of the users of
-    :func:`paired_vectors`; a user uses an n-gram present on either platform."""
-    return group_frequency_filter((fb[u].keys() | sms[u].keys() for u in fb), min_group_fraction)
+    :func:`paired_vectors`, sorted; a user uses an n-gram present on either
+    platform."""
+    used_by = Counter(g for u in fb for g in fb[u].keys() | sms[u].keys())
+    return sorted(g for g, c in used_by.items() if c / len(fb) >= min_group_fraction)
 
 
 def diff_ngrams_per_feature(

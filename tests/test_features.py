@@ -5,15 +5,16 @@ from __future__ import annotations
 import itertools
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import logistic_oracle
 from scrublang import features
-from scrublang.analysis import shared_users
 from scrublang.detectors import Gazetteer, load_catalogue
 from scrublang.features import (
     DictionaryError,
@@ -35,6 +36,14 @@ tokens_strategy = st.lists(
 
 def ngrams(*documents: str, orders=(1, 2, 3)) -> dict[str, float]:
     return UserCorpus("u", "sms", list(documents)).ngram_features(orders)
+
+
+def usage(users: list[list[int]], n_columns: int) -> sparse.csr_array:
+    """The users x columns usage matrix where user i uses the columns
+    ``users[i]``."""
+    indptr = np.cumsum([0, *map(len, users)])
+    indices = np.array([j for cols in users for j in cols], dtype=np.int32)
+    return sparse.csr_array((np.ones(len(indices)), indices, indptr), (len(users), n_columns))
 
 
 def categories(text: str, spec: DictionarySpec) -> dict[str, float]:
@@ -256,25 +265,35 @@ class TestCorpus:
         assert excluded == {"u2": 100}
 
     def test_group_frequency_filter(self):
-        users = [{"common", "rare"}, {"common"}, {"common"}, {"common"}]
-        assert group_frequency_filter(users, 0.5) == ["common"]
-        assert group_frequency_filter(users, 0.25) == ["common", "rare"]
-        assert group_frequency_filter([], 0.25) == []
+        # columns common, rare
+        users = usage([[0, 1], [0], [0], [0]], 2)
+        assert group_frequency_filter(users, 0.5).tolist() == [0]
+        assert group_frequency_filter(users, 0.25).tolist() == [0, 1]
+        assert group_frequency_filter(usage([], 2), 0.25).tolist() == []
 
     def test_group_frequency_filter_keeps_a_feature_at_the_exact_fraction(self):
-        # 0.28 * 25 is 7.000000000000001: 7 of 25 users is still 0.28 of them
-        users = [{"edge"} if i < 7 else {"other"} for i in range(25)]
-        assert group_frequency_filter(users, 0.28) == ["edge", "other"]
+        # 0.28 * 25 is 7.000000000000001: 7 of 25 users is still 0.28 of them;
+        # columns edge, other
+        users = usage([[0] if i < 7 else [1] for i in range(25)], 2)
+        assert group_frequency_filter(users, 0.28).tolist() == [0, 1]
         for d in (3, 7, 10, 20, 25, 50, 100):
             for k in range(1, d):
                 for n in range(1, 60):
                     at = -(-k * n // d)  # the fewest of n users that make k/d of them
-                    users = [{"at", "below"}] * (at - 1) + [{"at"}] + [set()] * (n - at)
-                    assert group_frequency_filter(users, k / d) == ["at"], (k, d, n)
+                    # columns at, below
+                    users = usage([[0, 1]] * (at - 1) + [[0]] + [[]] * (n - at), 2)
+                    assert group_frequency_filter(users, k / d).tolist() == [0], (k, d, n)
 
-    def test_group_frequency_filter_reads_a_generator(self):
-        one_user_at_a_time = (set(feats) for feats in ("xy", "x", "z"))
-        assert group_frequency_filter(one_user_at_a_time, 0.5) == ["x"]
+    def test_no_shared_users_keep_no_feature_and_divide_nothing(self):
+        corpora = {(u, "facebook"): UserCorpus(u, "facebook", ["a b"]) for u in ("u1", "u2")}
+        corpora[("u3", "sms")] = UserCorpus("u3", "sms", ["a"])
+        table = count_table(corpora, orders=(1, 2))
+        assert table.users == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fraction in (0.0, 0.5):
+                assert table.paired_features((1, 2), fraction) == []
+                assert group_frequency_filter(usage([], 3), fraction).tolist() == []
 
     def test_count_table_rows_per_platform(self):
         corpora = {
@@ -284,7 +303,8 @@ class TestCorpus:
         table = count_table(corpora, orders=(1,))
         assert table.rows == {("u1", "facebook"): 0, ("u1", "sms"): 1}
         assert table.vocabulary == ["a", "b", "c"]
-        assert table.columns(("u1", "facebook"), (1,)) == {0, 1}
+        assert table.row(("u1", "facebook"), (1,)) == {"a": 0.5, "b": 0.5}
+        assert table.row(("u1", "sms"), (1,)) == {"c": 1.0}
         assert table.freqs([("u1", "facebook")], ["a", "b", "c"]).tolist() == [[0.5, 0.5, 0.0]]
 
 
@@ -336,11 +356,12 @@ def assert_table_matches_dict_path(corpora, orders, spec):
     assert np.array_equal(got, logistic_oracle.feature_matrix(vectors, keys, names))
     assert [table.row(key, orders) for key in keys] == [vectors[key] for key in keys]
     assert [corpora[key].ngram_features(orders) for key in keys] == [vectors[key] for key in keys]
-    users = shared_users(corpora)
-    _, fb, sms = logistic_oracle.paired_vectors(corpora, orders)
-    for fraction in (0.0, 0.5):
+    users, fb, sms = logistic_oracle.paired_vectors(corpora, orders)
+    assert table.users == users
+    # and each k/n of the users, where a feature used by k of them sits at the bound
+    for fraction in (0.0, 0.5, 1.0, *(k / len(users) for k in range(1, len(users)))):
         want = logistic_oracle.paired_features(fb, sms, fraction)
-        assert table.paired_features(users, orders, fraction) == want
+        assert table.paired_features(orders, fraction) == want
     table = count_table(corpora, {1, *orders})
     cats = sorted(spec.categories)
     want = [[dictionary_per_token(corpora[k]._tokens, spec)[c] for c in cats] for k in keys]

@@ -678,6 +678,18 @@ class TestCountedBootstrap:
         res = bootstrap_score_diff(a, b, t, 1000, seed=0)
         assert res == evaluation_oracle.bootstrap_score_diff(a, b, t, 1000, 0, "pearson_r")
 
+    def test_truths_near_the_smallest_range_match_the_reference(self):
+        # squares of these truths are subnormal or 0 unless scaled; integer
+        # estimates in 0-5 leave many resamples constant on either side
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(4, 12))
+            a, b = rng.integers(0, 6, (2, n)).astype(float)
+            t = rng.choice([0.0, 1e-154, 1.6e-154, 3e-154], n)
+            args = (a, b, t, 1000, seed, "pearson_r")
+            got = _outcome(bootstrap_score_diff, *args)
+            assert got == _outcome(evaluation_oracle.bootstrap_score_diff, *args), seed
+
 
 def _modules_loaded_by(code: str, *modules: str) -> list[bool]:
     """Whether each of ``modules`` is imported after ``code`` runs in a fresh
