@@ -18,10 +18,11 @@ literal token or a prefix wildcard ("happ*", star only in terminal position).
 Each distinct token type is scored once against every category.
 
 :func:`count_table` is the one counter: it counts every (user, platform)
-corpus once into one :class:`CountTable`, a sparse users x vocabulary matrix
-of integer n-gram counts, one column per n-gram id with the vocabulary sorted
-by id, and each row's total per order.  It counts int64 keys, not strings:
-each token has an int id, every document's ids are laid out in one array,
+corpus once into one :class:`CountTable`, a users x vocabulary matrix of
+integer n-gram counts, one column per n-gram id with the vocabulary sorted by
+id, that stores only its nonzero cells, in compressed sparse row form on
+three numpy arrays, and each row's total per order.  It counts int64 keys,
+not strings: each token has an int id, every document's ids are laid out in one array,
 and an n-gram is a window of ids inside one document, so only each distinct
 n-gram is joined into its string id.  Every frequency is read from it: one
 corpus's n-grams (:meth:`CountTable.row`, which :meth:`UserCorpus.ngram_features`
@@ -29,8 +30,8 @@ reads from the table of that corpus alone), n-gram frequencies by id
 (:meth:`CountTable.paired` pairs the two platforms) and dictionary categories
 (the unigram columns times a 0/1 type x category matrix), with one
 ``count / total`` per cell.  So is the group filter: the users of an n-gram
-are the stored cells of its column in the sum of each user's facebook and
-sms rows, counted by one ``bincount`` (:func:`group_frequency_filter`).
+are counted one user at a time, from the columns either of the user's two
+rows stores (:func:`group_frequency_filter`).
 """
 
 from __future__ import annotations
@@ -42,14 +43,11 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .spans import PLACEHOLDER_RE, json_lines, json_record, numbered_lines, straight_apostrophes
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 DEFAULT_MIN_WORDS = 500
 DEFAULT_MIN_GROUP_FRACTION = 0.05
@@ -237,21 +235,21 @@ def shared_users(corpora: Mapping[tuple[str, str], object]) -> list[str]:
 
 
 def group_frequency_filter(
-    usage: sparse.csr_array, min_fraction: float = DEFAULT_MIN_GROUP_FRACTION
+    used_by: np.ndarray, n_users: int, min_fraction: float = DEFAULT_MIN_GROUP_FRACTION
 ) -> np.ndarray:
-    """The columns of ``usage`` that at least one user and at least
-    ``min_fraction`` of the users use, sorted.
+    """The columns that at least one of ``n_users`` users and at least
+    ``min_fraction`` of them use, sorted, where ``used_by`` holds each
+    column's number of users (integers from 0 to ``n_users``).
 
-    ``usage`` is a users x columns CSR matrix without duplicate entries, whose
-    stored cells mark which user uses which column: a column's users are
-    counted by one ``bincount`` of its indices.
+    A column used by c users is kept when the float division c / n_users is
+    at least ``min_fraction``: that division is taken once for each c from 1
+    to ``n_users``, so with no users nothing is divided.
     Standard differential-language practice: rare n-grams carry no stable
     signal and blow up the test count.
     """
-    used_by = np.bincount(usage.indices, minlength=usage.shape[1])
-    keep = used_by > 0  # only these are divided, so no users divide nothing by 0
-    keep[keep] = used_by[keep] / usage.shape[0] >= min_fraction
-    return np.flatnonzero(keep)
+    kept = np.zeros(n_users + 1, dtype=bool)  # by number of users; 0 is never kept
+    kept[1:] = np.arange(1, n_users + 1) / n_users >= min_fraction
+    return np.flatnonzero(kept[used_by])
 
 
 @dataclass(frozen=True)
@@ -260,13 +258,19 @@ class CountTable:
     platform) corpus, in sorted order, and one column per distinct n-gram id,
     sorted by id, plus a last, empty column that every n-gram outside the
     vocabulary reads.  Built by :func:`count_table`.
+
+    Only the nonzero counts are stored, in compressed sparse row form: row r's
+    cells are ``indices[indptr[r]:indptr[r + 1]]``, its columns in increasing
+    order, and ``counts`` at the same positions.
     """
 
     rows: dict[tuple[str, str], int]  # (user, platform) -> row
     users: list[str]  # the users with a row on both platforms, sorted
     vocabulary: list[str]  # each column's n-gram id
     orders: np.ndarray  # each column's order; 0 for the last column
-    counts: sparse.csr_array  # rows x (columns + 1), int64; the last column is empty
+    indptr: np.ndarray  # rows + 1 offsets into indices and counts
+    indices: np.ndarray  # each stored cell's column
+    counts: np.ndarray  # each stored cell's count, int64 and above 0
     totals: np.ndarray  # rows x (1 + largest order): each row's n-gram total per order
 
     def paired(self, features: Sequence[str]) -> list[np.ndarray]:
@@ -277,9 +281,11 @@ class CountTable:
         """Corpus ``key``'s relative frequency of each n-gram of ``orders`` it
         counts, by id in vocabulary order."""
         r = self.rows[key]
-        cols = self.counts.indices[self.counts.indptr[r] : self.counts.indptr[r + 1]]  # sorted
-        cols = cols[np.isin(self.orders[cols], list(orders))]
-        freqs = self._cells(np.array([r]), cols)[0]
+        cells = slice(self.indptr[r], self.indptr[r + 1])
+        cols = self.indices[cells]
+        asked = np.isin(self.orders[cols], list(orders))
+        cols = cols[asked]
+        freqs = self.counts[cells][asked] / self.totals[r, self.orders[cols]]
         return dict(zip([self.vocabulary[j] for j in cols], freqs.tolist()))
 
     def freqs(self, keys: Sequence[tuple[str, str]], features: Sequence[str]) -> np.ndarray:
@@ -289,34 +295,71 @@ class CountTable:
         rows = np.array([self.rows[k] for k in keys], dtype=np.intp)
         return self._cells(rows, np.array([self._column(f) for f in features], dtype=np.intp))
 
+    def _stored(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The stored cells of ``rows`` in the distinct columns ``cols``: each
+        one's index in ``rows``, its column's index in ``cols``, and its
+        position in :attr:`indices`."""
+        starts, lengths = self.indptr[rows], self.indptr[rows + 1] - self.indptr[rows]
+        i = np.repeat(np.arange(len(rows)), lengths)
+        # each cell's position in indices: its place among the asked rows'
+        # cells, less its row's first place there, plus its row's start
+        at = np.arange(len(i)) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        slot = np.full(len(self.orders), -1, dtype=np.intp)
+        slot[cols] = np.arange(len(cols))
+        j = slot[self.indices[at]]
+        asked = np.flatnonzero(j >= 0)
+        return i[asked], j[asked], at[asked]
+
     def _cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The dense ``rows x cols`` relative frequencies."""
-        counts = self.counts[rows][:, cols].astype(np.float64)
+        distinct, first, back = np.unique(cols, return_index=True, return_inverse=True)
+        i, j, at = self._stored(rows, distinct)
+        dense = np.zeros((len(rows), len(cols)))
         # only counted cells are divided, each by its row's total of its column's order
-        cell_rows = rows[np.repeat(np.arange(len(rows)), np.diff(counts.indptr))]
-        counts.data /= self.totals[cell_rows, self.orders[cols][counts.indices]]
-        return counts.toarray()
+        dense[i, first[j]] = self.counts[at] / self.totals[rows][i, self.orders[distinct][j]]
+        again = np.flatnonzero(first[back] != np.arange(len(cols)))  # a column asked for twice
+        dense[:, again] = dense[:, first[back[again]]]
+        return dense
 
     def categories(self, keys: Sequence[tuple[str, str]], spec: DictionarySpec) -> np.ndarray:
         """The ``keys x sorted(spec.categories)`` frequencies (matching tokens
         over all tokens, a token matching several categories counted in each,
         0 for a row without tokens), from a table that counts unigrams: the
-        unigram counts times the 0/1 type x category matrix, over each row's
-        unigram total."""
-        rows = [self.rows[k] for k in keys]
+        counts of the unigrams some category matches times their 0/1 type x
+        category matrix, over each row's unigram total."""
+        rows = np.array([self.rows[k] for k in keys], dtype=np.intp)
         unigrams = np.flatnonzero(self.orders == 1)
-        types = [self.vocabulary[j] for j in unigrams]
-        hits = self.counts[rows][:, unigrams] @ _category_hits(types, spec)
+        hits = _category_hits([self.vocabulary[j] for j in unigrams], spec)
+        matched = hits.any(axis=1)
+        i, j, at = self._stored(rows, unigrams[matched])
+        counts = np.zeros((len(rows), int(matched.sum())), dtype=np.int64)
+        counts[i, j] = self.counts[at]
+        hits = counts @ hits[matched]
         totals = self.totals[rows, 1:2]
         return np.divide(hits, totals, out=np.zeros(hits.shape), where=totals > 0)
 
     def paired_features(self, orders: Iterable[int], min_fraction: float) -> list[str]:
         """The n-grams of ``orders`` that :func:`group_frequency_filter` keeps
         among :attr:`users`, sorted: a user uses an n-gram counted on either
-        platform, a stored cell of the sum of their facebook and sms rows."""
-        fb, sms = (np.array([self.rows[(u, p)] for u in self.users], np.intp) for p in PLATFORMS)
-        cols = group_frequency_filter(self.counts[fb] + self.counts[sms], min_fraction)
-        return [self.vocabulary[j] for j in cols[np.isin(self.orders[cols], list(orders))]]
+        platform.  Each user's facebook and sms columns of ``orders`` are
+        merged on their own and counted into one array of users per column,
+        in the smallest dtype that holds the number of users, so the peak
+        grows with neither the number of users nor the cells of other orders."""
+        asked = np.isin(np.arange(self.totals.shape[1]), list(orders))  # by order
+        used_by = np.zeros(len(self.orders), dtype=np.min_scalar_type(len(self.users)))
+        on_facebook = np.zeros(len(self.orders), dtype=bool)  # the current user's columns
+        for user in self.users:
+            fb, sms = (
+                self.indices[self.indptr[r] : self.indptr[r + 1]]
+                for r in (self.rows[(user, plat)] for plat in PLATFORMS)
+            )
+            fb, sms = fb[asked[self.orders[fb]]], sms[asked[self.orders[sms]]]
+            used_by[fb] += 1
+            on_facebook[fb] = True
+            used_by[sms[~on_facebook[sms]]] += 1
+            on_facebook[fb] = False
+        cols = group_frequency_filter(used_by, len(self.users), min_fraction)
+        return [self.vocabulary[j] for j in cols]
 
     def _column(self, gram: str) -> int:
         """The column of ``gram``; the last, empty column if the vocabulary
@@ -338,15 +381,15 @@ def count_table(
     order n's is the rank of one int64 key per window of n ids, the rank of
     its first n - 1 ids times V (the number of distinct tokens) plus its last
     id.  Each order of ``orders`` is counted from its ranks
-    (:func:`_order_counts`) into its own block of columns; an order below the
-    largest that ``orders`` skips is ranked, not counted.  Only each distinct
-    n-gram is joined into its id string, and the ids of every order are
-    sorted once, at the end.  No token spells the id of several tokens
+    (:func:`_order_counts`) into its own provisional columns; an order below
+    the largest that ``orders`` skips is ranked, not counted.  Only each
+    distinct n-gram is joined into its id string, and the ids of every order
+    are sorted once, at the end; the stored cells of every order are then
+    put in row and column order by one sort of their ``row * columns +
+    column`` keys.  No token spells the id of several tokens
     (``spans.LABEL_RE``), so an id is one n-gram of one order.  Every order
     must be at least 1.
     """
-    from scipy import sparse  # on first use, so that importing the CLI stays fast
-
     orders, keys = sorted(set(orders)), sorted(corpora)
     if orders and orders[0] < 1:
         raise ValueError(f"n-gram orders must be >= 1, got {tuple(orders)}")
@@ -362,7 +405,9 @@ def count_table(
 
     totals = np.zeros((len(keys), 1 + max(orders, default=0)), dtype=np.int64)
     names: list[str] = []  # each provisional column's id
-    blocks = []  # rows x provisional columns, one block per order
+    # per counted order: its first provisional column, its number of n-grams,
+    # and its cells (as row * n-grams + rank) with their counts
+    cells = []
     starts = np.flatnonzero(ids >= 0)  # the windows of one id
     rank = ids[starts]  # each window's rank among the distinct windows of its order
     for n in range(1, totals.shape[1]):
@@ -377,25 +422,32 @@ def count_table(
             del last, extends
             rank = np.unique(rank, return_inverse=True)[1]
         if n in orders:
-            grams, block, totals[:, n] = _order_counts(ids, starts, rank, row_ends, n, words)
+            grams, *counted, totals[:, n] = _order_counts(ids, starts, rank, row_ends, n, words)
+            cells.append((len(names), len(grams), *counted))
             names += grams
-            blocks.append(block)
     del ids, starts, rank
     order = sorted(range(len(names)), key=names.__getitem__)  # each column's provisional column
     vocabulary = list(map(names.__getitem__, order))
     order = np.array(order, dtype=np.intp)
-    renumber = np.argsort(order)  # the inverse permutation: each provisional column's column
-    col_orders = np.repeat(np.array(orders, np.int64), [block.shape[1] for block in blocks])
-    empty = sparse.csr_array((len(keys), 1), dtype=np.int64)  # read by n-grams not counted
-    counts = sparse.hstack([*blocks, empty], format="csr")
-    counts.indices = renumber[counts.indices]
-    counts.has_sorted_indices = False
-    counts.sort_indices()
+    column = np.empty_like(order)  # each provisional column's column
+    column[order] = np.arange(len(order))
+    n_columns = len(vocabulary) + 1  # the last column is read by n-grams not counted
+    # each cell's row * columns + column, from its order's row * n-grams + rank
+    cell_keys = [c // size * n_columns + column[first + c % size] for first, size, c, _ in cells]
+    cell_keys = np.concatenate([np.empty(0, np.int64), *cell_keys])
+    counts = np.concatenate([np.empty(0, np.int64), *(k for *_, k in cells)])
+    col_orders = np.repeat(np.array(orders, np.int64), [size for _, size, *_ in cells])
+    del cells
+    by_key = np.argsort(cell_keys)
+    cell_keys, counts = cell_keys[by_key], counts[by_key]
+    del by_key
     return CountTable(
         rows={key: r for r, key in enumerate(keys)},
         users=shared_users(corpora),
         vocabulary=vocabulary,
         orders=np.append(col_orders[order], 0),
+        indptr=np.searchsorted(cell_keys, np.arange(len(keys) + 1) * n_columns),
+        indices=cell_keys % n_columns,
         counts=counts,
         totals=totals,
     )
@@ -408,13 +460,12 @@ def _order_counts(
     row_ends: np.ndarray,
     n: int,
     words: np.ndarray,
-) -> tuple[list[str], sparse.csr_array, np.ndarray]:
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
     """The n-grams in the windows of ``n`` of ``ids`` at ``starts``, a row's
     windows starting before its ``row_ends``, counted by ``column``, each
     window's rank among the distinct n-grams: each distinct n-gram's id, in
-    rank order, the rows x n-grams counts, and each row's total."""
-    from scipy import sparse
-
+    rank order, each (row, n-gram) cell that counts one as its row * n-grams
+    + rank, sorted, with its count, and each row's total."""
     n_grams = int(column.max(initial=-1)) + 1  # every rank below the largest is taken
     at = np.empty(n_grams, np.intp)
     at[column] = starts  # a window of each distinct n-gram
@@ -422,8 +473,6 @@ def _order_counts(
     cells = np.searchsorted(row_ends, starts, side="right")  # each window's row
     totals = np.bincount(cells, minlength=len(row_ends))
     cells *= n_grams
-    cells += column  # row * n-grams + column: each row's cells are one sorted run
+    cells += column  # row * n-grams + column
     cells, counts = np.unique(cells, return_counts=True)
-    indptr = np.searchsorted(cells, np.arange(len(row_ends) + 1) * n_grams)
-    block = sparse.csr_array((counts, cells % n_grams, indptr), (len(row_ends), n_grams))
-    return names, block, totals
+    return names, cells, counts, totals

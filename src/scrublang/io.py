@@ -205,11 +205,11 @@ def write_manifest(
 ) -> None:
     """Write the run manifest; ``inputs`` maps each input's manifest key to
     the file whose SHA-256 digest is recorded under it, and ``versions``
-    holds the python, numpy, scipy and regex versions that ran."""
-    from importlib import metadata  # read from the installed metadata: imports no scipy module
+    holds the python, numpy and regex versions that ran."""
+    from importlib import metadata
 
     versions = {"python": platform.python_version()}
-    versions.update((name, metadata.version(name)) for name in ("numpy", "scipy", "regex"))
+    versions.update((name, metadata.version(name)) for name in ("numpy", "regex"))
     manifest = {
         "package_version": package_version,
         "versions": versions,

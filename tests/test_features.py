@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 import logistic_oracle
 from scrublang import features
@@ -38,12 +37,11 @@ def ngrams(*documents: str, orders=(1, 2, 3)) -> dict[str, float]:
     return UserCorpus("u", "sms", list(documents)).ngram_features(orders)
 
 
-def usage(users: list[list[int]], n_columns: int) -> sparse.csr_array:
-    """The users x columns usage matrix where user i uses the columns
-    ``users[i]``."""
-    indptr = np.cumsum([0, *map(len, users)])
-    indices = np.array([j for cols in users for j in cols], dtype=np.int32)
-    return sparse.csr_array((np.ones(len(indices)), indices, indptr), (len(users), n_columns))
+def usage(users: list[list[int]], n_columns: int) -> tuple[np.ndarray, int]:
+    """Each of ``n_columns`` columns' number of users, and the number of
+    users, where user i uses the distinct columns ``users[i]``."""
+    indices = np.array([j for cols in users for j in cols], dtype=np.intp)
+    return np.bincount(indices, minlength=n_columns), len(users)
 
 
 def categories(text: str, spec: DictionarySpec) -> dict[str, float]:
@@ -267,22 +265,22 @@ class TestCorpus:
     def test_group_frequency_filter(self):
         # columns common, rare
         users = usage([[0, 1], [0], [0], [0]], 2)
-        assert group_frequency_filter(users, 0.5).tolist() == [0]
-        assert group_frequency_filter(users, 0.25).tolist() == [0, 1]
-        assert group_frequency_filter(usage([], 2), 0.25).tolist() == []
+        assert group_frequency_filter(*users, 0.5).tolist() == [0]
+        assert group_frequency_filter(*users, 0.25).tolist() == [0, 1]
+        assert group_frequency_filter(*usage([], 2), 0.25).tolist() == []
 
     def test_group_frequency_filter_keeps_a_feature_at_the_exact_fraction(self):
         # 0.28 * 25 is 7.000000000000001: 7 of 25 users is still 0.28 of them;
         # columns edge, other
         users = usage([[0] if i < 7 else [1] for i in range(25)], 2)
-        assert group_frequency_filter(users, 0.28).tolist() == [0, 1]
+        assert group_frequency_filter(*users, 0.28).tolist() == [0, 1]
         for d in (3, 7, 10, 20, 25, 50, 100):
             for k in range(1, d):
                 for n in range(1, 60):
                     at = -(-k * n // d)  # the fewest of n users that make k/d of them
                     # columns at, below
                     users = usage([[0, 1]] * (at - 1) + [[0]] + [[]] * (n - at), 2)
-                    assert group_frequency_filter(users, k / d).tolist() == [0], (k, d, n)
+                    assert group_frequency_filter(*users, k / d).tolist() == [0], (k, d, n)
 
     def test_no_shared_users_keep_no_feature_and_divide_nothing(self):
         corpora = {(u, "facebook"): UserCorpus(u, "facebook", ["a b"]) for u in ("u1", "u2")}
@@ -293,7 +291,7 @@ class TestCorpus:
             warnings.simplefilter("error")
             for fraction in (0.0, 0.5):
                 assert table.paired_features((1, 2), fraction) == []
-                assert group_frequency_filter(usage([], 3), fraction).tolist() == []
+                assert group_frequency_filter(*usage([], 3), fraction).tolist() == []
 
     def test_count_table_rows_per_platform(self):
         corpora = {
@@ -306,17 +304,25 @@ class TestCorpus:
         assert table.row(("u1", "facebook"), (1,)) == {"a": 0.5, "b": 0.5}
         assert table.row(("u1", "sms"), (1,)) == {"c": 1.0}
         assert table.freqs([("u1", "facebook")], ["a", "b", "c"]).tolist() == [[0.5, 0.5, 0.0]]
+        # a feature asked for twice reads its column twice, as does every absent one
+        freqs = table.freqs([("u1", "sms"), ("u1", "facebook")], ["c", "b", "zz", "c", "b", "zz"])
+        assert freqs.tolist() == [[1.0, 0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0, 0.5, 0.0]]
 
 
 def assert_equal_tables(got, want):
     """Two count tables are equal: rows, users, vocabulary, column orders,
-    the counts cell for cell (in their canonical form), and the totals."""
+    the stored cells (``indptr``, ``indices`` and ``counts``), and the totals;
+    and each stores its cells in canonical form: each row's columns strictly
+    increase, every count is above 0, and the last column is empty."""
     assert (got.rows, got.users, got.vocabulary) == (want.rows, want.users, want.vocabulary)
-    for a, b in [(got.orders, want.orders), (got.totals, want.totals),
-                 *zip(*((m.indptr, m.indices, m.data) for m in (got.counts, want.counts)))]:
+    for a, b in [(got.orders, want.orders), (got.totals, want.totals), (got.indptr, want.indptr),
+                 (got.indices, want.indices), (got.counts, want.counts)]:
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert got.counts.shape == want.counts.shape
-    assert got.counts.has_canonical_format and want.counts.has_canonical_format
+    for table in (got, want):
+        assert table.indptr[0] == 0 and table.indptr[-1] == len(table.indices) == len(table.counts)
+        cell_rows = np.repeat(np.arange(len(table.rows)), np.diff(table.indptr))
+        assert np.all(np.diff(cell_rows * len(table.orders) + table.indices) > 0)
+        assert np.all(table.counts > 0) and np.all(table.indices < len(table.vocabulary))
 
 
 def dictionary_per_token(documents, spec: DictionarySpec) -> dict[str, float]:
@@ -358,10 +364,12 @@ def assert_table_matches_dict_path(corpora, orders, spec):
     assert [corpora[key].ngram_features(orders) for key in keys] == [vectors[key] for key in keys]
     users, fb, sms = logistic_oracle.paired_vectors(corpora, orders)
     assert table.users == users
+    wider = count_table(corpora, (1, 2, 3))  # counts the users of the asked orders only
     # and each k/n of the users, where a feature used by k of them sits at the bound
     for fraction in (0.0, 0.5, 1.0, *(k / len(users) for k in range(1, len(users)))):
         want = logistic_oracle.paired_features(fb, sms, fraction)
         assert table.paired_features(orders, fraction) == want
+        assert wider.paired_features(orders, fraction) == want
     table = count_table(corpora, {1, *orders})
     cats = sorted(spec.categories)
     want = [[dictionary_per_token(corpora[k]._tokens, spec)[c] for c in cats] for k in keys]
@@ -370,6 +378,26 @@ def assert_table_matches_dict_path(corpora, orders, spec):
 
 
 class TestCountTable:
+    def test_group_filter_peak_stays_below_one_int64_per_column(self, tmp_path):
+        # each user's two rows are merged on their own into a one-byte count
+        # per column: 6.4 bytes per column traced here, at every asked order,
+        # where summing every user's rows first took 61 on this table
+        posts = load_corpus_jsonl(make_fixture(tmp_path, n_users=40, seed=1)["facebook_corpus"])
+        corpora = {}
+        for (user, _), corpus in posts.items():
+            half = len(corpus.documents) // 2
+            corpora[(user, "facebook")] = UserCorpus(user, "facebook", corpus.documents[:half])
+            corpora[(user, "sms")] = UserCorpus(user, "sms", corpus.documents[half:])
+        table = count_table(corpora, (1, 2, 3))
+        for orders in [(1,), (1, 2), (1, 2, 3)]:
+            tracemalloc.start()
+            try:
+                table.paired_features(orders, 0.25)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * len(table.orders), orders
+
     @pytest.mark.parametrize("spec", SPECS)
     @pytest.mark.parametrize("orders", [(1,), (2, 3), (1, 2, 3)])
     def test_edge_cases_match_the_dict_path(self, orders, spec):
@@ -552,11 +580,10 @@ class TestIntegerKeyBuild:
     def test_peak_memory_is_no_larger_than_the_string_counter(self, tmp_path):
         # The string-keyed build this replaced (one Counter per order and
         # corpus, over joined ids) peaked at 4.52 MB traced here, at orders
-        # 1-3 of the 40-user fixture's posts; this build peaks at 4.05 MB
+        # 1-3 of the 40-user fixture's posts; this build peaks at 4.03 MB
         corpora = load_corpus_jsonl(make_fixture(tmp_path, n_users=40, seed=1)["facebook_corpus"])
         for corpus in corpora.values():
             corpus.word_count()  # tokenized before tracing
-        count_table(corpora, (1,))  # and scipy.sparse imported
         tracemalloc.start()
         try:
             table = count_table(corpora, (1, 2, 3))

@@ -11,7 +11,6 @@ from importlib import metadata
 
 import numpy as np
 import pytest
-import scipy
 
 from scrublang import io, modeling
 from scrublang.features import load_corpus_jsonl
@@ -220,6 +219,5 @@ def test_manifest_records_the_library_versions(tmp_path):
     assert manifest["versions"] == {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "regex": metadata.version("regex"),
     }

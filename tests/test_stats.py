@@ -1,14 +1,15 @@
 """Statistical kernel tests.
 
-Where the implementation leans on a library routine, the test checks it
-against an independent route: the t-distribution p-value is verified by
-numerical quadrature of the density, the logistic Wald p against a
-likelihood-ratio fit, and BH-FDR against a brute-force scan over all
-candidate thresholds.
+Each statistic is checked against an independent route: the t-distribution
+p-value against numerical quadrature of the density and against 40-digit
+mpmath values (``tail_oracle``), as is the normal tail of the Wald p, the
+logistic Wald p against a likelihood-ratio fit, and BH-FDR against a
+brute-force scan over all candidate thresholds.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
@@ -22,12 +23,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
+from scipy.special import ndtr
 from scipy.stats import chi2
 
 import scrublang
 import evaluation_oracle
+import tail_oracle
 from logistic_oracle import FAILED_FITS
-from scrublang import stats
+from scrublang import cli, stats
 from scrublang.modeling import bootstrap_accuracy_diff
 from scrublang.stats import (
     DegenerateDataError,
@@ -175,6 +178,48 @@ class TestPairedT:
             paired_t_test([1, 2, bad], [0, 1, 2])
         with pytest.raises(ValueError, match="finite"):
             paired_t_test([0, 1, 2], [1, 2, bad])
+
+
+# every df up to 60, and the df of 100, 120, 201 and 1001 users
+T_DFS = [*range(1, 61), 99, 119, 200, 1000]
+# 0, every half decade from 1e-8 to 1e3, and infinity
+T_VALUES = [0.0, *(10.0 ** (k / 2) for k in range(-16, 7)), math.inf]
+
+
+class TestTailProbabilities:
+    def test_student_t_p_matches_the_40_digit_oracle(self):
+        """Within 1e-11 of mpmath wherever p >= 1e-300, on both signs of t:
+        exactly 1 at t = 0, 0 at an infinite t, and NaN at a NaN t."""
+        t = np.array([*T_VALUES, math.nan])
+        for df in T_DFS:
+            want = [tail_oracle.student_t_p(v, df) for v in T_VALUES[1:-1]]
+            for sign in (1.0, -1.0):
+                p = stats._student_t_p(sign * t, df)
+                assert p[0] == 1.0 and p[-2] == 0.0 and np.isnan(p[-1]), df
+                for v, got, w in zip(T_VALUES[1:-1], p[1:-2], want):
+                    if w >= 1e-300:
+                        assert abs(got - w) <= 1e-11 * w, (df, sign * v, got, w)
+
+    def test_normal_p_matches_erfc_and_the_40_digit_oracle(self):
+        """The Wald p is erfc at |z| times the double nearest 1/sqrt(2): within
+        3 ulp of mpmath's erfc at that argument, and within 2 z^2 eps of the
+        exact 2 Phi(-|z|), the error of rounding the argument.  It is within
+        4 ulp of ``2 * ndtr(-|z|)`` up to |z| = 1; past that, ndtr's own error
+        (up to 2.8 z^2 eps here) separates them by up to 4 z^2 eps."""
+        eps = np.finfo(float).eps
+        z = np.concatenate([np.linspace(0.0, 38.5, 771), np.logspace(-12, 1.5, 60)])
+        for sign in (1.0, -1.0):
+            p = stats._normal_p(sign * z)
+            for v, got in zip(z.tolist(), p.tolist()):
+                assert abs(got - tail_oracle.erfc(v * math.sqrt(0.5))) <= 3 * np.spacing(got), v
+                want = tail_oracle.normal_p(v)
+                if want >= 1e-300:
+                    assert abs(got - want) <= 2 * max(v, 1.0) ** 2 * eps * want, (v, got, want)
+            by_ndtr = 2 * ndtr(-z)
+            assert np.all(np.abs(p - by_ndtr)[z <= 1] <= 4 * np.spacing(by_ndtr[z <= 1]))
+            normal = by_ndtr >= 1e-300  # ndtr reads 0 past |z| = 37.7, erfc a subnormal
+            bound = 4 * np.maximum(z, 1.0) ** 2 * eps * by_ndtr
+            assert np.all((np.abs(p - by_ndtr) <= bound)[normal])
 
 
 class TestPearson:
@@ -691,30 +736,68 @@ class TestCountedBootstrap:
             assert got == _outcome(evaluation_oracle.bootstrap_score_diff, *args), seed
 
 
-def _modules_loaded_by(code: str, *modules: str) -> list[bool]:
-    """Whether each of ``modules`` is imported after ``code`` runs in a fresh
-    interpreter."""
+def _scipy_modules_loaded_by(code: str) -> list[str]:
+    """The ``scipy`` and ``scipy.*`` modules imported after ``code`` runs in
+    a fresh interpreter, sorted."""
     src = str(Path(scrublang.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code += f"\nimport sys; print(*(m in sys.modules for m in {modules!r}))"
+    code += "\nimport sys; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    return [word == "True" for word in out.stdout.splitlines()[-1].split()]
+    return out.stdout.splitlines()[-1].split()
+
+
+def _cli_run(argv: list[str]) -> str:
+    return f"from scrublang import cli\nassert cli.main({argv!r}) == 0"
 
 
 def test_cli_import_does_not_load_scipy_stats():
-    # the p-values come from scipy.special, imported when a p-value is first
-    # computed, and the count table from scipy.sparse, imported when a table
-    # is first built; scipy.stats costs ~0.7 s and ~45 MB to import and is
-    # only needed by this test module's oracles
-    modules = ("scipy.stats", "scipy.special", "scipy.sparse")
-    assert _modules_loaded_by("import scrublang.cli", *modules) == [False, False, False]
+    # no module of the package imports scipy: scipy.stats alone costs ~0.7 s
+    # and ~45 MB to import, and is only needed by this test module's oracles
+    assert _scipy_modules_loaded_by("import scrublang.cli") == []
 
 
 def test_redact_does_not_load_scipy_special(tmp_path):
     log = make_fixture(tmp_path, n_users=3, seed=0)["keystroke_log"]
     argv = ["redact", "--in", str(log), "--out", str(tmp_path / "entries.jsonl")]
-    code = f"from scrublang import cli\nassert cli.main({argv!r}) == 0"
-    assert _modules_loaded_by(code, "scipy.special", "scipy.sparse") == [False, False]
+    assert _scipy_modules_loaded_by(_cli_run(argv)) == []
     assert (tmp_path / "entries.jsonl").stat().st_size > 0
+
+
+@pytest.fixture(scope="module")
+def small_fixture(tmp_path_factory):
+    """The 6-user fixture's files, and a two-platform corpus of its posts and
+    of its pipeline's messages."""
+    root = tmp_path_factory.mktemp("small_fixture")
+    files = make_fixture(root, n_users=6, seed=0)
+    assert cli.main(["pipeline", "--config", str(files["config"])]) == 0
+    corpus = root / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as out:
+        out.write(files["facebook_corpus"].read_text(encoding="utf-8"))
+        for line in (root / "out" / "entries.jsonl").read_text(encoding="utf-8").splitlines():
+            entry = json.loads(line)
+            row = {"user_id": entry["user_id"], "platform": "sms", "text": entry["final_text"]}
+            out.write(json.dumps(row) + "\n")
+    return files, corpus
+
+
+@pytest.mark.parametrize("command", ["pipeline", "diff", "evaluate"])
+def test_analysis_commands_load_no_scipy_module(small_fixture, tmp_path, command):
+    """The count table and every p-value are computed without scipy."""
+    files, corpus = small_fixture
+    out = tmp_path / "out"
+    common = ["--corpus", str(corpus), "--min-words", "100", "--out-dir", str(out)]
+    argv = {
+        "pipeline": ["pipeline", "--config", str(files["config"])],  # into its own out/
+        "diff": ["diff", *common, "--dictionary", str(files["dictionary"])],
+        "evaluate": ["evaluate", *common, "--outcomes", str(files["outcomes"]),
+                     "--bootstrap-iterations", "1000"],
+    }[command]
+    assert _scipy_modules_loaded_by(_cli_run(argv)) == []
+    if command != "pipeline":
+        assert sorted(p.name for p in out.iterdir()) == {
+            "diff": ["category_diff.csv", "category_diff.json", "cloud.json", "ngram_diff.csv",
+                     "ngram_diff.json"],
+            "evaluate": ["eval_report.csv", "eval_report.json"],
+        }[command]
